@@ -374,7 +374,7 @@ func (in *instrumenter) instrumentFile(f *ast.File, path, modDir string) ([]byte
 		if !ok || fd.Body == nil {
 			continue
 		}
-		in.rewriteBlock(fd.Body)
+		in.rewriteFunc(fd.Body)
 	}
 
 	if !in.needRT && len(in.siteOrder) == 0 {

@@ -32,6 +32,7 @@ import (
 const (
 	rtName     = "__pacer_rt"
 	unsafeName = "__pacer_unsafe"
+	slotName   = "__pacer_h"
 	rtPath     = "pacer/internal/rt"
 )
 
@@ -62,6 +63,10 @@ type instrumenter struct {
 	siteOrder []string
 	needRT    bool
 	tmpSeq    int
+
+	// slotUsed records that the function body being rewritten emitted a
+	// hook taking its identity slot, so the body must declare one.
+	slotUsed bool
 }
 
 // --- site interning ---
@@ -96,6 +101,28 @@ func rtCall(name string, args ...ast.Expr) *ast.ExprStmt {
 	return &ast.ExprStmt{X: &ast.CallExpr{Fun: rtSel(name), Args: args}}
 }
 
+// slotRef builds &__pacer_h, the current frame's identity slot, and
+// marks the frame as needing its declaration.
+func (in *instrumenter) slotRef() ast.Expr {
+	in.slotUsed = true
+	in.needRT = true
+	return &ast.UnaryExpr{Op: token.AND, X: ast.NewIdent(slotName)}
+}
+
+// slotG builds __pacer_h.G(), the frame's identity resolved now: the
+// argument deferred helpers take, so a defer never holds the slot.
+func (in *instrumenter) slotG() ast.Expr {
+	in.slotUsed = true
+	in.needRT = true
+	return &ast.CallExpr{Fun: &ast.SelectorExpr{X: ast.NewIdent(slotName), Sel: ast.NewIdent("G")}}
+}
+
+// hook builds a call to an identity-taking rt hook, passing the current
+// frame's slot first.
+func (in *instrumenter) hook(name string, args ...ast.Expr) ast.Stmt {
+	return rtCall(name, append([]ast.Expr{in.slotRef()}, args...)...)
+}
+
 func intLit(n int64) ast.Expr {
 	return &ast.BasicLit{Kind: token.INT, Value: strconv.FormatInt(n, 10)}
 }
@@ -114,7 +141,7 @@ func (in *instrumenter) accessHook(fn string, lv ast.Expr, t types.Type, pos tok
 	if !ok {
 		size = 1
 	}
-	return rtCall(fn, unsafeAddr(lv), intLit(size), in.site(pos))
+	return in.hook(fn, unsafeAddr(lv), intLit(size), in.site(pos))
 }
 
 // safeSize is Sizeof with generics guarded: a type containing type
@@ -165,14 +192,23 @@ func (in *instrumenter) analyzeShared(files []*ast.File) {
 }
 
 // markRoot marks the variable at the base of an lvalue chain as shared.
+// The walk stops at pointer, slice and map indirection: &p.f, &s[i] and
+// the like take the address of memory p or s points to, not of the
+// variable itself.
 func (in *instrumenter) markRoot(e ast.Expr) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.SelectorExpr:
+			if in.indirect(x.X) {
+				return
+			}
 			e = x.X
 		case *ast.IndexExpr:
+			if in.indirect(x.X) {
+				return
+			}
 			e = x.X
 		case *ast.Ident:
 			if v, ok := in.objOf(x).(*types.Var); ok && !v.IsField() {
@@ -183,6 +219,20 @@ func (in *instrumenter) markRoot(e ast.Expr) {
 			return
 		}
 	}
+}
+
+// indirect reports whether selecting or indexing through e leaves e's own
+// storage: e is a pointer, slice or map.
+func (in *instrumenter) indirect(e ast.Expr) bool {
+	t := in.info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 // markCaptured marks every variable a function literal uses that was
@@ -417,7 +467,7 @@ func (in *instrumenter) funcLits(n ast.Node) {
 	}
 	ast.Inspect(n, func(x ast.Node) bool {
 		if fl, ok := x.(*ast.FuncLit); ok {
-			in.rewriteBlock(fl.Body)
+			in.rewriteFunc(fl.Body)
 			return false
 		}
 		return true
@@ -425,6 +475,31 @@ func (in *instrumenter) funcLits(n ast.Node) {
 }
 
 // --- statement rewriting ---
+
+// rewriteFunc rewrites a function body (a FuncDecl's or a FuncLit's) as
+// one identity frame: when any hook in it takes the identity slot, the
+// body starts with `var __pacer_h rt.Slot`. A function literal never
+// shares its enclosing frame's slot, since a closure may run on another
+// goroutine; its own declaration shadows the outer one.
+func (in *instrumenter) rewriteFunc(body *ast.BlockStmt) {
+	if body == nil || in.done[body] {
+		return
+	}
+	outer := in.slotUsed
+	in.slotUsed = false
+	in.rewriteBlock(body)
+	if in.slotUsed {
+		decl := &ast.DeclStmt{Decl: &ast.GenDecl{
+			Tok: token.VAR,
+			Specs: []ast.Spec{&ast.ValueSpec{
+				Names: []*ast.Ident{ast.NewIdent(slotName)},
+				Type:  rtSel("Slot"),
+			}},
+		}}
+		body.List = append([]ast.Stmt{decl}, body.List...)
+	}
+	in.slotUsed = outer
+}
 
 func (in *instrumenter) rewriteBlock(b *ast.BlockStmt) {
 	if b == nil || in.done[b] {
@@ -470,8 +545,8 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 		if un, ok := st.X.(*ast.UnaryExpr); ok && un.Op == token.ARROW {
 			in.readHooks(un.X, &pre)
-			pre = append(pre, rtCall("ChanRecvPre", un.X))
-			post = append(post, rtCall("ChanRecv", un.X))
+			pre = append(pre, in.hook("ChanRecvPre", un.X))
+			post = append(post, in.hook("ChanRecv", un.X))
 			break
 		}
 		in.readHooks(st.X, &pre)
@@ -480,8 +555,8 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		in.funcLits(st)
 		in.readHooks(st.Chan, &pre)
 		in.readHooks(st.Value, &pre)
-		pre = append(pre, rtCall("ChanSend", st.Chan))
-		post = append(post, rtCall("ChanSendDone", st.Chan))
+		pre = append(pre, in.hook("ChanSend", st.Chan))
+		post = append(post, in.hook("ChanSendDone", st.Chan))
 
 	case *ast.AssignStmt:
 		in.funcLits(st)
@@ -493,8 +568,8 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 		if recv != nil {
 			in.readHooks(recv.X, &pre)
-			pre = append(pre, rtCall("ChanRecvPre", recv.X))
-			post = append(post, rtCall("ChanRecv", recv.X))
+			pre = append(pre, in.hook("ChanRecvPre", recv.X))
+			post = append(post, in.hook("ChanRecv", recv.X))
 		} else {
 			var atomicHandled bool
 			if len(st.Rhs) == 1 {
@@ -608,7 +683,7 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		var top []ast.Stmt
 		if t := in.info.TypeOf(st.X); t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				top = append(top, rtCall("ChanRange", st.X))
+				top = append(top, in.hook("ChanRange", st.X))
 			}
 		}
 		if st.Tok == token.ASSIGN {
@@ -706,9 +781,9 @@ func concat(pre []ast.Stmt, s ast.Stmt, post []ast.Stmt) []ast.Stmt {
 // identity before running the call:
 //
 //	{
-//	    __pacer_g1 := rt.GoSpawn()
+//	    __pacer_g1 := rt.GoSpawn(&__pacer_h)
 //	    __pacer_t2 := a
-//	    go func() { rt.GoStart(__pacer_g1); defer rt.GoExit(); f(__pacer_t2, b) }()
+//	    go func() { rt.GoStart(__pacer_g1); defer rt.GoExit(__pacer_g1); f(__pacer_t2, b) }()
 //	}
 func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 	call := st.Call
@@ -728,9 +803,8 @@ func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 	setup = append(setup, &ast.AssignStmt{
 		Lhs: []ast.Expr{ast.NewIdent(gname)},
 		Tok: token.DEFINE,
-		Rhs: []ast.Expr{&ast.CallExpr{Fun: rtSel("GoSpawn")}},
+		Rhs: []ast.Expr{&ast.CallExpr{Fun: rtSel("GoSpawn"), Args: []ast.Expr{in.slotRef()}}},
 	})
-	in.needRT = true
 
 	hoist := func(e ast.Expr) ast.Expr {
 		name := in.temp("t")
@@ -745,7 +819,7 @@ func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 	fn := call.Fun
 	switch f := fn.(type) {
 	case *ast.FuncLit:
-		in.rewriteBlock(f.Body)
+		in.rewriteFunc(f.Body)
 	case *ast.Ident:
 		if _, isFunc := in.objOf(f).(*types.Func); !isFunc {
 			if _, isBuiltin := in.objOf(f).(*types.Builtin); !isBuiltin {
@@ -771,7 +845,7 @@ func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 
 	body := []ast.Stmt{
 		rtCall("GoStart", ast.NewIdent(gname)),
-		&ast.DeferStmt{Call: &ast.CallExpr{Fun: rtSel("GoExit")}},
+		&ast.DeferStmt{Call: &ast.CallExpr{Fun: rtSel("GoExit"), Args: []ast.Expr{ast.NewIdent(gname)}}},
 		&ast.ExprStmt{X: &ast.CallExpr{Fun: fn, Args: args, Ellipsis: call.Ellipsis}},
 	}
 	setup = append(setup, &ast.GoStmt{Call: &ast.CallExpr{
@@ -798,18 +872,18 @@ func (in *instrumenter) rewriteSelect(st *ast.SelectStmt) []ast.Stmt {
 		switch comm := cc.Comm.(type) {
 		case *ast.SendStmt:
 			in.funcLits(comm)
-			pre = append(pre, rtCall("ChanSend", comm.Chan))
-			top = append(top, rtCall("ChanSendDone", comm.Chan))
+			pre = append(pre, in.hook("ChanSend", comm.Chan))
+			top = append(top, in.hook("ChanSendDone", comm.Chan))
 		case *ast.ExprStmt:
 			if un, oku := comm.X.(*ast.UnaryExpr); oku && un.Op == token.ARROW {
-				pre = append(pre, rtCall("ChanRecvPre", un.X))
-				top = append(top, rtCall("ChanRecv", un.X))
+				pre = append(pre, in.hook("ChanRecvPre", un.X))
+				top = append(top, in.hook("ChanRecv", un.X))
 			}
 		case *ast.AssignStmt:
 			if len(comm.Rhs) == 1 {
 				if un, oku := comm.Rhs[0].(*ast.UnaryExpr); oku && un.Op == token.ARROW {
-					pre = append(pre, rtCall("ChanRecvPre", un.X))
-					top = append(top, rtCall("ChanRecv", un.X))
+					pre = append(pre, in.hook("ChanRecvPre", un.X))
+					top = append(top, in.hook("ChanRecv", un.X))
 					if comm.Tok == token.ASSIGN {
 						for _, l := range comm.Lhs {
 							if h := in.writeHook(l); h != nil {
@@ -821,9 +895,6 @@ func (in *instrumenter) rewriteSelect(st *ast.SelectStmt) []ast.Stmt {
 			}
 		}
 		cc.Body = append(top, in.rewriteStmts(cc.Body)...)
-	}
-	if len(pre) > 0 {
-		in.needRT = true
 	}
 	return concat(pre, st, nil)
 }
@@ -838,14 +909,14 @@ func (in *instrumenter) rewriteDeferSync(st *ast.DeferStmt) ast.Stmt {
 		return nil
 	}
 	kind, method := in.syncMethod(sel)
-	// defer once.Do(f): rt.OnceDo performs the real Do, and defer-time
-	// evaluation of &once and f matches the original statement's.
+	// defer once.Do(f): rt.DeferOnceDo performs the real Do, and
+	// defer-time evaluation of &once and f matches the original
+	// statement's.
 	if kind == "Once" && method == "Do" && len(st.Call.Args) == 1 {
 		in.funcLits(st.Call)
-		in.needRT = true
 		return &ast.DeferStmt{Call: &ast.CallExpr{
-			Fun:  rtSel("OnceDo"),
-			Args: []ast.Expr{in.recvPtr(sel.X), st.Call.Args[0]},
+			Fun:  rtSel("DeferOnceDo"),
+			Args: []ast.Expr{in.slotG(), in.recvPtr(sel.X), st.Call.Args[0]},
 		}}
 	}
 	if len(st.Call.Args) != 0 {
@@ -866,10 +937,9 @@ func (in *instrumenter) rewriteDeferSync(st *ast.DeferStmt) ast.Stmt {
 	default:
 		return nil
 	}
-	in.needRT = true
 	return &ast.DeferStmt{Call: &ast.CallExpr{
 		Fun:  rtSel(helper),
-		Args: []ast.Expr{in.recvPtr(sel.X)},
+		Args: []ast.Expr{in.slotG(), in.recvPtr(sel.X)},
 	}}
 }
 
@@ -926,8 +996,7 @@ func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, hand
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
 		if _, isBuiltin := in.objOf(id).(*types.Builtin); isBuiltin {
 			in.readHooks(call.Args[0], &pre)
-			pre = append(pre, rtCall("ChanClose", call.Args[0]))
-			in.needRT = true
+			pre = append(pre, in.hook("ChanClose", call.Args[0]))
 			return pre, nil, true
 		}
 	}
@@ -944,17 +1013,15 @@ func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, hand
 			}
 			ptr := call.Args[0]
 			name := sel.Sel.Name
-			in.needRT = true
 			switch {
 			case hasPrefix(name, "Load"):
-				return nil, []ast.Stmt{rtCall("AtomicLoad", unsafeCast(ptr))}, true
+				return nil, []ast.Stmt{in.hook("AtomicLoad", unsafeCast(ptr))}, true
 			case hasPrefix(name, "Store"):
-				return []ast.Stmt{rtCall("AtomicStore", unsafeCast(ptr))}, nil, true
+				return []ast.Stmt{in.hook("AtomicStore", unsafeCast(ptr))}, nil, true
 			case hasPrefix(name, "Add"), hasPrefix(name, "Swap"),
 				hasPrefix(name, "CompareAndSwap"), hasPrefix(name, "Or"), hasPrefix(name, "And"):
-				return nil, []ast.Stmt{rtCall("AtomicRMW", unsafeCast(ptr))}, true
+				return nil, []ast.Stmt{in.hook("AtomicRMW", unsafeCast(ptr))}, true
 			}
-			in.needRT = false
 			return nil, nil, false
 		}
 	}
@@ -963,39 +1030,31 @@ func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, hand
 	if kind == "" {
 		return nil, nil, false
 	}
-	h := func(name string) ast.Stmt { return rtCall(name, in.unsafeRecv(sel.X)) }
+	h := func(name string) ast.Stmt { return in.hook(name, in.unsafeRecv(sel.X)) }
 	switch kind {
 	case "Mutex":
 		switch method {
 		case "Lock":
-			in.needRT = true
 			return nil, []ast.Stmt{h("LockAcquire")}, true
 		case "Unlock":
-			in.needRT = true
 			return []ast.Stmt{h("LockRelease")}, nil, true
 		}
 	case "RWMutex":
 		switch method {
 		case "Lock":
-			in.needRT = true
 			return nil, []ast.Stmt{h("RWLock")}, true
 		case "Unlock":
-			in.needRT = true
 			return []ast.Stmt{h("RWUnlock")}, nil, true
 		case "RLock":
-			in.needRT = true
 			return nil, []ast.Stmt{h("RWRLock")}, true
 		case "RUnlock":
-			in.needRT = true
 			return []ast.Stmt{h("RWRUnlock")}, nil, true
 		}
 	case "WaitGroup":
 		switch method {
 		case "Done":
-			in.needRT = true
 			return []ast.Stmt{h("WGDone")}, nil, true
 		case "Wait":
-			in.needRT = true
 			return nil, []ast.Stmt{h("WGWait")}, true
 		}
 	case "Once":
@@ -1004,16 +1063,14 @@ func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, hand
 		// observes completion), so the call is replaced wholesale with
 		// rt.OnceDo, which performs the real Do with the edges in place.
 		if method == "Do" && len(call.Args) == 1 {
-			in.needRT = true
 			arg := call.Args[0]
 			in.readHooks(arg, &pre)
 			call.Fun = rtSel("OnceDo")
-			call.Args = []ast.Expr{in.recvPtr(sel.X), arg}
+			call.Args = []ast.Expr{in.slotRef(), in.recvPtr(sel.X), arg}
 			return pre, nil, true
 		}
 	default:
 		if hasPrefix(kind, "atomic.") {
-			in.needRT = true
 			switch {
 			case method == "Load":
 				return nil, []ast.Stmt{h("AtomicLoad")}, true
@@ -1023,7 +1080,6 @@ func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, hand
 				method == "And" || hasPrefix(method, "CompareAndSwap"):
 				return nil, []ast.Stmt{h("AtomicRMW")}, true
 			}
-			in.needRT = false
 		}
 	}
 	return nil, nil, false

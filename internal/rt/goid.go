@@ -3,6 +3,7 @@ package rt
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pacer"
 )
@@ -17,23 +18,49 @@ import (
 // can only make accesses look concurrent.
 //
 // The goroutine id comes from parsing the runtime.Stack header, the only
-// portable, dependency-free source of goroutine identity. It costs about
-// a microsecond per hook; the successor papers' cheaper timestamping is
-// exactly the follow-up work this front door exists to measure.
+// portable, dependency-free source of goroutine identity. It is the most
+// expensive step of a hook: on a 2-vCPU Intel Xeon container with Go 1.24,
+// runtime.Stack costs ~5.7 µs at shallow depth and ~1 µs more per frame,
+// and it serializes on the runtime's global print lock. Identity is
+// therefore resolved at most once per function frame: pacergo declares
+// one Slot per instrumented function body and passes it to every hook
+// there, and the first hook that runs fills it. A function literal gets
+// its own Slot, never its enclosing frame's, because a closure may run
+// on another goroutine.
 
 // G is one instrumented goroutine's identity: the detector thread it
 // operates as.
 type G struct {
-	t pacer.ThreadID
+	t  pacer.ThreadID
+	id int64 // runtime goroutine id GoStart bound, which GoExit drops
 }
 
 // Thread returns the detector thread this goroutine operates as.
 func (g *G) Thread() pacer.ThreadID { return g.t }
 
+// Slot is one function frame's goroutine handle. The zero value is
+// unresolved; the first hook that runs in the frame resolves it and
+// every later hook there reuses it. A Slot must not outlive or leave its
+// frame: a frame runs on one goroutine, a Slot shared across frames
+// might not.
+type Slot struct {
+	g *G
+}
+
+// G resolves the slot to the calling goroutine's identity. Deferred
+// helpers take its result at defer time, so the slot itself never has
+// to be kept alive past the defer statement.
+func (s *Slot) G() *G {
+	if s.g == nil {
+		s.g = current()
+	}
+	return s.g
+}
+
 const gShards = 64
 
-// gRegistry stripes goid → *G. Hooks hit it once per operation with a
-// read lock; binds and unbinds are per-goroutine-lifetime events.
+// gRegistry stripes goid → *G. Slot resolutions hit it with a read
+// lock; binds and unbinds are per-goroutine-lifetime events.
 type gRegistry struct {
 	shards [gShards]struct {
 		mu sync.RWMutex
@@ -72,10 +99,19 @@ func (r *gRegistry) drop(id int64) {
 	sh.mu.Unlock()
 }
 
+// stackBufs recycles goid's header buffers: runtime.Stack makes its
+// argument escape, so a stack array would be one heap allocation per
+// resolution.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
+
+// goidParses counts goid calls, the unit of identity cost.
+var goidParses atomic.Uint64
+
 // goid parses the current goroutine's id from the runtime.Stack header
 // ("goroutine 123 [running]:").
 func goid() int64 {
-	var buf [64]byte
+	goidParses.Add(1)
+	buf := stackBufs.Get().(*[64]byte)
 	n := runtime.Stack(buf[:], false)
 	// len("goroutine ") == 10.
 	id := int64(0)
@@ -85,6 +121,7 @@ func goid() int64 {
 		}
 		id = id*10 + int64(c-'0')
 	}
+	stackBufs.Put(buf)
 	return id
 }
 
@@ -101,24 +138,24 @@ func current() *G {
 }
 
 // GoSpawn runs in the parent goroutine at a `go` statement, immediately
-// before the spawn: it forks a new detector thread from the parent, so
-// everything the parent did up to the spawn happens-before the child.
-// The returned handle is passed into the child, which binds it with
-// GoStart.
-func GoSpawn() *G {
-	parent := current()
-	return &G{t: D().Fork(parent.t)}
+// before the spawn: it forks a new detector thread from the parent's
+// frame identity, so everything the parent did up to the spawn
+// happens-before the child. The returned handle is passed into the
+// child, which binds it with GoStart.
+func GoSpawn(h *Slot) *G {
+	return &G{t: D().Fork(h.G().t)}
 }
 
 // GoStart runs first in a spawned goroutine, binding the handle GoSpawn
 // made to the new goroutine's runtime identity.
 func GoStart(g *G) {
-	goroutines.put(goid(), g)
+	g.id = goid()
+	goroutines.put(g.id, g)
 }
 
-// GoExit runs (deferred) last in a spawned goroutine, releasing its
-// registry entry so the runtime id can be reused by an unrelated
-// goroutine without inheriting this thread's identity.
-func GoExit() {
-	goroutines.drop(goid())
+// GoExit runs (deferred) last in a spawned goroutine, releasing the
+// registry entry GoStart made so the runtime id can be reused by an
+// unrelated goroutine without inheriting this thread's identity.
+func GoExit(g *G) {
+	goroutines.drop(g.id)
 }

@@ -237,21 +237,24 @@ func FreeVar(p unsafe.Pointer) {
 }
 
 // --- data access hooks (emitted by pacergo) ---
+//
+// Every hook that needs the caller's identity takes the calling frame's
+// Slot first and resolves it through Slot.G.
 
 // R observes the calling goroutine reading size bytes at p, as the
 // instrumented source position site (from Site).
-func R(p unsafe.Pointer, size uintptr, site int) {
+func R(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
-	g := current()
+	g := h.G()
 	v := resolveVar(uintptr(p), size)
 	noteCapture(site)
 	state.det.Read(g.t, v, pacer.SiteID(site))
 }
 
 // W observes the calling goroutine writing size bytes at p.
-func W(p unsafe.Pointer, size uintptr, site int) {
+func W(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
-	g := current()
+	g := h.G()
 	v := resolveVar(uintptr(p), size)
 	noteCapture(site)
 	state.det.Write(g.t, v, pacer.SiteID(site))
@@ -261,25 +264,25 @@ func W(p unsafe.Pointer, size uintptr, site int) {
 
 // LockAcquire observes mu.Lock() returning; call it after the real lock
 // is held.
-func LockAcquire(p unsafe.Pointer) {
+func LockAcquire(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.Acquire(g.t, resolveSync(uintptr(p), kindMutex).lock)
 }
 
 // LockRelease observes mu.Unlock(); call it before the real unlock.
-func LockRelease(p unsafe.Pointer) {
+func LockRelease(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.Release(g.t, resolveSync(uintptr(p), kindMutex).lock)
 }
 
 // RWLock observes rw.Lock() returning. The model mirrors pacer.RWMutex:
 // writers hold the lock and consume both the previous writer's and every
 // reader's publication.
-func RWLock(p unsafe.Pointer) {
+func RWLock(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	o := resolveSync(uintptr(p), kindRWMutex)
 	d := state.det
 	d.Acquire(g.t, o.lock)
@@ -288,9 +291,9 @@ func RWLock(p unsafe.Pointer) {
 }
 
 // RWUnlock observes rw.Unlock(); call before the real unlock.
-func RWUnlock(p unsafe.Pointer) {
+func RWUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	o := resolveSync(uintptr(p), kindRWMutex)
 	d := state.det
 	d.VolWrite(g.t, o.v1)
@@ -298,17 +301,17 @@ func RWUnlock(p unsafe.Pointer) {
 }
 
 // RWRLock observes rw.RLock() returning.
-func RWRLock(p unsafe.Pointer) {
+func RWRLock(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	o := resolveSync(uintptr(p), kindRWMutex)
 	state.det.VolRead(g.t, o.v1)
 }
 
 // RWRUnlock observes rw.RUnlock(); call before the real unlock.
-func RWRUnlock(p unsafe.Pointer) {
+func RWRUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	o := resolveSync(uintptr(p), kindRWMutex)
 	state.det.VolWrite(g.t, o.v2)
 }
@@ -317,17 +320,17 @@ func RWRUnlock(p unsafe.Pointer) {
 
 // WGDone observes wg.Done(), publishing the worker's history; call before
 // the real Done.
-func WGDone(p unsafe.Pointer) {
+func WGDone(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.VolWrite(g.t, resolveSync(uintptr(p), kindWaitGroup).v1)
 }
 
 // WGWait observes wg.Wait() returning, receiving every Done-er's history;
 // call after the real Wait.
-func WGWait(p unsafe.Pointer) {
+func WGWait(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.VolRead(g.t, resolveSync(uintptr(p), kindWaitGroup).v1)
 }
 
@@ -348,9 +351,9 @@ func chanObj(ch any) *syncObj {
 
 // ChanSend observes `ch <- v` about to run: the sender publishes its
 // history. Call before the real send.
-func ChanSend(ch any) {
+func ChanSend(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolWrite(g.t, o.v1)
 	}
@@ -359,9 +362,9 @@ func ChanSend(ch any) {
 // ChanSendDone observes a send completing: for unbuffered channels the
 // rendezvous also hands the receiver's prior history to the sender. Call
 // after the real send.
-func ChanSendDone(ch any) {
+func ChanSendDone(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolRead(g.t, o.v2)
 	}
@@ -370,9 +373,9 @@ func ChanSendDone(ch any) {
 // ChanRecvPre observes a receive about to block: the receiver publishes
 // its prior history for the rendezvous edge. Call before the real
 // receive.
-func ChanRecvPre(ch any) {
+func ChanRecvPre(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolWrite(g.t, o.v2)
 	}
@@ -380,9 +383,9 @@ func ChanRecvPre(ch any) {
 
 // ChanRecv observes a completed receive: the receiver acquires the
 // senders' published history. Call after the real receive.
-func ChanRecv(ch any) {
+func ChanRecv(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolRead(g.t, o.v1)
 	}
@@ -390,9 +393,9 @@ func ChanRecv(ch any) {
 
 // ChanClose observes close(ch): closing publishes like a send. Call
 // before the real close.
-func ChanClose(ch any) {
+func ChanClose(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolWrite(g.t, o.v1)
 	}
@@ -401,9 +404,9 @@ func ChanClose(ch any) {
 // ChanRange observes one delivery of a range-over-channel loop: the body
 // acquires the senders' history and republishes the receiver's. Emitted
 // at the top of the loop body.
-func ChanRange(ch any) {
+func ChanRange(h *Slot, ch any) {
 	Init()
-	g := current()
+	g := h.G()
 	if o := chanObj(ch); o != nil {
 		state.det.VolRead(g.t, o.v1)
 		state.det.VolWrite(g.t, o.v2)
@@ -420,12 +423,12 @@ func ChanRange(ch any) {
 // Do return, so latecomers that find the Once already done are still
 // ordered after everything f wrote.
 //
-// pacergo rewrites `once.Do(f)` to `rt.OnceDo(&once, f)`; the hook runs
+// pacergo rewrites `once.Do(f)` to `rt.OnceDo(&slot, &once, f)`; the hook runs
 // the real Do itself so the release lands inside the Once's critical
 // section, before any other caller can observe completion.
-func OnceDo(o *sync.Once, f func()) {
+func OnceDo(h *Slot, o *sync.Once, f func()) {
 	Init()
-	g := current()
+	g := h.G()
 	so := resolveSync(uintptr(unsafe.Pointer(o)), kindOnce)
 	o.Do(func() {
 		f()
@@ -437,25 +440,25 @@ func OnceDo(o *sync.Once, f func()) {
 // --- sync/atomic hooks ---
 
 // AtomicLoad observes an atomic load from p; call after the real load.
-func AtomicLoad(p unsafe.Pointer) {
+func AtomicLoad(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.VolRead(g.t, resolveSync(uintptr(p), kindAtomic).v1)
 }
 
 // AtomicStore observes an atomic store to p; call before the real store.
-func AtomicStore(p unsafe.Pointer) {
+func AtomicStore(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	state.det.VolWrite(g.t, resolveSync(uintptr(p), kindAtomic).v1)
 }
 
 // AtomicRMW observes an atomic read-modify-write (Add, Swap,
 // CompareAndSwap) on p: it both consumes and republishes the volatile's
 // history. Call after the real operation.
-func AtomicRMW(p unsafe.Pointer) {
+func AtomicRMW(h *Slot, p unsafe.Pointer) {
 	Init()
-	g := current()
+	g := h.G()
 	o := resolveSync(uintptr(p), kindAtomic)
 	state.det.VolRead(g.t, o.v1)
 	state.det.VolWrite(g.t, o.v1)
@@ -464,24 +467,30 @@ func AtomicRMW(p unsafe.Pointer) {
 // --- deferred sync helpers ---
 //
 // pacergo rewrites `defer mu.Unlock()` (and friends) to `defer
-// rt.DeferUnlock(&mu)`: the helper performs the real operation with the
-// hook in the right order, and taking the pointer at defer time preserves
-// the original receiver-evaluation semantics.
+// rt.DeferUnlock(slot.G(), &mu)`: the helper performs the real operation
+// with the hook in the right order, and taking the pointer at defer time
+// preserves the original receiver-evaluation semantics. The helpers take
+// the resolved *G rather than the frame's Slot, so a defer inside a loop
+// (whose arguments the compiler stores on the heap) never moves the Slot
+// off the stack.
 
 // DeferUnlock releases mu with the unlock hook ordered before it.
-func DeferUnlock(mu *sync.Mutex) { LockRelease(unsafe.Pointer(mu)); mu.Unlock() }
+func DeferUnlock(g *G, mu *sync.Mutex) { LockRelease(&Slot{g: g}, unsafe.Pointer(mu)); mu.Unlock() }
 
 // DeferRWUnlock releases rw's write lock with the hook ordered before it.
-func DeferRWUnlock(rw *sync.RWMutex) { RWUnlock(unsafe.Pointer(rw)); rw.Unlock() }
+func DeferRWUnlock(g *G, rw *sync.RWMutex) { RWUnlock(&Slot{g: g}, unsafe.Pointer(rw)); rw.Unlock() }
 
 // DeferRWRUnlock releases rw's read lock with the hook ordered before it.
-func DeferRWRUnlock(rw *sync.RWMutex) { RWRUnlock(unsafe.Pointer(rw)); rw.RUnlock() }
+func DeferRWRUnlock(g *G, rw *sync.RWMutex) { RWRUnlock(&Slot{g: g}, unsafe.Pointer(rw)); rw.RUnlock() }
 
 // DeferWGDone counts wg down with the publication hook ordered before it.
-func DeferWGDone(wg *sync.WaitGroup) { WGDone(unsafe.Pointer(wg)); wg.Done() }
+func DeferWGDone(g *G, wg *sync.WaitGroup) { WGDone(&Slot{g: g}, unsafe.Pointer(wg)); wg.Done() }
 
 // DeferWGWait waits on wg with the acquisition hook ordered after it.
-func DeferWGWait(wg *sync.WaitGroup) { wg.Wait(); WGWait(unsafe.Pointer(wg)) }
+func DeferWGWait(g *G, wg *sync.WaitGroup) { wg.Wait(); WGWait(&Slot{g: g}, unsafe.Pointer(wg)) }
+
+// DeferOnceDo is OnceDo for `defer once.Do(f)`.
+func DeferOnceDo(g *G, o *sync.Once, f func()) { OnceDo(&Slot{g: g}, o, f) }
 
 // Flush drains buffered reporting: the JSON report stream is synced and,
 // when a fleet collector is configured, the reporter pushes its final

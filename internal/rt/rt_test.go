@@ -30,17 +30,31 @@ func testSite(t *testing.T) int {
 	return Site(fmt.Sprintf("rt_test.go:%d:%d", 1000+siteSeq, siteSeq))
 }
 
+// freeAfter evicts the addresses a test registers once it ends, so a
+// later test's allocation at a reused address registers afresh instead
+// of inheriting this test's access history. Holding the pointers also
+// keeps them on the heap, where an address cannot move with a growing
+// stack.
+func freeAfter(t *testing.T, ps ...unsafe.Pointer) {
+	t.Cleanup(func() {
+		for _, p := range ps {
+			FreeVar(p)
+		}
+	})
+}
+
 // spawn runs body on a new instrumented goroutine (GoSpawn in the parent,
 // GoStart/GoExit in the child) and returns after it finishes. The join
 // uses a plain channel with no rt hooks, so the detector sees no
 // happens-before edge back to the parent — exactly the shape of a racy
 // program whose second access happens to run later in wall time.
 func spawn(body func()) {
-	g := GoSpawn()
+	var h Slot
+	g := GoSpawn(&h)
 	done := make(chan struct{})
 	go func() {
 		GoStart(g)
-		defer GoExit()
+		defer GoExit(g)
 		defer close(done)
 		body()
 	}()
@@ -50,15 +64,18 @@ func spawn(body func()) {
 // TestRacyPairDetected: write in a spawned goroutine, then an unordered
 // write in the parent. At rate 1 the detector must report it.
 func TestRacyPairDetected(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot // the child's own frame
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
 	})
 	*x = 2
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	if got := Races() - before; got != 1 {
 		t.Fatalf("distinct races %d, want 1", got)
 	}
@@ -67,14 +84,17 @@ func TestRacyPairDetected(t *testing.T) {
 // TestForkEdgeSuppresses: the parent writes before the spawn, the child
 // after GoStart — ordered by the fork edge, so no report.
 func TestForkEdgeSuppresses(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	*x = 1
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
 	spawn(func() {
+		var h Slot
 		*x = 2
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	})
 	if got := Races() - before; got != 0 {
 		t.Fatalf("fork-ordered writes reported %d races", got)
@@ -84,23 +104,26 @@ func TestForkEdgeSuppresses(t *testing.T) {
 // TestMutexGuardSuppresses: the same unordered-in-time shape as the racy
 // pair, but both writes hold the same (shadow-mapped) mutex.
 func TestMutexGuardSuppresses(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	var mu sync.Mutex
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		mu.Lock()
-		LockAcquire(unsafe.Pointer(&mu))
+		LockAcquire(&h, unsafe.Pointer(&mu))
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
-		LockRelease(unsafe.Pointer(&mu))
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		LockRelease(&h, unsafe.Pointer(&mu))
 		mu.Unlock()
 	})
 	mu.Lock()
-	LockAcquire(unsafe.Pointer(&mu))
+	LockAcquire(&h, unsafe.Pointer(&mu))
 	*x = 2
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
-	LockRelease(unsafe.Pointer(&mu))
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	LockRelease(&h, unsafe.Pointer(&mu))
 	mu.Unlock()
 	if got := Races() - before; got != 0 {
 		t.Fatalf("mutex-guarded writes reported %d races", got)
@@ -110,23 +133,26 @@ func TestMutexGuardSuppresses(t *testing.T) {
 // TestRWMutexGuardSuppresses: writer in the child, reader in the parent,
 // both under the RWMutex hook protocol.
 func TestRWMutexGuardSuppresses(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	var rw sync.RWMutex
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		rw.Lock()
-		RWLock(unsafe.Pointer(&rw))
+		RWLock(&h, unsafe.Pointer(&rw))
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
-		RWUnlock(unsafe.Pointer(&rw))
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		RWUnlock(&h, unsafe.Pointer(&rw))
 		rw.Unlock()
 	})
 	rw.RLock()
-	RWRLock(unsafe.Pointer(&rw))
+	RWRLock(&h, unsafe.Pointer(&rw))
 	_ = *x
-	R(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
-	RWRUnlock(unsafe.Pointer(&rw))
+	R(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	RWRUnlock(&h, unsafe.Pointer(&rw))
 	rw.RUnlock()
 	if got := Races() - before; got != 0 {
 		t.Fatalf("rwmutex-guarded accesses reported %d races", got)
@@ -136,22 +162,25 @@ func TestRWMutexGuardSuppresses(t *testing.T) {
 // TestChannelGuardSuppresses: the child writes then sends; the parent
 // receives then writes. The send→receive volatile edge orders the writes.
 func TestChannelGuardSuppresses(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	ch := make(chan int, 1)
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
-		ChanSend(ch)
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		ChanSend(&h, ch)
 		ch <- 1
-		ChanSendDone(ch)
+		ChanSendDone(&h, ch)
 	})
-	ChanRecvPre(ch)
+	ChanRecvPre(&h, ch)
 	<-ch
-	ChanRecv(ch)
+	ChanRecv(&h, ch)
 	*x = 2
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	if got := Races() - before; got != 0 {
 		t.Fatalf("channel-ordered writes reported %d races", got)
 	}
@@ -160,21 +189,24 @@ func TestChannelGuardSuppresses(t *testing.T) {
 // TestWaitGroupGuardSuppresses: the child writes then Done()s; the parent
 // Wait()s then writes.
 func TestWaitGroupGuardSuppresses(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
-		WGDone(unsafe.Pointer(&wg))
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		WGDone(&h, unsafe.Pointer(&wg))
 		wg.Done()
 	})
 	wg.Wait()
-	WGWait(unsafe.Pointer(&wg))
+	WGWait(&h, unsafe.Pointer(&wg))
 	*x = 2
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	if got := Races() - before; got != 0 {
 		t.Fatalf("waitgroup-ordered writes reported %d races", got)
 	}
@@ -182,15 +214,18 @@ func TestWaitGroupGuardSuppresses(t *testing.T) {
 
 // TestReadsDoNotRace: concurrent reads are never a race.
 func TestReadsDoNotRace(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		_ = *x
-		R(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		R(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
 	})
 	_ = *x
-	R(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	R(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	if got := Races() - before; got != 0 {
 		t.Fatalf("read/read reported %d races", got)
 	}
@@ -199,15 +234,18 @@ func TestReadsDoNotRace(t *testing.T) {
 // TestRaceReportCarriesStacks: a reported race's sites must symbolize to
 // the interned file:line via the detector's frame tables.
 func TestRaceReportCarriesStacks(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	s1, s2 := testSite(t), testSite(t)
 	before := Races()
 	spawn(func() {
+		var h Slot
 		*x = 1
-		W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
 	})
 	*x = 2
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s2)
 	if Races()-before != 1 {
 		t.Fatal("planted race not reported")
 	}
@@ -226,11 +264,13 @@ func TestRaceReportCarriesStacks(t *testing.T) {
 // pacer.Stats, and FreeVar must count as an evict and free the slot for a
 // fresh VarID.
 func TestFrontDoorStatsSurface(t *testing.T) {
+	var h Slot
 	x := new(int)
+	freeAfter(t, unsafe.Pointer(x))
 	s1 := testSite(t)
 	st0 := D().Stats()
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // miss: registers x
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // hit
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // miss: registers x
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // hit
 	st1 := D().Stats()
 	if st1.ShadowMisses != st0.ShadowMisses+1 {
 		t.Fatalf("misses %d -> %d, want +1", st0.ShadowMisses, st1.ShadowMisses)
@@ -251,7 +291,7 @@ func TestFrontDoorStatsSurface(t *testing.T) {
 	if st2.ShadowVars != st1.ShadowVars-1 {
 		t.Fatalf("vars %d -> %d, want -1", st1.ShadowVars, st2.ShadowVars)
 	}
-	W(unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
 	if v2 := state.vars.Get(uintptr(unsafe.Pointer(x))).v; v2 == v1 {
 		t.Fatalf("reused address kept VarID %d after FreeVar", v1)
 	}
