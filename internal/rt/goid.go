@@ -3,7 +3,6 @@ package rt
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"pacer"
 )
@@ -17,22 +16,36 @@ import (
 // edge — conservative in the direction of reporting, since missing edges
 // can only make accesses look concurrent.
 //
-// The goroutine id comes from parsing the runtime.Stack header, the only
-// portable, dependency-free source of goroutine identity. It is the most
-// expensive step of a hook: on a 2-vCPU Intel Xeon container with Go 1.24,
-// runtime.Stack costs ~5.7 µs at shallow depth and ~1 µs more per frame,
-// and it serializes on the runtime's global print lock. Identity is
-// therefore resolved at most once per function frame: pacergo declares
-// one Slot per instrumented function body and passes it to every hook
-// there, and the first hook that runs fills it. A function literal gets
-// its own Slot, never its enclosing frame's, because a closure may run
-// on another goroutine.
+// The goroutine id is the runtime's own goid, the number runtime.Stack
+// prints in its "goroutine 123 [running]:" header. On amd64, goid reads
+// it straight out of the runtime's g: getg (goid_amd64.s) loads the
+// current g from thread-local storage, and the id sits at a fixed offset
+// within it. That offset is not taken from a table of Go versions. It is
+// found once per process by calibrating against runtime.Stack (see
+// calibrateGoid), so a release that moves or renames the field falls
+// back to the parser instead of handing out wrong identities.
+//
+// parseGoid, the runtime.Stack parser, is that fallback and the only
+// path on every other architecture (goid_other.go). It is why identity
+// resolution has a frame-level cache at all: on a 2-vCPU Intel Xeon
+// container with Go 1.24, runtime.Stack costs ~5.7 µs at shallow depth
+// and ~1 µs more per frame, and it serializes on the runtime's global
+// print lock. The field read costs a few nanoseconds, but a Slot still
+// pays for itself: it saves the striped registry lookup on every hook
+// after a frame's first. pacergo declares one Slot per instrumented
+// function body and passes it to every hook there, and the first hook
+// that runs fills it. A function literal gets its own Slot, never its
+// enclosing frame's, because a closure may run on another goroutine.
 
 // G is one instrumented goroutine's identity: the detector thread it
 // operates as.
 type G struct {
 	t  pacer.ThreadID
 	id int64 // runtime goroutine id GoStart bound, which GoExit drops
+	// resolves counts the Slot resolutions that returned this G, the
+	// unit of identity cost. Only the goroutine g stands for touches it,
+	// so a plain increment suffices.
+	resolves uint64
 }
 
 // Thread returns the detector thread this goroutine operates as.
@@ -99,18 +112,14 @@ func (r *gRegistry) drop(id int64) {
 	sh.mu.Unlock()
 }
 
-// stackBufs recycles goid's header buffers: runtime.Stack makes its
+// stackBufs recycles parseGoid's header buffers: runtime.Stack makes its
 // argument escape, so a stack array would be one heap allocation per
-// resolution.
+// parse.
 var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
 
-// goidParses counts goid calls, the unit of identity cost.
-var goidParses atomic.Uint64
-
-// goid parses the current goroutine's id from the runtime.Stack header
-// ("goroutine 123 [running]:").
-func goid() int64 {
-	goidParses.Add(1)
+// parseGoid parses the current goroutine's id from the runtime.Stack
+// header ("goroutine 123 [running]:").
+func parseGoid() int64 {
 	buf := stackBufs.Get().(*[64]byte)
 	n := runtime.Stack(buf[:], false)
 	// len("goroutine ") == 10.
@@ -129,11 +138,12 @@ func goid() int64 {
 // root thread on first sight.
 func current() *G {
 	id := goid()
-	if g := goroutines.get(id); g != nil {
-		return g
+	g := goroutines.get(id)
+	if g == nil {
+		g = &G{t: D().NewThread()}
+		goroutines.put(id, g)
 	}
-	g := &G{t: D().NewThread()}
-	goroutines.put(id, g)
+	g.resolves++
 	return g
 }
 
