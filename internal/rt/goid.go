@@ -46,6 +46,9 @@ type G struct {
 	// unit of identity cost. Only the goroutine g stands for touches it,
 	// so a plain increment suffices.
 	resolves uint64
+	// pages caches the shadow pages this goroutine touched, under the
+	// same single-owner rule.
+	pages pageCache
 }
 
 // Thread returns the detector thread this goroutine operates as.

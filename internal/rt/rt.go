@@ -18,12 +18,6 @@ import (
 // initializes lazily on the first hook, so instrumented package-level
 // initializers work without ordering constraints.
 
-// varEntry is one shadow-mapped data address.
-type varEntry struct {
-	v    pacer.VarID
-	size uintptr
-}
-
 // syncKind tags what a shadow-mapped sync object is, which decides the
 // detector identifiers allocated for it.
 type syncKind uint8
@@ -54,7 +48,7 @@ type runtimeState struct {
 	reporter *fleet.Reporter
 	instance string
 
-	vars  *ShadowMap[varEntry]
+	vars  *varShadow
 	syncs *ShadowMap[syncObj]
 
 	rep *raceLog
@@ -122,7 +116,7 @@ func Init() { initOnce.Do(initState) }
 
 func initState() {
 	s := &runtimeState{
-		vars:  NewShadowMap[varEntry](),
+		vars:  newVarShadow(),
 		syncs: NewShadowMap[syncObj](),
 	}
 	s.agg = pacer.NewAggregator()
@@ -176,29 +170,18 @@ func Aggregator() *pacer.Aggregator {
 	return state.agg
 }
 
-// FrontDoorStats implements pacer.FrontDoorAccounted: the data shadow
-// map's counters (sync-object resolution is tracked separately and not
+// FrontDoorStats implements pacer.FrontDoorAccounted: the data shadow's
+// counters (sync-object resolution is tracked separately and not
 // surfaced, matching the Stats contract's "variable identifiers").
 func (s *runtimeState) FrontDoorStats() pacer.FrontDoorStats {
-	st := s.vars.Stats()
-	return pacer.FrontDoorStats{
-		ShadowHits:   st.Hits,
-		ShadowMisses: st.Misses,
-		ShadowEvicts: st.Evicts,
-		ShadowVars:   st.Live,
-	}
+	return s.vars.stats()
 }
 
-// resolveVar maps a data address to its VarID, registering on first
-// sight. The hit path creates no closure and allocates nothing.
-func resolveVar(addr, size uintptr) pacer.VarID {
-	if e := state.vars.Get(addr); e != nil {
-		return e.v
-	}
-	e := state.vars.SetIfAbsent(addr, func() *varEntry {
-		return &varEntry{v: state.det.NewVarID(), size: size}
-	})
-	return e.v
+// resolveVar maps a data address to its VarID for goroutine g,
+// registering on first sight. The hit path creates no closure and
+// allocates nothing.
+func resolveVar(g *G, addr uintptr) pacer.VarID {
+	return state.vars.resolve(g, addr, state.det)
 }
 
 // resolveSync maps a sync object's address to its detector identifiers.
@@ -226,27 +209,28 @@ func resolveSync(addr uintptr, kind syncKind) *syncObj {
 	})
 }
 
-// FreeVar evicts a data address from the shadow map: a later access to
+// FreeVar clears a data address's shadow entry: a later access to
 // the same (reused) address registers as a fresh variable instead of
 // inheriting the dead one's metadata. Instrumentation does not emit this
 // automatically (Go frees memory invisibly); long-running integrations
 // can call it from arena/pool recycling points.
 func FreeVar(p unsafe.Pointer) {
 	Init()
-	state.vars.Evict(uintptr(p))
+	state.vars.free(uintptr(p))
 }
 
 // --- data access hooks (emitted by pacergo) ---
 //
 // Every hook that needs the caller's identity takes the calling frame's
-// Slot first and resolves it through Slot.G.
+// Slot first and resolves it through Slot.G. A data variable is keyed by
+// its start address alone; the size pacergo passes is not used.
 
 // R observes the calling goroutine reading size bytes at p, as the
 // instrumented source position site (from Site).
 func R(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
 	g := h.G()
-	v := resolveVar(uintptr(p), size)
+	v := resolveVar(g, uintptr(p))
 	noteCapture(site)
 	state.det.Read(g.t, v, pacer.SiteID(site))
 }
@@ -255,7 +239,7 @@ func R(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 func W(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
 	g := h.G()
-	v := resolveVar(uintptr(p), size)
+	v := resolveVar(g, uintptr(p))
 	noteCapture(site)
 	state.det.Write(g.t, v, pacer.SiteID(site))
 }

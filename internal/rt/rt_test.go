@@ -260,40 +260,62 @@ func TestRaceReportCarriesStacks(t *testing.T) {
 	}
 }
 
-// TestFrontDoorStatsSurface: shadow-map counters must flow through
-// pacer.Stats, and FreeVar must count as an evict and free the slot for a
-// fresh VarID.
-func TestFrontDoorStatsSurface(t *testing.T) {
-	var h Slot
-	x := new(int)
-	freeAfter(t, unsafe.Pointer(x))
-	s1 := testSite(t)
-	st0 := D().Stats()
-	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // miss: registers x
-	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1) // hit
-	st1 := D().Stats()
-	if st1.ShadowMisses != st0.ShadowMisses+1 {
-		t.Fatalf("misses %d -> %d, want +1", st0.ShadowMisses, st1.ShadowMisses)
-	}
-	if st1.ShadowHits <= st0.ShadowHits {
-		t.Fatalf("hits did not advance: %d -> %d", st0.ShadowHits, st1.ShadowHits)
-	}
-	if st1.ShadowVars != st0.ShadowVars+1 {
-		t.Fatalf("vars %d -> %d, want +1", st0.ShadowVars, st1.ShadowVars)
-	}
+// varOf resolves p through the path the R and W hooks take, counting as
+// one hook's resolve.
+func varOf(h *Slot, p unsafe.Pointer) pacer.VarID {
+	return resolveVar(h.G(), uintptr(p))
+}
 
-	v1 := state.vars.Get(uintptr(unsafe.Pointer(x))).v
-	FreeVar(unsafe.Pointer(x))
-	st2 := D().Stats()
-	if st2.ShadowEvicts != st1.ShadowEvicts+1 {
-		t.Fatalf("evicts %d -> %d, want +1", st1.ShadowEvicts, st2.ShadowEvicts)
+// TestFrontDoorStatsSurface: shadow counters must flow through
+// pacer.Stats, and FreeVar must count as an evict and free the address
+// for a fresh VarID — on the page path (an aligned int64) and on the
+// unaligned path (a byte at an odd offset).
+func TestFrontDoorStatsSurface(t *testing.T) {
+	type rec struct {
+		n    int64
+		flag [2]byte
 	}
-	if st2.ShadowVars != st1.ShadowVars-1 {
-		t.Fatalf("vars %d -> %d, want -1", st1.ShadowVars, st2.ShadowVars)
-	}
-	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), s1)
-	if v2 := state.vars.Get(uintptr(unsafe.Pointer(x))).v; v2 == v1 {
-		t.Fatalf("reused address kept VarID %d after FreeVar", v1)
+	r := new(rec)
+	for _, c := range []struct {
+		name string
+		p    unsafe.Pointer
+		size uintptr
+	}{
+		{"aligned int64", unsafe.Pointer(&r.n), unsafe.Sizeof(r.n)},
+		{"unaligned byte", unsafe.Pointer(&r.flag[1]), unsafe.Sizeof(r.flag[1])},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var h Slot
+			freeAfter(t, c.p)
+			s1 := testSite(t)
+			st0 := D().Stats()
+			W(&h, c.p, c.size, s1) // miss: registers the address
+			W(&h, c.p, c.size, s1) // hit
+			st1 := D().Stats()
+			if st1.ShadowMisses != st0.ShadowMisses+1 {
+				t.Fatalf("misses %d -> %d, want +1", st0.ShadowMisses, st1.ShadowMisses)
+			}
+			if st1.ShadowHits <= st0.ShadowHits {
+				t.Fatalf("hits did not advance: %d -> %d", st0.ShadowHits, st1.ShadowHits)
+			}
+			if st1.ShadowVars != st0.ShadowVars+1 {
+				t.Fatalf("vars %d -> %d, want +1", st0.ShadowVars, st1.ShadowVars)
+			}
+
+			v1 := varOf(&h, c.p)
+			FreeVar(c.p)
+			st2 := D().Stats()
+			if st2.ShadowEvicts != st1.ShadowEvicts+1 {
+				t.Fatalf("evicts %d -> %d, want +1", st1.ShadowEvicts, st2.ShadowEvicts)
+			}
+			if st2.ShadowVars != st1.ShadowVars-1 {
+				t.Fatalf("vars %d -> %d, want -1", st1.ShadowVars, st2.ShadowVars)
+			}
+			W(&h, c.p, c.size, s1)
+			if v2 := varOf(&h, c.p); v2 == v1 {
+				t.Fatalf("reused address kept VarID %d after FreeVar", v1)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"pacer"
 )
@@ -16,7 +17,7 @@ func TestShadowMapBasics(t *testing.T) {
 	if got := m.Get(0x1000); got != nil {
 		t.Fatalf("empty map resolved %v", got)
 	}
-	e := m.SetIfAbsent(0x1000, func() *varEntry { return &varEntry{v: 1, size: 8} })
+	e := m.SetIfAbsent(0x1000, func() *varEntry { return &varEntry{v: 1} })
 	if e == nil || e.v != 1 {
 		t.Fatalf("SetIfAbsent returned %+v", e)
 	}
@@ -164,4 +165,134 @@ func TestShadowMapResolveHitNoAllocs(t *testing.T) {
 		t.Fatalf("resolve hit path allocates %.2f per run, want 0", avg)
 	}
 	_ = sink
+}
+
+// TestShadowPageDistinctStarts: every distinct start address gets its own
+// VarID, whether it resolves through a shadow page (8-byte aligned) or
+// the unaligned map, and resolving it again returns the same one. The
+// int64 slice spans more pages than a G caches, so later resolves also
+// go through page-cache evictions.
+func TestShadowPageDistinctStarts(t *testing.T) {
+	type mixed struct {
+		b0, b1 byte
+		i32    int32
+		i64    int64
+		b2     byte
+		i32b   int32
+	}
+	s := new(mixed)
+	bytes := make([]byte, 64)
+	i32s := make([]int32, 64)
+	i64s := make([]int64, 2*pageCacheWays*pageWords)
+	addrs := []unsafe.Pointer{
+		unsafe.Pointer(&s.b0), unsafe.Pointer(&s.b1), unsafe.Pointer(&s.i32),
+		unsafe.Pointer(&s.i64), unsafe.Pointer(&s.b2), unsafe.Pointer(&s.i32b),
+	}
+	for i := range bytes {
+		addrs = append(addrs, unsafe.Pointer(&bytes[i]))
+	}
+	for i := range i32s {
+		addrs = append(addrs, unsafe.Pointer(&i32s[i]))
+	}
+	for i := range i64s {
+		addrs = append(addrs, unsafe.Pointer(&i64s[i]))
+	}
+	freeAfter(t, addrs...)
+
+	var h Slot
+	ids := make(map[pacer.VarID]unsafe.Pointer, len(addrs))
+	for _, p := range addrs {
+		v := varOf(&h, p)
+		if q, dup := ids[v]; dup {
+			t.Fatalf("%p and %p share VarID %d", q, p, v)
+		}
+		ids[v] = p
+	}
+	for _, p := range addrs {
+		if v := varOf(&h, p); ids[v] != p {
+			t.Fatalf("%p resolved to VarID %d on repeat, which belongs to %p", p, v, ids[v])
+		}
+	}
+}
+
+// TestShadowPageConcurrentFirstSight: 16 goroutines first-touch the same
+// addresses at once. Each address must end with one VarID, registered by
+// exactly one of them, and every resolve must count as a hit or a miss.
+func TestShadowPageConcurrentFirstSight(t *testing.T) {
+	const workers = 16
+	words := make([]int64, 2*pageWords)
+	bytes := make([]byte, 32)
+	var addrs []unsafe.Pointer
+	for i := range words {
+		addrs = append(addrs, unsafe.Pointer(&words[i]))
+	}
+	for i := range bytes {
+		addrs = append(addrs, unsafe.Pointer(&bytes[i]))
+	}
+	freeAfter(t, addrs...)
+
+	st0 := D().Stats()
+	got := make([][]pacer.VarID, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		var h Slot
+		g := GoSpawn(&h)
+		wg.Add(1)
+		go func(w int) {
+			GoStart(g)
+			defer GoExit(g)
+			defer wg.Done()
+			var h Slot
+			<-start
+			ids := make([]pacer.VarID, len(addrs))
+			for i, p := range addrs {
+				ids[i] = varOf(&h, p)
+			}
+			got[w] = ids
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	st1 := D().Stats()
+
+	seen := make(map[pacer.VarID]int, len(addrs))
+	for i := range addrs {
+		v := got[0][i]
+		for w := 1; w < workers; w++ {
+			if got[w][i] != v {
+				t.Fatalf("address %d: goroutine 0 got VarID %d, goroutine %d got %d", i, v, w, got[w][i])
+			}
+		}
+		if j, dup := seen[v]; dup {
+			t.Fatalf("addresses %d and %d share VarID %d", j, i, v)
+		}
+		seen[v] = i
+	}
+	misses := st1.ShadowMisses - st0.ShadowMisses
+	hits := st1.ShadowHits - st0.ShadowHits
+	if misses != uint64(len(addrs)) {
+		t.Fatalf("misses %d, want %d (one per distinct address)", misses, len(addrs))
+	}
+	if hits+misses != uint64(workers*len(addrs)) {
+		t.Fatalf("hits %d + misses %d = %d, want %d hooks", hits, misses, hits+misses, workers*len(addrs))
+	}
+}
+
+// TestHookHitNoAllocs pins the R and W hooks at zero allocations once the
+// frame's Slot is resolved and the address registered: the steady state
+// of an instrumented program.
+func TestHookHitNoAllocs(t *testing.T) {
+	x := new(int64)
+	freeAfter(t, unsafe.Pointer(x))
+	var h Slot
+	site := Site("shadow_test.go:1:1")
+	W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), site)
+	avg := testing.AllocsPerRun(200, func() {
+		R(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), site)
+		W(&h, unsafe.Pointer(x), unsafe.Sizeof(*x), site)
+	})
+	if avg != 0 {
+		t.Fatalf("hook hit path allocates %.2f per run, want 0", avg)
+	}
 }

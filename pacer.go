@@ -360,7 +360,9 @@ type Detector struct {
 	nextThread ThreadID
 	nextLock   LockID
 	nextVol    VolatileID
-	nextVar    VarID
+	// nextVar is lock-free: variables are registered from the access
+	// hooks, which must not contend with synchronization on mu.
+	nextVar atomic.Uint32
 
 	// frontDoor, when mounted, contributes shadow-map counters to Stats.
 	// Written once under mu; read under mu.
@@ -677,13 +679,9 @@ func (p *Detector) NewVolatileID() VolatileID {
 	return id
 }
 
-// NewVarID allocates a data-variable identifier.
+// NewVarID allocates a data-variable identifier. It takes no lock.
 func (p *Detector) NewVarID() VarID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := p.nextVar
-	p.nextVar++
-	return id
+	return VarID(p.nextVar.Add(1) - 1)
 }
 
 // tryFast attempts the lock-free non-sampling dismissal of an access: if
