@@ -3,8 +3,8 @@ package main
 // The rewriter: given a type-checked package, thread pacer runtime hooks
 // through its function bodies. The rules keep the detector's precision
 // pitch intact — a hook placement that could manufacture a false positive
-// is always resolved the other way (an extra or missing happens-before
-// edge may hide a race, never invent one):
+// is always resolved the other way (an extra happens-before edge may
+// hide a race, never invent one; a missing edge can invent one):
 //
 //   - read hooks run BEFORE the statement that performs the read, write
 //     hooks AFTER it. A statement like `x = <-ch` synchronizes before the
@@ -515,6 +515,9 @@ func (in *instrumenter) rewriteBlock(b *ast.BlockStmt) {
 
 func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 	var pre, post []ast.Stmt
+	// wrap is set when an if or switch init moved out of the statement;
+	// a block around the result keeps the names it declares scoped.
+	wrap := false
 	switch st := s.(type) {
 	case *ast.BlockStmt:
 		in.rewriteBlock(st)
@@ -528,10 +531,16 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 				return inner
 			}
 		}
-		if len(inner) > 0 { // core was replaced (e.g. a go statement)
-			st.Stmt = inner[len(inner)-1]
-			inner[len(inner)-1] = st
+		last := inner[len(inner)-1]
+		// A switch moved into a block with its init keeps the label that a
+		// `break` inside it names; otherwise the label goes on the block,
+		// where a goto from outside can still reach it.
+		if b, ok := last.(*ast.BlockStmt); ok && b.List[len(b.List)-1] == st.Stmt && breaksTo(st) {
+			b.List[len(b.List)-1] = st
+			return inner
 		}
+		st.Stmt = last // core was replaced (e.g. a go statement)
+		inner[len(inner)-1] = st
 		return inner
 
 	case *ast.ExprStmt:
@@ -650,7 +659,9 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 			in.initReads(st.Init, &pre)
 		}
 		in.funcLits(st.Cond)
-		in.readHooks(st.Cond, &pre)
+		var cond []ast.Stmt
+		in.readHooks(st.Cond, &cond)
+		wrap = afterInit(&st.Init, &pre, cond)
 		in.rewriteBlock(st.Body)
 		switch e := st.Else.(type) {
 		case *ast.BlockStmt:
@@ -709,7 +720,9 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 			in.initReads(st.Init, &pre)
 		}
 		in.funcLits(st.Tag)
-		in.readHooks(st.Tag, &pre)
+		var tag []ast.Stmt
+		in.readHooks(st.Tag, &tag)
+		wrap = afterInit(&st.Init, &pre, tag)
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				cc.Body = in.rewriteStmts(cc.Body)
@@ -741,6 +754,9 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 			in.readHooks(a, &pre)
 		}
 	}
+	if wrap {
+		return []ast.Stmt{&ast.BlockStmt{List: concat(pre, s, post)}}
+	}
 	return concat(pre, s, post)
 }
 
@@ -765,6 +781,33 @@ func (in *instrumenter) initReads(s ast.Stmt, out *[]ast.Stmt) {
 	case *ast.ExprStmt:
 		in.readHooks(st.X, out)
 	}
+}
+
+// afterInit appends an if condition's or a switch tag's read hooks to
+// pre. The hooks may read names the statement's init declares, or memory
+// it changes, so when there are both an init and hooks, the init moves
+// out of the statement ahead of them (the caller wraps the result in a
+// block). It reports whether the init moved.
+func afterInit(init *ast.Stmt, pre *[]ast.Stmt, hooks []ast.Stmt) bool {
+	moved := *init != nil && len(hooks) > 0
+	if moved {
+		*pre = append(*pre, *init)
+		*init = nil
+	}
+	*pre = append(*pre, hooks...)
+	return moved
+}
+
+// breaksTo reports whether a `break` inside l's statement names l.
+func breaksTo(l *ast.LabeledStmt) bool {
+	found := false
+	ast.Inspect(l.Stmt, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.BREAK && b.Label != nil && b.Label.Name == l.Label.Name {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func concat(pre []ast.Stmt, s ast.Stmt, post []ast.Stmt) []ast.Stmt {

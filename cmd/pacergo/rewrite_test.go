@@ -1,22 +1,41 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// instrumentSource type-checks one self-contained file (no imports) and
-// returns its instrumented rendering.
+// instrumentSource type-checks one self-contained file and returns its
+// instrumented rendering.
 func instrumentSource(t *testing.T, src string) string {
 	t.Helper()
+	out, changed, err := instrument(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !changed {
+		t.Fatal("nothing instrumented")
+	}
+	return out
+}
+
+// instrument type-checks one file of package p and returns its
+// instrumented rendering, and whether the rewriter changed it.
+func instrument(src string) (string, bool, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
 	if err != nil {
-		t.Fatal(err)
+		return "", false, err
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -26,17 +45,191 @@ func instrumentSource(t *testing.T, src string) string {
 		Implicits:  make(map[ast.Node]types.Object),
 	}
 	sizes := types.SizesFor("gc", "amd64")
-	pkg, err := (&types.Config{Sizes: sizes}).Check("p", fset, []*ast.File{f}, info)
+	pkg, err := (&types.Config{Importer: exportImporter(), Sizes: sizes}).Check("p", fset, []*ast.File{f}, info)
 	if err != nil {
-		t.Fatal(err)
+		return "", false, err
 	}
 	in := &instrumenter{fset: fset, info: info, pkg: pkg, sizes: sizes, done: make(map[*ast.BlockStmt]bool)}
 	in.analyzeShared([]*ast.File{f})
 	out, changed := in.instrumentFile(f, "p.go", ".")
-	if !changed {
-		t.Fatal("nothing instrumented")
+	return string(out), changed, nil
+}
+
+// typeCheck parses and type-checks one file of package p, imports
+// included.
+func typeCheck(src string) error {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
 	}
-	return string(out)
+	_, err = (&types.Config{Importer: exportImporter(), Sizes: types.SizesFor("gc", "amd64")}).Check("p", fset, []*ast.File{f}, nil)
+	return err
+}
+
+var (
+	importerOnce sync.Once
+	importerGC   types.Importer
+)
+
+// exportImporter returns an importer reading compiler export data, which
+// `go list -export` locates (and builds when stale), so instrumented
+// output can be type-checked against the real runtime shim. The importer
+// keeps every package it imported, so each path is listed once.
+func exportImporter() types.Importer {
+	importerOnce.Do(func() {
+		importerGC = importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+			out, err := exec.Command("go", "list", "-export", "-f", "{{.Export}}", path).Output()
+			if err != nil {
+				return nil, fmt.Errorf("go list -export %s: %v", path, err)
+			}
+			return os.Open(strings.TrimSpace(string(out)))
+		})
+	})
+	return importerGC
+}
+
+// initScopeSources are if and switch statements whose condition or tag
+// reads a name their init declares. Their read hooks must follow the
+// init: hoisted above the statement, the name is out of scope.
+var initScopeSources = map[string]string{
+	"if": `package p
+
+type resp struct{ code int }
+
+func get() *resp { return &resp{code: 204} }
+
+func check() bool {
+	if r := get(); r.code != 204 {
+		return false
+	}
+	return true
+}
+`,
+	"switch": `package p
+
+type resp struct{ code int }
+
+func get() *resp { return &resp{code: 204} }
+
+func kind() string {
+	switch r := get(); r.code {
+	case 200, 204:
+		return "ok"
+	default:
+		return "error"
+	}
+}
+`,
+	"else if": `package p
+
+type resp struct{ code int }
+
+func get() *resp { return &resp{code: 204} }
+
+func classify(n int) string {
+	if a := get(); a.code == n {
+		return "same"
+	} else if b := get(); b.code > a.code+n {
+		return "more"
+	} else if a.code < b.code {
+		return "less"
+	}
+	return "other"
+}
+`,
+	"labeled": `package p
+
+type resp struct{ code int }
+
+func get() *resp { return &resp{code: 204} }
+
+func loop(n int) int {
+	i := 0
+again:
+	if r := get(); r.code > i {
+		i++
+		if i < n {
+			goto again
+		}
+	}
+outer:
+	switch r := get(); r.code {
+	case 204:
+		for j := 0; j < n; j++ {
+			if j > i {
+				break outer
+			}
+		}
+	}
+	return i
+}
+`,
+}
+
+// TestRewriteInitScope: read hooks of an if condition or switch tag that
+// reads a name the statement's init declares land after the init, so the
+// instrumented file still type-checks.
+func TestRewriteInitScope(t *testing.T) {
+	for name, src := range initScopeSources {
+		t.Run(name, func(t *testing.T) {
+			out := instrumentSource(t, src)
+			if !strings.Contains(out, "R(&__pacer_h") {
+				t.Fatalf("no read hook emitted:\n%s", out)
+			}
+			if err := typeCheck(out); err != nil {
+				t.Fatalf("instrumented output does not type-check: %v\n%s", err, out)
+			}
+		})
+	}
+}
+
+// FuzzRewrite: a package that type-checks must still type-check once
+// instrumented.
+func FuzzRewrite(f *testing.F) {
+	for _, src := range initScopeSources {
+		f.Add(src)
+	}
+	f.Add(`package p
+
+import "sync"
+
+type box struct {
+	mu sync.Mutex
+	n  int
+	ch chan int
+}
+
+func (b *box) run(k int) int {
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			if v := b.n; v < k {
+				b.n = v + 1
+			}
+		}()
+	}
+	wg.Wait()
+	switch x := b.n; {
+	case x > 0:
+		b.ch <- x
+	}
+	return <-b.ch
+}
+`)
+	f.Fuzz(func(t *testing.T, src string) {
+		out, changed, err := instrument(src)
+		if err != nil || !changed {
+			return
+		}
+		if err := typeCheck(out); err != nil {
+			t.Fatalf("input type-checks, instrumented output does not: %v\n--- input\n%s\n--- output\n%s", err, src, out)
+		}
+	})
 }
 
 // TestMarkRootStopsAtIndirection: a pointer-receiver call through a

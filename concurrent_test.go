@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pacer"
+	"pacer/internal/event"
 )
 
 // TestParallelStressStatsConservation hammers one detector from many
@@ -66,6 +67,39 @@ func TestParallelStressStatsConservation(t *testing.T) {
 	}
 	if s.SyncOps == 0 {
 		t.Error("sync ops not counted")
+	}
+}
+
+// TestCounterCellSpillCounted: fast-path dismissals by thread identifiers
+// that were never registered, so have no counter cell of their own, are
+// still counted in Stats.
+func TestCounterCellSpillCounted(t *testing.T) {
+	const threads, opsPer = 4, 1000
+	d := pacer.New(pacer.Options{SamplingRate: 0, PeriodOps: 64, Seed: 3})
+	v := d.NewVarID()
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(tid pacer.ThreadID) {
+			defer wg.Done()
+			for j := 0; j < opsPer; j++ {
+				e := pacer.Event{Kind: event.Read, Thread: tid, Target: uint32(v)}
+				if j%4 == 0 {
+					e.Kind = event.Write
+				}
+				d.Apply(e)
+			}
+		}(pacer.ThreadID(100 + i))
+	}
+	wg.Wait()
+	s := d.Stats()
+	wantW := uint64(threads * opsPer / 4)
+	wantR := uint64(threads*opsPer) - wantW
+	if s.Reads != wantR || s.FastPathReads != wantR {
+		t.Errorf("Reads %d, FastPathReads %d; want %d dismissed reads", s.Reads, s.FastPathReads, wantR)
+	}
+	if s.Writes != wantW || s.FastPathWrites != wantW {
+		t.Errorf("Writes %d, FastPathWrites %d; want %d dismissed writes", s.Writes, s.FastPathWrites, wantW)
 	}
 }
 

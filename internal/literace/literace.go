@@ -323,8 +323,8 @@ func (d *Detector) TrySkip(method uint32, t vclock.Thread) bool {
 	s.skip--
 	st.skipped++
 	// The caller dismissed the access itself, so it owns the operation
-	// accounting (the front-end counts dismissals in its sharded fast
-	// counters); only the decision tally is recorded here.
+	// accounting (the front-end counts dismissals in the thread's counter
+	// cell); only the decision tally is recorded here.
 	return true
 }
 

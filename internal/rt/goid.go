@@ -3,6 +3,7 @@ package rt
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pacer"
 )
@@ -31,24 +32,36 @@ import (
 // container with Go 1.24, runtime.Stack costs ~5.7 µs at shallow depth
 // and ~1 µs more per frame, and it serializes on the runtime's global
 // print lock. The field read costs a few nanoseconds, but a Slot still
-// pays for itself: it saves the striped registry lookup on every hook
-// after a frame's first. pacergo declares one Slot per instrumented
-// function body and passes it to every hook there, and the first hook
-// that runs fills it. A function literal gets its own Slot, never its
-// enclosing frame's, because a closure may run on another goroutine.
+// pays for itself: it saves the registry lookup on every hook after a
+// frame's first. pacergo declares one Slot per instrumented function body
+// and passes it to every hook there, and the first hook that runs fills
+// it. A function literal gets its own Slot, never its enclosing frame's,
+// because a closure may run on another goroutine.
+//
+// Registry reads take no lock. A G is bound into a 1024-entry table
+// indexed by the low bits of its goid, and a lookup is one atomic load
+// plus a compare against G.id, so the goroutines resolving their frames
+// share no written cache line. Only a goroutine whose table entry another
+// live G already holds goes to a striped, RWMutex-guarded map, and only
+// GoExit of that same G removes it, from wherever it was bound. A root
+// goroutine's G is never removed (no hook sees it exit), so it keeps its
+// table entry for the life of the process.
 
 // G is one instrumented goroutine's identity: the detector thread it
 // operates as.
 type G struct {
-	t  pacer.ThreadID
-	id int64 // runtime goroutine id GoStart bound, which GoExit drops
+	t pacer.ThreadID
+	// id is the runtime goroutine id the registry binds this G under:
+	// set by GoStart for a spawned goroutine, by current for a root one.
+	id int64
 	// resolves counts the Slot resolutions that returned this G, the
 	// unit of identity cost. Only the goroutine g stands for touches it,
 	// so a plain increment suffices.
 	resolves uint64
-	// pages caches the shadow pages this goroutine touched, under the
-	// same single-owner rule.
+	// pages caches the shadow pages this goroutine touched, and syncs the
+	// sync objects it resolved, under the same single-owner rule.
 	pages pageCache
+	syncs syncCache
 }
 
 // Thread returns the detector thread this goroutine operates as.
@@ -73,11 +86,18 @@ func (s *Slot) G() *G {
 	return s.g
 }
 
-const gShards = 64
+const (
+	gShards = 64
+	// gDirect is the size of the registry's direct-mapped table.
+	gDirect = 1 << 10
+)
 
-// gRegistry stripes goid → *G. Slot resolutions hit it with a read
-// lock; binds and unbinds are per-goroutine-lifetime events.
+// gRegistry maps goid → *G. A G sits in the direct-mapped table at its
+// id's slot, which a lookup checks against G.id with one atomic load and
+// no lock; the striped map holds only the Gs whose slot another live G
+// already occupied. Binds and unbinds are per-goroutine-lifetime events.
 type gRegistry struct {
+	direct [gDirect]atomic.Pointer[G]
 	shards [gShards]struct {
 		mu sync.RWMutex
 		m  map[int64]*G
@@ -85,15 +105,20 @@ type gRegistry struct {
 	}
 }
 
-var goroutines = func() *gRegistry {
+var goroutines = newGRegistry()
+
+func newGRegistry() *gRegistry {
 	r := &gRegistry{}
 	for i := range r.shards {
 		r.shards[i].m = make(map[int64]*G)
 	}
 	return r
-}()
+}
 
 func (r *gRegistry) get(id int64) *G {
+	if g := r.direct[uint64(id)&(gDirect-1)].Load(); g != nil && g.id == id {
+		return g
+	}
 	sh := &r.shards[uint64(id)&(gShards-1)]
 	sh.mu.RLock()
 	g := sh.m[id]
@@ -101,17 +126,27 @@ func (r *gRegistry) get(id int64) *G {
 	return g
 }
 
-func (r *gRegistry) put(id int64, g *G) {
-	sh := &r.shards[uint64(id)&(gShards-1)]
+// put binds g, whose id is set, into its direct slot, or into the striped
+// map when another G holds the slot.
+func (r *gRegistry) put(g *G) {
+	if r.direct[uint64(g.id)&(gDirect-1)].CompareAndSwap(nil, g) {
+		return
+	}
+	sh := &r.shards[uint64(g.id)&(gShards-1)]
 	sh.mu.Lock()
-	sh.m[id] = g
+	sh.m[g.id] = g
 	sh.mu.Unlock()
 }
 
-func (r *gRegistry) drop(id int64) {
-	sh := &r.shards[uint64(id)&(gShards-1)]
+// drop unbinds g from wherever put placed it; a G sharing its slot is
+// left bound.
+func (r *gRegistry) drop(g *G) {
+	if r.direct[uint64(g.id)&(gDirect-1)].CompareAndSwap(g, nil) {
+		return
+	}
+	sh := &r.shards[uint64(g.id)&(gShards-1)]
 	sh.mu.Lock()
-	delete(sh.m, id)
+	delete(sh.m, g.id)
 	sh.mu.Unlock()
 }
 
@@ -143,8 +178,8 @@ func current() *G {
 	id := goid()
 	g := goroutines.get(id)
 	if g == nil {
-		g = &G{t: D().NewThread()}
-		goroutines.put(id, g)
+		g = &G{t: D().NewThread(), id: id}
+		goroutines.put(g)
 	}
 	g.resolves++
 	return g
@@ -163,12 +198,12 @@ func GoSpawn(h *Slot) *G {
 // made to the new goroutine's runtime identity.
 func GoStart(g *G) {
 	g.id = goid()
-	goroutines.put(g.id, g)
+	goroutines.put(g)
 }
 
 // GoExit runs (deferred) last in a spawned goroutine, releasing the
 // registry entry GoStart made so the runtime id can be reused by an
 // unrelated goroutine without inheriting this thread's identity.
 func GoExit(g *G) {
-	goroutines.drop(g.id)
+	goroutines.drop(g)
 }

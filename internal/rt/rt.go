@@ -184,8 +184,40 @@ func resolveVar(g *G, addr uintptr) pacer.VarID {
 	return state.vars.resolve(g, addr, state.det)
 }
 
-// resolveSync maps a sync object's address to its detector identifiers.
-func resolveSync(addr uintptr, kind syncKind) *syncObj {
+// syncCacheWays is the number of sync objects each G caches.
+const (
+	syncCacheBits = 3
+	syncCacheWays = 1 << syncCacheBits
+)
+
+// syncCache is a goroutine's direct-mapped cache of resolved sync
+// objects, indexed by a hash of the address. Only the goroutine owning
+// the G reads or writes it. Sync mappings are never evicted, so a cached
+// entry cannot go stale.
+type syncCache [syncCacheWays]struct {
+	addr uintptr
+	obj  *syncObj
+}
+
+// syncWay is addr's way in a syncCache. Sync objects are often 16- or
+// 32-byte aligned (channels, mutexes inside structs), so the address is
+// hashed rather than masked.
+func syncWay(addr uintptr) uintptr {
+	return uintptr(uint64(addr) * fib64 >> (64 - syncCacheBits))
+}
+
+// resolveSync maps a sync object's address to its detector identifiers
+// for goroutine g: a hit in g's cache touches no shared memory.
+func resolveSync(g *G, addr uintptr, kind syncKind) *syncObj {
+	c := &g.syncs[syncWay(addr)]
+	if c.addr != addr || c.obj == nil {
+		c.addr, c.obj = addr, lookupSync(addr, kind)
+	}
+	return c.obj
+}
+
+// lookupSync finds or registers addr's sync object in the shared map.
+func lookupSync(addr uintptr, kind syncKind) *syncObj {
 	if o := state.syncs.Get(addr); o != nil {
 		return o
 	}
@@ -251,14 +283,14 @@ func W(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 func LockAcquire(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.Acquire(g.t, resolveSync(uintptr(p), kindMutex).lock)
+	state.det.Acquire(g.t, resolveSync(g, uintptr(p), kindMutex).lock)
 }
 
 // LockRelease observes mu.Unlock(); call it before the real unlock.
 func LockRelease(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.Release(g.t, resolveSync(uintptr(p), kindMutex).lock)
+	state.det.Release(g.t, resolveSync(g, uintptr(p), kindMutex).lock)
 }
 
 // RWLock observes rw.Lock() returning. The model mirrors pacer.RWMutex:
@@ -267,7 +299,7 @@ func LockRelease(h *Slot, p unsafe.Pointer) {
 func RWLock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	o := resolveSync(uintptr(p), kindRWMutex)
+	o := resolveSync(g, uintptr(p), kindRWMutex)
 	d := state.det
 	d.Acquire(g.t, o.lock)
 	d.VolRead(g.t, o.v2) // readers' publications
@@ -278,7 +310,7 @@ func RWLock(h *Slot, p unsafe.Pointer) {
 func RWUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	o := resolveSync(uintptr(p), kindRWMutex)
+	o := resolveSync(g, uintptr(p), kindRWMutex)
 	d := state.det
 	d.VolWrite(g.t, o.v1)
 	d.Release(g.t, o.lock)
@@ -288,7 +320,7 @@ func RWUnlock(h *Slot, p unsafe.Pointer) {
 func RWRLock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	o := resolveSync(uintptr(p), kindRWMutex)
+	o := resolveSync(g, uintptr(p), kindRWMutex)
 	state.det.VolRead(g.t, o.v1)
 }
 
@@ -296,7 +328,7 @@ func RWRLock(h *Slot, p unsafe.Pointer) {
 func RWRUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	o := resolveSync(uintptr(p), kindRWMutex)
+	o := resolveSync(g, uintptr(p), kindRWMutex)
 	state.det.VolWrite(g.t, o.v2)
 }
 
@@ -307,7 +339,7 @@ func RWRUnlock(h *Slot, p unsafe.Pointer) {
 func WGDone(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolWrite(g.t, resolveSync(uintptr(p), kindWaitGroup).v1)
+	state.det.VolWrite(g.t, resolveSync(g, uintptr(p), kindWaitGroup).v1)
 }
 
 // WGWait observes wg.Wait() returning, receiving every Done-er's history;
@@ -315,14 +347,14 @@ func WGDone(h *Slot, p unsafe.Pointer) {
 func WGWait(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolRead(g.t, resolveSync(uintptr(p), kindWaitGroup).v1)
+	state.det.VolRead(g.t, resolveSync(g, uintptr(p), kindWaitGroup).v1)
 }
 
 // --- channel hooks ---
 
 // chanObj resolves a channel value's identity (the runtime channel
 // object, not the variable holding it). Nil channels resolve to nil.
-func chanObj(ch any) *syncObj {
+func chanObj(g *G, ch any) *syncObj {
 	if ch == nil {
 		return nil
 	}
@@ -330,7 +362,7 @@ func chanObj(ch any) *syncObj {
 	if rv.Kind() != reflect.Chan || rv.IsNil() {
 		return nil
 	}
-	return resolveSync(rv.Pointer(), kindChan)
+	return resolveSync(g, rv.Pointer(), kindChan)
 }
 
 // ChanSend observes `ch <- v` about to run: the sender publishes its
@@ -338,7 +370,7 @@ func chanObj(ch any) *syncObj {
 func ChanSend(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolWrite(g.t, o.v1)
 	}
 }
@@ -349,7 +381,7 @@ func ChanSend(h *Slot, ch any) {
 func ChanSendDone(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolRead(g.t, o.v2)
 	}
 }
@@ -360,7 +392,7 @@ func ChanSendDone(h *Slot, ch any) {
 func ChanRecvPre(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolWrite(g.t, o.v2)
 	}
 }
@@ -370,7 +402,7 @@ func ChanRecvPre(h *Slot, ch any) {
 func ChanRecv(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolRead(g.t, o.v1)
 	}
 }
@@ -380,7 +412,7 @@ func ChanRecv(h *Slot, ch any) {
 func ChanClose(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolWrite(g.t, o.v1)
 	}
 }
@@ -391,7 +423,7 @@ func ChanClose(h *Slot, ch any) {
 func ChanRange(h *Slot, ch any) {
 	Init()
 	g := h.G()
-	if o := chanObj(ch); o != nil {
+	if o := chanObj(g, ch); o != nil {
 		state.det.VolRead(g.t, o.v1)
 		state.det.VolWrite(g.t, o.v2)
 	}
@@ -413,7 +445,7 @@ func ChanRange(h *Slot, ch any) {
 func OnceDo(h *Slot, o *sync.Once, f func()) {
 	Init()
 	g := h.G()
-	so := resolveSync(uintptr(unsafe.Pointer(o)), kindOnce)
+	so := resolveSync(g, uintptr(unsafe.Pointer(o)), kindOnce)
 	o.Do(func() {
 		f()
 		state.det.VolWrite(g.t, so.v1)
@@ -427,14 +459,14 @@ func OnceDo(h *Slot, o *sync.Once, f func()) {
 func AtomicLoad(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolRead(g.t, resolveSync(uintptr(p), kindAtomic).v1)
+	state.det.VolRead(g.t, resolveSync(g, uintptr(p), kindAtomic).v1)
 }
 
 // AtomicStore observes an atomic store to p; call before the real store.
 func AtomicStore(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolWrite(g.t, resolveSync(uintptr(p), kindAtomic).v1)
+	state.det.VolWrite(g.t, resolveSync(g, uintptr(p), kindAtomic).v1)
 }
 
 // AtomicRMW observes an atomic read-modify-write (Add, Swap,
@@ -443,7 +475,7 @@ func AtomicStore(h *Slot, p unsafe.Pointer) {
 func AtomicRMW(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	o := resolveSync(uintptr(p), kindAtomic)
+	o := resolveSync(g, uintptr(p), kindAtomic)
 	state.det.VolRead(g.t, o.v1)
 	state.det.VolWrite(g.t, o.v1)
 }

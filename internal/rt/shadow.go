@@ -27,6 +27,12 @@
 // ~10.7x and its allocations per operation from 0.25 to 0.027; the price
 // is ~2 KiB of shadow per touched page, never freed.
 //
+// Sync objects resolve the same way: each G caches the ones it resolved
+// (syncCache), so a sync hook reaches the shared map only on a cache
+// miss. Neither a page nor a sync-object hit takes a lock, and neither
+// does the goroutine lookup before them (goid.go): registry reads are
+// lock-free.
+//
 // ShadowMap, the address-keyed map behind both the page lookup and
 // sync-object resolution, follows the publication discipline of
 // internal/detector/shardbase: the resolve hit path is lock-free (shard

@@ -49,7 +49,9 @@
 //   - Outside sampling periods, a Read or Write of a variable holding no
 //     metadata returns on a lock-free fast path: two atomic loads (the
 //     published sampling-state word and a metadata presence filter) plus
-//     sharded atomic counters. No mutex is touched.
+//     one atomic add on the calling thread's own counter cell. No mutex
+//     is touched, and between period-clock flushes no shared cache line
+//     is written.
 //   - During sampling periods, variable metadata is striped across shards
 //     (hash of VarID); accesses to variables in distinct shards proceed in
 //     parallel, each under its shard lock plus a shared (reader) hold on
@@ -59,12 +61,15 @@
 //     equivalent to some serialized interleaving of the observed
 //     operations — the detector never reports a race that a fully
 //     serialized detector could not report.
-//   - Each registered thread owns a cache-line-padded operation counter;
-//     counts are flushed to the period roller in batches, so the sampling
-//     clock advances without a shared contended word.
+//   - Each registered thread owns a cache-line-padded counter cell: its
+//     fast-path read and write dismissals and its slow-path accesses. Each
+//     counter flushes a batch to the period roller whenever it crosses a
+//     power-of-two boundary, so the sampling clock advances without a
+//     shared contended word and without a division.
 package pacer
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -130,10 +135,12 @@ type Options struct {
 	// PeriodOps is the number of observed operations per sampling-decision
 	// period. The paper toggles sampling at garbage collections; without a
 	// GC to hook, this library uses fixed-length operation periods, which
-	// need no bias correction. Defaults to 4096. Under concurrent use,
-	// period boundaries are approximate: per-thread operation counts are
-	// flushed to the roller in small batches, so a period may run over by
-	// up to one batch per active thread.
+	// need no bias correction. Defaults to 4096. Period boundaries are
+	// approximate: each thread counts its fast-path reads, fast-path
+	// writes and slow-path accesses separately and flushes each to the
+	// roller in small batches (PeriodOps/64 rounded down to a power of
+	// two, at most 64), so a period may run over by up to one batch per
+	// counter per active thread.
 	PeriodOps int
 	// OnRace receives race reports. Accesses to variables in distinct
 	// shards analyze in parallel, so OnRace may be invoked from multiple
@@ -346,16 +353,15 @@ type Detector struct {
 	// rolling gates the roll so only one goroutine performs it.
 	pending atomic.Int64
 	rolling atomic.Bool
-	batch   uint64
+	// batchMask is the flush batch minus one; the batch is a power of
+	// two, so a counter crosses a batch boundary when its low bits are 0.
+	batchMask uint64
 
-	// opCells holds one padded operation counter per registered thread,
-	// indexed by ThreadID. The slice is replaced (never mutated) under mu.
-	opCells atomic.Pointer[[]*detector.PaddedCell]
-
-	// fastReads/fastWrites count lock-free fast-path dismissals, sharded
-	// by the variable's metadata shard.
-	fastReads  *detector.ShardedCount
-	fastWrites *detector.ShardedCount
+	// cells holds one counter cell per registered thread, indexed by
+	// ThreadID. The slice is replaced (never mutated) under mu. spill
+	// counts for thread identifiers that have no cell yet.
+	cells atomic.Pointer[[]*opCell]
+	spill *opCell
 
 	nextThread ThreadID
 	nextLock   LockID
@@ -452,17 +458,11 @@ func New(opts Options) *Detector {
 		det.nshards = det.sharded.Shards()
 	}
 	det.varMu = make([]shardLock, det.nshards)
-	det.fastReads = detector.NewShardedCount(det.nshards)
-	det.fastWrites = detector.NewShardedCount(det.nshards)
-	cells := make([]*detector.PaddedCell, 0)
-	det.opCells.Store(&cells)
-	det.batch = uint64(opts.PeriodOps / 64)
-	if det.batch < 1 {
-		det.batch = 1
-	}
-	if det.batch > 64 {
-		det.batch = 64
-	}
+	cells := make([]*opCell, 0)
+	det.cells.Store(&cells)
+	det.spill = &opCell{}
+	batch := min(max(opts.PeriodOps/64, 1), 64)
+	det.batchMask = 1<<(bits.Len(uint(batch))-1) - 1
 	det.rollPeriodLocked()
 	return det
 }
@@ -531,23 +531,45 @@ func (p *Detector) tickLocked() {
 	}
 }
 
-// countOp advances the period clock from outside the epoch lock: the
-// thread's padded counter absorbs the increment, and every batch-th count
-// is flushed to the shared pending total. The goroutine that pushes the
-// total past PeriodOps performs the roll itself.
-func (p *Detector) countOp(t ThreadID) {
-	add := int64(1)
-	cells := *p.opCells.Load()
-	if int(t) < len(cells) {
-		if c := cells[t]; c != nil {
-			if c.N.Add(1)%p.batch != 0 {
-				return
-			}
-			add = int64(p.batch)
-		}
+// opCell is one thread's counters, on a cache line of its own: reads and
+// writes count its lock-free fast-path dismissals, ops its slow-path
+// accesses. Each counter also drives the period clock (see tick).
+type opCell struct {
+	reads, writes, ops atomic.Uint64
+	_                  [40]byte
+}
+
+// cell returns thread t's counter cell, or the shared spill cell when t
+// has none yet.
+func (p *Detector) cell(t ThreadID) *opCell {
+	if cells := *p.cells.Load(); int(t) < len(cells) {
+		return cells[t]
 	}
-	if p.pending.Add(add) >= int64(p.opts.PeriodOps) {
+	return p.spill
+}
+
+// tick advances the period clock by one operation from outside the epoch
+// lock: n, a counter of the calling thread's cell, absorbs the increment,
+// and each time it crosses a batch boundary one batch is flushed to the
+// shared pending total. The goroutine that pushes the total past
+// PeriodOps performs the roll itself.
+func (p *Detector) tick(n *atomic.Uint64) {
+	if n.Add(1)&p.batchMask != 0 {
+		return
+	}
+	if p.pending.Add(int64(p.batchMask+1)) >= int64(p.opts.PeriodOps) {
 		p.maybeRoll()
+	}
+}
+
+// dismissed counts a lock-free fast-path dismissal of thread t's access:
+// one atomic add on t's own cell.
+func (p *Detector) dismissed(t ThreadID, write bool) {
+	c := p.cell(t)
+	if write {
+		p.tick(&c.writes)
+	} else {
+		p.tick(&c.reads)
 	}
 }
 
@@ -567,28 +589,28 @@ func (p *Detector) maybeRoll() {
 }
 
 // growLocked extends the thread registry (backend slots where supported,
-// and op-counter cells) to hold identifiers below n. Callers hold mu
+// and counter cells) to hold identifiers below n. Callers hold mu
 // exclusively.
 func (p *Detector) growLocked(n int) {
 	if p.sharded != nil {
 		p.sharded.EnsureThreadSlots(n)
 	}
-	cells := *p.opCells.Load()
+	cells := *p.cells.Load()
 	if len(cells) >= n {
 		return
 	}
-	grown := make([]*detector.PaddedCell, n)
+	grown := make([]*opCell, n)
 	copy(grown, cells)
 	for i := len(cells); i < n; i++ {
-		grown[i] = &detector.PaddedCell{}
+		grown[i] = &opCell{}
 	}
-	p.opCells.Store(&grown)
+	p.cells.Store(&grown)
 }
 
 // ensureThread registers a thread identifier that did not come from
 // NewThread or Fork, so shared-mode accesses never grow backend state.
 func (p *Detector) ensureThread(t ThreadID) {
-	if int(t) < len(*p.opCells.Load()) {
+	if int(t) < len(*p.cells.Load()) {
 		return
 	}
 	p.mu.Lock()
@@ -688,7 +710,7 @@ func (p *Detector) NewVarID() VarID {
 // the sampling-state word reads "not sampling" both before and after the
 // metadata presence filter reads "no metadata", then at the instant of the
 // presence load the serialized detector would have done nothing for this
-// operation, so it is dismissed having only bumped sharded counters.
+// operation, so it is dismissed having only bumped the thread's counter.
 // When a TraceSink is configured the probe runs under the sink lock, so
 // the recorded position is exactly that linearization instant. Callers
 // have already established that the backend is sharded (p.serialized is
@@ -709,13 +731,7 @@ func (p *Detector) tryFast(t ThreadID, v VarID, s SiteID, method uint32, write b
 			return false
 		}
 	}
-	shard := p.sharded.ShardOf(v)
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
+	p.dismissed(t, write)
 	return true
 }
 
@@ -723,11 +739,11 @@ func (p *Detector) tryFast(t ThreadID, v VarID, s SiteID, method uint32, write b
 // access: backends exposing detector.BurstSampler (LITERACE) can consume a
 // per-(method, thread) skip decision without the epoch lock, so accesses
 // of a method whose sampler has gone cold never serialize on it. As with
-// tryFast, the dismissal bumps only the sharded fast counters and the
-// period clock; with a TraceSink configured, the decision is taken under
-// the sink lock so the recorded position is its linearization instant
-// (per-key decisions are interleaving-independent, so a serialized replay
-// reproduces them). Disabled by Options.Serialized (p.burst stays nil).
+// tryFast, the dismissal bumps only the thread's own counter cell; with a
+// TraceSink configured, the decision is taken under the sink lock so the
+// recorded position is its linearization instant (per-key decisions are
+// interleaving-independent, so a serialized replay reproduces them).
+// Disabled by Options.Serialized (p.burst stays nil).
 func (p *Detector) tryBurstSkip(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
 	if p.opts.TraceSink != nil {
 		p.sinkMu.Lock()
@@ -740,16 +756,7 @@ func (p *Detector) tryBurstSkip(t ThreadID, v VarID, s SiteID, method uint32, wr
 	} else if !p.burst.TrySkip(method, t) {
 		return false
 	}
-	shard := 0
-	if p.sharded != nil {
-		shard = p.sharded.ShardOf(v)
-	}
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
+	p.dismissed(t, write)
 	return true
 }
 
@@ -760,10 +767,10 @@ func (p *Detector) tryBurstSkip(t ThreadID, v VarID, s SiteID, method uint32, wr
 // lock. This is how an always-on detector's dominant case scales: the
 // no-metadata dismissal (tryFast) never applies to it, but the same-epoch
 // dismissal is exactly FastTrack's own fast path served lock-free. As
-// with the other dismissals, only the sharded fast counters and the
-// period clock are bumped; with a TraceSink configured the probe runs
-// under the sink lock so the recorded position is its linearization
-// instant. Disabled by Options.Serialized (p.epoch stays nil).
+// with the other dismissals, only the thread's own counter cell is
+// bumped; with a TraceSink configured the probe runs under the sink lock
+// so the recorded position is its linearization instant. Disabled by
+// Options.Serialized (p.epoch stays nil).
 func (p *Detector) tryEpochFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
 	if p.opts.TraceSink != nil {
 		p.sinkMu.Lock()
@@ -776,13 +783,7 @@ func (p *Detector) tryEpochFast(t ThreadID, v VarID, s SiteID, method uint32, wr
 	} else if !p.epoch.TrySameEpoch(t, v, write) {
 		return false
 	}
-	shard := p.sharded.ShardOf(v)
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
+	p.dismissed(t, write)
 	return true
 }
 
@@ -810,13 +811,7 @@ func (p *Detector) tryOwned(t ThreadID, v VarID, s SiteID, method uint32, write 
 	} else if !p.owned.TryOwnedAccess(t, v, s, write) {
 		return false
 	}
-	shard := p.sharded.ShardOf(v)
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
+	p.dismissed(t, write)
 	return true
 }
 
@@ -899,7 +894,7 @@ func (p *Detector) access(t ThreadID, v VarID, s SiteID, method uint32, write bo
 		return
 	}
 	p.mu.RUnlock()
-	p.countOp(t)
+	p.tick(&p.cell(t).ops)
 }
 
 // Read observes thread t reading variable v at site s.
@@ -1040,7 +1035,11 @@ func (p *Detector) Stats() Stats {
 	var s Stats
 	if p.counted != nil {
 		c := p.counted.Stats()
-		fr, fw := p.fastReads.Sum(), p.fastWrites.Sum()
+		fr, fw := p.spill.reads.Load(), p.spill.writes.Load()
+		for _, cell := range *p.cells.Load() {
+			fr += cell.reads.Load()
+			fw += cell.writes.Load()
+		}
 		s = Stats{
 			Races:          c.Races,
 			Reads:          c.TotalReads() + fr,
