@@ -96,7 +96,7 @@ func siteByID(id int) *siteInfo {
 }
 
 // noteCapture records one real call stack for the site the first time an
-// access actually executes there. The fast path after capture is a single
+// access there reaches the detector (one dismissed unclaimed does not). The fast path after capture is a single
 // atomic load.
 func noteCapture(id int) {
 	s := siteByID(id)

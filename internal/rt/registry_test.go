@@ -90,9 +90,11 @@ func TestRegistryCollidingGoroutines(t *testing.T) {
 					break
 				}
 			}
+			// GoStart runs on the new goroutine, so wait for it to bind:
+			// an unbound goroutine 0 would leave the direct slot free for
+			// goroutine 1's candidate to take first.
+			resolve(i)
 		}
-		resolve(0)
-		resolve(1)
 		if got := goroutines.direct[slot].Load(); got != gs[0] || goroutines.get(gs[1].id) != gs[1] {
 			t.Fatalf("slot %d holds %p: want %p there and %p in the map", slot, got, gs[0], gs[1])
 		}

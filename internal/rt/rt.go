@@ -177,13 +177,6 @@ func (s *runtimeState) FrontDoorStats() pacer.FrontDoorStats {
 	return s.vars.stats()
 }
 
-// resolveVar maps a data address to its VarID for goroutine g,
-// registering on first sight. The hit path creates no closure and
-// allocates nothing.
-func resolveVar(g *G, addr uintptr) pacer.VarID {
-	return state.vars.resolve(g, addr, state.det)
-}
-
 // syncCacheWays is the number of sync objects each G caches.
 const (
 	syncCacheBits = 3
@@ -258,22 +251,26 @@ func FreeVar(p unsafe.Pointer) {
 // its start address alone; the size pacergo passes is not used.
 
 // R observes the calling goroutine reading size bytes at p, as the
-// instrumented source position site (from Site).
+// instrumented source position site (from Site). Outside sampling
+// periods, an access to an address no access has claimed ends at the
+// shadow lookup (varShadow.resolve).
 func R(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
 	g := h.G()
-	v := resolveVar(g, uintptr(p))
-	noteCapture(site)
-	state.det.Read(g.t, v, pacer.SiteID(site))
+	if v, ok := state.vars.resolve(g, uintptr(p), state.det, false); ok {
+		noteCapture(site)
+		state.det.Read(g.t, v, pacer.SiteID(site))
+	}
 }
 
 // W observes the calling goroutine writing size bytes at p.
 func W(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 	Init()
 	g := h.G()
-	v := resolveVar(g, uintptr(p))
-	noteCapture(site)
-	state.det.Write(g.t, v, pacer.SiteID(site))
+	if v, ok := state.vars.resolve(g, uintptr(p), state.det, true); ok {
+		noteCapture(site)
+		state.det.Write(g.t, v, pacer.SiteID(site))
+	}
 }
 
 // --- sync.Mutex / sync.RWMutex hooks ---

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"sync"
@@ -12,9 +13,15 @@ import (
 
 // TestMain pins the environment the process-global detector mounts from
 // before any hook runs: full sampling so detection is deterministic, and
-// quiet so racy subtests don't spam stderr.
+// quiet so racy subtests don't spam stderr. A process TestUnclaimedRateZero
+// re-executes (argument rate0Arg) mounts at rate 0 instead.
 func TestMain(m *testing.M) {
-	os.Setenv("PACER_RATE", "1")
+	flag.Parse()
+	rate := "1"
+	if flag.Arg(0) == rate0Arg {
+		rate = "0"
+	}
+	os.Setenv("PACER_RATE", rate)
 	os.Setenv("PACER_QUIET", "1")
 	os.Unsetenv("PACER_OUT")
 	os.Unsetenv("PACER_FLEET")
@@ -261,9 +268,11 @@ func TestRaceReportCarriesStacks(t *testing.T) {
 }
 
 // varOf resolves p through the path the R and W hooks take, counting as
-// one hook's resolve.
+// one hook's resolve. At this package's test rate of 1 every access is
+// sampled, so it always claims.
 func varOf(h *Slot, p unsafe.Pointer) pacer.VarID {
-	return resolveVar(h.G(), uintptr(p))
+	v, _ := state.vars.resolve(h.G(), uintptr(p), state.det, false)
+	return v
 }
 
 // TestFrontDoorStatsSurface: shadow counters must flow through

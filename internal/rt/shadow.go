@@ -14,18 +14,24 @@
 // Go gets to PACER's metadata at a fixed place in the object. Each 4 KiB
 // page of program memory that a hook touches gets one shadowPage: 512
 // words, one per 8-byte-aligned address, each holding that address's
-// VarID+1 (0 = not yet seen). A word is read with an atomic load and
-// claimed with one CAS on first sight, so there is exactly one VarID per
-// start address and no per-variable heap entry. Every goroutine's G keeps
-// a 16-way direct-mapped cache of page pointers, so a hit is a compare,
-// an index and a load; a cache miss finds the page in a ShadowMap keyed
-// by page number. A start that is not 8-byte aligned (a byte, or an int32
-// at offset 4) keeps a ShadowMap entry of its own. Hits are counted per
-// detector thread, so two goroutines on one variable share no counter.
-// On a 2-vCPU Intel Xeon container with Go 1.24, this cut the deploy
-// benchmark's instrumented slowdown (perfbench, r = 0.01) from ~16.7x to
-// ~10.7x and its allocations per operation from 0.25 to 0.027; the price
-// is ~2 KiB of shadow per touched page, never freed.
+// VarID+1 (0 = unclaimed). A word is read with an atomic load and
+// claimed with one CAS, so there is exactly one VarID per start address
+// and no per-variable heap entry. Only an access that goes on to the
+// detector claims a word: outside a sampling period, an access that
+// reads 0 is dismissed on that load (pacer.Detector.DismissUnclaimed),
+// since an address without a VarID holds no metadata. So, as in PACER,
+// a variable touched only outside sampling periods costs no identifier.
+// Every goroutine's G keeps a 16-way direct-mapped cache of page
+// pointers, so a hit is a compare, an index and a load; a cache miss
+// finds the page in a ShadowMap keyed by page number. A start that is
+// not 8-byte aligned (a byte, or an int32 at offset 4) keeps a ShadowMap
+// entry of its own. Hits are counted per detector thread, so two
+// goroutines on one variable share no counter. On a 2-vCPU Intel Xeon
+// container with Go 1.24, the pages cut the deploy benchmark's
+// instrumented slowdown (perfbench, r = 0.01) from ~16.7x to ~10.7x and
+// its allocations per operation from 0.25 to 0.027; the price is ~2 KiB
+// of shadow per touched page, never freed. Claiming only for accesses
+// that reach the detector later cut it from ~7.8x to ~6.1x.
 //
 // Sync objects resolve the same way: each G caches the ones it resolved
 // (syncCache), so a sync hook reaches the shared map only on a cache
@@ -61,7 +67,7 @@ const (
 )
 
 // shadowPage holds VarID+1 for each 8-byte-aligned address of one page
-// of program memory; 0 marks an address not seen yet.
+// of program memory; 0 marks an address not claimed yet.
 type shadowPage [pageWords]atomic.Uint32
 
 // pageCache is a goroutine's direct-mapped cache of shadow pages, indexed
@@ -84,9 +90,10 @@ type varShadow struct {
 	pages     *ShadowMap[shadowPage]
 	unaligned *ShadowMap[varEntry]
 
-	// hits counts page-path resolves that found a registered word,
+	// hits counts page-path resolves that found a claimed word,
 	// sharded by detector thread; misses, evicts and live cover the
-	// page path only (unaligned keeps its own).
+	// page path only (unaligned keeps its own). Unclaimed dismissals
+	// are counted by the detector.
 	hits   [hitShards]paddedCount
 	misses atomic.Uint64
 	evicts atomic.Uint64
@@ -97,17 +104,25 @@ func newVarShadow() *varShadow {
 	return &varShadow{pages: NewShadowMap[shadowPage](), unaligned: NewShadowMap[varEntry]()}
 }
 
-// resolve returns addr's VarID, registering it with det on first sight.
+// resolve returns addr's VarID for g's access, claiming one from det on
+// first sight, or ok = false when det dismissed the access unclaimed:
+// outside a sampling period, an address with no VarID yet holds no
+// metadata, so a lookup that finds none ends the hook without claiming
+// one (see pacer.Detector.DismissUnclaimed, which counts the access).
 // A registrar that loses the claim race takes the winner's VarID (its own
-// is left unused) and counts as a hit, so hits + misses is exactly the
-// number of resolves.
-func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector) pacer.VarID {
+// is left unused) and counts as a hit, so hits + misses + det's unclaimed
+// dismissals is exactly the number of resolves.
+func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector, write bool) (v pacer.VarID, ok bool) {
 	num := addr >> pageShift
 	if addr&7 != 0 || num == 0 {
+		st, unsampled := det.ProbeUnclaimed()
 		if e := s.unaligned.Get(addr); e != nil {
-			return e.v
+			return e.v, true
 		}
-		return s.unaligned.SetIfAbsent(addr, func() *varEntry { return &varEntry{v: det.NewVarID()} }).v
+		if unsampled && det.DismissUnclaimed(g.t, st, write) {
+			return 0, false
+		}
+		return s.unaligned.SetIfAbsent(addr, func() *varEntry { return &varEntry{v: det.NewVarID()} }).v, true
 	}
 	// An empty cache entry holds page number 0, which never gets here.
 	c := &g.pages[num%pageCacheWays]
@@ -115,16 +130,20 @@ func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector) pacer.VarID
 		c.num, c.page = num, s.page(num)
 	}
 	w := &c.page[addr>>3%pageWords]
+	st, unsampled := det.ProbeUnclaimed()
 	for {
 		if id := w.Load(); id != 0 {
 			s.hits[uint32(g.t)%hitShards].n.Add(1)
-			return pacer.VarID(id - 1)
+			return pacer.VarID(id - 1), true
+		}
+		if unsampled && det.DismissUnclaimed(g.t, st, write) {
+			return 0, false
 		}
 		v := det.NewVarID()
 		if w.CompareAndSwap(0, uint32(v)+1) {
 			s.misses.Add(1)
 			s.live.Add(1)
-			return v
+			return v, true
 		}
 	}
 }

@@ -52,6 +52,12 @@
 //     one atomic add on the calling thread's own counter cell. No mutex
 //     is touched, and between period-clock flushes no shared cache line
 //     is written.
+//   - An instrumentation front door that names variables lazily (pacergo's
+//     runtime shim) goes one step earlier: outside sampling periods, an
+//     access to an address it has not yet given a VarID is dismissed
+//     before a VarID exists (ProbeUnclaimed, DismissUnclaimed). Its own
+//     claim-word load stands in for the presence filter, and the cost is
+//     the same two state-word loads and one add on the thread's cell.
 //   - During sampling periods, variable metadata is striped across shards
 //     (hash of VarID); accesses to variables in distinct shards proceed in
 //     parallel, each under its shard lock plus a shared (reader) hold on
@@ -235,8 +241,9 @@ type Stats struct {
 	SyncOps uint64
 	// FastPathReads/Writes count accesses dismissed by an O(1) fast path:
 	// the backend's own no-metadata dismissal plus the front-end's
-	// lock-free dismissals (non-sampling no-metadata probes, same-epoch
-	// proofs, owned-access CAS updates, burst-sampler skips).
+	// lock-free dismissals (non-sampling no-metadata probes, unclaimed
+	// dismissals, same-epoch proofs, owned-access CAS updates,
+	// burst-sampler skips).
 	FastPathReads, FastPathWrites uint64
 	// SlowJoins and FastJoins count O(n) versus version-skipped joins.
 	SlowJoins, FastJoins uint64
@@ -260,12 +267,19 @@ type Stats struct {
 	ArenaTrimmed uint64
 	// ShadowHits, ShadowMisses, and ShadowEvicts count address-keyed
 	// variable resolution by a mounted instrumentation front door (see
-	// MountFrontDoor): lock-free resolve hits, registrations of addresses
-	// seen for the first time, and explicit evictions of freed addresses.
-	// Zero when no front door is mounted.
+	// MountFrontDoor): lock-free lookups that needed no new identifier,
+	// registrations of addresses claimed for the first time, and explicit
+	// evictions of freed addresses. ShadowHits includes ShadowUnclaimed,
+	// so ShadowHits + ShadowMisses is exactly the front door's data
+	// accesses. Zero when no front door is mounted.
 	ShadowHits, ShadowMisses, ShadowEvicts uint64
+	// ShadowUnclaimed counts accesses dismissed outside sampling periods
+	// before their address was given a VarID (DismissUnclaimed).
+	ShadowUnclaimed uint64
 	// ShadowVars is the number of addresses the front door currently maps
-	// to variable identifiers.
+	// to variable identifiers. An address is mapped when an access to it
+	// first reaches the detector, in practice a sampled one, so variables
+	// only ever touched outside sampling periods are not among them.
 	ShadowVars int
 	// FrontDoor reports whether an instrumentation front door is mounted
 	// (see MountFrontDoor) — it distinguishes "no front door" from a
@@ -280,14 +294,18 @@ type Stats struct {
 // fields of Stats.
 type FrontDoorStats struct {
 	// ShadowHits counts lock-free resolutions of an already-registered
-	// address.
+	// address. Unclaimed dismissals are counted by the detector, not here;
+	// Stats adds them in.
 	ShadowHits uint64
 	// ShadowMisses counts first-sight registrations (a fresh VarID was
 	// allocated for the address).
 	ShadowMisses uint64
 	// ShadowEvicts counts explicit evictions of freed addresses.
 	ShadowEvicts uint64
-	// ShadowVars is the number of live address mappings.
+	// ShadowVars is the number of live address mappings. An address is
+	// mapped when an access to it first reaches the detector, in practice
+	// a sampled one, so addresses only ever dismissed unclaimed are not
+	// counted.
 	ShadowVars int
 }
 
@@ -330,8 +348,11 @@ type Detector struct {
 	// sharded-concurrency support: every operation then takes the epoch
 	// lock exclusively.
 	serialized bool
-	nshards    int
-	opts       Options
+	// unclaimedOK is set when ProbeUnclaimed may allow dismissals: the
+	// front-end is concurrent and no TraceSink is recording.
+	unclaimedOK bool
+	nshards     int
+	opts        Options
 
 	// mu is the epoch lock. Exclusive: synchronization operations, period
 	// rolls, registration, stats. Shared: data-access slow paths, which
@@ -453,6 +474,7 @@ func New(opts Options) *Detector {
 	det.reuser, _ = back.(detector.ThreadReuser)
 	det.arenaAcct, _ = back.(detector.ArenaAccounted)
 	det.serialized = opts.Serialized || det.sharded == nil
+	det.unclaimedOK = !det.serialized && opts.TraceSink == nil
 	det.nshards = 1
 	if det.sharded != nil {
 		det.nshards = det.sharded.Shards()
@@ -532,11 +554,13 @@ func (p *Detector) tickLocked() {
 }
 
 // opCell is one thread's counters, on a cache line of its own: reads and
-// writes count its lock-free fast-path dismissals, ops its slow-path
-// accesses. Each counter also drives the period clock (see tick).
+// writes count its lock-free fast-path dismissals, ureads and uwrites its
+// unclaimed dismissals, ops its slow-path accesses. Each counter also
+// drives the period clock (see tick).
 type opCell struct {
 	reads, writes, ops atomic.Uint64
-	_                  [40]byte
+	ureads, uwrites    atomic.Uint64
+	_                  [24]byte
 }
 
 // cell returns thread t's counter cell, or the shared spill cell when t
@@ -704,6 +728,47 @@ func (p *Detector) NewVolatileID() VolatileID {
 // NewVarID allocates a data-variable identifier. It takes no lock.
 func (p *Detector) NewVarID() VarID {
 	return VarID(p.nextVar.Add(1) - 1)
+}
+
+// ProbeUnclaimed opens the unclaimed dismissal an instrumentation front
+// door uses for an access to a variable it has not named yet: it returns
+// the published sampling-state word, and whether that word allows the
+// dismissal. It does when the front-end is concurrent, no TraceSink is
+// recording, and no sampling period is in progress; backends without
+// sampling periods publish the sampling bit permanently set. The caller
+// then loads its own claim word for the variable and, if that reads
+// unclaimed, calls DismissUnclaimed with the returned word.
+func (p *Detector) ProbeUnclaimed() (uint64, bool) {
+	if !p.unclaimedOK {
+		return 0, false
+	}
+	st := p.sharded.StateWord()
+	return st, st&1 == 0
+}
+
+// DismissUnclaimed completes the dismissal ProbeUnclaimed opened for
+// thread t. If the state word still reads st, no sampling period was in
+// progress at any instant between the two loads, and in particular when
+// the caller found the variable unclaimed. The soundness argument is
+// tryFast's, with the claim word standing in for the presence filter. A
+// front door claims a VarID only for an access it then passes to Read or
+// Write, and only when this dismissal was not allowed, so metadata exists
+// only for claimed variables and the detector would have done nothing
+// for this access. DismissUnclaimed then counts the access with one add
+// on t's own counter cell, which also drives the period clock, and
+// reports true. Otherwise the caller must claim a VarID and call Read or
+// Write.
+func (p *Detector) DismissUnclaimed(t ThreadID, st uint64, write bool) bool {
+	if p.sharded.StateWord() != st {
+		return false
+	}
+	c := p.cell(t)
+	if write {
+		p.tick(&c.uwrites)
+	} else {
+		p.tick(&c.ureads)
+	}
+	return true
 }
 
 // tryFast attempts the lock-free non-sampling dismissal of an access: if
@@ -1033,13 +1098,17 @@ func (p *Detector) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s Stats
+	var fr, fw, ur, uw uint64
+	for _, cell := range append([]*opCell{p.spill}, *p.cells.Load()...) {
+		fr += cell.reads.Load()
+		fw += cell.writes.Load()
+		ur += cell.ureads.Load()
+		uw += cell.uwrites.Load()
+	}
+	// Unclaimed dismissals are non-sampling fast-path dismissals too.
+	fr, fw = fr+ur, fw+uw
 	if p.counted != nil {
 		c := p.counted.Stats()
-		fr, fw := p.spill.reads.Load(), p.spill.writes.Load()
-		for _, cell := range *p.cells.Load() {
-			fr += cell.reads.Load()
-			fw += cell.writes.Load()
-		}
 		s = Stats{
 			Races:          c.Races,
 			Reads:          c.TotalReads() + fr,
@@ -1072,7 +1141,8 @@ func (p *Detector) Stats() Stats {
 	if p.frontDoor != nil {
 		fd := p.frontDoor.FrontDoorStats()
 		s.FrontDoor = true
-		s.ShadowHits = fd.ShadowHits
+		s.ShadowHits = fd.ShadowHits + ur + uw
+		s.ShadowUnclaimed = ur + uw
 		s.ShadowMisses = fd.ShadowMisses
 		s.ShadowEvicts = fd.ShadowEvicts
 		s.ShadowVars = fd.ShadowVars
