@@ -6,7 +6,7 @@
 // Instances run a fleet.Reporter pointed at this daemon. Pushes flow
 // through the production ingest pipeline (internal/ingest):
 //
-//	decode → authenticate → rate-limit → load-shed → merge
+//	authenticate → decode → rate-limit → load-shed → merge
 //
 // with a retry-wrapped, circuit-breaker-guarded merge into sharded,
 // memory-bounded per-instance state. pacerd serves:

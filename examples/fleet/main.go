@@ -13,7 +13,7 @@
 // Unlike the in-process sketch this example used to be, the reports here
 // really leave the box: each host wraps its aggregator in a
 // fleet.Reporter that pushes gzip JSON snapshots over loopback HTTP to a
-// collector (the same internal/fleet.Collector that cmd/pacerd mounts as
+// collector (the same internal/ingest.Service that cmd/pacerd mounts as
 // a daemon), and the triage table below is read back from the collector's
 // /races endpoint.
 package main
@@ -31,6 +31,7 @@ import (
 
 	"pacer"
 	"pacer/internal/fleet"
+	"pacer/internal/ingest"
 )
 
 // bug describes one planted race: the session executes its racy pair with
@@ -109,7 +110,11 @@ func main() {
 
 	// The collector — the exact handler cmd/pacerd serves — listens on a
 	// loopback socket, standing in for a central race-triage service.
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col, err := ingest.New(ingest.Options{})
+	if err != nil {
+		panic(err)
+	}
+	defer col.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)

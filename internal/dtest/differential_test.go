@@ -178,22 +178,32 @@ func TestConcurrentFrontEndIsPrecise(t *testing.T) {
 // TestSampledRacesAreSubsetOfFullTracking replays the recorded trace with
 // sampling transitions stripped and a single leading sbegin — i.e. through
 // a fully tracking serialized detector — and checks that everything the
-// sampled concurrent run reported is also reported there: sampling (and
-// the concurrent front-end around it) only ever loses races, never invents
-// them. Races are matched by (variable, kind, thread pair) with the second
-// access compared up to epoch class, because attribution differs in two
-// benign ways: PACER's non-sampling shallow copies do not advance thread
-// clocks, so its "same epoch" first access can span many textbook epochs
-// (a different first site than full tracking records), and full tracking
-// early-returns on a repeated same-epoch second read that the sampled
-// detector re-reports.
+// sampled concurrent run reported is accounted for there. Races are
+// matched by (variable, kind, thread pair) with the second access compared
+// up to epoch class, because attribution differs in two benign ways:
+// PACER's non-sampling shallow copies do not advance thread clocks, so its
+// "same epoch" first access can span many textbook epochs (a different
+// first site than full tracking records), and full tracking early-returns
+// on a repeated same-epoch second read that the sampled detector
+// re-reports.
+//
+// Sampling does not only lose races, though: full tracking's epoch and
+// read-map updates at accesses PACER leaves unsampled can change which
+// earlier access it blames, so a sampled report occasionally has no exact
+// match. Such a report passes only if it is a true race of the recorded
+// trace and full tracking already reported a race on the same variable
+// whose second access is no later in the trace.
 func TestSampledRacesAreSubsetOfFullTracking(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		trace, races := recordedRun(0.3, seed, 6, 900)
 		full := event.Trace{{Kind: event.SampleBegin}}
-		for _, e := range trace {
+		pos := map[event.Site]int{} // trace position of each (uniquely sited) access
+		for i, e := range trace {
 			if e.Kind != event.SampleBegin && e.Kind != event.SampleEnd {
 				full = append(full, e)
+			}
+			if e.Kind.IsAccess() {
+				pos[e.Site] = i
 			}
 		}
 		fullRaces := replaySerial(full)
@@ -204,10 +214,13 @@ func TestSampledRacesAreSubsetOfFullTracking(t *testing.T) {
 				t.Errorf("seed %d: race %+v names an unknown second access", seed, r)
 				continue
 			}
-			found := false
+			found, flagged := false, false
 			for _, fr := range fullRaces {
-				if fr.Var != r.Var || fr.Kind != r.Kind ||
-					fr.FirstThread != r.FirstThread || fr.SecondThread != r.SecondThread {
+				if fr.Var != r.Var {
+					continue
+				}
+				flagged = flagged || pos[fr.SecondSite] <= pos[r.SecondSite]
+				if fr.Kind != r.Kind || fr.FirstThread != r.FirstThread || fr.SecondThread != r.SecondThread {
 					continue
 				}
 				if fc, ok := oracle.ClassOf(fr.Var, fr.SecondSite); ok && fc == lc {
@@ -215,7 +228,7 @@ func TestSampledRacesAreSubsetOfFullTracking(t *testing.T) {
 					break
 				}
 			}
-			if !found {
+			if !found && !(flagged && oracle.TrueRace(r)) {
 				t.Errorf("seed %d: sampled run reported %+v, absent from full tracking", seed, r)
 			}
 		}

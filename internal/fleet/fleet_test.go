@@ -20,6 +20,7 @@ import (
 
 	"pacer"
 	"pacer/internal/fleet"
+	"pacer/internal/ingest"
 )
 
 // flakyTransport fails the first failN pushes it sees (connection-level
@@ -59,6 +60,18 @@ func (f *flakyTransport) snapshot() []time.Time {
 	return append([]time.Time(nil), f.attempts...)
 }
 
+// newCollector serves the ingest tier cmd/pacerd mounts, closed when the
+// test ends.
+func newCollector(t *testing.T, opts ingest.Options) *ingest.Service {
+	t.Helper()
+	col, err := ingest.New(opts)
+	if err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	t.Cleanup(func() { col.Close() })
+	return col
+}
+
 // runInstance drives one detector instance deterministically: an optional
 // shared racy pair every instance executes (identical ids everywhere, so
 // the reports coincide), plus nuniq unique racy pairs at instance-specific
@@ -91,7 +104,7 @@ func runInstance(report func(pacer.Race), uniqBase pacer.SiteID, nuniq int) {
 // the JSON export of a single in-process Aggregator fed the same race
 // stream — no loss and no double-counting across retries.
 func TestFleetRoundTrip(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	handler := col.Handler()
 	var serverFaults atomic.Int64
 	serverFaults.Store(2) // the first two pushes to arrive get a 503
@@ -266,7 +279,7 @@ func TestFleetReporterCollectorDown(t *testing.T) {
 // TestFleetCollectorIdempotent re-delivers the same snapshot and delivers
 // a stale one; neither may change the merged view.
 func TestFleetCollectorIdempotent(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -329,7 +342,7 @@ func TestFleetCollectorIdempotent(t *testing.T) {
 // reusing its instance name restarts its numbering at 1), while within
 // one epoch the stale-seq dedup still holds.
 func TestFleetCollectorEpochRestart(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -383,7 +396,7 @@ func TestFleetCollectorEpochRestart(t *testing.T) {
 // new races. Its reports must reach the collector even though its seq
 // numbering restarted below the dead process's.
 func TestFleetReporterRestartSameInstance(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -426,7 +439,7 @@ func TestFleetReporterRestartSameInstance(t *testing.T) {
 
 // TestFleetCollectorRejectsGarbage covers the protocol's failure modes.
 func TestFleetCollectorRejectsGarbage(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -548,7 +561,7 @@ func TestFleetDecodePushDecompressedCap(t *testing.T) {
 // collector must 400 a bomb (and count it as a bad push) even though its
 // compressed body is well under MaxBodyBytes.
 func TestFleetCollectorDecompressionBomb(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{
+	col := newCollector(t, ingest.Options{
 		MaxBodyBytes:         1 << 20,
 		MaxDecompressedBytes: 64 << 10,
 	})
@@ -604,7 +617,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // normally and the read-only endpoints stay open.
 func TestFleetAuthToken(t *testing.T) {
 	const token = "s3cret-fleet-token"
-	col := fleet.NewCollector(fleet.CollectorOptions{AuthToken: token})
+	col := newCollector(t, ingest.Options{AuthToken: token})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -676,7 +689,7 @@ func TestFleetAuthToken(t *testing.T) {
 	if err := rep.Close(ctx); err != nil {
 		t.Fatalf("authenticated reporter could not deliver: %v", err)
 	}
-	merged, err := col.Merged()
+	merged, err := col.State().Merged()
 	if err != nil {
 		t.Fatalf("merged: %v", err)
 	}
@@ -720,7 +733,7 @@ func TestFleetAuthToken(t *testing.T) {
 // per-instance Prometheus gauges — while a heap-backed instance emits no
 // arena series at all.
 func TestFleetArenaGauges(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -802,8 +815,8 @@ func TestFleetCollectorInstanceTTL(t *testing.T) {
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	col := fleet.NewCollector(fleet.CollectorOptions{
-		InstanceTTL: time.Hour,
+	col := newCollector(t, ingest.Options{
+		State: ingest.StateOptions{InstanceTTL: time.Hour},
 		Clock: func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
@@ -841,7 +854,7 @@ func TestFleetCollectorInstanceTTL(t *testing.T) {
 	push("inst-live", 1, 2)
 
 	// Both within the TTL: the merged view carries both races.
-	if agg, err := col.Merged(); err != nil || agg.Distinct() != 2 {
+	if agg, err := col.State().Merged(); err != nil || agg.Distinct() != 2 {
 		t.Fatalf("Merged before expiry: distinct %v, err %v", agg.Distinct(), err)
 	}
 
@@ -871,14 +884,14 @@ func TestFleetCollectorInstanceTTL(t *testing.T) {
 
 	// The expired name pushing again is a fresh registration.
 	push("inst-old", 5, 3)
-	if agg, err := col.Merged(); err != nil || agg.Distinct() != 2 {
+	if agg, err := col.State().Merged(); err != nil || agg.Distinct() != 2 {
 		t.Fatalf("Merged after re-registration: distinct %v, err %v", agg.Distinct(), err)
 	}
 
 	// Everyone falls silent: past the TTL the fleet view is empty, and both
 	// evictions are on the books.
 	advance(2 * time.Hour)
-	if agg, err := col.Merged(); err != nil || agg.Distinct() != 0 {
+	if agg, err := col.State().Merged(); err != nil || agg.Distinct() != 0 {
 		t.Fatalf("Merged after full expiry: distinct %v, err %v", agg.Distinct(), err)
 	}
 	if m := string(httpGet(t, srv.URL+"/metrics")); !strings.Contains(m, "pacer_collector_instances_expired_total 3\n") {
@@ -898,7 +911,7 @@ func (f fakeFrontDoor) FrontDoorStats() pacer.FrontDoorStats { return f.st }
 // and the collector re-exports them as per-instance Prometheus series —
 // while a plain library instance emits no shadow series at all.
 func TestFleetShadowGauges(t *testing.T) {
-	col := fleet.NewCollector(fleet.CollectorOptions{})
+	col := newCollector(t, ingest.Options{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 

@@ -12,15 +12,18 @@
 // the detection hot path: races land in the in-memory aggregator and the
 // network work happens on the reporter's own goroutine.
 //
-// The server side is Collector, an http.Handler that accepts pushes,
-// keeps the latest snapshot per instance, and merges them on demand into
-// one fleet-wide triage list. cmd/pacerd mounts it as a daemon.
+// The server side is the ingest tier in internal/ingest: an http.Handler
+// that accepts pushes, keeps per-instance triage state, and merges it on
+// demand into one fleet-wide triage list. cmd/pacerd mounts it as a
+// daemon.
 //
-// Pushes are cumulative snapshots, not deltas: each push carries the
-// instance's complete triage list so far, and the collector replaces that
-// instance's previous state. Retries and duplicates are therefore
-// idempotent — a lost acknowledgment or a re-sent snapshot can never
-// double-count a race.
+// A push carries either the instance's complete triage list so far (a
+// cumulative snapshot, every schema version) or, once the collector has
+// advertised SchemaVersionDelta, only the entries that changed since a
+// snapshot the collector acknowledged (a delta). Every push is numbered
+// and carries absolute counts, so the collector replaces rather than adds:
+// retries and duplicates are idempotent — a lost acknowledgment or a
+// re-sent push can never double-count a race.
 package fleet
 
 import (
@@ -136,23 +139,15 @@ func EncodePush(w io.Writer, p *Push) error {
 // push when the caller passes no limit of its own.
 const DefaultMaxDecompressedBytes = 64 << 20
 
-// DecodePush reads one gzip-compressed push and validates its envelope
-// (schema version, non-empty instance). maxDecompressed bounds the
+// DecodePush reads one gzip-compressed push and validates its envelope:
+// a schema version from SchemaVersion through SchemaVersionDelta, a
+// non-empty instance, and — on a delta (nonzero BaseSeq) — a version-2
+// push whose base precedes its own sequence number, so a malformed push
+// is rejected before any state is touched. maxDecompressed bounds the
 // inflated size — the compressed body alone is not a safe bound, since a
 // kilobyte of gzip can expand to gigabytes and OOM the collector; <= 0
-// means DefaultMaxDecompressedBytes. DecodePush speaks only the baseline
-// cumulative schema; the production ingest tier uses DecodePushVersion to
-// additionally accept deltas.
+// means DefaultMaxDecompressedBytes.
 func DecodePush(r io.Reader, maxDecompressed int64) (*Push, error) {
-	return DecodePushVersion(r, maxDecompressed, SchemaVersion)
-}
-
-// DecodePushVersion is DecodePush accepting every schema version from 1
-// through maxVersion. With maxVersion >= SchemaVersionDelta the push may
-// be a delta (nonzero BaseSeq); the envelope is still validated — a delta
-// on a version-1 push, or a base at or past the push's own sequence
-// number, is rejected before any state is touched.
-func DecodePushVersion(r io.Reader, maxDecompressed int64, maxVersion int) (*Push, error) {
 	if maxDecompressed <= 0 {
 		maxDecompressed = DefaultMaxDecompressedBytes
 	}
@@ -169,9 +164,9 @@ func DecodePushVersion(r io.Reader, maxDecompressed int64, maxVersion int) (*Pus
 	if lr.N <= 0 {
 		return nil, fmt.Errorf("fleet: push exceeds %d bytes decompressed", maxDecompressed)
 	}
-	if p.Version < SchemaVersion || p.Version > maxVersion {
+	if p.Version < SchemaVersion || p.Version > SchemaVersionDelta {
 		return nil, fmt.Errorf("fleet: unsupported schema version %d (this collector speaks 1..%d)",
-			p.Version, maxVersion)
+			p.Version, SchemaVersionDelta)
 	}
 	if p.Instance == "" {
 		return nil, errors.New("fleet: push names no instance")

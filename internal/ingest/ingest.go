@@ -1,11 +1,13 @@
-// Package ingest is the production push-ingestion tier for the fleet
-// collector — the path that has to survive "millions of instances"
-// (ROADMAP north star) where cmd/pacerd's original single-mutex,
-// trust-everything handler cannot.
+// Package ingest is the fleet collector: the push-ingestion tier that
+// cmd/pacerd serves, built to survive "millions of instances" (ROADMAP
+// north star) where a single-mutex, trust-everything handler cannot.
 //
 // The tier is an explicit, composable pipeline mounted on /v1/push:
 //
-//	decode → authenticate → rate-limit → load-shed → merge
+//	authenticate → decode → rate-limit → load-shed → merge
+//
+// Authentication reads only headers, so an unauthenticated push is
+// rejected before its body is inflated or parsed.
 //
 // Every stage is a Stage value with its own counters (exported on
 // /metrics as pacer_ingest_*), and resilience connectors wrap stages

@@ -1,6 +1,6 @@
 // Package loadtest drives the ingest tier the way a large fleet does:
 // thousands of simulated reporters pushing concurrently through the full
-// HTTP pipeline (decode → auth → rate-limit → shed → merge), with fault
+// HTTP pipeline (auth → decode → rate-limit → shed → merge), with fault
 // injection — dropped responses, malformed pushes, shed retries — and a
 // graceful collector restart mid-run (Close writes the final state
 // snapshot; a successor service restores it, the SIGTERM drain path).

@@ -130,7 +130,7 @@ func New(opts Options) (*Service, error) {
 	s.retry = NewRetry(s.merge, opts.MergeRetries, 2*time.Millisecond)
 	s.breaker = NewBreaker(s.retry, opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock)
 	s.queue = NewQueue(s.breaker, opts.QueueDepth, opts.MergeWorkers)
-	s.pipe = NewPipeline(s.decode, s.auth, s.limit, s.queue)
+	s.pipe = NewPipeline(s.auth, s.decode, s.limit, s.queue)
 
 	go s.snapshotLoop()
 	return s, nil
@@ -207,7 +207,7 @@ func (s *Service) Close() error {
 
 // Handler returns the service's HTTP surface:
 //
-//	POST /v1/push  — the ingest pipeline (decode → auth → rate-limit →
+//	POST /v1/push  — the ingest pipeline (auth → decode → rate-limit →
 //	                 shed → merge), acks carrying ProtocolHeader
 //	GET  /races    — the merged fleet-wide triage list as JSON
 //	GET  /healthz  — liveness
@@ -287,12 +287,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	// The ingest pipeline, one stage at a time, in pipeline order.
+	counter("pacer_ingest_unauthorized_total",
+		"Pushes rejected for a missing or wrong bearer token.", s.auth.Unauthorized())
 	counter("pacer_ingest_decoded_total",
 		"Pushes that decoded and validated (v1 cumulative or v2 delta).", s.decode.Decoded())
 	counter("pacer_ingest_decode_errors_total",
 		"Pushes rejected as malformed (gzip, schema, payload).", s.decode.Rejected())
-	counter("pacer_ingest_unauthorized_total",
-		"Pushes rejected for a missing or wrong bearer token.", s.auth.Unauthorized())
 	counter("pacer_ingest_ratelimited_total",
 		"Pushes rejected by the per-instance token bucket (429).", s.limit.Limited())
 	counter("pacer_ingest_ratelimit_pruned_total",
@@ -401,7 +401,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		name, typ, help string
 		get             func(*fleet.ShadowGauges) uint64
 	}{
-		{"pacer_shadow_hits_total", "counter", "Lock-free shadow-map resolutions of known addresses.",
+		{"pacer_shadow_hits_total", "counter", "Lock-free shadow-map lookups that needed no new identifier, including dismissals of unclaimed addresses outside sampling periods.",
 			func(s *fleet.ShadowGauges) uint64 { return s.Hits }},
 		{"pacer_shadow_misses_total", "counter", "First-sight address registrations (fresh VarID allocated).",
 			func(s *fleet.ShadowGauges) uint64 { return s.Misses }},

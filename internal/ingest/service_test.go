@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"io"
 	"net/http"
@@ -266,6 +267,47 @@ func TestIngestServiceAuth(t *testing.T) {
 	}
 	if svc.state.Instances() != 1 {
 		t.Fatalf("authorized push did not land: %d instances", svc.state.Instances())
+	}
+}
+
+// TestIngestServiceAuthBeforeDecode pins the stage order: a tokenless
+// push is refused on its headers alone, so neither garbage nor a gzip
+// bomb is inflated or parsed, and neither counts as a decode error.
+func TestIngestServiceAuthBeforeDecode(t *testing.T) {
+	_, srv := newTestService(t, Options{AuthToken: "s3cret"})
+
+	var bomb bytes.Buffer
+	zw := gzip.NewWriter(&bomb)
+	if _, err := zw.Write(make([]byte, 8<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, body := range map[string][]byte{"garbage": []byte("not gzip"), "bomb": bomb.Bytes()} {
+		resp, err := http.Post(srv.URL+fleet.PushPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnauthorized {
+			t.Errorf("tokenless %s answered %s, want 401", name, resp.Status)
+		}
+		if resp.Header.Get("WWW-Authenticate") == "" {
+			t.Errorf("tokenless %s: 401 must carry WWW-Authenticate", name)
+		}
+	}
+
+	metrics := getBody(t, srv.URL+"/metrics")
+	for _, want := range []string{
+		"pacer_ingest_decode_errors_total 0\n",
+		"pacer_ingest_unauthorized_total 2\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 	"pacer/internal/fleet"
 )
 
-// Decode is the first stage: inflate and parse the push envelope
-// (schema versions 1 and 2), then materialize and validate the triage
-// payload, so every later stage works with typed, bounds-checked data
-// and a malformed push is rejected before it can touch shared state.
+// Decode inflates and parses the push envelope (schema versions 1 and
+// 2), then materializes and validates the triage payload, so every later
+// stage works with typed, bounds-checked data and a malformed push is
+// rejected before it can touch shared state.
 type Decode struct {
 	// MaxDecompressed bounds one push after gzip inflation (the
 	// compressed body is bounded by the transport's MaxBytesReader).
@@ -34,7 +34,7 @@ func (d *Decode) Decoded() uint64 { return d.decoded.Load() }
 func (d *Decode) Rejected() uint64 { return d.rejected.Load() }
 
 func (d *Decode) Process(_ context.Context, req *Request) error {
-	p, err := fleet.DecodePushVersion(req.Body, d.MaxDecompressed, fleet.SchemaVersionDelta)
+	p, err := fleet.DecodePush(req.Body, d.MaxDecompressed)
 	if err == nil {
 		req.Entries, err = fleet.ParseTriage(p.Races)
 	}
@@ -47,9 +47,10 @@ func (d *Decode) Process(_ context.Context, req *Request) error {
 	return nil
 }
 
-// Auth checks the bearer token. With no token configured it is a
-// pass-through, so the pipeline shape is identical in open and
-// authenticated deployments.
+// Auth checks the bearer token. It is the first stage and reads only
+// headers, so an unauthenticated push is rejected before its body is
+// inflated. With no token configured it is a pass-through, so the
+// pipeline shape is identical in open and authenticated deployments.
 type Auth struct {
 	Token string
 

@@ -72,8 +72,7 @@ type stateShard struct {
 // ingest pipeline's merge stage. Instance names hash onto shards, so
 // concurrent pushes from different instances take different locks; the
 // merged fleet view locks one shard at a time and is deterministic
-// (sorted instance order) for a given set of snapshots, exactly like
-// the original single-mutex collector.
+// (sorted instance order) for a given set of snapshots.
 type State struct {
 	opts      StateOptions
 	shardMask uint32
@@ -268,8 +267,10 @@ func (s *State) evictOverLocked(sh *stateShard, keep string) {
 }
 
 // Merged reconstructs every instance's triage list and merges them, in
-// sorted instance order, into one fleet-wide aggregator — the same
-// deterministic view the original collector served.
+// sorted instance order, into one fleet-wide aggregator, so the view —
+// including which instance gets first-seen attribution for a race
+// several instances reported — is deterministic for a given set of
+// snapshots.
 func (s *State) Merged() (*pacer.Aggregator, error) {
 	now := s.opts.Clock()
 	type inst struct {
