@@ -12,6 +12,7 @@ import (
 
 	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/djit"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
@@ -277,35 +278,35 @@ func BenchmarkAblationVersionsOn(b *testing.B) {
 
 func BenchmarkAblationVersionsOff(b *testing.B) {
 	replayBench(b, func() detector.Detector {
-		return core.NewWithOptions(nil, core.Options{DisableVersions: true})
+		return core.NewWithOptions(nil, shardbase.Config{}, core.Options{DisableVersions: true})
 	}, benchSampledTrace)
 }
 
 func BenchmarkAblationSharingOff(b *testing.B) {
 	replayBench(b, func() detector.Detector {
-		return core.NewWithOptions(nil, core.Options{DisableSharing: true})
+		return core.NewWithOptions(nil, shardbase.Config{}, core.Options{DisableSharing: true})
 	}, benchSampledTrace)
 }
 
 func BenchmarkAblationDiscardOff(b *testing.B) {
-	d := core.NewWithOptions(nil, core.Options{DisableDiscard: true})
+	d := core.NewWithOptions(nil, shardbase.Config{}, core.Options{DisableDiscard: true})
 	detector.Replay(d, benchSampledTrace)
 	words := d.MetadataWords()
 	replayBench(b, func() detector.Detector {
-		return core.NewWithOptions(nil, core.Options{DisableDiscard: true})
+		return core.NewWithOptions(nil, shardbase.Config{}, core.Options{DisableDiscard: true})
 	}, benchSampledTrace)
 	b.ReportMetric(float64(words), "meta-words")
 }
 
 func BenchmarkAblationEpochFastPathOff(b *testing.B) {
 	replayBench(b, func() detector.Detector {
-		return fasttrack.NewWithOptions(nil, fasttrack.Options{DisableEpochFastPath: true})
+		return fasttrack.NewWithOptions(nil, shardbase.Config{}, fasttrack.Options{DisableEpochFastPath: true})
 	}, benchTrace)
 }
 
 func BenchmarkAblationKeepReadEpochOnWrite(b *testing.B) {
 	replayBench(b, func() detector.Detector {
-		return fasttrack.NewWithOptions(nil, fasttrack.Options{KeepReadEpochOnWrite: true})
+		return fasttrack.NewWithOptions(nil, shardbase.Config{}, fasttrack.Options{KeepReadEpochOnWrite: true})
 	}, benchTrace)
 }
 

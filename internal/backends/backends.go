@@ -15,6 +15,7 @@ import (
 
 	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/djit"
 	"pacer/internal/fasttrack"
 	"pacer/internal/generic"
@@ -30,21 +31,10 @@ type Config struct {
 	// Seed drives any randomized behavior (LITERACE's burst resets).
 	// 0 means the backend's own default.
 	Seed int64
-	// Core tunes the PACER backend (sharding, ablation switches). The
-	// FASTTRACK backend adopts its Shards and Arena knobs too, so the
-	// front-end's Options.Shards/Arena reach both sharded backends.
-	Core core.Options
-	// LiteRace overrides the LITERACE sampler options; the zero value
-	// selects the paper's defaults with Seed applied.
-	LiteRace literace.Options
-	// EpochFastIndexCap bounds the FASTTRACK backend's direct-indexed
-	// variable table behind the lock-free same-epoch fast path (0 means
-	// the backend default, negative disables the index). Variables past
-	// the cap still detect races through the locked path.
-	EpochFastIndexCap int
-	// DisableOwnedFastPath ablates the FASTTRACK backend's owned-access
-	// (CAS read-map) fast path, leaving the epoch mirrors active.
-	DisableOwnedFastPath bool
+	// Config configures the metadata store of every sharded backend
+	// (pacer, fasttrack, o1samples, djit, and literace through its
+	// FASTTRACK core); the serialized backends ignore it.
+	shardbase.Config
 }
 
 // Factory constructs one backend.
@@ -99,48 +89,28 @@ func Names() []string {
 
 func init() {
 	Register("pacer", func(report detector.Reporter, cfg Config) detector.Detector {
-		return core.NewWithOptions(report, cfg.Core)
+		return core.NewWithOptions(report, cfg.Config, core.Options{})
 	})
 	Register("fasttrack", func(report detector.Reporter, cfg Config) detector.Detector {
-		return fasttrack.NewWithOptions(report, fasttrack.Options{
-			Shards:               cfg.Core.Shards,
-			Arena:                cfg.Core.Arena,
-			IndexCap:             cfg.EpochFastIndexCap,
-			DisableOwnedFastPath: cfg.DisableOwnedFastPath,
-			Clock:                cfg.Core.Clock,
-		})
+		return fasttrack.NewWithOptions(report, cfg.Config, fasttrack.Options{})
 	})
 	Register("generic", func(report detector.Reporter, _ Config) detector.Detector {
 		return generic.New(report)
 	})
 	djitFactory := func(report detector.Reporter, cfg Config) detector.Detector {
-		return djit.NewWithOptions(report, djit.Options{
-			Shards: cfg.Core.Shards,
-			Arena:  cfg.Core.Arena,
-		})
+		return djit.NewWithConfig(report, cfg.Config)
 	}
 	Register("djit", djitFactory)
 	Register("djit+", djitFactory) // the detector's own Name()
 	Register("literace", func(report detector.Reporter, cfg Config) detector.Detector {
-		o := cfg.LiteRace
-		if o == (literace.Options{}) {
-			o = literace.DefaultOptions()
-		}
+		o := literace.DefaultOptions()
 		if cfg.Seed != 0 {
 			o.Seed = cfg.Seed
 		}
-		o.Shards = cfg.Core.Shards
-		o.Arena = cfg.Core.Arena
-		o.IndexCap = cfg.EpochFastIndexCap
-		return literace.New(report, o)
+		return literace.NewWithConfig(report, cfg.Config, o)
 	})
 	Register("o1samples", func(report detector.Reporter, cfg Config) detector.Detector {
-		return o1samples.NewWithOptions(report, o1samples.Options{
-			Shards:   cfg.Core.Shards,
-			Arena:    cfg.Core.Arena,
-			IndexCap: cfg.EpochFastIndexCap,
-			Clock:    cfg.Core.Clock,
-		})
+		return o1samples.NewWithConfig(report, cfg.Config)
 	})
 	Register("goldilocks", func(report detector.Reporter, _ Config) detector.Detector {
 		return goldilocks.New(report)

@@ -3,8 +3,8 @@ package backends
 import (
 	"fmt"
 
-	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 )
 
 // Caps describes one registered backend's mount and capability surface,
@@ -19,7 +19,7 @@ type Caps struct {
 	// Sharded reports the concurrent mount (detector.Sharded): false means
 	// the front-end drives the backend fully serialized.
 	Sharded bool
-	// Arena reports that Config.Core.Arena actually enables a slab arena
+	// Arena reports that Config.Arena actually enables a slab arena
 	// (detector.ArenaAccounted with an enabled arena), not merely that the
 	// interface exists.
 	Arena bool
@@ -36,7 +36,7 @@ type Caps struct {
 // Probe constructs the named backend (with the arena requested, so the
 // Arena field reports real adoption) and reports its capability surface.
 func Probe(name string) (Caps, error) {
-	d, err := New(name, nil, Config{Core: core.Options{Arena: true}})
+	d, err := New(name, nil, Config{Config: shardbase.Config{Arena: true}})
 	if err != nil {
 		return Caps{}, err
 	}

@@ -102,7 +102,7 @@ func TestShardedMatrixComplete(t *testing.T) {
 				t.Errorf("%s: must mount sharded", c.Name)
 			}
 			if !c.Arena {
-				t.Errorf("%s: must adopt the arena under Config.Core.Arena", c.Name)
+				t.Errorf("%s: must adopt the arena under Config.Arena", c.Name)
 			}
 		}
 	}

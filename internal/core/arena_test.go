@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
@@ -102,11 +103,11 @@ func TestArenaDifferentialCore(t *testing.T) {
 		tr := genTrace(seed, 4000)
 
 		heapC := detector.NewCollector()
-		heap := NewWithOptions(heapC.Report, Options{})
+		heap := NewWithOptions(heapC.Report, shardbase.Config{}, Options{})
 		detector.Replay(heap, tr)
 
 		arC := detector.NewCollector()
-		ar := NewWithOptions(arC.Report, Options{Arena: true})
+		ar := NewWithOptions(arC.Report, shardbase.Config{Arena: true}, Options{})
 		detector.Replay(ar, tr)
 
 		hm, am := raceMultiset(heapC.Dynamic), raceMultiset(arC.Dynamic)
@@ -131,22 +132,26 @@ func TestArenaDifferentialCore(t *testing.T) {
 // ablation knob, so the arena's retain/release sites are exercised on the
 // deep-copy and no-discard paths too.
 func TestArenaDifferentialAblations(t *testing.T) {
-	ablations := []Options{
-		{DisableSharing: true},
-		{DisableVersions: true},
-		{DisableDiscard: true},
-		{Shards: 1},
+	ablations := []struct {
+		shards int
+		opts   Options
+	}{
+		{opts: Options{DisableSharing: true}},
+		{opts: Options{DisableVersions: true}},
+		{opts: Options{DisableDiscard: true}},
+		{shards: 1},
 	}
 	for _, base := range ablations {
 		for seed := int64(1); seed <= 8; seed++ {
 			tr := genTrace(seed, 2500)
 			heapC := detector.NewCollector()
-			detector.Replay(NewWithOptions(heapC.Report, base), tr)
+			heapCfg := shardbase.Config{Shards: base.shards}
+			detector.Replay(NewWithOptions(heapC.Report, heapCfg, base.opts), tr)
 
-			withArena := base
-			withArena.Arena = true
+			arenaCfg := heapCfg
+			arenaCfg.Arena = true
 			arC := detector.NewCollector()
-			detector.Replay(NewWithOptions(arC.Report, withArena), tr)
+			detector.Replay(NewWithOptions(arC.Report, arenaCfg, base.opts), tr)
 
 			hm, am := raceMultiset(heapC.Dynamic), raceMultiset(arC.Dynamic)
 			for k, n := range hm {
@@ -167,12 +172,12 @@ func TestArenaDifferentialAblations(t *testing.T) {
 // (released object still counted) or double free (ledger panic) fails.
 func TestArenaInvariantLedger(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		d := NewWithOptions(nil, Options{Arena: true, ArenaDebug: true, Shards: 8})
+		d := NewWithOptions(nil, shardbase.Config{Arena: true, ArenaDebug: true, Shards: 8}, Options{})
 		tr := genTrace(seed*31, 5000)
 		for i, e := range tr {
 			detector.Apply(d, e)
 			if i%977 == 0 || e.Kind == event.SampleEnd {
-				out, ok := d.arena.Outstanding()
+				out, ok := d.Arena().Outstanding()
 				if !ok {
 					t.Fatal("debug ledger not enabled")
 				}
@@ -183,7 +188,7 @@ func TestArenaInvariantLedger(t *testing.T) {
 			}
 		}
 		d.checkRefcounts(t)
-		out, _ := d.arena.Outstanding()
+		out, _ := d.Arena().Outstanding()
 		if want := d.reachableSlabs(); out != want {
 			t.Fatalf("seed %d final: outstanding=%d reachable=%d", seed, out, want)
 		}
@@ -194,7 +199,7 @@ func TestArenaInvariantLedger(t *testing.T) {
 // trace) under the ledger, since ReusableThread mutates possibly-shared
 // clocks through the copy-on-write path.
 func TestArenaThreadReuse(t *testing.T) {
-	d := NewWithOptions(nil, Options{Arena: true, ArenaDebug: true})
+	d := NewWithOptions(nil, shardbase.Config{Arena: true, ArenaDebug: true}, Options{})
 	for round := 0; round < 50; round++ {
 		u := vclock.Thread(1)
 		d.Fork(0, u)
@@ -211,7 +216,7 @@ func TestArenaThreadReuse(t *testing.T) {
 		}
 	}
 	d.checkRefcounts(t)
-	out, _ := d.arena.Outstanding()
+	out, _ := d.Arena().Outstanding()
 	if want := d.reachableSlabs(); out != want {
 		t.Fatalf("outstanding=%d reachable=%d after reuse churn", out, want)
 	}
@@ -222,7 +227,7 @@ func TestArenaThreadReuse(t *testing.T) {
 // silently leaked or never recycled would pass the differential but fail
 // here.
 func TestArenaRecycleReuse(t *testing.T) {
-	d := NewWithOptions(nil, Options{Arena: true, Shards: 4})
+	d := NewWithOptions(nil, shardbase.Config{Arena: true, Shards: 4}, Options{})
 	// Repeated sample/discard cycles over the same variables: records and
 	// clock clones churn every period.
 	for cycle := 0; cycle < 40; cycle++ {
@@ -264,9 +269,9 @@ func TestUnshareReclaimsSnapshots(t *testing.T) {
 		var heapClones, arenaClones uint64
 		for seed := int64(1); seed <= 10; seed++ {
 			tr := genTrace(seed, 4000)
-			heap := NewWithOptions(nil, Options{Clock: clock})
+			heap := NewWithOptions(nil, shardbase.Config{Clock: clock}, Options{})
 			detector.Replay(heap, tr)
-			ar := NewWithOptions(nil, Options{Arena: true, Clock: clock})
+			ar := NewWithOptions(nil, shardbase.Config{Arena: true, Clock: clock}, Options{})
 			detector.Replay(ar, tr)
 			hs, as := heap.Stats(), ar.Stats()
 			heapClones += hs.Clones[0] + hs.Clones[1]

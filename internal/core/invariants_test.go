@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
@@ -135,7 +136,7 @@ func TestInvariantsHoldWithOptions(t *testing.T) {
 			Threads: 5, Vars: 6, Locks: 3, Volatiles: 2,
 			Steps: 1200, PGuarded: 0.45, PWrite: 0.4, PSample: 0.05, Seed: 11,
 		})
-		d := NewWithOptions(nil, opts)
+		d := NewWithOptions(nil, shardbase.Config{}, opts)
 		for i, e := range tr {
 			detector.Apply(d, e)
 			if err := checkWellFormed(d); err != nil {
@@ -207,9 +208,9 @@ func TestVersionEpochTopDisablesFastJoin(t *testing.T) {
 		t.Fatalf("volatile vepoch = %v, want ⊤ve", ve)
 	}
 	// Now volatile reads cannot use the version fast path.
-	before := d.stats.FastJoins[detector.Sampling]
+	before := d.SyncStats.FastJoins[detector.Sampling]
 	d.VolRead(2, 1)
-	if d.stats.FastJoins[detector.Sampling] != before {
+	if d.SyncStats.FastJoins[detector.Sampling] != before {
 		t.Error("fast join fired against a ⊤ve version epoch")
 	}
 }

@@ -22,15 +22,15 @@
 package core
 
 import (
-	"pacer/internal/arena"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
 
-// Options tune PACER, mainly for the ablation benchmarks; the zero value is
-// the full algorithm as published.
+// Options tune PACER's analysis for the ablation benchmarks; the zero value
+// is the full algorithm as published. The metadata store (sharding, arena,
+// clock representation) is configured by shardbase.Config.
 type Options struct {
 	// DisableVersions turns off the version-epoch fast join (Algorithm 11),
 	// forcing an O(n) comparison or join at every synchronization
@@ -45,41 +45,6 @@ type Options struct {
 	// detector loses its space proportionality and may report additional
 	// non-shortest races.
 	DisableDiscard bool
-	// Shards is the number of independent variable-metadata shards
-	// (rounded up to a power of two, default 64). Accesses to variables in
-	// distinct shards may run concurrently under the locking contract
-	// described on Detector.
-	Shards int
-	// Arena backs vector clocks and variable records with a slab arena
-	// (internal/arena) striped like the variable shards: metadata the
-	// algorithm discards at non-sampled writes and send is recycled through
-	// per-shard free lists instead of churning the garbage collector. Race
-	// reports are identical either way (the differential suite enforces
-	// this); only allocation behavior changes.
-	Arena bool
-	// ArenaDebug additionally maintains the arena's outstanding-slab
-	// ledger, so invariant tests can prove every acquired slab is released
-	// exactly once. Implies Arena semantics; test-only (the ledger
-	// serializes every acquire and release).
-	ArenaDebug bool
-	// Clock selects the timestamp representation for thread and
-	// synchronization clocks: "" or "flat" is the plain vector clock;
-	// "tree" mounts the last-update tree index (vclock.Tree), making
-	// sampling-period joins and deep copies cost proportional to the
-	// entries that changed instead of the thread count. Version vectors
-	// stay flat either way (they take arbitrary component assignments the
-	// index cannot track). Race reports are identical either way (the
-	// conformance matrix enforces this).
-	Clock string
-}
-
-// varShard is one slice of the variable-metadata table together with the
-// access-path counters accumulated for it. The trailing pad keeps shards
-// on distinct cache lines so parallel accesses do not false-share.
-type varShard struct {
-	vars  map[event.Var]*varMeta
-	stats detector.Counters
-	_     [64]byte
 }
 
 // threadMeta is the per-thread analysis state: the thread's vector clock
@@ -132,35 +97,21 @@ type varMeta struct {
 //
 // StateWord and MetaPossible may be called lock-free at any time; they
 // are the probes behind the public front-end's non-sampling fast path.
+// The embedded store publishes the sampling flag in its state word, so a
+// lock-free reader can both test sampling and detect that no transition
+// intervened between two loads. With tree clocks mounted, thread and
+// synchronization clocks draw from the tree-capable allocators; version
+// vectors stay flat (they take arbitrary component assignments the index
+// cannot track).
 type Detector struct {
+	shardbase.Store[varMeta]
 	sampling bool
-	// state publishes the sampling flag (bit 0) and a transition count
-	// (upper bits) so a lock-free reader can both test sampling and detect
-	// that no transition intervened between two loads.
-	state   shardbase.State
-	threads []*threadMeta
-	dead    map[vclock.Thread]bool
-	joined  map[vclock.Thread]bool
-	locks   map[event.Lock]*syncMeta
-	vols    map[event.Volatile]*syncMeta
-	geo     shardbase.Geometry
-	shards  []varShard
-	// presence counts tracked variables per hash bucket, maintained
-	// increment-before-insert / delete-before-decrement so a zero read
-	// proves absence at the instant of the load.
-	presence *shardbase.Presence
-	report   detector.Reporter
-	stats    detector.Counters // sync-path counters; access counters live per shard
-	snap     detector.Counters // Stats() aggregation scratch
+	threads  []*threadMeta
+	dead     map[vclock.Thread]bool
+	joined   map[vclock.Thread]bool
+	locks    map[event.Lock]*syncMeta
+	vols     map[event.Volatile]*syncMeta
 	opts     Options
-	// arena and varPool are the slab allocator and per-variable record pool
-	// behind Options.Arena; both nil on the default heap path.
-	arena   *arena.Arena
-	varPool *arena.Records[varMeta]
-	// calloc, when set (Options.Clock "tree"), supplies the tree-capable
-	// allocators thread and synchronization clocks draw from; version
-	// vectors keep drawing from the plain stripe allocators.
-	calloc func(int) vclock.Allocator
 }
 
 var (
@@ -174,86 +125,31 @@ var (
 	_ detector.ArenaAccounted  = (*Detector)(nil)
 )
 
-// New returns a PACER detector with default options, initially in a
-// non-sampling period.
+// New returns a PACER detector with the default store and options,
+// initially in a non-sampling period.
 func New(report detector.Reporter) *Detector {
-	return NewWithOptions(report, Options{})
+	return NewWithOptions(report, shardbase.Config{}, Options{})
 }
 
-// NewWithOptions returns a PACER detector with explicit options.
-func NewWithOptions(report detector.Reporter, opts Options) *Detector {
-	geo := shardbase.NewGeometry(opts.Shards)
+// NewWithOptions returns a PACER detector with an explicit store
+// configuration and analysis options.
+func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
 	d := &Detector{
-		dead:     make(map[vclock.Thread]bool),
-		locks:    make(map[event.Lock]*syncMeta),
-		vols:     make(map[event.Volatile]*syncMeta),
-		geo:      geo,
-		shards:   make([]varShard, geo.Shards()),
-		presence: shardbase.NewPresence(),
-		report:   report,
-		opts:     opts,
+		dead:  make(map[vclock.Thread]bool),
+		locks: make(map[event.Lock]*syncMeta),
+		vols:  make(map[event.Volatile]*syncMeta),
+		opts:  opts,
 	}
-	for i := range d.shards {
-		d.shards[i].vars = make(map[event.Var]*varMeta)
-	}
-	if opts.Arena || opts.ArenaDebug {
-		d.arena = arena.New(arena.Options{
-			Shards: len(d.shards),
-			Debug:  opts.ArenaDebug,
-		})
-		d.varPool = arena.NewRecords[varMeta](d.arena, func(m *varMeta) {
-			m.w = 0
-			m.wSite = 0
-			m.r.Clear() // keeps the read map's spilled-map spare
-		})
-	}
-	if opts.Clock == "tree" {
-		// Tree clocks wrap whatever the options selected underneath: on
-		// the arena path the index's aux vectors draw from the same slabs
-		// as the entry arrays, so nothing falls back to the heap.
-		if d.arena != nil {
-			d.calloc = vclock.TreeStriped(d.arena.Shard)
-		} else {
-			d.calloc = vclock.TreeHeap(geo.Shards())
-		}
-	}
+	d.Init(report, cfg, false, func(m *varMeta) {
+		m.w = 0
+		m.wSite = 0
+		m.r.Clear() // keeps the read map's spilled-map spare
+	})
 	return d
 }
 
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "pacer" }
-
-// Stats returns the detector's operation counters, aggregated across the
-// variable shards. Exclusive access required; the returned pointer is to a
-// snapshot that the next Stats call overwrites.
-func (d *Detector) Stats() *detector.Counters {
-	d.snap = d.stats
-	for i := range d.shards {
-		d.snap.Add(&d.shards[i].stats)
-	}
-	return &d.snap
-}
-
-// Shards returns the number of variable-metadata shards; the caller's
-// striped locks must cover indices [0, Shards()).
-func (d *Detector) Shards() int { return d.geo.Shards() }
-
-// ShardOf maps a variable to its metadata shard (Fibonacci hashing on the
-// identifier's high output bits).
-func (d *Detector) ShardOf(x event.Var) int { return d.geo.ShardOf(x) }
-
-// StateWord returns the atomically published sampling state: bit 0 is the
-// sampling flag and the upper bits count transitions, so two equal loads
-// bracketing another atomic load prove the sampling flag held throughout.
-func (d *Detector) StateWord() uint64 { return d.state.Word() }
-
-// MetaPossible reports whether variable x might currently hold metadata.
-// It is safe to call without any lock: a false result proves x held no
-// metadata at the instant of the internal load; a true result may be a
-// hash collision and only obliges the caller to take the slow path.
-func (d *Detector) MetaPossible(x event.Var) bool {
-	return d.presence.Possible(x)
-}
 
 // EnsureThreadSlots pre-grows the thread table to hold identifiers below
 // n, so that shared-mode Read/Write calls never need to grow it. Requires
@@ -267,8 +163,8 @@ func (d *Detector) EnsureThreadSlots(n int) {
 // forEachVar visits every tracked variable's metadata. Exclusive access
 // required.
 func (d *Detector) forEachVar(f func(event.Var, *varMeta) bool) {
-	for i := range d.shards {
-		for x, m := range d.shards[i].vars {
+	for i := range d.Table {
+		for x, m := range d.Table[i].Vars {
 			if !f(x, m) {
 				return
 			}
@@ -299,7 +195,7 @@ func (d *Detector) SampleBegin() {
 		d.ownThreadClock(vclock.Thread(t), tm)
 		tm.clock.Inc(vclock.Thread(t))
 		tm.ver.Inc(vclock.Thread(t))
-		d.stats.Increments[detector.Sampling]++
+		d.SyncStats.Increments[detector.Sampling]++
 	}
 }
 
@@ -317,44 +213,12 @@ func (d *Detector) SampleEnd() {
 	}
 	d.sampling = false
 	d.publishState()
-	if d.arena != nil {
-		d.arena.Trim()
-		d.varPool.Trim()
-	}
+	d.Trim()
 }
 
 // publishState mirrors d.sampling into the atomic state word, bumping the
 // transition count.
-func (d *Detector) publishState() { d.state.Publish(d.sampling) }
-
-// vcAlloc returns stripe i's slab allocator, or nil on the heap path. The
-// stripe only determines which free list serves the object; the arena mods
-// the index, so any stable integer identity works.
-func (d *Detector) vcAlloc(i int) vclock.Allocator {
-	if d.arena == nil {
-		return nil
-	}
-	return d.arena.Shard(i)
-}
-
-// clockAlloc returns the allocator for stripe i's thread and
-// synchronization clocks: the tree-capable wrapper when tree clocks are
-// mounted, the plain stripe allocator (or nil for heap) otherwise.
-func (d *Detector) clockAlloc(i int) vclock.Allocator {
-	if d.calloc != nil {
-		return d.calloc(i)
-	}
-	return d.vcAlloc(i)
-}
-
-// allocVC draws a fresh clock from a, falling back to the heap when the
-// arena is disabled.
-func allocVC(a vclock.Allocator, n int) *vclock.VC {
-	if a != nil {
-		return a.NewVC(n)
-	}
-	return vclock.New(n)
-}
+func (d *Detector) publishState() { d.State.Publish(d.sampling) }
 
 // thread returns thread t's metadata, creating it in the initial state of
 // Equation 7 (clock and version both incremented once) on first use.
@@ -363,13 +227,13 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 		d.threads = append(d.threads, nil)
 	}
 	if d.threads[t] == nil {
-		clock := allocVC(d.clockAlloc(int(t)), int(t)+1)
+		clock := shardbase.NewVC(d.ClockAlloc(int(t)), int(t)+1)
 		// Declare ownership before the first tick so a tree-capable
 		// allocator can root the last-update index at t; a no-op on plain
 		// allocators.
 		clock.SetOwner(t)
 		clock.Set(t, 1)
-		ver := allocVC(d.vcAlloc(int(t)), int(t)+1)
+		ver := shardbase.NewVC(d.VCAlloc(int(t)), int(t)+1)
 		ver.Set(t, 1)
 		d.threads[t] = &threadMeta{clock: clock, ver: ver}
 	}
@@ -379,8 +243,8 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 func (d *Detector) lock(m event.Lock) *syncMeta {
 	s, ok := d.locks[m]
 	if !ok {
-		a := d.clockAlloc(int(m))
-		s = &syncMeta{clock: allocVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
+		a := d.ClockAlloc(int(m))
+		s = &syncMeta{clock: shardbase.NewVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
 		d.locks[m] = s
 	}
 	return s
@@ -389,8 +253,8 @@ func (d *Detector) lock(m event.Lock) *syncMeta {
 func (d *Detector) vol(vx event.Volatile) *syncMeta {
 	s, ok := d.vols[vx]
 	if !ok {
-		a := d.clockAlloc(int(vx))
-		s = &syncMeta{clock: allocVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
+		a := d.ClockAlloc(int(vx))
+		s = &syncMeta{clock: shardbase.NewVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
 		d.vols[vx] = s
 	}
 	return s
@@ -422,7 +286,7 @@ func (d *Detector) ownThreadClock(t vclock.Thread, tm *threadMeta) {
 	tm.clock = old.Clone()
 	tm.clock.SetOwner(t)
 	old.Release()
-	d.stats.Clones[d.period()]++
+	d.SyncStats.Clones[d.period()]++
 }
 
 // inc is PACER's redefined vector clock increment (Algorithm 10): a no-op
@@ -436,7 +300,7 @@ func (d *Detector) inc(t vclock.Thread) {
 	d.ownThreadClock(t, tm)
 	tm.clock.Inc(t)
 	tm.ver.Inc(t)
-	d.stats.Increments[detector.Sampling]++
+	d.SyncStats.Increments[detector.Sampling]++
 }
 
 // copyToSync is PACER's redefined vector clock copy C_o ← C_t (Algorithm
@@ -453,7 +317,7 @@ func (d *Detector) copyToSync(s *syncMeta, t vclock.Thread) {
 		old := s.clock
 		s.clock = tm.clock
 		old.Release()
-		d.stats.ShallowCopies[p]++
+		d.SyncStats.ShallowCopies[p]++
 	} else {
 		// A shared sync clock whose other holders are all gone is reclaimed
 		// in place (vclock.Unshare): CopyFrom then rides the monotone join
@@ -464,12 +328,12 @@ func (d *Detector) copyToSync(s *syncMeta, t vclock.Thread) {
 			s.clock.Disown()
 		} else {
 			old := s.clock
-			s.clock = allocVC(s.alloc, 0)
+			s.clock = shardbase.NewVC(s.alloc, 0)
 			old.Release()
 		}
 		s.clock.CopyFrom(tm.clock)
-		d.stats.DeepCopies[p]++
-		d.stats.CopyWork += uint64(tm.clock.Len())
+		d.SyncStats.DeepCopies[p]++
+		d.SyncStats.CopyWork += uint64(tm.clock.Len())
 	}
 	s.vepoch = d.vepochOf(t, tm)
 }
@@ -483,11 +347,11 @@ func (d *Detector) joinIntoThread(t vclock.Thread, srcClock *vclock.VC, srcVE vc
 	// Rule 4 (same version epoch): Ver(o) ≼ ver_t means t has already
 	// received this snapshot; by Lemma 7 the join would be a no-op.
 	if !d.opts.DisableVersions && srcVE.Leq(tm.ver) {
-		d.stats.FastJoins[p]++
+		d.SyncStats.FastJoins[p]++
 		return
 	}
-	d.stats.SlowJoins[p]++
-	d.stats.JoinWork += uint64(srcClock.Len())
+	d.SyncStats.SlowJoins[p]++
+	d.SyncStats.JoinWork += uint64(srcClock.Len())
 	if srcClock.Leq(tm.clock) {
 		// Rule 5 (happens-before): the clock is unchanged; record the
 		// received version so future joins from this snapshot are fast.
@@ -527,26 +391,26 @@ func (d *Detector) joinIntoVolatile(s *syncMeta, t vclock.Thread) {
 	subsumes := false
 	if !d.opts.DisableVersions && s.vepoch.Leq(tm.ver) {
 		subsumes = true
-		d.stats.FastJoins[p]++
+		d.SyncStats.FastJoins[p]++
 	} else if s.clock.Leq(tm.clock) {
 		subsumes = true
-		d.stats.SlowJoins[p]++
-		d.stats.JoinWork += uint64(s.clock.Len())
+		d.SyncStats.SlowJoins[p]++
+		d.SyncStats.JoinWork += uint64(s.clock.Len())
 	}
 	if subsumes {
 		d.copyToSync(s, t)
 		return
 	}
-	d.stats.SlowJoins[p]++
-	d.stats.JoinWork += uint64(tm.clock.Len())
+	d.SyncStats.SlowJoins[p]++
+	d.SyncStats.JoinWork += uint64(tm.clock.Len())
 	if s.clock.Unshare() {
 		s.clock.Disown() // reclaimed snapshot must not mint its sharer's labels
 	} else {
 		old := s.clock
-		s.clock = allocVC(s.alloc, 0)
+		s.clock = shardbase.NewVC(s.alloc, 0)
 		s.clock.CopyFrom(old)
 		old.Release()
-		d.stats.Clones[p]++
+		d.SyncStats.Clones[p]++
 	}
 	s.clock.JoinFrom(tm.clock)
 	s.vepoch = vclock.VETop // no longer a snapshot of any single thread
@@ -554,21 +418,21 @@ func (d *Detector) joinIntoVolatile(s *syncMeta, t vclock.Thread) {
 
 // Acquire implements acq(t, m) (Table 6 Rule 1): C_t ← C_t ⊔ L_m.
 func (d *Detector) Acquire(t vclock.Thread, m event.Lock) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	s := d.lock(m)
 	d.joinIntoThread(t, s.clock, s.vepoch)
 }
 
 // Release implements rel(t, m) (Table 6 Rule 2): L_m ← copy(C_t); inc(t).
 func (d *Detector) Release(t vclock.Thread, m event.Lock) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	d.copyToSync(d.lock(m), t)
 	d.inc(t)
 }
 
 // Fork implements fork(t, u) (Table 6 Rule 3): C_u ← C_u ⊔ C_t; inc(t).
 func (d *Detector) Fork(t, u vclock.Thread) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	tm := d.thread(t)
 	d.joinIntoThread(u, tm.clock, d.vepochOf(t, tm))
 	d.inc(t)
@@ -576,7 +440,7 @@ func (d *Detector) Fork(t, u vclock.Thread) {
 
 // Join implements join(t, u) (Table 6 Rule 4): C_t ← C_t ⊔ C_u; inc(u).
 func (d *Detector) Join(t, u vclock.Thread) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	um := d.thread(u)
 	d.joinIntoThread(t, um.clock, d.vepochOf(u, um))
 	d.inc(u)
@@ -585,7 +449,7 @@ func (d *Detector) Join(t, u vclock.Thread) {
 
 // VolRead implements vol_rd(t, vx) (Table 6 Rule 5): C_t ← C_t ⊔ V_vx.
 func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	s := d.vol(vx)
 	d.joinIntoThread(t, s.clock, s.vepoch)
 }
@@ -593,51 +457,23 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) {
 // VolWrite implements vol_wr(t, vx) (Table 6 Rule 6):
 // V_vx ← V_vx ⊔ C_t; inc(t).
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
-	d.stats.SyncOps[d.period()]++
+	d.SyncStats.SyncOps[d.period()]++
 	d.joinIntoVolatile(d.vol(vx), t)
 	d.inc(t)
-}
-
-// emit reports a race, counting it against the shard the triggering
-// access belongs to (races are only ever emitted from access paths). The
-// reporter may therefore be invoked concurrently by accesses in distinct
-// shards.
-func (d *Detector) emit(sh *varShard, r detector.Race) {
-	sh.stats.Races++
-	if d.report != nil {
-		d.report(r)
-	}
-}
-
-// newVarMeta returns a fresh variable record for shard si, drawn from the
-// record pool when the arena is enabled.
-func (d *Detector) newVarMeta(si int) *varMeta {
-	if d.varPool != nil {
-		return d.varPool.Get(si)
-	}
-	return &varMeta{}
-}
-
-// freeVarMeta recycles a discarded variable record. The caller must have
-// already removed it from the shard's table; no reference may survive.
-func (d *Detector) freeVarMeta(si int, m *varMeta) {
-	if d.varPool != nil {
-		d.varPool.Put(si, m)
-	}
 }
 
 // Read implements rd(t, x) (Algorithm 12; Table 4 Rules 1-4).
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	m, exists := sh.vars[x]
+	sh := &d.Table[si]
+	m, exists := sh.Vars[x]
 	if !d.sampling && !exists {
 		// Inline fast path: no metadata and not sampling → no action.
-		sh.stats.ReadFast[detector.NonSampling]++
+		sh.Stats.ReadFast[detector.NonSampling]++
 		return
 	}
 	p := d.period()
-	sh.stats.ReadSlow[p]++
+	sh.Stats.ReadSlow[p]++
 	tm := d.thread(t)
 	ct := tm.clock
 
@@ -650,7 +486,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 		}
 		// Race check: W_x ≼ C_t.
 		if !m.w.Leq(ct) {
-			d.emit(sh, detector.Race{
+			d.Emit(sh, detector.Race{
 				Var: x, Kind: detector.WriteRead,
 				FirstThread: m.w.Thread(), SecondThread: t,
 				FirstSite: m.wSite, SecondSite: site,
@@ -661,9 +497,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 	if d.sampling {
 		// Rules 2-4, sampling column: exactly FASTTRACK's update.
 		if m == nil {
-			m = d.newVarMeta(si)
-			d.presence.Add(x) // before insert: zero presence proves absence
-			sh.vars[x] = m
+			m = d.Insert(si, x)
 		}
 		if m.r.Size() <= 1 && m.r.Leq(ct) {
 			m.r.SetEpoch(vclock.ReadEntry{T: t, C: ct.Get(t), Site: uint32(site)})
@@ -686,20 +520,20 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 		// Rule 3: discard t's own entry only.
 		m.r.Remove(t)
 	}
-	d.maybeDiscard(sh, si, x, m)
+	d.maybeDiscard(si, x, m)
 }
 
 // Write implements wr(t, x) (Algorithm 13; Table 4 Rules 5-7).
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	m, exists := sh.vars[x]
+	sh := &d.Table[si]
+	m, exists := sh.Vars[x]
 	if !d.sampling && !exists {
-		sh.stats.WriteFast[detector.NonSampling]++
+		sh.Stats.WriteFast[detector.NonSampling]++
 		return
 	}
 	p := d.period()
-	sh.stats.WriteSlow[p]++
+	sh.Stats.WriteSlow[p]++
 	tm := d.thread(t)
 	ct := tm.clock
 
@@ -710,14 +544,14 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 		}
 		// Race checks: W_x ≼ C_t and R_x ⊑ C_t.
 		if !m.w.Leq(ct) {
-			d.emit(sh, detector.Race{
+			d.Emit(sh, detector.Race{
 				Var: x, Kind: detector.WriteWrite,
 				FirstThread: m.w.Thread(), SecondThread: t,
 				FirstSite: m.wSite, SecondSite: site,
 			})
 		}
 		m.r.Racing(ct, func(e vclock.ReadEntry) {
-			d.emit(sh, detector.Race{
+			d.Emit(sh, detector.Race{
 				Var: x, Kind: detector.ReadWrite,
 				FirstThread: e.T, SecondThread: t,
 				FirstSite: event.Site(e.Site), SecondSite: site,
@@ -728,9 +562,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	if d.sampling {
 		// Rules 6-7, sampling column: W_x ← epoch(t), R_x cleared.
 		if m == nil {
-			m = d.newVarMeta(si)
-			d.presence.Add(x) // before insert: zero presence proves absence
-			sh.vars[x] = m
+			m = d.Insert(si, x)
 		}
 		m.r.Clear()
 		m.w = vclock.MakeEpoch(t, ct.Get(t))
@@ -743,30 +575,16 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 		return
 	}
 	if exists {
-		delete(sh.vars, x)
-		d.presence.Remove(x) // after delete: presence covers the metadata's lifetime
-		d.freeVarMeta(si, m)
+		d.Delete(si, x, m)
 	}
 }
 
 // maybeDiscard removes x's table entry once it carries no information,
 // reclaiming space (Section 4's null metadata header word).
-func (d *Detector) maybeDiscard(sh *varShard, si int, x event.Var, m *varMeta) {
+func (d *Detector) maybeDiscard(si int, x event.Var, m *varMeta) {
 	if m.w.IsZero() && m.r.IsEmpty() {
-		delete(sh.vars, x)
-		d.presence.Remove(x)
-		d.freeVarMeta(si, m)
+		d.Delete(si, x, m)
 	}
-}
-
-// VarsTracked returns the number of variables currently holding metadata
-// (used by tests and the space accountant).
-func (d *Detector) VarsTracked() int {
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i].vars)
-	}
-	return n
 }
 
 // MetadataWords implements detector.MemoryAccounted. Shared vector clocks
@@ -801,20 +619,4 @@ func (d *Detector) MetadataWords() int {
 		return true
 	})
 	return w
-}
-
-// ArenaStats implements detector.ArenaAccounted. The bool result is false
-// on the default heap path.
-func (d *Detector) ArenaStats() (detector.ArenaStats, bool) {
-	if d.arena == nil {
-		return detector.ArenaStats{}, false
-	}
-	st := d.arena.Stats()
-	return detector.ArenaStats{
-		SlabsLive: st.Live,
-		SlabsFree: st.Free,
-		Recycles:  st.Recycles,
-		Misses:    st.Misses,
-		Trimmed:   st.Trimmed,
-	}, true
 }

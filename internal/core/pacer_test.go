@@ -5,6 +5,7 @@ import (
 
 	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
@@ -15,7 +16,7 @@ func mk(r detector.Reporter) detector.Detector { return core.New(r) }
 
 func mkOpts(opts core.Options) func(detector.Reporter) detector.Detector {
 	return func(r detector.Reporter) detector.Detector {
-		return core.NewWithOptions(r, opts)
+		return core.NewWithOptions(r, shardbase.Config{}, opts)
 	}
 }
 
@@ -321,7 +322,7 @@ func TestNonSamplingSyncOpsAreFast(t *testing.T) {
 // than O(n).
 func TestSharingReducesMetadataFootprint(t *testing.T) {
 	build := func(opts core.Options) int {
-		d := core.NewWithOptions(nil, opts)
+		d := core.NewWithOptions(nil, shardbase.Config{}, opts)
 		b := dtest.NewTB()
 		// Many threads, many locks, all communicating outside sampling.
 		for th := vclock.Thread(0); th < 20; th++ {

@@ -12,13 +12,13 @@ import (
 func TestVolatileRewriteUsesVersionSubsume(t *testing.T) {
 	d := New(nil)
 	d.VolWrite(0, 1)
-	fastBefore := d.stats.FastJoins[detector.NonSampling]
-	shallowBefore := d.stats.ShallowCopies[detector.NonSampling]
+	fastBefore := d.SyncStats.FastJoins[detector.NonSampling]
+	shallowBefore := d.SyncStats.ShallowCopies[detector.NonSampling]
 	d.VolWrite(0, 1) // same thread, version unchanged → fast subsume
-	if d.stats.FastJoins[detector.NonSampling] != fastBefore+1 {
+	if d.SyncStats.FastJoins[detector.NonSampling] != fastBefore+1 {
 		t.Error("re-write did not take the version fast path")
 	}
-	if d.stats.ShallowCopies[detector.NonSampling] != shallowBefore+1 {
+	if d.SyncStats.ShallowCopies[detector.NonSampling] != shallowBefore+1 {
 		t.Error("non-sampling volatile subsume should shallow-copy")
 	}
 	if ve := d.vols[1].vepoch; ve.IsTop() {

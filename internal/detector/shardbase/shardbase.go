@@ -3,8 +3,9 @@
 // metadata presence filter behind MetaPossible, the published sampling
 // state word behind StateWord, the grow-only direct variable index behind
 // the lock-free fast paths, and the per-thread epoch/clock publication
-// table those paths read. The PACER core and FASTTRACK grew this machinery
-// independently; DJIT+ and LITERACE mount it from here, so a new backend
+// table those paths read. Store assembles the pieces into one embeddable
+// metadata store built from one Config, so every sharded backend (PACER,
+// FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its FASTTRACK core)
 // implements the detector.Sharded contract by composition instead of by
 // transcription.
 //
@@ -26,8 +27,8 @@ import (
 )
 
 const (
-	// DefaultShards is the shard count backends use when their Options
-	// leave it zero.
+	// DefaultShards is the shard count a Config selects when it leaves
+	// Shards zero.
 	DefaultShards = 64
 	// presenceBuckets sizes the lock-free metadata presence filter: a
 	// count of tracked variables per hash bucket, readable without any
@@ -137,16 +138,16 @@ type Index[T any] struct {
 }
 
 const (
-	// DefaultIndexCap bounds the direct index when the backend's Options
-	// leave the cap zero. Identifiers at or above the cap (rarely produced
+	// DefaultIndexCap bounds the direct index when the Config leaves the
+	// cap zero. Identifiers at or above the cap (rarely produced
 	// by the front-end's sequential allocator) take the locked path.
 	DefaultIndexCap = 1 << 22
 	// indexMin is the initial direct-index capacity.
 	indexMin = 1 << 10
 )
 
-// NewIndex returns an index bounded by the given cap after the backends'
-// shared defaulting rule: 0 selects DefaultIndexCap, negative disables the
+// NewIndex returns an index bounded by the given cap after Config's
+// IndexCap rule: 0 selects DefaultIndexCap, negative disables the
 // index entirely (every Lookup misses).
 func NewIndex[T any](capOpt int) *Index[T] {
 	ix := &Index[T]{}

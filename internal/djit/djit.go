@@ -10,47 +10,29 @@
 // The package completes the repository's lineage of baselines —
 // GENERIC → DJIT+ → FASTTRACK → PACER — so the benchmarks can show each
 // paper's incremental win. Like the other precise backends it implements
-// the detector.Sharded contract (geometry, presence filter, state word all
-// mounted from internal/detector/shardbase) and can back its vector clocks
-// and variable records with the slab arena, so the concurrent front-end
-// and Options.Arena cover it like any other backend. Being always-on, its
+// the detector.Sharded contract through the metadata store of
+// internal/detector/shardbase, so the concurrent front-end, the slab
+// arena, and tree clocks cover it like any other sharded backend (the
+// per-variable read and write clocks stay flat: they take arbitrary
+// component assignments the tree index cannot track). Being always-on, its
 // published sampling flag is constantly set; it offers no lock-free
 // dismissals (the time-frame check needs the variable's frame table), so
 // every access takes the front-end's shard lock.
 package djit
 
 import (
-	"pacer/internal/arena"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
 
-// Options tune the detector's sharding and allocation.
-type Options struct {
-	// Shards is the number of independent variable-metadata shards
-	// (rounded up to a power of two, default 64). Accesses to variables in
-	// distinct shards may run concurrently under the locking contract
-	// described on Detector.
-	Shards int
-	// Arena backs vector clocks and variable records with a slab arena
-	// (internal/arena) striped like the variable shards. DJIT+ never
-	// discards metadata, so nothing is recycled; the benefit is size-class
-	// capacity headroom on clock growth and uniform arena accounting.
-	Arena bool
-}
-
-// varShard is one slice of the variable-metadata table together with the
-// counters accumulated for it. The trailing pad keeps shards on distinct
-// cache lines so parallel accesses do not false-share.
-type varShard struct {
-	vars  map[event.Var]*varMeta
-	stats detector.Counters
-	// skips counts accesses dismissed by the time-frame check — the
-	// quantity Djit+'s optimization is about.
-	skips uint64
-	_     [64]byte
+// frameSkips counts one shard's accesses dismissed by the time-frame
+// check — the quantity Djit+'s optimization is about. The pad keeps the
+// counters of distinct shards on distinct cache lines.
+type frameSkips struct {
+	n uint64
+	_ [56]byte
 }
 
 type varMeta struct {
@@ -69,26 +51,13 @@ type varMeta struct {
 // announced via EnsureThreadSlots before its first shared-mode access, and
 // a single thread's operations are never issued concurrently. Under that
 // contract accesses only read their own thread's clock (stable between
-// synchronization operations) and mutate per-shard state.
+// synchronization operations) and mutate per-shard state. The embedded
+// store's state word is the constant 1 (DJIT+ is always-on) and its
+// presence filter never decrements (DJIT+ never discards metadata).
 type Detector struct {
-	sync *detector.BaseSync
-	// state publishes the sampling flag. DJIT+ is always-on, so the word
-	// is the constant 1.
-	state  shardbase.State
-	geo    shardbase.Geometry
-	shards []varShard
-	// presence counts tracked variables per hash bucket, maintained
-	// increment-before-insert. DJIT+ never discards metadata, so buckets
-	// never decrement.
-	presence *shardbase.Presence
-	report   detector.Reporter
-	stats    detector.Counters // sync-path counters; access counters live per shard
-	snap     detector.Counters // Stats() aggregation scratch
-	opts     Options
-	// arena and varPool back metadata allocation behind Options.Arena;
-	// both nil on the default heap path.
-	arena   *arena.Arena
-	varPool *arena.Records[varMeta]
+	shardbase.Store[varMeta]
+	sync  *detector.BaseSync
+	skips []frameSkips // indexed like the store's shards
 }
 
 var (
@@ -100,113 +69,51 @@ var (
 	_ detector.ArenaAccounted  = (*Detector)(nil)
 )
 
-// New returns a DJIT+ detector with default options.
+// New returns a DJIT+ detector with the default store.
 func New(report detector.Reporter) *Detector {
-	return NewWithOptions(report, Options{})
+	return NewWithConfig(report, shardbase.Config{})
 }
 
-// NewWithOptions returns a DJIT+ detector with explicit options.
-func NewWithOptions(report detector.Reporter, opts Options) *Detector {
-	geo := shardbase.NewGeometry(opts.Shards)
-	d := &Detector{
-		geo:      geo,
-		shards:   make([]varShard, geo.Shards()),
-		presence: shardbase.NewPresence(),
-		report:   report,
-		opts:     opts,
-	}
-	for i := range d.shards {
-		d.shards[i].vars = make(map[event.Var]*varMeta)
-	}
-	d.sync = detector.NewBaseSync(&d.stats)
-	if opts.Arena {
-		d.arena = arena.New(arena.Options{Shards: len(d.shards)})
-		d.varPool = arena.NewRecords[varMeta](d.arena, func(m *varMeta) {
-			m.r, m.w = nil, nil
-			m.rSites, m.wSites = nil, nil
-			m.rFrame, m.wFrame = nil, nil
-		})
-		d.sync.SetAllocator(d.arena.Shard)
-	}
-	d.state.SetAlwaysOn()
+// NewWithConfig returns a DJIT+ detector with an explicit store
+// configuration. DJIT+ never discards metadata, so the arena recycles
+// nothing; its benefit is size-class capacity headroom on clock growth and
+// uniform arena accounting.
+func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
+	d := &Detector{}
+	// DJIT+ never deletes a record, so none is recycled: no reset.
+	d.Init(report, cfg, false, nil)
+	d.skips = make([]frameSkips, d.Shards())
+	d.sync = detector.NewBaseSync(&d.SyncStats)
+	d.sync.SetAllocator(d.Clocks())
+	d.State.SetAlwaysOn()
 	return d
 }
 
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "djit+" }
 
-// Stats returns the detector's operation counters, aggregated across the
-// variable shards. Exclusive access required; the returned pointer is to a
-// snapshot that the next Stats call overwrites.
-func (d *Detector) Stats() *detector.Counters {
-	d.snap = d.stats
-	for i := range d.shards {
-		d.snap.Add(&d.shards[i].stats)
-	}
-	return &d.snap
-}
-
 // FrameSkips returns the number of accesses dismissed by the time-frame
 // check, summed across shards. Exclusive access required.
 func (d *Detector) FrameSkips() uint64 {
 	n := uint64(0)
-	for i := range d.shards {
-		n += d.shards[i].skips
+	for i := range d.skips {
+		n += d.skips[i].n
 	}
 	return n
 }
-
-// Shards returns the number of variable-metadata shards; the caller's
-// striped locks must cover indices [0, Shards()).
-func (d *Detector) Shards() int { return d.geo.Shards() }
-
-// ShardOf maps a variable to its metadata shard.
-func (d *Detector) ShardOf(x event.Var) int { return d.geo.ShardOf(x) }
-
-// StateWord returns the atomically published sampling state: the constant
-// 1 (flag set, zero transitions) because DJIT+ analyzes every access.
-func (d *Detector) StateWord() uint64 { return d.state.Word() }
-
-// MetaPossible reports whether variable x might currently hold metadata;
-// safe to call without any lock. (With the sampling flag constantly set
-// the front-end never dismisses on this; the filter is maintained so the
-// Sharded contract's invariants hold regardless of probe order.)
-func (d *Detector) MetaPossible(x event.Var) bool { return d.presence.Possible(x) }
 
 // EnsureThreadSlots pre-grows the thread table to hold identifiers below
 // n, so shared-mode Read/Write calls never resize it. Requires exclusive
 // access.
 func (d *Detector) EnsureThreadSlots(n int) { d.sync.EnsureThreadSlots(n) }
 
-// vcAlloc returns stripe i's slab allocator, or nil on the heap path.
-func (d *Detector) vcAlloc(i int) vclock.Allocator {
-	if d.arena == nil {
-		return nil
-	}
-	return d.arena.Shard(i)
-}
-
-func allocVC(a vclock.Allocator, n int) *vclock.VC {
-	if a != nil {
-		return a.NewVC(n)
-	}
-	return vclock.New(n)
-}
-
 func (d *Detector) varMeta(si int, x event.Var) *varMeta {
-	sh := &d.shards[si]
-	m, ok := sh.vars[x]
-	if !ok {
-		a := d.vcAlloc(si)
-		if d.varPool != nil {
-			m = d.varPool.Get(si)
-		} else {
-			m = &varMeta{}
-		}
-		m.r, m.w = allocVC(a, 0), allocVC(a, 0)
-		d.presence.Add(x) // before insert: a zero presence read proves absence
-		sh.vars[x] = m
+	if m, ok := d.Table[si].Vars[x]; ok {
+		return m
 	}
+	m := d.Insert(si, x)
+	a := d.VCAlloc(si)
+	m.r, m.w = shardbase.NewVC(a, 0), shardbase.NewVC(a, 0)
 	return m
 }
 
@@ -238,21 +145,14 @@ func setSite(sites *[]event.Site, t vclock.Thread, s event.Site) {
 	(*sites)[t] = s
 }
 
-func (d *Detector) emit(sh *varShard, r detector.Race) {
-	sh.stats.Races++
-	if d.report != nil {
-		d.report(r)
-	}
-}
-
-func (d *Detector) checkLeq(sh *varShard, prior *vclock.VC, sites []event.Site,
+func (d *Detector) checkLeq(sh *shardbase.Shard[varMeta], prior *vclock.VC, sites []event.Site,
 	ct *vclock.VC, kind detector.RaceKind, x event.Var, t vclock.Thread, site event.Site) {
 	if prior.Leq(ct) {
 		return
 	}
 	for u := vclock.Thread(0); int(u) < prior.Len(); u++ {
 		if prior.Get(u) > ct.Get(u) {
-			d.emit(sh, detector.Race{
+			d.Emit(sh, detector.Race{
 				Var: x, Kind: kind,
 				FirstThread: u, SecondThread: t,
 				FirstSite: siteAt(sites, u), SecondSite: site,
@@ -265,13 +165,13 @@ func (d *Detector) checkLeq(sh *varShard, prior *vclock.VC, sites []event.Site,
 // x in its current time frame.
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	sh.stats.ReadSlow[detector.Sampling]++
+	sh := &d.Table[si]
+	sh.Stats.ReadSlow[detector.Sampling]++
 	ct := d.sync.ThreadClock(t)
 	m := d.varMeta(si, x)
 	frame := ct.Get(t) + 1 // frames are 1-based so the zero value means "never"
 	if frameAt(m.rFrame, t) == frame {
-		sh.skips++
+		d.skips[si].n++
 		return
 	}
 	d.checkLeq(sh, m.w, m.wSites, ct, detector.WriteRead, x, t, site)
@@ -284,13 +184,13 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 // wrote x in its current time frame.
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	sh.stats.WriteSlow[detector.Sampling]++
+	sh := &d.Table[si]
+	sh.Stats.WriteSlow[detector.Sampling]++
 	ct := d.sync.ThreadClock(t)
 	m := d.varMeta(si, x)
 	frame := ct.Get(t) + 1
 	if frameAt(m.wFrame, t) == frame {
-		sh.skips++
+		d.skips[si].n++
 		return
 	}
 	d.checkLeq(sh, m.w, m.wSites, ct, detector.WriteWrite, x, t, site)
@@ -318,39 +218,14 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) { d.sync.VolRead(
 // VolWrite implements Algorithm 15.
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.sync.VolWrite(t, vx) }
 
-// VarsTracked implements detector.VarAccounted.
-func (d *Detector) VarsTracked() int {
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i].vars)
-	}
-	return n
-}
-
 // MetadataWords implements detector.MemoryAccounted.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
-	for i := range d.shards {
-		for _, m := range d.shards[i].vars {
+	for i := range d.Table {
+		for _, m := range d.Table[i].Vars {
 			w += m.r.MemoryWords() + m.w.MemoryWords() +
 				(len(m.rSites)+len(m.wSites)+len(m.rFrame)+len(m.wFrame))/2 + 2
 		}
 	}
 	return w
-}
-
-// ArenaStats implements detector.ArenaAccounted. The bool result is false
-// on the default heap path.
-func (d *Detector) ArenaStats() (detector.ArenaStats, bool) {
-	if d.arena == nil {
-		return detector.ArenaStats{}, false
-	}
-	st := d.arena.Stats()
-	return detector.ArenaStats{
-		SlabsLive: st.Live,
-		SlabsFree: st.Free,
-		Recycles:  st.Recycles,
-		Misses:    st.Misses,
-		Trimmed:   st.Trimmed,
-	}, true
 }

@@ -11,6 +11,7 @@ import (
 	"pacer/internal/backends"
 	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
 )
@@ -21,7 +22,7 @@ func withArena(o *pacer.Options) { o.Arena = true }
 // arena-side reference detector.
 func replayArenaSerial(tr event.Trace) []detector.Race {
 	c := dtest.Run(tr, func(rep detector.Reporter) detector.Detector {
-		return core.NewWithOptions(rep, core.Options{Arena: true})
+		return core.NewWithOptions(rep, shardbase.Config{Arena: true}, core.Options{})
 	})
 	return c.Dynamic
 }
@@ -88,13 +89,13 @@ func TestDifferentialArenaPrecision(t *testing.T) {
 }
 
 // TestDifferentialArenaShardedBackends covers the full
-// {serialized, sharded} × {heap, arena} square for every backend that
-// newly mounts sharded with arena metadata (fasttrack with the owned-
-// access path live, djit+, literace): a concurrent arena-backed live run
+// {serialized, sharded} × {heap, arena} square for every sharded arena
+// backend besides the PACER core (fasttrack with the owned-access path
+// live, djit+, literace, o1samples): a concurrent arena-backed live run
 // is recorded and replayed through serialized same-backend references on
 // both allocators — all three race multisets must coincide.
 func TestDifferentialArenaShardedBackends(t *testing.T) {
-	for _, algo := range []string{"fasttrack", "djit", "literace"} {
+	for _, algo := range []string{"fasttrack", "djit", "literace", "o1samples"} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -102,8 +103,8 @@ func TestDifferentialArenaShardedBackends(t *testing.T) {
 				replay := func(arena bool) []detector.Race {
 					c := dtest.Run(trace, func(rep detector.Reporter) detector.Detector {
 						d, err := backends.New(algo, rep, backends.Config{
-							Seed: seed,
-							Core: core.Options{Arena: arena},
+							Seed:   seed,
+							Config: shardbase.Config{Arena: arena},
 						})
 						if err != nil {
 							t.Fatalf("backend %q not in registry: %v", algo, err)

@@ -35,15 +35,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pacer/internal/arena"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
 
-// Options tune the detector: sharding and allocation for production
-// mounts, the remaining switches for ablation studies.
+// Options tune the analysis for ablation studies; the zero value is the
+// paper's algorithm with every fast path enabled. The metadata store is
+// configured by shardbase.Config.
 type Options struct {
 	// KeepReadEpochOnWrite restores the original FastTrack behaviour of
 	// leaving a single-entry read map in place at a write (the paper's
@@ -56,45 +56,6 @@ type Options struct {
 	// measuring the value of FastTrack's same-epoch check. It also
 	// disables the owned-access fast path, which extends the same check.
 	DisableEpochFastPath bool
-	// DisableOwnedFastPath ablates the owned-access (CAS read-map) fast
-	// path only, leaving the epoch mirrors active — the middle column of
-	// the contention benchmark.
-	DisableOwnedFastPath bool
-	// Shards is the number of independent variable-metadata shards
-	// (rounded up to a power of two, default 64). Accesses to variables in
-	// distinct shards may run concurrently under the locking contract
-	// described on Detector.
-	Shards int
-	// Arena backs vector clocks and variable records with a slab arena
-	// (internal/arena) striped like the variable shards. FASTTRACK never
-	// discards metadata, so nothing is ever recycled back to a free list;
-	// the benefit is size-class capacity headroom on clock growth and
-	// uniform arena accounting in Stats. Race reports are identical either
-	// way (the differential suite enforces this).
-	Arena bool
-	// IndexCap bounds the direct-indexed variable table behind the
-	// same-epoch fast path: variables with identifiers at or above the cap
-	// are never indexed and always take the locked path (correct, just
-	// slower). 0 selects the default (1<<22); negative disables the index
-	// entirely. Lowering the cap bounds the fast-path table's worst-case
-	// memory for workloads with huge sparse identifier spaces.
-	IndexCap int
-	// Clock selects the timestamp representation: "" or "flat" is the
-	// plain vector clock; "tree" mounts the last-update tree index
-	// (vclock.Tree), making synchronization joins and release copies cost
-	// proportional to the entries that changed instead of the thread
-	// count. Race reports are identical either way (the conformance
-	// matrix enforces this).
-	Clock string
-}
-
-// varShard is one slice of the variable-metadata table together with the
-// access-path counters accumulated for it. The trailing pad keeps shards
-// on distinct cache lines so parallel accesses do not false-share.
-type varShard struct {
-	vars  map[event.Var]*varMeta
-	stats detector.Counters
-	_     [64]byte
 }
 
 type varMeta struct {
@@ -163,40 +124,25 @@ func (m *varMeta) publishMirrors() {
 // every path that mutates or inspects a variable record (locked accesses,
 // MetadataWords) claims the same word, so ownership confers exclusive
 // access to the record without the shard lock.
+//
+// The embedded store's state word is the constant 1 — flag set, zero
+// transitions — trivially satisfying the two-equal-loads protocol of the
+// Sharded contract, and its presence filter never decrements: FASTTRACK
+// never discards metadata. Its direct index (variable identifier →
+// record) is what the lock-free fast paths read.
 type Detector struct {
+	shardbase.Store[varMeta]
 	sync *detector.BaseSync
-	// state publishes the sampling flag (bit 0) and a transition count
-	// (upper bits). FASTTRACK never transitions, so the word is the
-	// constant 1: flag set, zero transitions, trivially satisfying the
-	// two-equal-loads protocol of the Sharded contract.
-	state  shardbase.State
-	geo    shardbase.Geometry
-	shards []varShard
-	// presence counts tracked variables per hash bucket, maintained
-	// increment-before-insert so a zero read proves absence at the instant
-	// of the load. FASTTRACK never discards metadata, so buckets never
-	// decrement.
-	presence *shardbase.Presence
-	// idx is the grow-only direct index behind the lock-free fast paths:
-	// variable identifier → metadata record, readable without any lock.
-	idx *shardbase.Index[varMeta]
 	// tpub publishes each thread's own epoch c@t (for the same-epoch
 	// probe) and clock pointer (for the owned-access analysis). Grown only
 	// by EnsureThreadSlots (exclusive access); slots are written by the
 	// owning thread's operations — which the caller serializes — and read
 	// lock-free only by that thread's own probes.
-	tpub   shardbase.ThreadPub
-	report detector.Reporter
-	stats  detector.Counters // sync-path counters; access counters live per shard
-	snap   detector.Counters // Stats() aggregation scratch
-	opts   Options
+	tpub shardbase.ThreadPub
+	opts Options
 	// ownedOK caches the option combination under which the owned-access
 	// fast path is sound and enabled.
 	ownedOK bool
-	// arena and varPool back metadata allocation behind Options.Arena;
-	// both nil on the default heap path.
-	arena   *arena.Arena
-	varPool *arena.Records[varMeta]
 }
 
 var (
@@ -210,88 +156,29 @@ var (
 	_ detector.ArenaAccounted  = (*Detector)(nil)
 )
 
-// New returns a FASTTRACK detector with default options.
+// New returns a FASTTRACK detector with the default store and options.
 func New(report detector.Reporter) *Detector {
-	return NewWithOptions(report, Options{})
+	return NewWithOptions(report, shardbase.Config{}, Options{})
 }
 
-// NewWithOptions returns a FASTTRACK detector with explicit options.
-func NewWithOptions(report detector.Reporter, opts Options) *Detector {
-	geo := shardbase.NewGeometry(opts.Shards)
+// NewWithOptions returns a FASTTRACK detector with an explicit store
+// configuration and analysis options.
+func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
 	d := &Detector{
-		geo:      geo,
-		shards:   make([]varShard, geo.Shards()),
-		presence: shardbase.NewPresence(),
-		idx:      shardbase.NewIndex[varMeta](opts.IndexCap),
-		report:   report,
-		opts:     opts,
-		ownedOK: !opts.DisableOwnedFastPath && !opts.DisableEpochFastPath &&
-			!opts.KeepReadEpochOnWrite,
+		opts:    opts,
+		ownedOK: !opts.DisableEpochFastPath && !opts.KeepReadEpochOnWrite,
 	}
-	for i := range d.shards {
-		d.shards[i].vars = make(map[event.Var]*varMeta)
-	}
-	d.sync = detector.NewBaseSync(&d.stats)
-	if opts.Arena {
-		d.arena = arena.New(arena.Options{Shards: len(d.shards)})
-		d.varPool = arena.NewRecords[varMeta](d.arena, func(m *varMeta) {
-			m.w = 0
-			m.wSite = 0
-			m.r.Clear() // keeps the read map's spilled-map spare
-			m.aw.Store(0)
-			m.ar.Store(0)
-		})
-		d.sync.SetAllocator(d.arena.Shard)
-	}
-	if opts.Clock == "tree" {
-		// Tree clocks wrap whatever allocator the options selected: the
-		// index's aux vectors draw from the same slabs as the entry
-		// arrays, so the arena path stays heap-free.
-		if d.arena != nil {
-			d.sync.SetAllocator(vclock.TreeStriped(d.arena.Shard))
-		} else {
-			d.sync.SetAllocator(vclock.TreeHeap(geo.Shards()))
-		}
-	}
+	// FASTTRACK never deletes a record, so none is recycled: no reset.
+	d.Init(report, cfg, true, nil)
+	d.sync = detector.NewBaseSync(&d.SyncStats)
+	d.sync.SetAllocator(d.Clocks())
 	// Always-on: the sampling flag is set for the detector's whole life.
-	d.state.SetAlwaysOn()
+	d.State.SetAlwaysOn()
 	return d
 }
 
 // Name implements detector.Detector.
 func (d *Detector) Name() string { return "fasttrack" }
-
-// Stats returns the detector's operation counters, aggregated across the
-// variable shards. Exclusive access required; the returned pointer is to a
-// snapshot that the next Stats call overwrites.
-func (d *Detector) Stats() *detector.Counters {
-	d.snap = d.stats
-	for i := range d.shards {
-		d.snap.Add(&d.shards[i].stats)
-	}
-	return &d.snap
-}
-
-// Shards returns the number of variable-metadata shards; the caller's
-// striped locks must cover indices [0, Shards()).
-func (d *Detector) Shards() int { return d.geo.Shards() }
-
-// ShardOf maps a variable to its metadata shard.
-func (d *Detector) ShardOf(x event.Var) int { return d.geo.ShardOf(x) }
-
-// StateWord returns the atomically published sampling state. For FASTTRACK
-// it is the constant 1 — flag bit set, zero transitions — because every
-// access is analyzed.
-func (d *Detector) StateWord() uint64 { return d.state.Word() }
-
-// MetaPossible reports whether variable x might currently hold metadata.
-// It is safe to call without any lock: a false result proves x held no
-// metadata at the instant of the internal load; a true result may be a
-// hash collision and only obliges the caller to take the slow path. (With
-// the sampling flag constantly set, the front-end never consults this to
-// dismiss an access; the filter is maintained so the Sharded contract's
-// invariants hold regardless of the caller's probe order.)
-func (d *Detector) MetaPossible(x event.Var) bool { return d.presence.Possible(x) }
 
 // EnsureThreadSlots pre-grows the thread table to hold identifiers below
 // n, so that shared-mode Read/Write calls never resize it. It also grows
@@ -344,7 +231,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 	if e == 0 {
 		return false
 	}
-	m := d.idx.Lookup(x)
+	m := d.Index.Lookup(x)
 	if m == nil {
 		return false
 	}
@@ -373,7 +260,7 @@ func (d *Detector) TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site,
 	if d.tpub.Epoch(t) == 0 {
 		return false
 	}
-	m := d.idx.Lookup(x)
+	m := d.Index.Lookup(x)
 	if m == nil {
 		return false
 	}
@@ -446,33 +333,17 @@ func (d *Detector) ownedWrite(m *varMeta, t vclock.Thread, ct *vclock.VC, site e
 // varMetaFor returns x's metadata record in shard si, creating it on first
 // access (FASTTRACK tracks every variable it ever sees).
 func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
-	sh := &d.shards[si]
-	m, ok := sh.vars[x]
-	if !ok {
-		if d.varPool != nil {
-			m = d.varPool.Get(si)
-		} else {
-			m = &varMeta{}
-		}
-		d.presence.Add(x) // before insert: a zero presence read proves absence
-		sh.vars[x] = m
-		d.idx.Publish(x, m) // mirrors are still zero: not yet dismissable
+	if m, ok := d.Table[si].Vars[x]; ok {
+		return m
 	}
-	return m
-}
-
-func (d *Detector) emit(sh *varShard, r detector.Race) {
-	sh.stats.Races++
-	if d.report != nil {
-		d.report(r)
-	}
+	return d.Insert(si, x) // mirrors are still zero: not yet dismissable
 }
 
 // Read implements Algorithm 7.
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	sh.stats.ReadSlow[detector.Sampling]++
+	sh := &d.Table[si]
+	sh.Stats.ReadSlow[detector.Sampling]++
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
 	m := d.varMetaFor(si, x)
@@ -494,7 +365,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 	m.ar.Store(0)
 	// check W_x ⊑ C_t.
 	if !m.w.Leq(ct) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.WriteRead,
 			FirstThread: m.w.Thread(), SecondThread: t,
 			FirstSite: m.wSite, SecondSite: site,
@@ -513,8 +384,8 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 // Write implements Algorithm 8 (with the paper's read-map clearing).
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
-	sh.stats.WriteSlow[detector.Sampling]++
+	sh := &d.Table[si]
+	sh.Stats.WriteSlow[detector.Sampling]++
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
 	m := d.varMetaFor(si, x)
@@ -532,7 +403,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	m.ar.Store(0)
 	// check W_x ⊑ C_t.
 	if !m.w.Leq(ct) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.WriteWrite,
 			FirstThread: m.w.Thread(), SecondThread: t,
 			FirstSite: m.wSite, SecondSite: site,
@@ -540,7 +411,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	}
 	// check R_x ⊑ C_t, reporting one race per concurrent prior read.
 	m.r.Racing(ct, func(e vclock.ReadEntry) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.ReadWrite,
 			FirstThread: e.T, SecondThread: t,
 			FirstSite: event.Site(e.Site), SecondSite: site,
@@ -608,23 +479,13 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.publishEpoch(t)
 }
 
-// VarsTracked implements detector.VarAccounted. FASTTRACK never discards
-// metadata, so this is every variable ever accessed.
-func (d *Detector) VarsTracked() int {
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i].vars)
-	}
-	return n
-}
-
 // MetadataWords implements detector.MemoryAccounted. Each record is
 // briefly claimed via its ownership word, so a concurrent owned access
 // (which takes no other lock) cannot race the read-map inspection.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
-	for i := range d.shards {
-		for _, m := range d.shards[i].vars {
+	for i := range d.Table {
+		for _, m := range d.Table[i].Vars {
 			// Write epoch + site, the two published epoch mirrors, the
 			// ownership word, and the read map.
 			m.own.Lock()
@@ -633,20 +494,4 @@ func (d *Detector) MetadataWords() int {
 		}
 	}
 	return w
-}
-
-// ArenaStats implements detector.ArenaAccounted. The bool result is false
-// on the default heap path.
-func (d *Detector) ArenaStats() (detector.ArenaStats, bool) {
-	if d.arena == nil {
-		return detector.ArenaStats{}, false
-	}
-	st := d.arena.Stats()
-	return detector.ArenaStats{
-		SlabsLive: st.Live,
-		SlabsFree: st.Free,
-		Recycles:  st.Recycles,
-		Misses:    st.Misses,
-		Trimmed:   st.Trimmed,
-	}, true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
@@ -130,7 +131,7 @@ func TestKeepReadEpochOnWriteOption(t *testing.T) {
 	// With the original FastTrack behaviour, a single-entry read map that
 	// happens before the write survives it.
 	mkOrig := func(r detector.Reporter) detector.Detector {
-		return fasttrack.NewWithOptions(r, fasttrack.Options{KeepReadEpochOnWrite: true})
+		return fasttrack.NewWithOptions(r, shardbase.Config{}, fasttrack.Options{KeepReadEpochOnWrite: true})
 	}
 	// t0 reads; t1 writes after t0 (ordered, so the read epoch either
 	// survives — original — or is cleared — modified); t2 writes
@@ -156,7 +157,7 @@ func TestKeepReadEpochOnWriteOption(t *testing.T) {
 // re-report, so report multisets are not compared.)
 func TestDisableEpochFastPathSameFirstRaces(t *testing.T) {
 	mkSlow := func(r detector.Reporter) detector.Detector {
-		return fasttrack.NewWithOptions(r, fasttrack.Options{DisableEpochFastPath: true})
+		return fasttrack.NewWithOptions(r, shardbase.Config{}, fasttrack.Options{DisableEpochFastPath: true})
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		tr := event.Generate(event.Racy(6, 3000, seed))

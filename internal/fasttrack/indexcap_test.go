@@ -8,13 +8,14 @@ import (
 	"pacer/internal/event"
 )
 
-// TestFastTrackIndexCapSmall pins Options.IndexCap: variables below the
-// cap are direct-indexed and their same-epoch repeats dismiss lock-free,
-// variables at or above the cap never enter the index (TrySameEpoch must
-// refuse them) yet still detect races through the locked path.
+// TestFastTrackIndexCapSmall pins shardbase.Config.IndexCap: variables
+// below the cap are direct-indexed and their same-epoch repeats dismiss
+// lock-free, variables at or above the cap never enter the index
+// (TrySameEpoch must refuse them) yet still detect races through the
+// locked path.
 func TestFastTrackIndexCapSmall(t *testing.T) {
 	c := detector.NewCollector()
-	d := NewWithOptions(c.Report, Options{IndexCap: 4})
+	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: 4}, Options{})
 	d.EnsureThreadSlots(2)
 	d.Fork(0, 1)
 
@@ -46,7 +47,7 @@ func TestFastTrackIndexCapSmall(t *testing.T) {
 // is unchanged.
 func TestFastTrackIndexCapDisabled(t *testing.T) {
 	c := detector.NewCollector()
-	d := NewWithOptions(c.Report, Options{IndexCap: -1})
+	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: -1}, Options{})
 	d.EnsureThreadSlots(2)
 	d.Fork(0, 1)
 	d.Write(0, 1, 1, 0)
@@ -62,10 +63,10 @@ func TestFastTrackIndexCapDisabled(t *testing.T) {
 // TestFastTrackIndexCapDefault pins that the zero value keeps the
 // original behavior: sequentially allocated identifiers are indexed.
 func TestFastTrackIndexCapDefault(t *testing.T) {
-	d := NewWithOptions(func(detector.Race) {}, Options{})
-	if d.idx.Cap() != shardbase.DefaultIndexCap {
-		t.Fatalf("zero Options.IndexCap resolved to %d, want the %d default",
-			d.idx.Cap(), shardbase.DefaultIndexCap)
+	d := NewWithOptions(func(detector.Race) {}, shardbase.Config{}, Options{})
+	if d.Index.Cap() != shardbase.DefaultIndexCap {
+		t.Fatalf("zero Config.IndexCap resolved to %d, want the %d default",
+			d.Index.Cap(), shardbase.DefaultIndexCap)
 	}
 	d.EnsureThreadSlots(1)
 	d.Write(0, 7, 1, 0)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
@@ -14,7 +15,7 @@ import (
 // word is the constant "always sampling" value, and the presence filter
 // answers false exactly until a variable's first access installs metadata.
 func TestFastTrackShardedContract(t *testing.T) {
-	d := fasttrack.NewWithOptions(nil, fasttrack.Options{Shards: 6})
+	d := fasttrack.NewWithOptions(nil, shardbase.Config{Shards: 6}, fasttrack.Options{})
 	var _ detector.Sharded = d
 
 	if got := d.Shards(); got != 8 {
@@ -106,7 +107,7 @@ func TestFastTrackSameEpochProbe(t *testing.T) {
 	}
 
 	// The ablation switch disables the probe entirely.
-	da := fasttrack.NewWithOptions(nil, fasttrack.Options{DisableEpochFastPath: true})
+	da := fasttrack.NewWithOptions(nil, shardbase.Config{}, fasttrack.Options{DisableEpochFastPath: true})
 	da.EnsureThreadSlots(2)
 	da.Write(0, x, 1, 0)
 	if da.TrySameEpoch(0, x, true) {
@@ -126,7 +127,7 @@ func TestFastTrackDefaultShards(t *testing.T) {
 // counters and race counts roll up through the Stats snapshot exactly.
 func TestFastTrackShardedStatsAggregation(t *testing.T) {
 	var races int
-	d := fasttrack.NewWithOptions(func(detector.Race) { races++ }, fasttrack.Options{Shards: 4})
+	d := fasttrack.NewWithOptions(func(detector.Race) { races++ }, shardbase.Config{Shards: 4}, fasttrack.Options{})
 	b := dtest.NewTB()
 	for x := event.Var(0); x < 40; x++ {
 		b.Write(0, x).Read(1, x) // 40 write-read races across the shards
@@ -165,7 +166,7 @@ func TestFastTrackArenaDifferential(t *testing.T) {
 		return fasttrack.New(r)
 	})
 	arena := dtest.Run(b.Trace, func(r detector.Reporter) detector.Detector {
-		return fasttrack.NewWithOptions(r, fasttrack.Options{Arena: true})
+		return fasttrack.NewWithOptions(r, shardbase.Config{Arena: true}, fasttrack.Options{})
 	})
 	got, want := dtest.KeySet(arena.Dynamic), dtest.KeySet(heap.Dynamic)
 	if len(got) != len(want) {
@@ -178,7 +179,7 @@ func TestFastTrackArenaDifferential(t *testing.T) {
 	}
 
 	dh := fasttrack.New(nil)
-	da := fasttrack.NewWithOptions(nil, fasttrack.Options{Arena: true})
+	da := fasttrack.NewWithOptions(nil, shardbase.Config{Arena: true}, fasttrack.Options{})
 	detector.Replay(dh, b.Trace)
 	detector.Replay(da, b.Trace)
 	if dh.MetadataWords() != da.MetadataWords() {

@@ -127,9 +127,9 @@ type Reporter struct {
 	mu        sync.Mutex
 	queue     []*Push // head = oldest
 	seq       uint64
-	lastAcked []byte // races blob of the last acknowledged cumulative snapshot
-	deltaOK   bool   // the collector advertised SchemaVersionDelta on an ack
-	forceFull bool   // next snapshot must be cumulative (post-resync)
+	lastAcked []byte                    // races blob of the last acknowledged cumulative snapshot
+	deltaOK   bool                      // the collector advertised SchemaVersionDelta on an ack
+	forceFull bool                      // next snapshot must be cumulative (post-resync)
 	base      map[TriageKey]TriageEntry // triage state as of the last queued snapshot
 	baseSeq   uint64                    // its sequence number
 	stats     ReporterStats

@@ -75,7 +75,7 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector = (*Detector)(nil)
+	_ detector.Detector     = (*Detector)(nil)
 	_ detector.Counted      = (*Detector)(nil)
 	_ detector.VarAccounted = (*Detector)(nil)
 )

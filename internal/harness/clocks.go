@@ -13,10 +13,10 @@ import (
 // Clocks measures the tree-clock timestamping engine head-to-head against
 // the flat vector clock (real wall clock, this machine) on the workload
 // the tree representation exists for: sync-heavy handoff at high simulated
-// thread counts. Every backend that honors Options.Clock — PACER,
-// FASTTRACK, and the O(1)-samples backend — is mounted twice behind the
-// identical concurrent front-end, once per representation, on the same
-// operation stream.
+// thread counts. Each compared backend (every sharded backend honors
+// Options.Clock; PACER, FASTTRACK, and the O(1)-samples backend by
+// default) is mounted twice behind the identical concurrent front-end,
+// once per representation, on the same operation stream.
 //
 // The workload models the thread-pool shape PACER deployments actually
 // see: many simulated threads exist — every clock mentions all of them,
@@ -56,8 +56,8 @@ type ClocksConfig struct {
 	// so knowledge keeps trickling around the chain and joins stay
 	// genuinely non-empty without ever touching more than a few entries.
 	HandoffEvery int
-	// Algorithms lists the Clock-aware backends compared (default pacer,
-	// fasttrack, o1samples).
+	// Algorithms lists the backends compared; every sharded backend honors
+	// Options.Clock (default pacer, fasttrack, o1samples).
 	Algorithms []string
 	// Rate is the sampling rate (default 1.0: full clock work on every
 	// operation, the representation-stress configuration).

@@ -10,6 +10,7 @@ import (
 
 	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/fasttrack"
 	"pacer/internal/generic"
 	"pacer/internal/literace"
@@ -105,7 +106,7 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 	switch cfg.Kind {
 	case NoDetector:
 	case Pacer:
-		d = core.NewWithOptions(col.Report, cfg.PacerOptions)
+		d = core.NewWithOptions(col.Report, shardbase.Config{}, cfg.PacerOptions)
 	case FastTrack:
 		d = fasttrack.New(col.Report)
 	case Generic:

@@ -24,8 +24,8 @@ func newFakeClock() *fakeClock {
 	return c
 }
 
-func (c *fakeClock) Now() time.Time            { return time.Unix(0, c.ns.Load()) }
-func (c *fakeClock) Advance(d time.Duration)   { c.ns.Add(int64(d)) }
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // entryFor builds one valid triage row.
 func entryFor(v, site uint32, count int, instance string) fleet.TriageEntry {

@@ -37,12 +37,14 @@ import (
 	"sync"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
 	"pacer/internal/vclock"
 )
 
-// Options configure the sampler and the wrapped FASTTRACK core.
+// Options configure the sampler; the wrapped FASTTRACK core's store is
+// configured by shardbase.Config.
 type Options struct {
 	// BurstLength is the number of consecutive accesses sampled per burst.
 	// The paper initially used 10 and switched to 1000 to reach ~1%
@@ -55,15 +57,6 @@ type Options struct {
 	Backoff float64
 	// Seed drives the randomized counter resets.
 	Seed int64
-	// Shards is the wrapped FASTTRACK core's variable-shard count (rounded
-	// up to a power of two, default 64).
-	Shards int
-	// Arena backs the wrapped core's vector clocks and variable records
-	// with a slab arena (internal/arena).
-	Arena bool
-	// IndexCap bounds the wrapped core's direct-indexed variable table
-	// (0 default, negative disables).
-	IndexCap int
 }
 
 // DefaultOptions returns the configuration used for the paper's comparison
@@ -128,8 +121,14 @@ var (
 	_ detector.ArenaAccounted  = (*Detector)(nil)
 )
 
-// New returns an online LITERACE detector.
+// New returns an online LITERACE detector over a default FASTTRACK store.
 func New(report detector.Reporter, opts Options) *Detector {
+	return NewWithConfig(report, shardbase.Config{}, opts)
+}
+
+// NewWithConfig returns an online LITERACE detector whose FASTTRACK core
+// mounts the store cfg describes.
+func NewWithConfig(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
 	if opts.BurstLength <= 0 {
 		opts.BurstLength = 1000
 	}
@@ -140,11 +139,7 @@ func New(report detector.Reporter, opts Options) *Detector {
 		opts.Backoff = 10
 	}
 	d := &Detector{
-		ft: fasttrack.NewWithOptions(report, fasttrack.Options{
-			Shards:   opts.Shards,
-			Arena:    opts.Arena,
-			IndexCap: opts.IndexCap,
-		}),
+		ft:   fasttrack.NewWithOptions(report, cfg, fasttrack.Options{}),
 		opts: opts,
 	}
 	for i := range d.stripes {

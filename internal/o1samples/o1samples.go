@@ -43,42 +43,11 @@ package o1samples
 import (
 	"sync/atomic"
 
-	"pacer/internal/arena"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
-
-// Options tune the detector for production mounts.
-type Options struct {
-	// Shards is the number of independent variable-metadata shards
-	// (rounded up to a power of two, default 64).
-	Shards int
-	// Arena backs vector clocks and variable records with a slab arena
-	// striped like the variable shards. Records are constant-size and
-	// never discarded, so the benefit is clock-growth capacity headroom
-	// and uniform arena accounting, exactly as for FASTTRACK.
-	Arena bool
-	// IndexCap bounds the direct-indexed variable table behind the
-	// same-epoch fast path (0 selects the shardbase default; negative
-	// disables the index).
-	IndexCap int
-	// Clock selects the timestamp representation: "" or "flat" is the
-	// plain vector clock; "tree" mounts the last-update tree index
-	// (vclock.Tree). The always-on synchronization analysis is where this
-	// backend spends its vector-clock work, so the tree representation is
-	// the natural pairing.
-	Clock string
-}
-
-// varShard is one slice of the variable-metadata table with its access
-// counters; the pad keeps shards on distinct cache lines.
-type varShard struct {
-	vars  map[event.Var]*varMeta
-	stats detector.Counters
-	_     [64]byte
-}
 
 // varMeta is the entire per-variable state: six words, always. The epochs
 // name the last *sampled* write and read; zero means "no sampled access of
@@ -108,25 +77,16 @@ func (m *varMeta) publishMirrors() {
 // synchronization operations and sampling transitions require exclusive
 // access; Read and Write may run concurrently across shards; StateWord,
 // MetaPossible, and TrySameEpoch are lock-free.
+//
+// The embedded store's presence filter counts recorded variables. Records
+// are created only by sampled accesses and never discarded, so outside
+// sampling periods the front-end's lock-free probe dismisses every access
+// to a never-sampled variable without touching a lock.
 type Detector struct {
+	shardbase.Store[varMeta]
 	sync     *detector.BaseSync
 	sampling bool
-	state    shardbase.State
-	geo      shardbase.Geometry
-	shards   []varShard
-	// presence counts recorded variables per hash bucket. Records are
-	// created only by sampled accesses and never discarded, so outside
-	// sampling periods the front-end's lock-free probe dismisses every
-	// access to a never-sampled variable without touching a lock.
-	presence *shardbase.Presence
-	idx      *shardbase.Index[varMeta]
 	tpub     shardbase.ThreadPub
-	report   detector.Reporter
-	stats    detector.Counters // sync-path counters; access counters live per shard
-	snap     detector.Counters // Stats() aggregation scratch
-	opts     Options
-	arena    *arena.Arena
-	varPool  *arena.Records[varMeta]
 }
 
 var (
@@ -140,45 +100,23 @@ var (
 	_ detector.ArenaAccounted  = (*Detector)(nil)
 )
 
-// New returns an O(1)-samples detector with default options.
+// New returns an O(1)-samples detector with the default store.
 func New(report detector.Reporter) *Detector {
-	return NewWithOptions(report, Options{})
+	return NewWithConfig(report, shardbase.Config{})
 }
 
-// NewWithOptions returns an O(1)-samples detector with explicit options.
-func NewWithOptions(report detector.Reporter, opts Options) *Detector {
-	geo := shardbase.NewGeometry(opts.Shards)
-	d := &Detector{
-		geo:      geo,
-		shards:   make([]varShard, geo.Shards()),
-		presence: shardbase.NewPresence(),
-		idx:      shardbase.NewIndex[varMeta](opts.IndexCap),
-		report:   report,
-		opts:     opts,
-	}
-	for i := range d.shards {
-		d.shards[i].vars = make(map[event.Var]*varMeta)
-	}
-	d.sync = detector.NewBaseSync(&d.stats)
-	if opts.Arena {
-		d.arena = arena.New(arena.Options{Shards: len(d.shards)})
-		d.varPool = arena.NewRecords[varMeta](d.arena, func(m *varMeta) {
-			m.w = 0
-			m.wSite = 0
-			m.r = 0
-			m.rSite = 0
-			m.aw.Store(0)
-			m.ar.Store(0)
-		})
-		d.sync.SetAllocator(d.arena.Shard)
-	}
-	if opts.Clock == "tree" {
-		if d.arena != nil {
-			d.sync.SetAllocator(vclock.TreeStriped(d.arena.Shard))
-		} else {
-			d.sync.SetAllocator(vclock.TreeHeap(geo.Shards()))
-		}
-	}
+// NewWithConfig returns an O(1)-samples detector with an explicit store
+// configuration. Records are constant-size and never discarded, so the
+// arena's benefit is clock-growth capacity headroom and uniform arena
+// accounting; the always-on synchronization analysis is where this
+// backend spends its vector-clock work, so tree clocks are the natural
+// pairing.
+func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
+	d := &Detector{}
+	// Records are never deleted, so none is recycled: no reset.
+	d.Init(report, cfg, true, nil)
+	d.sync = detector.NewBaseSync(&d.SyncStats)
+	d.sync.SetAllocator(d.Clocks())
 	// The state word starts "not sampling, zero transitions"; the first
 	// SampleBegin publishes the flag.
 	return d
@@ -199,50 +137,22 @@ func (d *Detector) SampleBegin() {
 		return
 	}
 	d.sampling = true
-	d.state.Publish(true)
+	d.State.Publish(true)
 }
 
 // SampleEnd leaves the sampling period. Recorded epochs persist — they are
 // what the non-sampling checks run against — so nothing is reclaimed; the
-// arena only trims free-list slack built up by clock growth.
+// store only trims free-list slack built up by clock growth.
 func (d *Detector) SampleEnd() {
 	if !d.sampling {
 		return
 	}
 	d.sampling = false
-	d.state.Publish(false)
-	if d.arena != nil {
-		d.arena.Trim()
-	}
+	d.State.Publish(false)
+	d.Trim()
 }
 
 func (d *Detector) period() detector.Period { return detector.PeriodOf(d.sampling) }
-
-// Stats returns the detector's operation counters, aggregated across the
-// variable shards. Exclusive access required; the returned pointer is to a
-// snapshot that the next Stats call overwrites.
-func (d *Detector) Stats() *detector.Counters {
-	d.snap = d.stats
-	for i := range d.shards {
-		d.snap.Add(&d.shards[i].stats)
-	}
-	return &d.snap
-}
-
-// Shards returns the number of variable-metadata shards.
-func (d *Detector) Shards() int { return d.geo.Shards() }
-
-// ShardOf maps a variable to its metadata shard.
-func (d *Detector) ShardOf(x event.Var) int { return d.geo.ShardOf(x) }
-
-// StateWord returns the atomically published sampling state.
-func (d *Detector) StateWord() uint64 { return d.state.Word() }
-
-// MetaPossible reports whether variable x might currently hold a recorded
-// sample. Safe to call lock-free: a false result proves x was never
-// sampled at the instant of the load, which outside sampling periods makes
-// the access a guaranteed no-op (nothing to check, nothing to record).
-func (d *Detector) MetaPossible(x event.Var) bool { return d.presence.Possible(x) }
 
 // EnsureThreadSlots pre-grows the thread tables to hold identifiers below
 // n. Requires exclusive access.
@@ -277,7 +187,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 	if e == 0 {
 		return false
 	}
-	m := d.idx.Lookup(x)
+	m := d.Index.Lookup(x)
 	if m == nil {
 		return false
 	}
@@ -291,38 +201,22 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 // access. Only sampled accesses create records — that is the entire space
 // discipline — so callers on the non-sampling path use lookupMeta instead.
 func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
-	sh := &d.shards[si]
-	m, ok := sh.vars[x]
-	if !ok {
-		if d.varPool != nil {
-			m = d.varPool.Get(si)
-		} else {
-			m = &varMeta{}
-		}
-		d.presence.Add(x) // before insert: a zero presence read proves absence
-		sh.vars[x] = m
-		d.idx.Publish(x, m)
+	if m := d.lookupMeta(si, x); m != nil {
+		return m
 	}
-	return m
+	return d.Insert(si, x)
 }
 
 // lookupMeta returns x's record or nil without creating one.
 func (d *Detector) lookupMeta(si int, x event.Var) *varMeta {
-	return d.shards[si].vars[x]
-}
-
-func (d *Detector) emit(sh *varShard, r detector.Race) {
-	sh.stats.Races++
-	if d.report != nil {
-		d.report(r)
-	}
+	return d.Table[si].Vars[x]
 }
 
 // Read checks the recorded write epoch against C_t and, when sampling,
 // overwrites the read slot with this access.
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
+	sh := &d.Table[si]
 	p := d.period()
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
@@ -332,10 +226,10 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 	} else if m = d.lookupMeta(si, x); m == nil {
 		// Never sampled: nothing to check, nothing to record. This is the
 		// locked twin of the front-end's lock-free dismissal.
-		sh.stats.ReadFast[p]++
+		sh.Stats.ReadFast[p]++
 		return
 	}
-	sh.stats.ReadSlow[p]++
+	sh.Stats.ReadSlow[p]++
 	c := ct.Get(t)
 	// Same epoch as the recorded read: the write check ran, against this
 	// same write epoch, when the slot was recorded (a sampled write would
@@ -346,7 +240,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 	}
 	// check W_x ⊑ C_t.
 	if !m.w.Leq(ct) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.WriteRead,
 			FirstThread: m.w.Thread(), SecondThread: t,
 			FirstSite: m.wSite, SecondSite: site,
@@ -369,7 +263,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 // access must be ordered after).
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
-	sh := &d.shards[si]
+	sh := &d.Table[si]
 	p := d.period()
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
@@ -377,10 +271,10 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	if d.sampling {
 		m = d.varMetaFor(si, x)
 	} else if m = d.lookupMeta(si, x); m == nil {
-		sh.stats.WriteFast[p]++
+		sh.Stats.WriteFast[p]++
 		return
 	}
-	sh.stats.WriteSlow[p]++
+	sh.Stats.WriteSlow[p]++
 	c := ct.Get(t)
 	// Same epoch as the recorded write: both checks ran when it was
 	// recorded, and re-recording would be the identity.
@@ -389,7 +283,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	}
 	// check W_x ⊑ C_t.
 	if !m.w.Leq(ct) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.WriteWrite,
 			FirstThread: m.w.Thread(), SecondThread: t,
 			FirstSite: m.wSite, SecondSite: site,
@@ -397,7 +291,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	}
 	// check R_x ⊑ C_t (the single slot is the whole read state).
 	if !m.r.Leq(ct) {
-		d.emit(sh, detector.Race{
+		d.Emit(sh, detector.Race{
 			Var: x, Kind: detector.ReadWrite,
 			FirstThread: m.r.Thread(), SecondThread: t,
 			FirstSite: m.rSite, SecondSite: site,
@@ -457,38 +351,13 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.publishEpoch(t)
 }
 
-// VarsTracked implements detector.VarAccounted: every variable holding a
-// recorded sample.
-func (d *Detector) VarsTracked() int {
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i].vars)
-	}
-	return n
-}
-
 // MetadataWords implements detector.MemoryAccounted. Six words per
 // recorded variable — the constant the backend is named for — plus the
 // synchronization clocks.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
-	for i := range d.shards {
-		w += 6 * len(d.shards[i].vars)
+	for i := range d.Table {
+		w += 6 * len(d.Table[i].Vars)
 	}
 	return w
-}
-
-// ArenaStats implements detector.ArenaAccounted.
-func (d *Detector) ArenaStats() (detector.ArenaStats, bool) {
-	if d.arena == nil {
-		return detector.ArenaStats{}, false
-	}
-	st := d.arena.Stats()
-	return detector.ArenaStats{
-		SlabsLive: st.Live,
-		SlabsFree: st.Free,
-		Recycles:  st.Recycles,
-		Misses:    st.Misses,
-		Trimmed:   st.Trimmed,
-	}, true
 }

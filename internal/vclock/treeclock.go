@@ -78,8 +78,8 @@ type tree struct {
 	owner   int32 // thread whose live clock this is; treeNone for sync clocks
 	pub     int32 // single-publisher certificate (see joinFrom); treeNone if invalid
 	infHead int32 // side list of unordered (ack = ackUnordered) root edges
-	lclk  uint64
-	sum   uint64 // Σ c[i], maintained incrementally for the monotone-copy check
+	lclk    uint64
+	sum     uint64 // Σ c[i], maintained incrementally for the monotone-copy check
 
 	// scratch holds the label-updated nodes of the current join walk in
 	// preorder, encoded (tid<<1 | parentInWalk). Reused across joins.

@@ -61,19 +61,16 @@ func fullMatrix(clock string) []matrixCell {
 }
 
 // matrixCellsFor returns the cells that are behaviorally distinct for a
-// backend. Every sharded arena-capable backend (pacer, fasttrack,
-// literace, djit+, o1samples) exercises all four front-end
-// configurations; the clock-switchable backends (pacer, fasttrack,
-// o1samples) additionally repeat them with tree clocks mounted, since the
-// representation swap must be invisible to every verdict. The remaining
-// backends are driven serialized with heap metadata whatever the options
-// say, so one cell covers them.
+// backend. Every sharded backend (pacer, fasttrack, literace, djit+,
+// o1samples) reads the one store configuration, so it exercises all four
+// front-end configurations and repeats them with tree clocks mounted,
+// since the representation swap must be invisible to every verdict. The
+// remaining backends are driven serialized with heap metadata whatever the
+// options say, so one cell covers them.
 func matrixCellsFor(algo string) []matrixCell {
 	switch algo {
-	case "pacer", "fasttrack", "o1samples":
+	case "pacer", "fasttrack", "o1samples", "literace", "djit", "djit+":
 		return append(fullMatrix(""), fullMatrix("tree")...)
-	case "literace", "djit", "djit+":
-		return fullMatrix("")
 	default:
 		return []matrixCell{{serialized: true}}
 	}

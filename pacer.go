@@ -82,8 +82,8 @@ import (
 	"time"
 
 	"pacer/internal/backends"
-	"pacer/internal/core"
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
@@ -159,10 +159,6 @@ type Options struct {
 	// concurrent callers the roll sequence is still deterministic, but
 	// which operations land in which period depends on scheduling.)
 	Seed int64
-	// Core tunes the underlying PACER algorithm; the zero value is the
-	// full published algorithm. Mainly for ablation studies. Ignored by
-	// other backends.
-	Core core.Options
 	// Budget, when TargetOverhead is nonzero, replaces the fixed
 	// SamplingRate with an adaptive controller that keeps the measured
 	// analysis overhead near the target (see BudgetOptions). Only
@@ -174,35 +170,37 @@ type Options struct {
 	// count — the accordion-clocks improvement the paper recommends for
 	// production use. Ignored by backends that cannot recycle soundly.
 	ReuseThreadIDs bool
+	// Shards, Arena, Clock, and EpochFastVarCap configure the metadata
+	// store of the sharded backends (pacer, fasttrack, o1samples, djit,
+	// literace); the serialized backends ignore them.
+	//
 	// Shards is the number of variable-metadata shards (rounded up to a
 	// power of two; default 64). More shards admit more parallelism during
 	// sampling periods and a finer-grained fast-path presence filter, at a
-	// small fixed memory cost per detector. Overrides Core.Shards when
-	// nonzero.
+	// small fixed memory cost per detector.
 	Shards int
-	// Arena backs the default backend's metadata (vector clocks and
-	// per-variable records) with a slab arena striped across the variable
-	// shards: metadata discarded at non-sampled writes and sampling-period
-	// ends is recycled through per-shard free lists instead of churning the
+	// Arena backs the backend's metadata (vector clocks and per-variable
+	// records) with a slab arena striped across the variable shards:
+	// metadata discarded at non-sampled writes and sampling-period ends is
+	// recycled through per-shard free lists instead of churning the
 	// garbage collector. Race reports are identical with or without it.
 	// Recommended for long-running processes with nonzero sampling rates;
-	// see docs/arena.md. Ignored by backends that do not support arenas.
+	// see docs/arena.md.
 	Arena bool
-	// Clock selects the timestamp representation of backends that support
-	// one ("pacer", "fasttrack", "o1samples"): "" or "flat" is the plain
-	// vector clock; "tree" mounts the last-update tree index, making
+	// Clock selects the timestamp representation: "" or "flat" is the
+	// plain vector clock; "tree" mounts the last-update tree index, making
 	// synchronization joins and release copies cost proportional to the
 	// entries that actually changed instead of the thread count — see
 	// docs/clocks.md. Race reports are identical either way (the
-	// conformance matrix enforces this); only the cost model changes.
-	// Overrides Core.Clock when set. Ignored by other backends.
+	// conformance matrix enforces this); only the cost model changes. New
+	// panics on any other value, as it does on an unknown Algorithm.
 	Clock string
 	// EpochFastVarCap bounds the direct-indexed variable table behind the
-	// lock-free same-epoch fast path of backends that expose one
-	// (FASTTRACK): variables with identifiers at or above the cap are
-	// analyzed through the locked path instead — same reports, no
-	// fast-path table growth. 0 keeps the backend default (1<<22);
-	// negative disables the index. Useful when variable identifiers are
+	// lock-free same-epoch fast path, kept by fasttrack, o1samples, and
+	// literace's FASTTRACK core: variables with identifiers at or above the
+	// cap are analyzed through the locked path instead — same reports, no
+	// fast-path table growth. 0 keeps the default (1<<22); negative
+	// disables the index. Useful when variable identifiers are
 	// drawn from a huge sparse space (e.g. hashed addresses) and the
 	// table's worst-case memory must stay bounded.
 	EpochFastVarCap int
@@ -410,8 +408,9 @@ type Detector struct {
 func Algorithms() []string { return backends.Names() }
 
 // New returns a detector with the given options. It panics if
-// Options.Algorithm names an unregistered backend (a programming error;
-// validate user input against Algorithms first).
+// Options.Algorithm names an unregistered backend or Options.Clock an
+// unknown representation (programming errors; validate user input against
+// Algorithms first).
 func New(opts Options) *Detector {
 	if opts.Algorithm == "" {
 		opts.Algorithm = "pacer"
@@ -432,25 +431,18 @@ func New(opts Options) *Detector {
 	if opts.Budget.TargetOverhead > 0 {
 		det.budget = newBudgetState(opts.Budget, opts.SamplingRate)
 	}
-	copts := opts.Core
-	if opts.Shards > 0 {
-		copts.Shards = opts.Shards
-	}
-	if opts.Arena {
-		copts.Arena = true
-	}
-	if opts.Clock != "" {
-		copts.Clock = opts.Clock
-	}
 	back, err := backends.New(opts.Algorithm, func(r detector.Race) {
 		if opts.OnRace != nil {
 			opts.OnRace(r)
 		}
 	}, backends.Config{
-		Seed:                 opts.Seed,
-		Core:                 copts,
-		EpochFastIndexCap:    opts.EpochFastVarCap,
-		DisableOwnedFastPath: opts.DisableOwnedFastPath,
+		Seed: opts.Seed,
+		Config: shardbase.Config{
+			Shards:   opts.Shards,
+			Arena:    opts.Arena,
+			Clock:    opts.Clock,
+			IndexCap: opts.EpochFastVarCap,
+		},
 	})
 	if err != nil {
 		panic("pacer: " + err.Error())
