@@ -60,11 +60,11 @@ func main() {
 	}
 }
 
-// printBackends prints the live mount/arena/capability matrix straight
+// printBackends prints the live mount/arena/capability/sync matrix straight
 // from the backend registry — the authoritative version of the
 // docs/backends.md table (a test pins the two together).
 func printBackends() {
-	fmt.Printf("%-12s %-11s %-6s %-10s %s\n", "backend", "mount", "arena", "sampling", "lock-free dismissals")
+	fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", "backend", "mount", "arena", "sampling", "sync", "lock-free dismissals")
 	for _, c := range backends.All() {
 		var extras []string
 		if c.Sharded && c.Sampler {
@@ -91,7 +91,11 @@ func printBackends() {
 		if c.Sampler {
 			sampling = "periods"
 		}
-		fmt.Printf("%-12s %-11s %-6s %-10s %s\n", c.Name, c.Mount(), arena, sampling, ex)
+		sync := "no"
+		if c.SyncNoOp {
+			sync = "yes"
+		}
+		fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", c.Name, c.Mount(), arena, sampling, sync, ex)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
+	"pacer/internal/event"
 )
 
 // Caps describes one registered backend's mount and capability surface,
@@ -31,6 +32,10 @@ type Caps struct {
 	EpochFast    bool
 	OwnedAccess  bool
 	BurstSampler bool
+	// SyncNoOp reports the lock-free sync dismissal: the backend proves a
+	// redundant acquire or release a no-op from published version epochs
+	// (detector.Sharded's SyncNoOp), so the front-end skips the epoch lock.
+	SyncNoOp bool
 }
 
 // Probe constructs the named backend (with the arena requested, so the
@@ -41,7 +46,14 @@ func Probe(name string) (Caps, error) {
 		return Caps{}, err
 	}
 	c := Caps{Name: name}
-	_, c.Sharded = d.(detector.Sharded)
+	sh, ok := d.(detector.Sharded)
+	c.Sharded = ok
+	if ok {
+		// The front-end asks the backend about each operation; a thread
+		// acquiring the lock it released last is the simplest no-op.
+		d.Release(0, 0)
+		c.SyncNoOp = sh.SyncNoOp(event.Event{Kind: event.Acquire})
+	}
 	_, c.Sampler = d.(detector.Sampler)
 	_, c.EpochFast = d.(detector.EpochFast)
 	_, c.OwnedAccess = d.(detector.OwnedAccess)

@@ -10,9 +10,9 @@ import (
 
 // TestCapabilityMatrixMatchesDocs pins the docs/backends.md mounting
 // matrix to the live registry: every registered backend has a row, and the
-// row's mount, arena, and capability columns state exactly what probing
-// the constructed backend reports. The matrix cannot silently drift from
-// the code.
+// row's mount, arena, capability, and sync-dismissal columns state exactly
+// what probing the constructed backend reports. The matrix cannot silently
+// drift from the code.
 func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/backends.md")
 	if err != nil {
@@ -36,6 +36,13 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 		if !strings.HasPrefix(row.arena, wantArena) {
 			t.Errorf("%s: docs arena column %q, registry probe says %q", c.Name, row.arena, wantArena)
 		}
+		wantSync := "no"
+		if c.SyncNoOp {
+			wantSync = "yes"
+		}
+		if row.sync != wantSync {
+			t.Errorf("%s: docs sync-dismissal column %q, registry probe says %q", c.Name, row.sync, wantSync)
+		}
 		for iface, have := range map[string]bool{
 			"detector.EpochFast":    c.EpochFast,
 			"detector.OwnedAccess":  c.OwnedAccess,
@@ -54,10 +61,10 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 	}
 }
 
-type matrixRow struct{ mount, arena, extras string }
+type matrixRow struct{ mount, arena, extras, sync string }
 
 // parseMatrix extracts the backend table: rows of the form
-// `| `name` | mount | arena | extras |`, with multiple backtick-quoted
+// `| `name` | mount | arena | extras | sync |`, with multiple backtick-quoted
 // names per first cell allowed (the djit/djit+ row).
 func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 	t.Helper()
@@ -68,13 +75,14 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 			continue
 		}
 		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if len(cells) != 4 {
+		if len(cells) != 5 {
 			continue
 		}
 		row := matrixRow{
 			mount:  strings.TrimSpace(cells[1]),
 			arena:  strings.TrimSpace(cells[2]),
 			extras: strings.TrimSpace(cells[3]),
+			sync:   strings.TrimSpace(cells[4]),
 		}
 		// Every backtick-quoted token in the first cell names a backend.
 		parts := strings.Split(cells[0], "`")

@@ -99,10 +99,18 @@ type varMeta struct {
 // are the probes behind the public front-end's non-sampling fast path.
 // The embedded store publishes the sampling flag in its state word, so a
 // lock-free reader can both test sampling and detect that no transition
-// intervened between two loads. With tree clocks mounted, thread and
-// synchronization clocks draw from the tree-capable allocators; version
-// vectors stay flat (they take arbitrary component assignments the index
-// cannot track).
+// intervened between two loads. SyncNoOp may likewise be called lock-free
+// by the event's own thread; it reads the version epochs the detector
+// publishes at every assignment of a lock's or volatile's version epoch
+// and at every change of a thread's own version (creation, SampleBegin,
+// inc, a Rule 6 join, reuse). A thread first seen by a shared-mode access
+// publishes with one atomic store into the slot EnsureThreadSlots
+// reserved. Under an ablation (Options) nothing is published and SyncNoOp
+// reports false.
+//
+// With tree clocks mounted, thread and synchronization clocks draw from
+// the tree-capable allocators; version vectors stay flat (they take
+// arbitrary component assignments the index cannot track).
 type Detector struct {
 	shardbase.Store[varMeta]
 	sampling bool
@@ -145,6 +153,11 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 		m.wSite = 0
 		m.r.Clear() // keeps the read map's spilled-map spare
 	})
+	if opts == (Options{}) {
+		// An ablation changes what a synchronization operation does, so
+		// only the full algorithm publishes version epochs for SyncNoOp.
+		d.EnableSyncEpochs()
+	}
 	return d
 }
 
@@ -158,6 +171,7 @@ func (d *Detector) EnsureThreadSlots(n int) {
 	for len(d.threads) < n {
 		d.threads = append(d.threads, nil)
 	}
+	d.ReserveOwnVersions(n)
 }
 
 // forEachVar visits every tracked variable's metadata. Exclusive access
@@ -195,6 +209,7 @@ func (d *Detector) SampleBegin() {
 		d.ownThreadClock(vclock.Thread(t), tm)
 		tm.clock.Inc(vclock.Thread(t))
 		tm.ver.Inc(vclock.Thread(t))
+		d.publishVersion(vclock.Thread(t), tm)
 		d.SyncStats.Increments[detector.Sampling]++
 	}
 }
@@ -236,6 +251,7 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 		ver := shardbase.NewVC(d.VCAlloc(int(t)), int(t)+1)
 		ver.Set(t, 1)
 		d.threads[t] = &threadMeta{clock: clock, ver: ver}
+		d.publishVersion(t, d.threads[t])
 	}
 	return d.threads[t]
 }
@@ -263,6 +279,12 @@ func (d *Detector) vol(vx event.Volatile) *syncMeta {
 // vepochOf returns Ver(t) = ver_t(t)@t, thread t's current version epoch.
 func (d *Detector) vepochOf(t vclock.Thread, tm *threadMeta) vclock.VersionEpoch {
 	return vclock.MakeVersionEpoch(t, tm.ver.Get(t))
+}
+
+// publishVersion publishes Ver(t) for the lock-free sync probes
+// (SyncNoOp). Call at every change of ver_t(t).
+func (d *Detector) publishVersion(t vclock.Thread, tm *threadMeta) {
+	d.PublishOwnVersion(t, d.vepochOf(t, tm))
 }
 
 // ownThreadClock clones tm's clock if it is shared, so it can be mutated
@@ -300,6 +322,7 @@ func (d *Detector) inc(t vclock.Thread) {
 	d.ownThreadClock(t, tm)
 	tm.clock.Inc(t)
 	tm.ver.Inc(t)
+	d.publishVersion(t, tm)
 	d.SyncStats.Increments[detector.Sampling]++
 }
 
@@ -364,6 +387,7 @@ func (d *Detector) joinIntoThread(t vclock.Thread, srcClock *vclock.VC, srcVE vc
 	tm.clock.JoinFrom(srcClock)
 	tm.ver.Inc(t)
 	d.recordVersion(tm, srcVE)
+	d.publishVersion(t, tm)
 }
 
 // recordVersion notes that tm's thread has received version srcVE. The
@@ -426,7 +450,9 @@ func (d *Detector) Acquire(t vclock.Thread, m event.Lock) {
 // Release implements rel(t, m) (Table 6 Rule 2): L_m ← copy(C_t); inc(t).
 func (d *Detector) Release(t vclock.Thread, m event.Lock) {
 	d.SyncStats.SyncOps[d.period()]++
-	d.copyToSync(d.lock(m), t)
+	s := d.lock(m)
+	d.copyToSync(s, t)
+	d.PublishLockEpoch(m, s.vepoch)
 	d.inc(t)
 }
 
@@ -458,7 +484,9 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) {
 // V_vx ← V_vx ⊔ C_t; inc(t).
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.SyncStats.SyncOps[d.period()]++
-	d.joinIntoVolatile(d.vol(vx), t)
+	s := d.vol(vx)
+	d.joinIntoVolatile(s, t)
+	d.PublishVolEpoch(vx, s.vepoch)
 	d.inc(t)
 }
 

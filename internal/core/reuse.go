@@ -87,6 +87,7 @@ func (d *Detector) ReusableThread() (vclock.Thread, bool) {
 		d.ownThreadClock(u, tm)
 		tm.clock.Inc(u)
 		tm.ver.Inc(u)
+		d.publishVersion(u, tm)
 		return u, true
 	}
 	return vclock.NoThread, false

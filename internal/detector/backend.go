@@ -31,6 +31,11 @@ import (
 //     so two equal loads bracketing a MetaPossible load prove the flag
 //     held throughout; a false MetaPossible proves the variable held no
 //     metadata at the instant of the load.
+//   - SyncNoOp may be called lock-free at any time by the event's own
+//     thread: true proves the synchronization event was a no-op of the
+//     analysis, apart from its counters, at some instant inside the call
+//     (see shardbase's SyncNoOp for the rules). Backends that publish no
+//     version epochs report false.
 //
 // All other Detector methods retain their exclusive-access requirement.
 type Sharded interface {
@@ -44,6 +49,10 @@ type Sharded interface {
 	StateWord() uint64
 	// MetaPossible reports whether x might currently hold metadata.
 	MetaPossible(x event.Var) bool
+	// SyncNoOp reports whether the Acquire, Release, VolRead or VolWrite
+	// event e is provably a no-op, so the caller may dismiss it after
+	// counting it.
+	SyncNoOp(e event.Event) bool
 	// EnsureThreadSlots pre-grows the thread table to hold identifiers
 	// below n. Requires exclusive access.
 	EnsureThreadSlots(n int)

@@ -2,8 +2,9 @@
 // backend shares: the stripe geometry behind ShardOf, the lock-free
 // metadata presence filter behind MetaPossible, the published sampling
 // state word behind StateWord, the grow-only direct variable index behind
-// the lock-free fast paths, and the per-thread epoch/clock publication
-// table those paths read. Store assembles the pieces into one embeddable
+// the lock-free fast paths, the per-thread epoch/clock publication
+// table those paths read, and the version-epoch tables behind SyncNoOp.
+// Store assembles the pieces into one embeddable
 // metadata store built from one Config, so every sharded backend (PACER,
 // FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its FASTTRACK core)
 // implements the detector.Sharded contract by composition instead of by
@@ -13,9 +14,9 @@
 // presence counts are incremented before an insert and decremented after a
 // delete, so a zero read proves absence at the instant of the load; the
 // state word packs the sampling flag (bit 0) with a transition count, so
-// two equal loads bracketing a probe prove the flag held throughout; index
-// and thread-table growth copy-then-republish, so lock-free readers always
-// hold a consistent array.
+// two equal loads bracketing a probe prove the flag held throughout; index,
+// thread-table and version-epoch-table growth copy-then-republish, so
+// lock-free readers always hold a consistent array.
 package shardbase
 
 import (

@@ -71,6 +71,9 @@ type probes struct {
 	// wrapper when tree clocks are mounted, the arena stripes otherwise,
 	// nil on the flat heap path.
 	clocks func(int) vclock.Allocator
+	// sync publishes the version epochs behind SyncNoOp; nil unless the
+	// backend called EnableSyncEpochs.
+	syncEpochs *syncTables
 }
 
 // Store is a sharded backend's variable-metadata store, embedded by value

@@ -7,6 +7,7 @@ import (
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
+	"pacer/internal/vclock"
 )
 
 func TestShardbaseGeometryRounding(t *testing.T) {
@@ -150,5 +151,60 @@ func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 			}()
 			backends.New(name, nil, backends.Config{Config: shardbase.Config{Clock: "Tree"}})
 		})
+	}
+}
+
+// TestShardbaseVETable pins the version-epoch table behind SyncNoOp: an
+// identifier past the table is unknown, one inside it that was never set
+// reads ⊥ve, growth keeps published values, and identifiers at or above
+// the cap are never covered.
+func TestShardbaseVETable(t *testing.T) {
+	var vt shardbase.VETable
+	if _, ok := vt.Get(3); ok {
+		t.Error("empty table covers identifier 3")
+	}
+	vt.Set(3, vclock.VEBottom)
+	if _, ok := vt.Get(3); ok {
+		t.Error("storing ⊥ve grew the table")
+	}
+	ve := vclock.MakeVersionEpoch(2, 5)
+	vt.Set(5, ve)
+	if got, ok := vt.Get(5); !ok || got != ve {
+		t.Errorf("Get(5) = %v, %v; want %v, true", got, ok, ve)
+	}
+	if got, ok := vt.Get(3); !ok || got != vclock.VEBottom {
+		t.Errorf("Get(3) = %v, %v; want ⊥ve, true", got, ok)
+	}
+	vt.Set(5000, vclock.VETop)
+	if got, ok := vt.Get(5); !ok || got != ve {
+		t.Errorf("after growth Get(5) = %v, %v; want %v, true", got, ok, ve)
+	}
+	if got, ok := vt.Get(5000); !ok || got != vclock.VETop {
+		t.Errorf("Get(5000) = %v, %v; want ⊤ve, true", got, ok)
+	}
+	vt.Set(shardbase.DefaultIndexCap, ve)
+	if _, ok := vt.Get(shardbase.DefaultIndexCap); ok {
+		t.Error("identifier at the cap was published")
+	}
+}
+
+// TestShardbaseSyncNoOpOnlyWhenEnabled: only a backend that enables
+// version-epoch publication (PACER) ever proves a synchronization
+// operation a no-op; every other sharded backend reports false.
+func TestShardbaseSyncNoOpOnlyWhenEnabled(t *testing.T) {
+	for _, name := range backends.Names() {
+		d, err := backends.New(name, nil, backends.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, ok := d.(detector.Sharded)
+		if !ok {
+			continue
+		}
+		d.Release(0, 0)
+		got := sh.SyncNoOp(event.Event{Kind: event.Acquire, Thread: 0, Target: 0})
+		if want := name == "pacer"; got != want {
+			t.Errorf("%s: SyncNoOp after its own release = %v, want %v", name, got, want)
+		}
 	}
 }

@@ -227,6 +227,10 @@ func (d *Detector) StateWord() uint64 { return d.ft.StateWord() }
 // MetaPossible reports whether x might hold metadata in the wrapped core.
 func (d *Detector) MetaPossible(x event.Var) bool { return d.ft.MetaPossible(x) }
 
+// SyncNoOp delegates to the wrapped core, which publishes no version
+// epochs, so it reports false.
+func (d *Detector) SyncNoOp(e event.Event) bool { return d.ft.SyncNoOp(e) }
+
 // EnsureThreadSlots pre-grows the wrapped core's thread tables. Requires
 // exclusive access.
 func (d *Detector) EnsureThreadSlots(n int) { d.ft.EnsureThreadSlots(n) }

@@ -62,16 +62,25 @@
 //     (hash of VarID); accesses to variables in distinct shards proceed in
 //     parallel, each under its shard lock plus a shared (reader) hold on
 //     the epoch lock.
-//   - Synchronization operations and sampling-period transitions take the
-//     epoch lock exclusively, freezing all accesses, so every execution is
-//     equivalent to some serialized interleaving of the observed
-//     operations — the detector never reports a race that a fully
-//     serialized detector could not report.
+//   - A synchronization operation that PACER's version epochs prove a
+//     no-op is dismissed before the epoch lock: an acquire or volatile
+//     read of an object whose published version epoch is ⊥ve or the
+//     thread's own (Table 7 Rule 4), and, outside sampling periods, a
+//     release or volatile write that would store the snapshot the object
+//     already holds. The probe reads only the calling thread's own
+//     component (a few atomic loads), and the operation is counted with
+//     one add on the thread's counter cell.
+//   - Every other synchronization operation, and every sampling-period
+//     transition, takes the epoch lock exclusively, freezing all
+//     accesses, so every execution is equivalent to some serialized
+//     interleaving of the observed operations — the detector never
+//     reports a race that a fully serialized detector could not report.
 //   - Each registered thread owns a cache-line-padded counter cell: its
-//     fast-path read and write dismissals and its slow-path accesses. Each
-//     counter flushes a batch to the period roller whenever it crosses a
-//     power-of-two boundary, so the sampling clock advances without a
-//     shared contended word and without a division.
+//     fast-path read and write dismissals, its sync dismissals and its
+//     slow-path accesses. Each counter flushes a batch to the period
+//     roller whenever it crosses a power-of-two boundary, so the sampling
+//     clock advances without a shared contended word and without a
+//     division.
 package pacer
 
 import (
@@ -143,10 +152,10 @@ type Options struct {
 	// GC to hook, this library uses fixed-length operation periods, which
 	// need no bias correction. Defaults to 4096. Period boundaries are
 	// approximate: each thread counts its fast-path reads, fast-path
-	// writes and slow-path accesses separately and flushes each to the
-	// roller in small batches (PeriodOps/64 rounded down to a power of
-	// two, at most 64), so a period may run over by up to one batch per
-	// counter per active thread.
+	// writes, slow-path accesses and sync dismissals separately and
+	// flushes each to the roller in small batches (PeriodOps/64 rounded
+	// down to a power of two, at most 64), so a period may run over by up
+	// to one batch per counter per active thread.
 	PeriodOps int
 	// OnRace receives race reports. Accesses to variables in distinct
 	// shards analyze in parallel, so OnRace may be invoked from multiple
@@ -235,7 +244,8 @@ type Stats struct {
 	Races uint64
 	// Reads and Writes count observed data accesses.
 	Reads, Writes uint64
-	// SyncOps counts observed synchronization operations.
+	// SyncOps counts observed synchronization operations, including those
+	// the front-end dismissed lock-free as version-epoch no-ops.
 	SyncOps uint64
 	// FastPathReads/Writes count accesses dismissed by an O(1) fast path:
 	// the backend's own no-metadata dismissal plus the front-end's
@@ -244,8 +254,14 @@ type Stats struct {
 	// burst-sampler skips).
 	FastPathReads, FastPathWrites uint64
 	// SlowJoins and FastJoins count O(n) versus version-skipped joins.
+	// FastJoins includes the front-end's lock-free dismissals of acquires,
+	// volatile reads and volatile writes, each of which a serialized
+	// detector counts as one version-skipped join.
 	SlowJoins, FastJoins uint64
 	// DeepCopies and ShallowCopies count vector clock copies.
+	// ShallowCopies includes the front-end's lock-free dismissals of
+	// releases and volatile writes, each of which a serialized detector
+	// counts as one shallow copy.
 	DeepCopies, ShallowCopies uint64
 	// VarsTracked is the number of variables currently holding metadata.
 	VarsTracked int
@@ -346,16 +362,18 @@ type Detector struct {
 	// sharded-concurrency support: every operation then takes the epoch
 	// lock exclusively.
 	serialized bool
-	// unclaimedOK is set when ProbeUnclaimed may allow dismissals: the
-	// front-end is concurrent and no TraceSink is recording.
-	unclaimedOK bool
-	nshards     int
-	opts        Options
+	// lockFreeOK is set when the dismissals that record nothing may fire
+	// (ProbeUnclaimed's and trySyncNoOp's): the front-end is concurrent
+	// and no TraceSink is recording.
+	lockFreeOK bool
+	nshards    int
+	opts       Options
 
-	// mu is the epoch lock. Exclusive: synchronization operations, period
-	// rolls, registration, stats. Shared: data-access slow paths, which
-	// additionally hold their variable's shard lock. The lock-free fast
-	// path holds neither.
+	// mu is the epoch lock. Exclusive: synchronization operations not
+	// dismissed as no-ops, period rolls, registration, stats. Shared:
+	// data-access slow paths, which additionally hold their variable's
+	// shard lock. The lock-free dismissals, of accesses and of
+	// synchronization operations, hold neither.
 	mu    sync.RWMutex
 	varMu []shardLock
 
@@ -466,7 +484,7 @@ func New(opts Options) *Detector {
 	det.reuser, _ = back.(detector.ThreadReuser)
 	det.arenaAcct, _ = back.(detector.ArenaAccounted)
 	det.serialized = opts.Serialized || det.sharded == nil
-	det.unclaimedOK = !det.serialized && opts.TraceSink == nil
+	det.lockFreeOK = !det.serialized && opts.TraceSink == nil
 	det.nshards = 1
 	if det.sharded != nil {
 		det.nshards = det.sharded.Shards()
@@ -545,14 +563,16 @@ func (p *Detector) tickLocked() {
 	}
 }
 
-// opCell is one thread's counters, on a cache line of its own: reads and
-// writes count its lock-free fast-path dismissals, ureads and uwrites its
-// unclaimed dismissals, ops its slow-path accesses. Each counter also
-// drives the period clock (see tick).
+// opCell is one thread's counters, on a cache line of its own (eight
+// words fill it): reads and writes count its lock-free fast-path
+// dismissals, ureads and uwrites its unclaimed dismissals, ops its
+// slow-path accesses, and joins, copies and volCopies its dismissed
+// acquires and volatile reads, releases, and volatile writes. Each counter
+// also drives the period clock (see tick).
 type opCell struct {
-	reads, writes, ops atomic.Uint64
-	ureads, uwrites    atomic.Uint64
-	_                  [24]byte
+	reads, writes, ops       atomic.Uint64
+	ureads, uwrites          atomic.Uint64
+	joins, copies, volCopies atomic.Uint64
 }
 
 // cell returns thread t's counter cell, or the shared spill cell when t
@@ -731,7 +751,7 @@ func (p *Detector) NewVarID() VarID {
 // then loads its own claim word for the variable and, if that reads
 // unclaimed, calls DismissUnclaimed with the returned word.
 func (p *Detector) ProbeUnclaimed() (uint64, bool) {
-	if !p.unclaimedOK {
+	if !p.lockFreeOK {
 		return 0, false
 	}
 	st := p.sharded.StateWord()
@@ -964,38 +984,78 @@ func (p *Detector) Write(t ThreadID, v VarID, s SiteID) {
 	p.access(t, v, s, 0, true)
 }
 
-// syncOp funnels the four lock/volatile operations, which serialize on the
-// epoch lock (they mutate thread clocks, which accesses read in parallel).
-func (p *Detector) syncOp(run func(), e Event) {
+// syncOp funnels the four lock/volatile operations. One the backend proves
+// redundant is dismissed lock-free (trySyncNoOp); the rest serialize on the
+// epoch lock, since they mutate thread clocks, which accesses read in
+// parallel.
+func (p *Detector) syncOp(e Event) {
+	if p.trySyncNoOp(e) {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t0 := p.enter()
-	run()
+	switch e.Kind {
+	case event.Acquire:
+		p.back.Acquire(e.Thread, LockID(e.Target))
+	case event.Release:
+		p.back.Release(e.Thread, LockID(e.Target))
+	case event.VolRead:
+		p.back.VolRead(e.Thread, VolatileID(e.Target))
+	case event.VolWrite:
+		p.back.VolWrite(e.Thread, VolatileID(e.Target))
+	}
 	p.exit(t0)
 	p.record(e)
 	p.tickLocked()
 }
 
+// trySyncNoOp attempts the lock-free sync dismissal: when the backend's
+// published version epochs prove e a no-op (detector.Sharded's SyncNoOp;
+// only PACER publishes them), e is counted on its thread's own cell, which
+// also drives the period clock, and dismissed. It never fires when the
+// front-end is serialized or recording (nothing would log e), nor for a
+// thread still on the spill cell.
+func (p *Detector) trySyncNoOp(e Event) bool {
+	if !p.lockFreeOK {
+		return false
+	}
+	cells := *p.cells.Load()
+	if int(e.Thread) >= len(cells) || !p.sharded.SyncNoOp(e) {
+		return false
+	}
+	c := cells[e.Thread]
+	switch e.Kind {
+	case event.Release:
+		p.tick(&c.copies)
+	case event.VolWrite:
+		p.tick(&c.volCopies)
+	default:
+		p.tick(&c.joins)
+	}
+	return true
+}
+
 // Acquire observes thread t acquiring lock m. Call it after the real lock
 // is acquired.
 func (p *Detector) Acquire(t ThreadID, m LockID) {
-	p.syncOp(func() { p.back.Acquire(t, m) }, Event{Kind: event.Acquire, Thread: t, Target: uint32(m)})
+	p.syncOp(Event{Kind: event.Acquire, Thread: t, Target: uint32(m)})
 }
 
 // Release observes thread t releasing lock m. Call it before the real lock
 // is released.
 func (p *Detector) Release(t ThreadID, m LockID) {
-	p.syncOp(func() { p.back.Release(t, m) }, Event{Kind: event.Release, Thread: t, Target: uint32(m)})
+	p.syncOp(Event{Kind: event.Release, Thread: t, Target: uint32(m)})
 }
 
 // VolRead observes thread t reading volatile vx (e.g. an atomic load).
 func (p *Detector) VolRead(t ThreadID, vx VolatileID) {
-	p.syncOp(func() { p.back.VolRead(t, vx) }, Event{Kind: event.VolRead, Thread: t, Target: uint32(vx)})
+	p.syncOp(Event{Kind: event.VolRead, Thread: t, Target: uint32(vx)})
 }
 
 // VolWrite observes thread t writing volatile vx (e.g. an atomic store).
 func (p *Detector) VolWrite(t ThreadID, vx VolatileID) {
-	p.syncOp(func() { p.back.VolWrite(t, vx) }, Event{Kind: event.VolWrite, Thread: t, Target: uint32(vx)})
+	p.syncOp(Event{Kind: event.VolWrite, Thread: t, Target: uint32(vx)})
 }
 
 // applySampling forces the backend's sampling state from a replayed
@@ -1090,12 +1150,15 @@ func (p *Detector) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s Stats
-	var fr, fw, ur, uw uint64
+	var fr, fw, ur, uw, sj, sc, svc uint64
 	for _, cell := range append([]*opCell{p.spill}, *p.cells.Load()...) {
 		fr += cell.reads.Load()
 		fw += cell.writes.Load()
 		ur += cell.ureads.Load()
 		uw += cell.uwrites.Load()
+		sj += cell.joins.Load()
+		sc += cell.copies.Load()
+		svc += cell.volCopies.Load()
 	}
 	// Unclaimed dismissals are non-sampling fast-path dismissals too.
 	fr, fw = fr+ur, fw+uw
@@ -1105,13 +1168,15 @@ func (p *Detector) Stats() Stats {
 			Races:          c.Races,
 			Reads:          c.TotalReads() + fr,
 			Writes:         c.TotalWrites() + fw,
-			SyncOps:        c.TotalSyncOps(),
+			SyncOps:        c.TotalSyncOps() + sj + sc + svc,
 			FastPathReads:  c.ReadFast[0] + c.ReadFast[1] + fr,
 			FastPathWrites: c.WriteFast[0] + c.WriteFast[1] + fw,
 			SlowJoins:      c.SlowJoins[0] + c.SlowJoins[1],
-			FastJoins:      c.FastJoins[0] + c.FastJoins[1],
-			DeepCopies:     c.DeepCopies[0] + c.DeepCopies[1],
-			ShallowCopies:  c.ShallowCopies[0] + c.ShallowCopies[1],
+			// A dismissed volatile write is a fast join plus a shallow
+			// copy, as in the backend's joinIntoVolatile.
+			FastJoins:     c.FastJoins[0] + c.FastJoins[1] + sj + svc,
+			DeepCopies:    c.DeepCopies[0] + c.DeepCopies[1],
+			ShallowCopies: c.ShallowCopies[0] + c.ShallowCopies[1] + sc + svc,
 		}
 	}
 	if p.varsAcct != nil {
