@@ -11,3 +11,7 @@ func (p *Detector) SyncDismissals() uint64 {
 	}
 	return n
 }
+
+// CellTableCap returns the capacity of the counter-cell table's backing
+// array; a change means growLocked allocated a new one.
+func (p *Detector) CellTableCap() int { return cap(*p.cells.Load()) }

@@ -95,7 +95,7 @@ type varMeta struct {
 // interleaving is equivalent to some serialized execution of the same
 // operations.
 //
-// StateWord and MetaPossible may be called lock-free at any time; they
+// The State word and MetaPossible may be read lock-free at any time; they
 // are the probes behind the public front-end's non-sampling fast path.
 // The embedded store publishes the sampling flag in its state word, so a
 // lock-free reader can both test sampling and detect that no transition
@@ -233,7 +233,7 @@ func (d *Detector) SampleEnd() {
 
 // publishState mirrors d.sampling into the atomic state word, bumping the
 // transition count.
-func (d *Detector) publishState() { d.State.Publish(d.sampling) }
+func (d *Detector) publishState() { d.State().Publish(d.sampling) }
 
 // thread returns thread t's metadata, creating it in the initial state of
 // Equation 7 (clock and version both incremented once) on first use.

@@ -25,12 +25,15 @@ import (
 //     caller, no other Detector method is in flight, and every thread
 //     identifier was announced via EnsureThreadSlots before its first
 //     shared-mode access.
-//   - StateWord and MetaPossible may be called lock-free at any time; they
-//     are the probes behind the non-sampling fast path. StateWord's bit 0
-//     is the sampling flag and its upper bits count sampling transitions,
-//     so two equal loads bracketing a MetaPossible load prove the flag
-//     held throughout; a false MetaPossible proves the variable held no
-//     metadata at the instant of the load.
+//   - State returns the backend's published sampling state, one
+//     detector.State for the backend's lifetime, so a front-end fetches
+//     it once and loads its word directly. The word and MetaPossible may
+//     be read lock-free at any time; they are the probes behind the
+//     non-sampling fast path. The word's bit 0 is the sampling flag and
+//     its upper bits count sampling transitions, so two equal loads
+//     bracketing a MetaPossible load prove the flag held throughout; a
+//     false MetaPossible proves the variable held no metadata at the
+//     instant of the load.
 //   - SyncNoOp may be called lock-free at any time by the event's own
 //     thread: true proves the synchronization event was a no-op of the
 //     analysis, apart from its counters, at some instant inside the call
@@ -45,8 +48,9 @@ type Sharded interface {
 	Shards() int
 	// ShardOf maps a variable to its metadata shard.
 	ShardOf(x event.Var) int
-	// StateWord returns the atomically published sampling state.
-	StateWord() uint64
+	// State returns the atomically published sampling state. It returns
+	// the same pointer on every call.
+	State() *State
 	// MetaPossible reports whether x might currently hold metadata.
 	MetaPossible(x event.Var) bool
 	// SyncNoOp reports whether the Acquire, Release, VolRead or VolWrite

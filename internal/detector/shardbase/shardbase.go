@@ -1,11 +1,11 @@
 // Package shardbase holds the shard plumbing every concurrently-mounted
 // backend shares: the stripe geometry behind ShardOf, the lock-free
-// metadata presence filter behind MetaPossible, the published sampling
-// state word behind StateWord, the grow-only direct variable index behind
-// the lock-free fast paths, the per-thread epoch/clock publication
-// table those paths read, and the version-epoch tables behind SyncNoOp.
-// Store assembles the pieces into one embeddable
-// metadata store built from one Config, so every sharded backend (PACER,
+// metadata presence filter behind MetaPossible, the grow-only direct
+// variable index behind the lock-free fast paths, the per-thread
+// epoch/clock publication table those paths read, and the version-epoch
+// tables behind SyncNoOp. Store assembles the pieces, with the published
+// sampling state (a detector.State), into one embeddable metadata store
+// built from one Config, so every sharded backend (PACER,
 // FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its FASTTRACK core)
 // implements the detector.Sharded contract by composition instead of by
 // transcription.
@@ -100,31 +100,6 @@ func (p *Presence) Remove(x event.Var) { p.bucket(x).Add(-1) }
 // absence at the instant of the load; true may be a hash collision and
 // only obliges the caller to take the slow path.
 func (p *Presence) Possible(x event.Var) bool { return p.bucket(x).Load() > 0 }
-
-// State is the atomically published sampling state word of the Sharded
-// contract: bit 0 is the sampling flag, the upper bits count transitions,
-// so two equal Word loads bracketing another probe prove the flag held
-// throughout.
-type State struct {
-	w atomic.Uint64
-}
-
-// SetAlwaysOn publishes the constant always-sampling word (flag set, zero
-// transitions) used by detectors that analyze every access.
-func (s *State) SetAlwaysOn() { s.w.Store(1) }
-
-// Publish mirrors the sampling flag into the word, bumping the transition
-// count. Call from under the owner's exclusive lock.
-func (s *State) Publish(sampling bool) {
-	w := (s.w.Load()>>1 + 1) << 1
-	if sampling {
-		w |= 1
-	}
-	s.w.Store(w)
-}
-
-// Word returns the current state word.
-func (s *State) Word() uint64 { return s.w.Load() }
 
 // Index is the grow-only direct variable index behind the lock-free fast
 // paths: variable identifier → metadata record, readable without any lock.

@@ -63,9 +63,9 @@ type probes struct {
 	// increment-before-insert and decrement-after-delete, so a zero read
 	// proves absence at the instant of the load.
 	presence *Presence
-	// State publishes the sampling flag (bit 0) and a transition count
+	// state publishes the sampling flag (bit 0) and a transition count
 	// (upper bits). Always-on backends set it once with SetAlwaysOn.
-	State State
+	state detector.State
 	arena *arena.Arena
 	// clocks supplies thread and synchronization clocks: the tree-capable
 	// wrapper when tree clocks are mounted, the arena stripes otherwise,
@@ -145,11 +145,11 @@ func (p *probes) Shards() int { return p.geo.Shards() }
 // identifier's high output bits).
 func (p *probes) ShardOf(x event.Var) int { return p.geo.ShardOf(x) }
 
-// StateWord returns the atomically published sampling state: bit 0 is the
-// sampling flag and the upper bits count transitions, so two equal loads
-// bracketing another atomic load prove the sampling flag held throughout.
-// Always-on backends publish the constant 1.
-func (p *probes) StateWord() uint64 { return p.State.Word() }
+// State returns the atomically published sampling state: bit 0 of its
+// word is the sampling flag and the upper bits count transitions, so two
+// equal loads bracketing another atomic load prove the sampling flag held
+// throughout. Always-on backends publish the constant 1.
+func (p *probes) State() *detector.State { return &p.state }
 
 // MetaPossible reports whether variable x might currently hold metadata.
 // It is safe to call without any lock: a false result proves x held no

@@ -31,13 +31,13 @@ func TestShardbaseGeometryRounding(t *testing.T) {
 }
 
 func TestShardbaseStateWord(t *testing.T) {
-	var on shardbase.State
+	var on detector.State
 	on.SetAlwaysOn()
 	if w := on.Word(); w != 1 {
 		t.Errorf("SetAlwaysOn word = %d, want 1", w)
 	}
 
-	var s shardbase.State
+	var s detector.State
 	if w := s.Word(); w != 0 {
 		t.Fatalf("zero word = %d, want 0", w)
 	}

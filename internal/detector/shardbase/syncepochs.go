@@ -3,6 +3,7 @@ package shardbase
 import (
 	"sync/atomic"
 
+	"pacer/internal/detector"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
@@ -151,9 +152,9 @@ func (p *probes) SyncNoOp(e event.Event) bool {
 	case event.VolRead:
 		return s.joinNoOp(&s.vols, e)
 	case event.Release:
-		return s.copyNoOp(&p.State, &s.locks, e)
+		return s.copyNoOp(&p.state, &s.locks, e)
 	case event.VolWrite:
-		return s.copyNoOp(&p.State, &s.vols, e)
+		return s.copyNoOp(&p.state, &s.vols, e)
 	}
 	return false
 }
@@ -168,7 +169,7 @@ func (s *syncTables) joinNoOp(objs *VETable, e event.Event) bool {
 		!ve.IsTop() && ve.Thread() == e.Thread && ve.Version() <= own.Version())
 }
 
-func (s *syncTables) copyNoOp(state *State, objs *VETable, e event.Event) bool {
+func (s *syncTables) copyNoOp(state *detector.State, objs *VETable, e event.Event) bool {
 	st := state.Word()
 	if st&1 != 0 {
 		return false

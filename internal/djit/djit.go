@@ -85,7 +85,7 @@ func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
 	d.skips = make([]frameSkips, d.Shards())
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
-	d.State.SetAlwaysOn()
+	d.State().SetAlwaysOn()
 	return d
 }
 

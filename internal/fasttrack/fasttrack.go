@@ -110,8 +110,9 @@ func (m *varMeta) publishMirrors() {
 // interleaving is equivalent to some serialized execution of the same
 // operations.
 //
-// StateWord, MetaPossible, TrySameEpoch, and TryOwnedAccess may be called
-// lock-free at any time (TryOwnedAccess still under rule (d)). Because
+// The State word and MetaPossible may be read, and TrySameEpoch and
+// TryOwnedAccess called, lock-free at any time (TryOwnedAccess still under
+// rule (d)). Because
 // FASTTRACK analyzes every access, the state word's sampling flag is
 // constantly set — callers implementing the PACER-shaped "skip when not
 // sampling" dismissal therefore always fall through, which is the only
@@ -173,7 +174,7 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
 	// Always-on: the sampling flag is set for the detector's whole life.
-	d.State.SetAlwaysOn()
+	d.State().SetAlwaysOn()
 	return d
 }
 

@@ -26,8 +26,8 @@ func TestFastTrackShardedContract(t *testing.T) {
 			t.Fatalf("ShardOf(%d) = %d, outside [0, %d)", x, s, d.Shards())
 		}
 	}
-	if w := d.StateWord(); w != 1 {
-		t.Fatalf("StateWord() = %d, want the constant 1 (flag set, zero transitions)", w)
+	if w := d.State().Word(); w != 1 {
+		t.Fatalf("State().Word() = %d, want the constant 1 (flag set, zero transitions)", w)
 	}
 
 	x := event.Var(42)
@@ -38,8 +38,8 @@ func TestFastTrackShardedContract(t *testing.T) {
 	if !d.MetaPossible(x) {
 		t.Fatal("MetaPossible false after a read installed a read-map entry")
 	}
-	if d.StateWord() != 1 {
-		t.Fatal("StateWord changed: FASTTRACK never transitions")
+	if d.State().Word() != 1 {
+		t.Fatal("State word changed: FASTTRACK never transitions")
 	}
 
 	// EnsureThreadSlots pre-grows the thread table; later first accesses by

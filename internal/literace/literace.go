@@ -216,13 +216,13 @@ func (d *Detector) Shards() int { return d.ft.Shards() }
 // ShardOf maps a variable to its metadata shard in the wrapped core.
 func (d *Detector) ShardOf(x event.Var) int { return d.ft.ShardOf(x) }
 
-// StateWord returns the published sampling state: the wrapped core's
+// State returns the published sampling state: the wrapped core's
 // constant always-on word. LITERACE's sampling is per-(method, thread),
 // not global, so the global flag must stay set — the front-end's
 // "skip when not sampling" dismissal would bypass the burst sampler and
 // leave decisions unconsumed. Per-access skips flow through TrySkip, which
 // does consume them.
-func (d *Detector) StateWord() uint64 { return d.ft.StateWord() }
+func (d *Detector) State() *detector.State { return d.ft.State() }
 
 // MetaPossible reports whether x might hold metadata in the wrapped core.
 func (d *Detector) MetaPossible(x event.Var) bool { return d.ft.MetaPossible(x) }

@@ -75,8 +75,8 @@ func (m *varMeta) publishMirrors() {
 // reader-writer discipline as the other shardbase backends (see
 // detector.Sharded and the FASTTRACK documentation for the full contract):
 // synchronization operations and sampling transitions require exclusive
-// access; Read and Write may run concurrently across shards; StateWord,
-// MetaPossible, and TrySameEpoch are lock-free.
+// access; Read and Write may run concurrently across shards; the State
+// word, MetaPossible, and TrySameEpoch are lock-free.
 //
 // The embedded store's presence filter counts recorded variables. Records
 // are created only by sampled accesses and never discarded, so outside
@@ -137,7 +137,7 @@ func (d *Detector) SampleBegin() {
 		return
 	}
 	d.sampling = true
-	d.State.Publish(true)
+	d.State().Publish(true)
 }
 
 // SampleEnd leaves the sampling period. Recorded epochs persist — they are
@@ -148,7 +148,7 @@ func (d *Detector) SampleEnd() {
 		return
 	}
 	d.sampling = false
-	d.State.Publish(false)
+	d.State().Publish(false)
 	d.Trim()
 }
 

@@ -62,6 +62,37 @@ type G struct {
 	// sync objects it resolved, under the same single-owner rule.
 	pages pageCache
 	syncs syncCache
+	// tally counts the hooks this goroutine ended by itself, and the
+	// shadow hits on its way to the detector, not yet published; n is
+	// their total. Owner-only like resolves: see flush for when the
+	// detector sees them.
+	tally pacer.Tally
+	n     uint32
+}
+
+// tallyBatch is the number of counts a G holds before publishing them.
+const tallyBatch = 64
+
+// counted notes one count just added to g's tally, publishing the tally
+// once it holds tallyBatch counts.
+func (g *G) counted() {
+	if g.n++; g.n == tallyBatch {
+		g.flush()
+	}
+}
+
+// flush publishes g's tally to the detector (pacer.Detector.Count). Only
+// g's own goroutine calls it: when the tally is full, before any hook it
+// passes on to the detector (a claim, a claimed access, a sync op that is
+// not a no-op, GoSpawn), at GoExit, and when it calls Stats (see
+// FrontDoorStats). So Stats is exact for every goroutine that has exited,
+// whose later hook reached the detector, or that is the caller, and no
+// other goroutine holds more than tallyBatch-1 unpublished counts.
+func (g *G) flush() {
+	if g.n != 0 {
+		state.det.Count(g.t, g.tally)
+		g.tally, g.n = pacer.Tally{}, 0
+	}
 }
 
 // Thread returns the detector thread this goroutine operates as.
@@ -191,7 +222,9 @@ func current() *G {
 // happens-before the child. The returned handle is passed into the
 // child, which binds it with GoStart.
 func GoSpawn(h *Slot) *G {
-	return &G{t: D().Fork(h.G().t)}
+	parent := h.G()
+	parent.flush()
+	return &G{t: D().Fork(parent.t)}
 }
 
 // GoStart runs first in a spawned goroutine, binding the handle GoSpawn
@@ -201,9 +234,11 @@ func GoStart(g *G) {
 	goroutines.put(g)
 }
 
-// GoExit runs (deferred) last in a spawned goroutine, releasing the
-// registry entry GoStart made so the runtime id can be reused by an
-// unrelated goroutine without inheriting this thread's identity.
+// GoExit runs (deferred) last in a spawned goroutine: it publishes the
+// goroutine's tally and releases the registry entry GoStart made, so the
+// runtime id can be reused by an unrelated goroutine without inheriting
+// this thread's identity.
 func GoExit(g *G) {
+	g.flush()
 	goroutines.drop(g)
 }

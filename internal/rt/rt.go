@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"pacer"
+	"pacer/internal/event"
 	"pacer/internal/fleet"
 )
 
@@ -171,9 +172,15 @@ func Aggregator() *pacer.Aggregator {
 }
 
 // FrontDoorStats implements pacer.FrontDoorAccounted: the data shadow's
-// counters (sync-object resolution is tracked separately and not
-// surfaced, matching the Stats contract's "variable identifiers").
+// counters (sync-object resolution is not counted, matching the Stats
+// contract's "variable identifiers"). Stats calls it on the goroutine
+// calling Stats, so when that goroutine is an instrumented one its tally
+// is published here first, and its own hooks are all in the snapshot. A
+// goroutine the shim has never seen is not registered by the call.
 func (s *runtimeState) FrontDoorStats() pacer.FrontDoorStats {
+	if g := goroutines.get(goid()); g != nil {
+		g.flush()
+	}
 	return s.vars.stats()
 }
 
@@ -214,7 +221,7 @@ func lookupSync(addr uintptr, kind syncKind) *syncObj {
 	if o := state.syncs.Get(addr); o != nil {
 		return o
 	}
-	return state.syncs.SetIfAbsent(addr, func() *syncObj {
+	o, _ := state.syncs.SetIfAbsent(addr, func() *syncObj {
 		o := &syncObj{kind: kind}
 		d := state.det
 		switch kind {
@@ -232,6 +239,29 @@ func lookupSync(addr uintptr, kind syncKind) *syncObj {
 		}
 		return o
 	})
+	return o
+}
+
+// syncOp hands goroutine g's sync op of kind on target to the detector.
+// One the detector proves a no-op (pacer.Detector.DismissSync) ends here,
+// counted in g's tally; any other publishes the tally first.
+func syncOp(g *G, kind event.Kind, target uint32) {
+	e := pacer.Event{Kind: kind, Thread: g.t, Target: target}
+	d := state.det
+	if !d.DismissSync(e) {
+		g.flush()
+		d.Apply(e)
+		return
+	}
+	switch kind {
+	case event.Release:
+		g.tally.Copies++
+	case event.VolWrite:
+		g.tally.VolCopies++
+	default:
+		g.tally.Joins++
+	}
+	g.counted()
 }
 
 // FreeVar clears a data address's shadow entry: a later access to
@@ -280,14 +310,14 @@ func W(h *Slot, p unsafe.Pointer, size uintptr, site int) {
 func LockAcquire(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.Acquire(g.t, resolveSync(g, uintptr(p), kindMutex).lock)
+	syncOp(g, event.Acquire, uint32(resolveSync(g, uintptr(p), kindMutex).lock))
 }
 
 // LockRelease observes mu.Unlock(); call it before the real unlock.
 func LockRelease(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.Release(g.t, resolveSync(g, uintptr(p), kindMutex).lock)
+	syncOp(g, event.Release, uint32(resolveSync(g, uintptr(p), kindMutex).lock))
 }
 
 // RWLock observes rw.Lock() returning. The model mirrors pacer.RWMutex:
@@ -297,10 +327,9 @@ func RWLock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
 	o := resolveSync(g, uintptr(p), kindRWMutex)
-	d := state.det
-	d.Acquire(g.t, o.lock)
-	d.VolRead(g.t, o.v2) // readers' publications
-	d.VolRead(g.t, o.v1) // previous writer's
+	syncOp(g, event.Acquire, uint32(o.lock))
+	syncOp(g, event.VolRead, uint32(o.v2)) // readers' publications
+	syncOp(g, event.VolRead, uint32(o.v1)) // previous writer's
 }
 
 // RWUnlock observes rw.Unlock(); call before the real unlock.
@@ -308,9 +337,8 @@ func RWUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
 	o := resolveSync(g, uintptr(p), kindRWMutex)
-	d := state.det
-	d.VolWrite(g.t, o.v1)
-	d.Release(g.t, o.lock)
+	syncOp(g, event.VolWrite, uint32(o.v1))
+	syncOp(g, event.Release, uint32(o.lock))
 }
 
 // RWRLock observes rw.RLock() returning.
@@ -318,7 +346,7 @@ func RWRLock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
 	o := resolveSync(g, uintptr(p), kindRWMutex)
-	state.det.VolRead(g.t, o.v1)
+	syncOp(g, event.VolRead, uint32(o.v1))
 }
 
 // RWRUnlock observes rw.RUnlock(); call before the real unlock.
@@ -326,7 +354,7 @@ func RWRUnlock(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
 	o := resolveSync(g, uintptr(p), kindRWMutex)
-	state.det.VolWrite(g.t, o.v2)
+	syncOp(g, event.VolWrite, uint32(o.v2))
 }
 
 // --- sync.WaitGroup hooks ---
@@ -336,7 +364,7 @@ func RWRUnlock(h *Slot, p unsafe.Pointer) {
 func WGDone(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolWrite(g.t, resolveSync(g, uintptr(p), kindWaitGroup).v1)
+	syncOp(g, event.VolWrite, uint32(resolveSync(g, uintptr(p), kindWaitGroup).v1))
 }
 
 // WGWait observes wg.Wait() returning, receiving every Done-er's history;
@@ -344,7 +372,7 @@ func WGDone(h *Slot, p unsafe.Pointer) {
 func WGWait(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolRead(g.t, resolveSync(g, uintptr(p), kindWaitGroup).v1)
+	syncOp(g, event.VolRead, uint32(resolveSync(g, uintptr(p), kindWaitGroup).v1))
 }
 
 // --- channel hooks ---
@@ -368,7 +396,7 @@ func ChanSend(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolWrite(g.t, o.v1)
+		syncOp(g, event.VolWrite, uint32(o.v1))
 	}
 }
 
@@ -379,7 +407,7 @@ func ChanSendDone(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolRead(g.t, o.v2)
+		syncOp(g, event.VolRead, uint32(o.v2))
 	}
 }
 
@@ -390,7 +418,7 @@ func ChanRecvPre(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolWrite(g.t, o.v2)
+		syncOp(g, event.VolWrite, uint32(o.v2))
 	}
 }
 
@@ -400,7 +428,7 @@ func ChanRecv(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolRead(g.t, o.v1)
+		syncOp(g, event.VolRead, uint32(o.v1))
 	}
 }
 
@@ -410,7 +438,7 @@ func ChanClose(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolWrite(g.t, o.v1)
+		syncOp(g, event.VolWrite, uint32(o.v1))
 	}
 }
 
@@ -421,8 +449,8 @@ func ChanRange(h *Slot, ch any) {
 	Init()
 	g := h.G()
 	if o := chanObj(g, ch); o != nil {
-		state.det.VolRead(g.t, o.v1)
-		state.det.VolWrite(g.t, o.v2)
+		syncOp(g, event.VolRead, uint32(o.v1))
+		syncOp(g, event.VolWrite, uint32(o.v2))
 	}
 }
 
@@ -445,9 +473,9 @@ func OnceDo(h *Slot, o *sync.Once, f func()) {
 	so := resolveSync(g, uintptr(unsafe.Pointer(o)), kindOnce)
 	o.Do(func() {
 		f()
-		state.det.VolWrite(g.t, so.v1)
+		syncOp(g, event.VolWrite, uint32(so.v1))
 	})
-	state.det.VolRead(g.t, so.v1)
+	syncOp(g, event.VolRead, uint32(so.v1))
 }
 
 // --- sync/atomic hooks ---
@@ -456,14 +484,14 @@ func OnceDo(h *Slot, o *sync.Once, f func()) {
 func AtomicLoad(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolRead(g.t, resolveSync(g, uintptr(p), kindAtomic).v1)
+	syncOp(g, event.VolRead, uint32(resolveSync(g, uintptr(p), kindAtomic).v1))
 }
 
 // AtomicStore observes an atomic store to p; call before the real store.
 func AtomicStore(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
-	state.det.VolWrite(g.t, resolveSync(g, uintptr(p), kindAtomic).v1)
+	syncOp(g, event.VolWrite, uint32(resolveSync(g, uintptr(p), kindAtomic).v1))
 }
 
 // AtomicRMW observes an atomic read-modify-write (Add, Swap,
@@ -473,8 +501,8 @@ func AtomicRMW(h *Slot, p unsafe.Pointer) {
 	Init()
 	g := h.G()
 	o := resolveSync(g, uintptr(p), kindAtomic)
-	state.det.VolRead(g.t, o.v1)
-	state.det.VolWrite(g.t, o.v1)
+	syncOp(g, event.VolRead, uint32(o.v1))
+	syncOp(g, event.VolWrite, uint32(o.v1))
 }
 
 // --- deferred sync helpers ---

@@ -50,22 +50,27 @@ func freeAfter(t *testing.T, ps ...unsafe.Pointer) {
 	})
 }
 
-// spawn runs body on a new instrumented goroutine (GoSpawn in the parent,
-// GoStart/GoExit in the child) and returns after it finishes. The join
-// uses a plain channel with no rt hooks, so the detector sees no
-// happens-before edge back to the parent — exactly the shape of a racy
-// program whose second access happens to run later in wall time.
-func spawn(body func()) {
+// spawn runs each body on a new instrumented goroutine of its own (GoSpawn
+// in the parent, GoStart/GoExit in the child), all at once, and returns
+// once every child has passed GoExit. The join uses a sync.WaitGroup the
+// shim never sees, so the detector sees no happens-before edge back to
+// the parent — exactly the shape of a racy program whose second access
+// happens to run later in wall time — and the only publications of the
+// children's tallies are the ones the shim makes itself.
+func spawn(bodies ...func()) {
 	var h Slot
-	g := GoSpawn(&h)
-	done := make(chan struct{})
-	go func() {
-		GoStart(g)
-		defer GoExit(g)
-		defer close(done)
-		body()
-	}()
-	<-done
+	var wg sync.WaitGroup
+	for _, body := range bodies {
+		g := GoSpawn(&h)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			GoStart(g)
+			defer GoExit(g)
+			body()
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRacyPairDetected: write in a spawned goroutine, then an unordered

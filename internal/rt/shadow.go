@@ -25,19 +25,33 @@
 // pointers, so a hit is a compare, an index and a load; a cache miss
 // finds the page in a ShadowMap keyed by page number. A start that is
 // not 8-byte aligned (a byte, or an int32 at offset 4) keeps a ShadowMap
-// entry of its own. Hits are counted per detector thread, so two
-// goroutines on one variable share no counter. On a 2-vCPU Intel Xeon
-// container with Go 1.24, the pages cut the deploy benchmark's
-// instrumented slowdown (perfbench, r = 0.01) from ~16.7x to ~10.7x and
-// its allocations per operation from 0.25 to 0.027; the price is ~2 KiB
-// of shadow per touched page, never freed. Claiming only for accesses
-// that reach the detector later cut it from ~7.8x to ~6.1x.
+// entry of its own.
+//
+// Hooks are counted in the goroutine that makes them. Each G keeps a
+// tally (pacer.Tally) in plain memory only its goroutine touches: the
+// accesses it dismissed unclaimed, the sync ops the detector proved
+// no-ops (pacer.Detector.DismissSync), and its shadow hits. The G
+// publishes the whole tally with one pacer.Detector.Count when it holds
+// 64 counts, before any hook it passes on to the detector, at GoExit, and
+// when its goroutine calls Stats (FrontDoorStats). So a dismissed hook
+// does no atomic read-modify-write and writes no shared cache line, and
+// Stats is exact for every goroutine that has exited, whose later hook
+// reached the detector, or that calls it; any other live goroutine holds
+// at most 63 counts not yet published.
+//
+// On a 2-vCPU Intel Xeon container with Go 1.24, the pages cut the
+// deploy benchmark's instrumented slowdown (perfbench, r = 0.01) from
+// ~16.7x to ~10.7x and its allocations per operation from 0.25 to 0.027;
+// the price is ~2 KiB of shadow per touched page, never freed. Claiming
+// only for accesses that reach the detector later cut it from ~7.8x to
+// ~6.1x, dismissing redundant sync ops before the epoch lock to ~5.5x,
+// and the per-goroutine tallies to ~4.4x.
 //
 // Sync objects resolve the same way: each G caches the ones it resolved
 // (syncCache), so a sync hook reaches the shared map only on a cache
-// miss. Neither a page nor a sync-object hit takes a lock, and neither
-// does the goroutine lookup before them (goid.go): registry reads are
-// lock-free.
+// miss. Neither a page nor a sync-object hit takes a lock or writes
+// shared memory, and neither does the goroutine lookup before them
+// (goid.go): registry reads are lock-free.
 //
 // ShadowMap, the address-keyed map behind both the page lookup and
 // sync-object resolution, follows the publication discipline of
@@ -62,8 +76,6 @@ const (
 	pageWords = 1 << (pageShift - 3)
 	// pageCacheWays is the number of page pointers each G caches.
 	pageCacheWays = 16
-	// hitShards stripes the page path's hit counter by detector thread.
-	hitShards = 64
 )
 
 // shadowPage holds VarID+1 for each 8-byte-aligned address of one page
@@ -90,11 +102,9 @@ type varShadow struct {
 	pages     *ShadowMap[shadowPage]
 	unaligned *ShadowMap[varEntry]
 
-	// hits counts page-path resolves that found a claimed word,
-	// sharded by detector thread; misses, evicts and live cover the
-	// page path only (unaligned keeps its own). Unclaimed dismissals
-	// are counted by the detector.
-	hits   [hitShards]paddedCount
+	// misses, evicts and live cover the page path only (unaligned keeps
+	// its own). Hits and unclaimed dismissals, on either path, go into
+	// the resolving G's tally and are counted by the detector.
 	misses atomic.Uint64
 	evicts atomic.Uint64
 	live   atomic.Int64
@@ -108,21 +118,30 @@ func newVarShadow() *varShadow {
 // first sight, or ok = false when det dismissed the access unclaimed:
 // outside a sampling period, an address with no VarID yet holds no
 // metadata, so a lookup that finds none ends the hook without claiming
-// one (see pacer.Detector.DismissUnclaimed, which counts the access).
-// A registrar that loses the claim race takes the winner's VarID (its own
-// is left unused) and counts as a hit, so hits + misses + det's unclaimed
-// dismissals is exactly the number of resolves.
+// one (see pacer.Detector.DismissUnclaimed). The dismissal is counted in
+// g's tally. On ok = true the access goes on to the detector, so g's
+// tally is published first (G.flush), a hit included. A registrar that
+// loses the claim race takes the winner's VarID (its own is left unused)
+// and counts as a hit, so hits + misses + unclaimed dismissals is exactly
+// the number of resolves.
 func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector, write bool) (v pacer.VarID, ok bool) {
 	num := addr >> pageShift
 	if addr&7 != 0 || num == 0 {
 		st, unsampled := det.ProbeUnclaimed()
 		if e := s.unaligned.Get(addr); e != nil {
+			g.hit()
 			return e.v, true
 		}
-		if unsampled && det.DismissUnclaimed(g.t, st, write) {
+		if unsampled && det.DismissUnclaimed(st) {
+			g.unclaimed(write)
 			return 0, false
 		}
-		return s.unaligned.SetIfAbsent(addr, func() *varEntry { return &varEntry{v: det.NewVarID()} }).v, true
+		g.flush()
+		e, built := s.unaligned.SetIfAbsent(addr, func() *varEntry { return &varEntry{v: det.NewVarID()} })
+		if !built {
+			g.hit()
+		}
+		return e.v, true
 	}
 	// An empty cache entry holds page number 0, which never gets here.
 	c := &g.pages[num%pageCacheWays]
@@ -133,12 +152,14 @@ func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector, write bool)
 	st, unsampled := det.ProbeUnclaimed()
 	for {
 		if id := w.Load(); id != 0 {
-			s.hits[uint32(g.t)%hitShards].n.Add(1)
+			g.hit()
 			return pacer.VarID(id - 1), true
 		}
-		if unsampled && det.DismissUnclaimed(g.t, st, write) {
+		if unsampled && det.DismissUnclaimed(st) {
+			g.unclaimed(write)
 			return 0, false
 		}
+		g.flush()
 		v := det.NewVarID()
 		if w.CompareAndSwap(0, uint32(v)+1) {
 			s.misses.Add(1)
@@ -148,12 +169,31 @@ func (s *varShadow) resolve(g *G, addr uintptr, det *pacer.Detector, write bool)
 	}
 }
 
+// hit counts a resolution of a claimed address in g's tally and
+// publishes the tally: the access goes on to the detector.
+func (g *G) hit() {
+	g.tally.ShadowHits++
+	g.n++
+	g.flush()
+}
+
+// unclaimed counts an unclaimed dismissal in g's tally.
+func (g *G) unclaimed(write bool) {
+	if write {
+		g.tally.UnclaimedWrites++
+	} else {
+		g.tally.UnclaimedReads++
+	}
+	g.counted()
+}
+
 // page returns page num's shadow page, allocating it on first sight.
 func (s *varShadow) page(num uintptr) *shadowPage {
 	if p := s.pages.Get(num); p != nil {
 		return p
 	}
-	return s.pages.SetIfAbsent(num, func() *shadowPage { return new(shadowPage) })
+	p, _ := s.pages.SetIfAbsent(num, func() *shadowPage { return new(shadowPage) })
+	return p
 }
 
 // free clears addr's VarID, so the next access registers a fresh one.
@@ -170,15 +210,11 @@ func (s *varShadow) free(addr uintptr) {
 	}
 }
 
-// stats returns the counters of both paths, summed.
+// stats returns the counters of both paths, summed. Hits are counted by
+// the detector (see resolve), so ShadowHits is left zero.
 func (s *varShadow) stats() pacer.FrontDoorStats {
 	u := s.unaligned.Stats()
-	hits := u.Hits
-	for i := range s.hits {
-		hits += s.hits[i].n.Load()
-	}
 	return pacer.FrontDoorStats{
-		ShadowHits:   hits,
 		ShadowMisses: s.misses.Load() + u.Misses,
 		ShadowEvicts: s.evicts.Load() + u.Evicts,
 		ShadowVars:   int(s.live.Load()) + u.Live,
@@ -225,23 +261,18 @@ type shadowShard[T any] struct {
 }
 
 // ShadowMap resolves addresses to interned values of type T with a
-// lock-free hit path. New returns the value built by the constructor
-// passed to Resolve, called at most once per live address (under the
-// shard lock).
+// lock-free hit path. SetIfAbsent returns the value built by the
+// constructor passed to it, called at most once per live address (under
+// the shard lock).
 type ShadowMap[T any] struct {
 	shards [shadowShards]shadowShard[T]
 
-	// hits is sharded to keep the hot path contention-free; misses and
-	// evicts are cold (they take the shard lock anyway).
-	hits   [shadowShards]paddedCount
+	// misses, evicts and live are counted under the shard lock those
+	// operations take anyway. Hits are not counted: Get writes nothing
+	// shared, and a caller that wants them counts them itself.
 	misses atomic.Uint64
 	evicts atomic.Uint64
 	live   atomic.Int64
-}
-
-type paddedCount struct {
-	n atomic.Uint64
-	_ [56]byte
 }
 
 // NewShadowMap returns an empty map.
@@ -276,41 +307,36 @@ func lookup[T any](tab *shadowTable[T], addr uintptr) *T {
 }
 
 // Get returns the value registered for addr, or nil. This is the
-// lock-free, allocation-free hit path; callers that see nil fall back to
-// SetIfAbsent. Keeping the two separate lets the hot caller avoid even
-// constructing the builder closure on hits.
+// lock-free, allocation-free hit path, and it writes nothing shared;
+// callers that see nil fall back to SetIfAbsent. Keeping the two separate
+// lets the hot caller avoid even constructing the builder closure on hits.
 func (m *ShadowMap[T]) Get(addr uintptr) *T {
-	sh := shadowShardOf(addr)
-	if tab := m.shards[sh].table.Load(); tab != nil {
-		if e := lookup(tab, addr); e != nil {
-			m.hits[sh].n.Add(1)
-			return e
-		}
+	if tab := m.shards[shadowShardOf(addr)].table.Load(); tab != nil {
+		return lookup(tab, addr)
 	}
 	return nil
 }
 
 // SetIfAbsent returns the value registered for addr, building one with
-// build on first sight. It takes the shard lock, re-probes (a racing
-// registrar's insert wins), and inserts. build runs under the shard lock
-// and must not call back into the same map.
-func (m *ShadowMap[T]) SetIfAbsent(addr uintptr, build func() *T) *T {
+// build on first sight, and reports whether it built it. It takes the
+// shard lock, re-probes (a racing registrar's insert wins, and built is
+// false), and inserts. build runs under the shard lock and must not call
+// back into the same map.
+func (m *ShadowMap[T]) SetIfAbsent(addr uintptr, build func() *T) (e *T, built bool) {
 	sh := &m.shards[shadowShardOf(addr)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tab := sh.table.Load()
-	if tab != nil {
+	if tab := sh.table.Load(); tab != nil {
 		if e := lookup(tab, addr); e != nil {
 			// Raced with another registrar: their insert is ours.
-			m.hits[shadowShardOf(addr)].n.Add(1)
-			return e
+			return e, false
 		}
 	}
-	e := build()
+	e = build()
 	m.insertLocked(sh, addr, e)
 	m.misses.Add(1)
 	m.live.Add(1)
-	return e
+	return e, true
 }
 
 // insertLocked publishes addr→e, growing (or compacting tombstones) when
@@ -408,18 +434,13 @@ func (m *ShadowMap[T]) Evict(addr uintptr) bool {
 
 // ShadowMapStats is a ShadowMap's counter snapshot.
 type ShadowMapStats struct {
-	Hits, Misses, Evicts uint64
-	Live                 int
+	Misses, Evicts uint64
+	Live           int
 }
 
 // Stats returns a snapshot of the map's counters.
 func (m *ShadowMap[T]) Stats() ShadowMapStats {
-	var h uint64
-	for i := range m.hits {
-		h += m.hits[i].n.Load()
-	}
 	return ShadowMapStats{
-		Hits:   h,
 		Misses: m.misses.Load(),
 		Evicts: m.evicts.Load(),
 		Live:   int(m.live.Load()),

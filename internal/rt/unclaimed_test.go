@@ -22,6 +22,16 @@ var rate0Tests = []string{
 	"TestUnclaimedDismissal",
 	"TestUnclaimedClaimedBySample",
 	"TestUnclaimedRaceAcrossSampleEnd",
+	"TestTallyExactCounts",
+	"TestTallyPublishedByWGDone",
+	"TestTallyCallerFlushRollsPeriod",
+	"TestTallySyncNoOpNoAllocs",
+	"TestTallyPublishedBeforeDetector",
+}
+
+// rate0Env is the environment a rate-0 test adds to its process.
+var rate0Env = map[string][]string{
+	"TestTallyCallerFlushRollsPeriod": {"PACER_PERIOD=16"},
 }
 
 // TestUnclaimedRateZero runs the unclaimed-dismissal tests: every other
@@ -33,7 +43,8 @@ func TestUnclaimedRateZero(t *testing.T) {
 	}
 	for _, name := range rate0Tests {
 		t.Run(name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1", "-test.v", rate0Arg)
+			cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1", "-test.v", "-test.timeout=2m", rate0Arg)
+			cmd.Env = append(os.Environ(), rate0Env[name]...)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("%v\n%s", err, out)

@@ -56,8 +56,11 @@
 //     runtime shim) goes one step earlier: outside sampling periods, an
 //     access to an address it has not yet given a VarID is dismissed
 //     before a VarID exists (ProbeUnclaimed, DismissUnclaimed). Its own
-//     claim-word load stands in for the presence filter, and the cost is
-//     the same two state-word loads and one add on the thread's cell.
+//     claim-word load stands in for the presence filter. The two probes,
+//     and DismissSync for synchronization, are pure: the front door counts
+//     what they dismiss in plain per-goroutine memory and publishes it in
+//     batches with Count, so such a dismissal is two state-word loads and
+//     no atomic read-modify-write at all.
 //   - During sampling periods, variable metadata is striped across shards
 //     (hash of VarID); accesses to variables in distinct shards proceed in
 //     parallel, each under its shard lock plus a shared (reader) hold on
@@ -77,10 +80,11 @@
 //     reports a race that a fully serialized detector could not report.
 //   - Each registered thread owns a cache-line-padded counter cell: its
 //     fast-path read and write dismissals, its sync dismissals and its
-//     slow-path accesses. Each counter flushes a batch to the period
-//     roller whenever it crosses a power-of-two boundary, so the sampling
-//     clock advances without a shared contended word and without a
-//     division.
+//     slow-path accesses, plus whatever a front door publishes for it
+//     with Count. Each counter flushes a batch to the period roller
+//     whenever it crosses a power-of-two boundary, and Count adds its
+//     dismissals in one step, so the sampling clock advances without a
+//     shared contended word and without a division.
 package pacer
 
 import (
@@ -155,7 +159,9 @@ type Options struct {
 	// writes, slow-path accesses and sync dismissals separately and
 	// flushes each to the roller in small batches (PeriodOps/64 rounded
 	// down to a power of two, at most 64), so a period may run over by up
-	// to one batch per counter per active thread.
+	// to one batch per counter per active thread. A front door's
+	// dismissals reach the roller only when it publishes them with Count
+	// (pacergo's runtime shim holds up to 63 per goroutine).
 	PeriodOps int
 	// OnRace receives race reports. Accesses to variables in distinct
 	// shards analyze in parallel, so OnRace may be invoked from multiple
@@ -288,7 +294,8 @@ type Stats struct {
 	// accesses. Zero when no front door is mounted.
 	ShadowHits, ShadowMisses, ShadowEvicts uint64
 	// ShadowUnclaimed counts accesses dismissed outside sampling periods
-	// before their address was given a VarID (DismissUnclaimed).
+	// before their address was given a VarID (DismissUnclaimed), as the
+	// front door published them with Count.
 	ShadowUnclaimed uint64
 	// ShadowVars is the number of addresses the front door currently maps
 	// to variable identifiers. An address is mapped when an access to it
@@ -308,8 +315,9 @@ type Stats struct {
 // fields of Stats.
 type FrontDoorStats struct {
 	// ShadowHits counts lock-free resolutions of an already-registered
-	// address. Unclaimed dismissals are counted by the detector, not here;
-	// Stats adds them in.
+	// address that the front door counts itself. Hits and unclaimed
+	// dismissals it publishes with Count are counted by the detector, not
+	// here; Stats adds them in.
 	ShadowHits uint64
 	// ShadowMisses counts first-sight registrations (a fresh VarID was
 	// allocated for the address).
@@ -327,7 +335,10 @@ type FrontDoorStats struct {
 // pacergo's runtime shim) that resolve real program state — addresses,
 // goroutines — onto detector identifiers. Mounting one with MountFrontDoor
 // folds its counters into Stats, the same capability-interface discipline
-// backends use (detector.VarAccounted and friends).
+// backends use (detector.VarAccounted and friends). Stats calls
+// FrontDoorStats on its own goroutine before taking the epoch lock, so a
+// front door that tallies per goroutine can publish the caller's Tally
+// there (with Count), putting the caller's own operations in the snapshot.
 type FrontDoorAccounted interface {
 	FrontDoorStats() FrontDoorStats
 }
@@ -345,8 +356,12 @@ type shardLock struct {
 type Detector struct {
 	// back is the mounted backend; the remaining interface fields are its
 	// discovered capabilities, nil when unsupported.
-	back      detector.Detector
-	sharded   detector.Sharded
+	back    detector.Detector
+	sharded detector.Sharded
+	// state is the sharded backend's published sampling state, fetched
+	// once so the lock-free probes load its word directly; nil when the
+	// backend is not sharded.
+	state     *detector.State
 	sampler   detector.Sampler
 	burst     detector.BurstSampler
 	epoch     detector.EpochFast
@@ -408,8 +423,9 @@ type Detector struct {
 	nextVar atomic.Uint32
 
 	// frontDoor, when mounted, contributes shadow-map counters to Stats.
-	// Written once under mu; read under mu.
-	frontDoor FrontDoorAccounted
+	// Stats calls it before taking mu, since the front door may publish
+	// the caller's tally (Count), which can roll the period under mu.
+	frontDoor atomic.Pointer[FrontDoorAccounted]
 
 	// labelMu guards the human-readable label tables (sites.go) on their
 	// own small lock, so SiteLabel/Describe never contend with ingestion.
@@ -467,6 +483,9 @@ func New(opts Options) *Detector {
 	}
 	det.back = back
 	det.sharded, _ = back.(detector.Sharded)
+	if det.sharded != nil {
+		det.state = det.sharded.State()
+	}
 	det.sampler, _ = back.(detector.Sampler)
 	if !opts.Serialized {
 		det.burst, _ = back.(detector.BurstSampler)
@@ -563,16 +582,19 @@ func (p *Detector) tickLocked() {
 	}
 }
 
-// opCell is one thread's counters, on a cache line of its own (eight
-// words fill it): reads and writes count its lock-free fast-path
-// dismissals, ureads and uwrites its unclaimed dismissals, ops its
-// slow-path accesses, and joins, copies and volCopies its dismissed
-// acquires and volatile reads, releases, and volatile writes. Each counter
-// also drives the period clock (see tick).
+// opCell is one thread's counters, on two cache lines of its own: reads
+// and writes count its lock-free fast-path dismissals, ureads and uwrites
+// its unclaimed dismissals, ops its slow-path accesses, joins, copies and
+// volCopies its dismissed acquires and volatile reads, releases, and
+// volatile writes, and hits the front door's resolutions of a claimed
+// address. The embedded API ticks its counters one operation at a time
+// (see tick); a front door adds whole tallies (see Count).
 type opCell struct {
 	reads, writes, ops       atomic.Uint64
 	ureads, uwrites          atomic.Uint64
 	joins, copies, volCopies atomic.Uint64
+	hits                     atomic.Uint64
+	_                        [56]byte
 }
 
 // cell returns thread t's counter cell, or the shared spill cell when t
@@ -584,16 +606,18 @@ func (p *Detector) cell(t ThreadID) *opCell {
 	return p.spill
 }
 
-// tick advances the period clock by one operation from outside the epoch
-// lock: n, a counter of the calling thread's cell, absorbs the increment,
-// and each time it crosses a batch boundary one batch is flushed to the
-// shared pending total. The goroutine that pushes the total past
-// PeriodOps performs the roll itself.
-func (p *Detector) tick(n *atomic.Uint64) {
-	if n.Add(1)&p.batchMask != 0 {
-		return
+// tick advances the period clock by k operations from outside the epoch
+// lock: n, a counter of the calling thread's cell, absorbs them, and each
+// batch boundary it crosses flushes one batch to the shared pending
+// total. The goroutine that pushes the total past PeriodOps performs the
+// roll itself.
+func (p *Detector) tick(n *atomic.Uint64, k uint64) {
+	now := n.Add(k)
+	if now&p.batchMask >= k {
+		return // no boundary crossed
 	}
-	if p.pending.Add(int64(p.batchMask+1)) >= int64(p.opts.PeriodOps) {
+	crossed := now&^p.batchMask - (now-k)&^p.batchMask
+	if p.pending.Add(int64(crossed)) >= int64(p.opts.PeriodOps) {
 		p.maybeRoll()
 	}
 }
@@ -603,9 +627,9 @@ func (p *Detector) tick(n *atomic.Uint64) {
 func (p *Detector) dismissed(t ThreadID, write bool) {
 	c := p.cell(t)
 	if write {
-		p.tick(&c.writes)
+		p.tick(&c.writes, 1)
 	} else {
-		p.tick(&c.reads)
+		p.tick(&c.reads, 1)
 	}
 }
 
@@ -626,7 +650,10 @@ func (p *Detector) maybeRoll() {
 
 // growLocked extends the thread registry (backend slots where supported,
 // and counter cells) to hold identifiers below n. Callers hold mu
-// exclusively.
+// exclusively. The cell table's capacity doubles when it runs out, and
+// each growth publishes a header of length n over the shared backing
+// array: a reader never indexes past its own header's length, so filling
+// the slots beyond it races with no reader.
 func (p *Detector) growLocked(n int) {
 	if p.sharded != nil {
 		p.sharded.EnsureThreadSlots(n)
@@ -635,8 +662,12 @@ func (p *Detector) growLocked(n int) {
 	if len(cells) >= n {
 		return
 	}
-	grown := make([]*opCell, n)
-	copy(grown, cells)
+	if cap(cells) < n {
+		fresh := make([]*opCell, len(cells), max(n, 2*cap(cells)))
+		copy(fresh, cells)
+		cells = fresh
+	}
+	grown := cells[:n]
 	for i := len(cells); i < n; i++ {
 		grown[i] = &opCell{}
 	}
@@ -754,33 +785,80 @@ func (p *Detector) ProbeUnclaimed() (uint64, bool) {
 	if !p.lockFreeOK {
 		return 0, false
 	}
-	st := p.sharded.StateWord()
+	st := p.state.Word()
 	return st, st&1 == 0
 }
 
-// DismissUnclaimed completes the dismissal ProbeUnclaimed opened for
-// thread t. If the state word still reads st, no sampling period was in
-// progress at any instant between the two loads, and in particular when
-// the caller found the variable unclaimed. The soundness argument is
-// tryFast's, with the claim word standing in for the presence filter. A
-// front door claims a VarID only for an access it then passes to Read or
-// Write, and only when this dismissal was not allowed, so metadata exists
-// only for claimed variables and the detector would have done nothing
-// for this access. DismissUnclaimed then counts the access with one add
-// on t's own counter cell, which also drives the period clock, and
-// reports true. Otherwise the caller must claim a VarID and call Read or
-// Write.
-func (p *Detector) DismissUnclaimed(t ThreadID, st uint64, write bool) bool {
-	if p.sharded.StateWord() != st {
-		return false
-	}
+// DismissUnclaimed completes the dismissal ProbeUnclaimed opened. If the
+// state word still reads st, no sampling period was in progress at any
+// instant between the two loads, and in particular when the caller found
+// the variable unclaimed. The soundness argument is tryFast's, with the
+// claim word standing in for the presence filter. A front door claims a
+// VarID only for an access it then passes to Read or Write, and only when
+// this dismissal was not allowed, so metadata exists only for claimed
+// variables and the detector would have done nothing for this access.
+// DismissUnclaimed is a pure probe: on true the access is dismissed, and
+// the front door counts it in its Tally and publishes it later with
+// Count. Otherwise the caller must claim a VarID and call Read or Write.
+func (p *Detector) DismissUnclaimed(st uint64) bool {
+	return p.state.Word() == st
+}
+
+// DismissSync reports whether the Acquire, Release, VolRead or VolWrite
+// event e may be dismissed lock-free, its thread's published version
+// epochs proving it a no-op (detector.Sharded's SyncNoOp; only PACER
+// publishes them). Like DismissUnclaimed it is a pure probe: a front door
+// that gets true counts e in its Tally, and one that gets false passes e
+// on to Acquire, Release, VolRead or VolWrite. It never fires when the
+// front-end is serialized or recording (nothing would log e), nor for a
+// thread still on the spill cell. e must be issued by e.Thread's own
+// sequential flow, as for every other operation.
+func (p *Detector) DismissSync(e Event) bool {
+	return p.lockFreeOK && int(e.Thread) < len(*p.cells.Load()) && p.sharded.SyncNoOp(e)
+}
+
+// Tally is a batch of one thread's operations that an instrumentation
+// front door ended by itself, on a DismissUnclaimed or DismissSync probe,
+// plus the claimed-address resolutions it made on the way to Read and
+// Write. The front door keeps it in plain memory of the thread's own and
+// publishes it in one call to Count, so a dismissal costs no atomic
+// read-modify-write.
+type Tally struct {
+	// UnclaimedReads and UnclaimedWrites count accesses dismissed on
+	// DismissUnclaimed.
+	UnclaimedReads, UnclaimedWrites uint64
+	// Joins counts acquires and volatile reads dismissed on DismissSync,
+	// Copies releases, and VolCopies volatile writes.
+	Joins, Copies, VolCopies uint64
+	// ShadowHits counts resolutions of an address already holding a
+	// VarID; the accesses themselves go on to Read or Write.
+	ShadowHits uint64
+}
+
+// Count publishes thread t's tally n: each count is added to t's counter
+// cell, where Stats finds it exactly as if each operation had been
+// counted when it was made, and the period clock advances by the
+// dismissals in n, batched as tick batches them (ShadowHits name
+// accesses that Read or Write already clock). A publication that carries
+// the clock past PeriodOps rolls the period, taking the epoch lock, so
+// Count must not be called with it held (from OnRace, say). Any goroutine
+// may call Count, but a thread's tally belongs to the goroutine issuing
+// its operations, which is the one that should publish it.
+func (p *Detector) Count(t ThreadID, n Tally) {
 	c := p.cell(t)
-	if write {
-		p.tick(&c.uwrites)
-	} else {
-		p.tick(&c.ureads)
+	if n.ShadowHits != 0 {
+		c.hits.Add(n.ShadowHits)
 	}
-	return true
+	tick := func(ctr *atomic.Uint64, k uint64) {
+		if k != 0 {
+			p.tick(ctr, k)
+		}
+	}
+	tick(&c.ureads, n.UnclaimedReads)
+	tick(&c.uwrites, n.UnclaimedWrites)
+	tick(&c.joins, n.Joins)
+	tick(&c.copies, n.Copies)
+	tick(&c.volCopies, n.VolCopies)
 }
 
 // tryFast attempts the lock-free non-sampling dismissal of an access: if
@@ -795,16 +873,16 @@ func (p *Detector) DismissUnclaimed(t ThreadID, st uint64, write bool) bool {
 func (p *Detector) tryFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
 	if p.opts.TraceSink != nil {
 		p.sinkMu.Lock()
-		st := p.sharded.StateWord()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.sharded.StateWord() != st {
+		st := p.state.Word()
+		if st&1 != 0 || p.sharded.MetaPossible(v) || p.state.Word() != st {
 			p.sinkMu.Unlock()
 			return false
 		}
 		p.opts.TraceSink(accessEvent(t, v, s, method, write))
 		p.sinkMu.Unlock()
 	} else {
-		st := p.sharded.StateWord()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.sharded.StateWord() != st {
+		st := p.state.Word()
+		if st&1 != 0 || p.sharded.MetaPossible(v) || p.state.Word() != st {
 			return false
 		}
 	}
@@ -971,7 +1049,7 @@ func (p *Detector) access(t ThreadID, v VarID, s SiteID, method uint32, write bo
 		return
 	}
 	p.mu.RUnlock()
-	p.tick(&p.cell(t).ops)
+	p.tick(&p.cell(t).ops, 1)
 }
 
 // Read observes thread t reading variable v at site s.
@@ -1010,12 +1088,11 @@ func (p *Detector) syncOp(e Event) {
 	p.tickLocked()
 }
 
-// trySyncNoOp attempts the lock-free sync dismissal: when the backend's
-// published version epochs prove e a no-op (detector.Sharded's SyncNoOp;
-// only PACER publishes them), e is counted on its thread's own cell, which
-// also drives the period clock, and dismissed. It never fires when the
-// front-end is serialized or recording (nothing would log e), nor for a
-// thread still on the spill cell.
+// trySyncNoOp attempts the lock-free sync dismissal: when DismissSync
+// allows it, e is counted on its thread's own cell, which also drives the
+// period clock, and dismissed. DismissSync's test is spelled out here so
+// that the embedded API loads the cell table once and makes no call
+// besides the backend's probe.
 func (p *Detector) trySyncNoOp(e Event) bool {
 	if !p.lockFreeOK {
 		return false
@@ -1027,11 +1104,11 @@ func (p *Detector) trySyncNoOp(e Event) bool {
 	c := cells[e.Thread]
 	switch e.Kind {
 	case event.Release:
-		p.tick(&c.copies)
+		p.tick(&c.copies, 1)
 	case event.VolWrite:
-		p.tick(&c.volCopies)
+		p.tick(&c.volCopies, 1)
 	default:
-		p.tick(&c.joins)
+		p.tick(&c.joins, 1)
 	}
 	return true
 }
@@ -1120,7 +1197,7 @@ func (p *Detector) Sampling() bool {
 		return true
 	}
 	if p.sharded != nil {
-		return p.sharded.StateWord()&1 == 1
+		return p.state.Word()&1 == 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1136,21 +1213,32 @@ func (p *Detector) ShardCount() int { return p.nshards }
 // Stats should fold in (the Shadow* fields). At most one front door is
 // mounted; a second call replaces the first.
 func (p *Detector) MountFrontDoor(f FrontDoorAccounted) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.frontDoor = f
+	p.frontDoor.Store(&f)
 }
 
-// Stats returns a snapshot of the detector's work counters. It takes the
-// epoch lock exclusively, so in-flight slow-path operations complete
-// first; lock-free fast-path dismissals that have not yet happened-before
-// this call may be missing from the snapshot. Counters the mounted backend
-// does not expose are zero.
+// Stats returns a snapshot of the detector's work counters. Counters the
+// mounted backend does not expose are zero.
+//
+// A mounted front door's counters are read first, before the epoch lock:
+// the front door publishes the calling goroutine's own Tally then (see
+// FrontDoorAccounted), and a publication may roll the period. Stats then
+// takes the epoch lock exclusively, so in-flight slow-path operations
+// complete first. An operation counted lock-free, on the embedded API's
+// fast paths or with Count, is in the snapshot if it happened before this
+// call. So with pacergo's runtime shim mounted, the counts are exact for
+// every goroutine that has exited, whose later hook reached the detector,
+// or that is calling Stats; every other live goroutine may hold up to 63
+// dismissals not yet published.
 func (p *Detector) Stats() Stats {
+	var fd FrontDoorStats
+	door := p.frontDoor.Load()
+	if door != nil {
+		fd = (*door).FrontDoorStats()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s Stats
-	var fr, fw, ur, uw, sj, sc, svc uint64
+	var fr, fw, ur, uw, sj, sc, svc, hits uint64
 	for _, cell := range append([]*opCell{p.spill}, *p.cells.Load()...) {
 		fr += cell.reads.Load()
 		fw += cell.writes.Load()
@@ -1159,6 +1247,7 @@ func (p *Detector) Stats() Stats {
 		sj += cell.joins.Load()
 		sc += cell.copies.Load()
 		svc += cell.volCopies.Load()
+		hits += cell.hits.Load()
 	}
 	// Unclaimed dismissals are non-sampling fast-path dismissals too.
 	fr, fw = fr+ur, fw+uw
@@ -1195,10 +1284,9 @@ func (p *Detector) Stats() Stats {
 			s.ArenaTrimmed = a.Trimmed
 		}
 	}
-	if p.frontDoor != nil {
-		fd := p.frontDoor.FrontDoorStats()
+	if door != nil {
 		s.FrontDoor = true
-		s.ShadowHits = fd.ShadowHits + ur + uw
+		s.ShadowHits = fd.ShadowHits + hits + ur + uw
 		s.ShadowUnclaimed = ur + uw
 		s.ShadowMisses = fd.ShadowMisses
 		s.ShadowEvicts = fd.ShadowEvicts
