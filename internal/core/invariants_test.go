@@ -63,7 +63,7 @@ func checkWellFormed(d *Detector) error {
 		}
 		// 3-4: variable metadata components bounded by owners' clocks.
 		var bad error
-		d.forEachVar(func(x event.Var, m *varMeta) bool {
+		d.Range(func(x event.Var, m *varMeta) bool {
 			if !m.w.IsZero() && m.w.Thread() == t && m.w.Clock() > tm.clock.Get(t) {
 				bad = fmt.Errorf("W_%d = %v exceeds C_%d.vc(%d)", x, m.w, t, t)
 				return false

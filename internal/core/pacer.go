@@ -65,10 +65,10 @@ type syncMeta struct {
 	alloc  vclock.Allocator
 }
 
-// varMeta is the read/write metadata for one data variable. An entry
-// exists in the variable table only while it carries information: the
-// table-miss is the implementation's "o.metadata == null" fast path
-// (Section 4).
+// varMeta is the read/write metadata for one data variable. A record
+// exists in the store (its record table, or a shard map past the table's
+// bound) only while it carries information: the lookup miss is the
+// implementation's "o.metadata == null" fast path (Section 4).
 type varMeta struct {
 	w     vclock.Epoch
 	wSite event.Site
@@ -148,7 +148,7 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 		vols:  make(map[event.Volatile]*syncMeta),
 		opts:  opts,
 	}
-	d.Init(report, cfg, false, func(m *varMeta) {
+	d.Init(report, cfg, func(m *varMeta) {
 		m.w = 0
 		m.wSite = 0
 		m.r.Clear() // keeps the read map's spilled-map spare
@@ -172,18 +172,6 @@ func (d *Detector) EnsureThreadSlots(n int) {
 		d.threads = append(d.threads, nil)
 	}
 	d.ReserveOwnVersions(n)
-}
-
-// forEachVar visits every tracked variable's metadata. Exclusive access
-// required.
-func (d *Detector) forEachVar(f func(event.Var, *varMeta) bool) {
-	for i := range d.Table {
-		for x, m := range d.Table[i].Vars {
-			if !f(x, m) {
-				return
-			}
-		}
-	}
 }
 
 // Sampling reports whether the detector is inside a sampling period.
@@ -494,7 +482,8 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
 	sh := &d.Table[si]
-	m, exists := sh.Vars[x]
+	m := d.Lookup(si, x)
+	exists := m != nil
 	if !d.sampling && !exists {
 		// Inline fast path: no metadata and not sampling → no action.
 		sh.Stats.ReadFast[detector.NonSampling]++
@@ -555,7 +544,8 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
 	sh := &d.Table[si]
-	m, exists := sh.Vars[x]
+	m := d.Lookup(si, x)
+	exists := m != nil
 	if !d.sampling && !exists {
 		sh.Stats.WriteFast[detector.NonSampling]++
 		return
@@ -642,7 +632,7 @@ func (d *Detector) MetadataWords() int {
 		count(s.clock)
 		w += 1
 	}
-	d.forEachVar(func(_ event.Var, m *varMeta) bool {
+	d.Range(func(_ event.Var, m *varMeta) bool {
 		w += 2 + m.r.MemoryWords()
 		return true
 	})

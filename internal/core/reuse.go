@@ -41,7 +41,7 @@ func (d *Detector) markJoined(u vclock.Thread) {
 // referenced reports whether any live metadata names thread u.
 func (d *Detector) referenced(u vclock.Thread) bool {
 	found := false
-	d.forEachVar(func(_ event.Var, m *varMeta) bool {
+	d.Range(func(_ event.Var, m *varMeta) bool {
 		if !m.w.IsZero() && m.w.Thread() == u {
 			found = true
 			return false

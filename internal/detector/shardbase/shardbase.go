@@ -1,26 +1,27 @@
 // Package shardbase holds the shard plumbing every concurrently-mounted
 // backend shares: the stripe geometry behind ShardOf, the lock-free
-// metadata presence filter behind MetaPossible, the grow-only direct
-// variable index behind the lock-free fast paths, the per-thread
-// epoch/clock publication table those paths read, and the version-epoch
-// tables behind SyncNoOp. Store assembles the pieces, with the published
-// sampling state (a detector.State), into one embeddable metadata store
-// built from one Config, so every sharded backend (PACER,
-// FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its FASTTRACK core)
-// implements the detector.Sharded contract by composition instead of by
-// transcription.
+// metadata presence filter behind MetaPossible, the paged record table
+// that holds every variable record below the configured bound, the
+// per-thread epoch/clock publication table the lock-free fast paths read,
+// and the version-epoch tables behind SyncNoOp. Store assembles the
+// pieces, with the published sampling state (a detector.State), into one
+// embeddable metadata store built from one Config, so every sharded
+// backend (PACER, FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its
+// FASTTRACK core) implements the detector.Sharded contract by composition
+// instead of by transcription.
 //
 // Every component keeps the publication discipline its consumer documents:
 // presence counts are incremented before an insert and decremented after a
 // delete, so a zero read proves absence at the instant of the load; the
 // state word packs the sampling flag (bit 0) with a transition count, so
-// two equal loads bracketing a probe prove the flag held throughout; index,
-// thread-table and version-epoch-table growth copy-then-republish, so
-// lock-free readers always hold a consistent array.
+// two equal loads bracketing a probe prove the flag held throughout; the
+// record table installs its pages by CompareAndSwap and never moves them,
+// so a slot has one address for the store's whole life; thread-table and
+// version-epoch-table growth copy-then-republish, so lock-free readers
+// always hold a consistent array.
 package shardbase
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"pacer/internal/event"
@@ -101,87 +102,6 @@ func (p *Presence) Remove(x event.Var) { p.bucket(x).Add(-1) }
 // only obliges the caller to take the slow path.
 func (p *Presence) Possible(x event.Var) bool { return p.bucket(x).Load() > 0 }
 
-// Index is the grow-only direct variable index behind the lock-free fast
-// paths: variable identifier → metadata record, readable without any lock.
-// All writes (slot stores and growth) serialize on an internal mutex;
-// growth copies and republishes, so readers always hold a consistent
-// array. Identifiers at or above the configured cap are never indexed —
-// they simply take the caller's locked path.
-type Index[T any] struct {
-	p      atomic.Pointer[[]atomic.Pointer[T]]
-	growMu sync.Mutex
-	cap    uint32
-}
-
-const (
-	// DefaultIndexCap bounds the direct index when the Config leaves the
-	// cap zero. Identifiers at or above the cap (rarely produced
-	// by the front-end's sequential allocator) take the locked path.
-	DefaultIndexCap = 1 << 22
-	// indexMin is the initial direct-index capacity.
-	indexMin = 1 << 10
-)
-
-// NewIndex returns an index bounded by the given cap after Config's
-// IndexCap rule: 0 selects DefaultIndexCap, negative disables the
-// index entirely (every Lookup misses).
-func NewIndex[T any](capOpt int) *Index[T] {
-	ix := &Index[T]{}
-	switch {
-	case capOpt > 0:
-		ix.cap = uint32(capOpt)
-	case capOpt < 0:
-		ix.cap = 0
-	default:
-		ix.cap = DefaultIndexCap
-	}
-	return ix
-}
-
-// Cap returns the resolved identifier cap (0 when the index is disabled).
-func (ix *Index[T]) Cap() int { return int(ix.cap) }
-
-// Lookup returns x's published record, or nil when x is unindexed. Safe to
-// call lock-free at any time.
-func (ix *Index[T]) Lookup(x event.Var) *T {
-	tab := ix.p.Load()
-	if tab == nil || int(uint32(x)) >= len(*tab) {
-		return nil
-	}
-	return (*tab)[x].Load()
-}
-
-// Publish stores x's record in the index (a no-op past the cap). Typically
-// called once per variable, from under its shard lock; the internal mutex
-// serializes with inserts from other shards and makes growth
-// copy-then-republish safe.
-func (ix *Index[T]) Publish(x event.Var, m *T) {
-	if uint32(x) >= ix.cap {
-		return
-	}
-	ix.growMu.Lock()
-	tab := ix.p.Load()
-	if tab == nil || int(uint32(x)) >= len(*tab) {
-		n := indexMin
-		if tab != nil {
-			n = len(*tab)
-		}
-		for n <= int(uint32(x)) {
-			n *= 2
-		}
-		grown := make([]atomic.Pointer[T], n)
-		if tab != nil {
-			for i := range *tab {
-				grown[i].Store((*tab)[i].Load())
-			}
-		}
-		ix.p.Store(&grown)
-		tab = &grown
-	}
-	(*tab)[x].Store(m)
-	ix.growMu.Unlock()
-}
-
 // threadSlot is one thread's published state: its packed current epoch
 // c@t, and a pointer to its clock for lock-free paths that must evaluate
 // full happens-before queries (the clock itself is mutated only by the
@@ -204,7 +124,9 @@ type ThreadPub struct {
 // Ensure grows the table to hold thread identifiers below n. Requires the
 // caller's exclusive access (it races with nothing but itself); lock-free
 // readers holding the old table miss the new slots and fall back to the
-// locked path.
+// locked path. Growth at least doubles the table, so a run of threads
+// created one at a time copies and allocates O(log n) times; the slots
+// past n read zero, exactly like a thread that has not published yet.
 func (tp *ThreadPub) Ensure(n int) {
 	tab := tp.p.Load()
 	cur := 0
@@ -214,7 +136,7 @@ func (tp *ThreadPub) Ensure(n int) {
 	if cur >= n {
 		return
 	}
-	grown := make([]threadSlot, n)
+	grown := make([]threadSlot, max(n, 2*cur))
 	for i := 0; i < cur; i++ {
 		grown[i].epoch.Store((*tab)[i].epoch.Load())
 		grown[i].clock.Store((*tab)[i].clock.Load())

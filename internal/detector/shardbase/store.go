@@ -2,6 +2,8 @@ package shardbase
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"pacer/internal/arena"
 	"pacer/internal/detector"
@@ -11,7 +13,7 @@ import (
 
 // Config is the metadata-store configuration every sharded backend reads.
 // The zero value is the default store: 64 shards, heap allocation, flat
-// clocks, and the default index cap.
+// clocks, and the default record-table bound.
 type Config struct {
 	// Shards is the number of independent variable-metadata shards
 	// (rounded up to a power of two, default 64). Accesses to variables in
@@ -37,17 +39,25 @@ type Config struct {
 	// panics. Race reports are identical either way (the conformance matrix
 	// enforces this).
 	Clock string
-	// IndexCap bounds the direct variable index behind a backend's
-	// lock-free fast paths: variables with identifiers at or above the cap
-	// are never indexed and take the locked path (correct, just slower).
-	// 0 selects DefaultIndexCap; negative disables the index. Backends
-	// without lock-free fast paths keep no index whatever the cap.
+	// IndexCap bounds the record table: a variable whose identifier lies
+	// below it keeps its record in the table, found by one directory load
+	// and one slot load and visible to the lock-free fast paths; one at or
+	// above it keeps its record in its shard's map, found by hashing,
+	// under the shard lock only (correct, just slower). 0 selects
+	// DefaultIndexCap; negative disables the table, so every record lives
+	// in the maps. The table's directory, allocated with the store, holds
+	// one pointer per 4096 identifiers below the bound (8 KiB at the
+	// default); a page of 4096 records, 32 KiB, is allocated when a
+	// variable in it first gains a record.
 	IndexCap int
 }
 
-// Shard is one slice of a backend's variable table together with the
-// access-path counters accumulated for it. The trailing pad keeps shards
-// on distinct cache lines so parallel accesses do not false-share.
+// Shard is one slice of a backend's variables together with the
+// access-path counters accumulated for it. Vars holds the records of the
+// shard's variables at or above the record-table bound (nil until the
+// first one); backends reach it only through Store's Insert, Lookup,
+// Delete and Range. The trailing pad keeps shards on distinct cache lines
+// so parallel accesses do not false-share.
 type Shard[M any] struct {
 	Vars  map[event.Var]*M
 	Stats detector.Counters
@@ -76,20 +86,51 @@ type probes struct {
 	syncEpochs *syncTables
 }
 
+const (
+	// DefaultIndexCap is the record-table bound a Config selects when it
+	// leaves IndexCap zero. Identifiers at or above it (rarely produced by
+	// the front-end's sequential allocator) keep their records in the
+	// shard maps.
+	DefaultIndexCap = 1 << 22
+	// pageBits sizes a record-table page: 4096 slots, 32 KiB.
+	pageBits = 12
+	pageSize = 1 << pageBits
+)
+
+// page is one stretch of the record table: the records of identifiers
+// [k·pageSize, (k+1)·pageSize) for directory entry k, nil where a
+// variable holds none.
+type page[M any] [pageSize]atomic.Pointer[M]
+
 // Store is a sharded backend's variable-metadata store, embedded by value
-// in the backend's Detector: the stripe geometry, the per-shard record maps
-// and counters, the presence filter, the direct index, the arena with its
-// record pool, and the clock allocators, built from one Config. It defines
-// the detector.Sharded probes and the accounting methods every sharded
-// backend shares; the backend keeps only its record type M, its access
-// analysis, and its synchronization wrappers. Call Init before use.
+// in the backend's Detector: the stripe geometry, the record table and
+// the per-shard overflow maps and counters, the presence filter, the
+// arena with its record pool, and the clock allocators, built from one
+// Config. It defines the detector.Sharded probes and the accounting
+// methods every sharded backend shares; the backend keeps only its record
+// type M, its access analysis, and its synchronization wrappers. Call
+// Init before use.
+//
+// Every record lives in exactly one place. A variable below the bound
+// (Config.IndexCap) keeps it in the record table: a directory of page
+// pointers, allocated at Init, over pages of pageSize slots that are
+// installed by CompareAndSwap on first touch and never copied or freed.
+// (A directory installed lazily as well would save a detector that never
+// records its 8 KiB, but the extra atomic load pushes Lookup over the
+// compiler's inlining budget, which cost the sampled path ~5%.)
+// Finding a record there costs two dependent loads and no hashing, and
+// because a slot never moves, a slot store from one shard cannot race a
+// growth copy made for another, and the lock-free fast paths (Peek) read
+// the same slots the locked paths write. A variable at or above the bound
+// keeps its record in its shard's map.
 type Store[M any] struct {
 	probes
 	// Table holds the variable shards, indexed by ShardOf.
 	Table []Shard[M]
-	// Index is the direct variable index behind the lock-free fast paths.
-	// It is disabled (every Lookup misses) unless Init was asked for it.
-	Index *Index[M]
+	// dir is the record table's page directory; bound is the first
+	// identifier it does not cover (0 when the table is disabled).
+	dir   []atomic.Pointer[page[M]]
+	bound uint32
 	// SyncStats holds the synchronization-path counters; access counters
 	// live per shard.
 	SyncStats detector.Counters
@@ -99,23 +140,21 @@ type Store[M any] struct {
 }
 
 // Init builds the store from cfg. report receives the races passed to
-// Emit. indexed makes Insert publish records in Index, for backends with
-// lock-free fast paths. reset scrubs a record Delete recycles before the
-// arena's record pool parks it (nil for backends that never delete). Init
-// panics on an unknown cfg.Clock.
-func (s *Store[M]) Init(report detector.Reporter, cfg Config, indexed bool, reset func(*M)) {
+// Emit. reset scrubs a record Delete recycles before the arena's record
+// pool parks it (nil for backends that never delete). Init panics on an
+// unknown cfg.Clock.
+func (s *Store[M]) Init(report detector.Reporter, cfg Config, reset func(*M)) {
 	s.geo = NewGeometry(cfg.Shards)
 	s.presence = NewPresence()
 	s.report = report
 	s.Table = make([]Shard[M], s.geo.Shards())
-	for i := range s.Table {
-		s.Table[i].Vars = make(map[event.Var]*M)
+	switch {
+	case cfg.IndexCap > 0:
+		s.bound = uint32(min(uint64(cfg.IndexCap), math.MaxUint32))
+	case cfg.IndexCap == 0:
+		s.bound = DefaultIndexCap
 	}
-	capOpt := -1
-	if indexed {
-		capOpt = cfg.IndexCap
-	}
-	s.Index = NewIndex[M](capOpt)
+	s.dir = make([]atomic.Pointer[page[M]], (uint64(s.bound)+pageSize-1)>>pageBits)
 	if cfg.Arena || cfg.ArenaDebug {
 		s.arena = arena.New(arena.Options{Shards: len(s.Table), Debug: cfg.ArenaDebug})
 		s.pool = arena.NewRecords[M](s.arena, reset)
@@ -207,9 +246,53 @@ func NewVC(a vclock.Allocator, n int) *vclock.VC {
 	return vclock.New(n)
 }
 
+// Bound returns the resolved record-table bound: identifiers below it
+// keep their records in the table, the rest in the shard maps (0 when the
+// table is disabled).
+func (s *Store[M]) Bound() int { return int(s.bound) }
+
+// slot returns the table slot of identifier x, which must lie below the
+// bound, installing its page on first touch. Two shards racing to install
+// the same page agree on the winner of the CompareAndSwap.
+func (s *Store[M]) slot(x uint32) *atomic.Pointer[M] {
+	d := &s.dir[x>>pageBits]
+	pg := d.Load()
+	if pg == nil {
+		if fresh := new(page[M]); d.CompareAndSwap(nil, fresh) {
+			pg = fresh
+		} else {
+			pg = d.Load()
+		}
+	}
+	return &pg[x&(pageSize-1)]
+}
+
+// Peek returns x's record when x lies below the bound and holds one, nil
+// otherwise. It touches no map, so it is safe to call lock-free at any
+// time: this is what the lock-free fast paths read.
+func (s *Store[M]) Peek(x event.Var) *M {
+	if uint32(x) >= s.bound {
+		return nil
+	}
+	pg := s.dir[uint32(x)>>pageBits].Load()
+	if pg == nil {
+		return nil
+	}
+	return pg[uint32(x)&(pageSize-1)].Load()
+}
+
+// Lookup returns x's record in shard si, or nil when x holds none. The
+// caller holds the shard.
+func (s *Store[M]) Lookup(si int, x event.Var) *M {
+	if uint32(x) < s.bound {
+		return s.Peek(x)
+	}
+	return s.Table[si].Vars[x]
+}
+
 // Insert creates x's record in shard si, drawn from the record pool on the
-// arena path, and publishes it in the index when the store is indexed. x
-// must hold no record; the caller holds the shard.
+// arena path, and stores it in the table below the bound or in the shard's
+// map at or above it. x must hold no record; the caller holds the shard.
 func (s *Store[M]) Insert(si int, x event.Var) *M {
 	var m *M
 	if s.pool != nil {
@@ -218,20 +301,55 @@ func (s *Store[M]) Insert(si int, x event.Var) *M {
 		m = new(M)
 	}
 	s.presence.Add(x) // before insert: a zero presence read proves absence
-	s.Table[si].Vars[x] = m
-	s.Index.Publish(x, m)
+	if uint32(x) < s.bound {
+		s.slot(uint32(x)).Store(m)
+		return m
+	}
+	sh := &s.Table[si]
+	if sh.Vars == nil {
+		sh.Vars = make(map[event.Var]*M)
+	}
+	sh.Vars[x] = m
 	return m
 }
 
 // Delete removes x's record m from shard si and recycles it. No reference
 // to m may survive; the caller holds the shard. Only backends that never
-// read Index lock-free may delete (a lock-free reader could still hold the
+// Peek lock-free may delete (a lock-free reader could still hold the
 // record).
 func (s *Store[M]) Delete(si int, x event.Var, m *M) {
-	delete(s.Table[si].Vars, x)
+	if uint32(x) < s.bound {
+		s.slot(uint32(x)).Store(nil)
+	} else {
+		delete(s.Table[si].Vars, x)
+	}
 	s.presence.Remove(x) // after delete: presence covers the metadata's lifetime
 	if s.pool != nil {
 		s.pool.Put(si, m)
+	}
+}
+
+// Range calls f for every variable holding a record, the table's in
+// identifier order and then the shard maps', until f returns false.
+// Exclusive access required.
+func (s *Store[M]) Range(f func(event.Var, *M) bool) {
+	for k := range s.dir {
+		pg := s.dir[k].Load()
+		if pg == nil {
+			continue
+		}
+		for j := range pg {
+			if m := pg[j].Load(); m != nil && !f(event.Var(k<<pageBits|j), m) {
+				return
+			}
+		}
+	}
+	for i := range s.Table {
+		for x, m := range s.Table[i].Vars {
+			if !f(x, m) {
+				return
+			}
+		}
 	}
 }
 
@@ -270,8 +388,9 @@ func (s *Store[M]) Stats() *detector.Counters {
 // currently holding a record. Exclusive access required.
 func (s *Store[M]) VarsTracked() int {
 	n := 0
-	for i := range s.Table {
-		n += len(s.Table[i].Vars)
-	}
+	s.Range(func(event.Var, *M) bool {
+		n++
+		return true
+	})
 	return n
 }

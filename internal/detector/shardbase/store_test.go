@@ -1,6 +1,9 @@
 package shardbase_test
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pacer/internal/backends"
@@ -82,34 +85,235 @@ func TestShardbasePresence(t *testing.T) {
 	}
 }
 
+// newStore returns a Store of uint32 records with the given table bound.
+func newStore(indexCap int) *shardbase.Store[uint32] {
+	s := new(shardbase.Store[uint32])
+	s.Init(nil, shardbase.Config{Shards: 8, IndexCap: indexCap}, nil)
+	return s
+}
+
+// TestShardbaseIndexCaps pins Config.IndexCap as the record-table bound:
+// 0 selects the default, a negative cap disables the table, and a cap
+// past the identifier space is clamped to it. Below the bound a record is
+// visible lock-free (Peek); at or above it, only through its shard's
+// Lookup.
 func TestShardbaseIndexCaps(t *testing.T) {
-	if got := shardbase.NewIndex[int](0).Cap(); got != 1<<22 {
+	if got := newStore(0).Bound(); got != 1<<22 {
 		t.Errorf("cap 0 resolves to %d, want %d", got, 1<<22)
 	}
 	if shardbase.DefaultIndexCap != 1<<22 {
 		t.Errorf("DefaultIndexCap = %d, want %d", shardbase.DefaultIndexCap, 1<<22)
 	}
-
-	off := shardbase.NewIndex[int](-1)
-	if off.Cap() != 0 {
-		t.Errorf("negative cap resolves to %d, want 0 (disabled)", off.Cap())
-	}
-	v := 7
-	off.Publish(0, &v)
-	if off.Lookup(0) != nil {
-		t.Error("disabled index returned a record")
+	if got, want := uint64(newStore(math.MaxInt).Bound()), min(uint64(math.MaxInt), math.MaxUint32); got != want {
+		t.Errorf("cap MaxInt resolves to %d, want %d", got, want)
 	}
 
-	ix := shardbase.NewIndex[int](2000)
-	ix.Publish(1999, &v)
-	if ix.Lookup(1999) != &v {
-		t.Error("id below the cap was not indexed")
+	off := newStore(-1)
+	if off.Bound() != 0 {
+		t.Errorf("negative cap resolves to %d, want 0 (disabled)", off.Bound())
+	}
+	m := off.Insert(off.ShardOf(0), 0)
+	if off.Peek(0) != nil {
+		t.Error("disabled table returned a record lock-free")
+	}
+	if off.Lookup(off.ShardOf(0), 0) != m {
+		t.Error("disabled table lost the record its shard map holds")
+	}
+
+	s := newStore(2000)
+	m = s.Insert(s.ShardOf(1999), 1999)
+	if s.Peek(1999) != m {
+		t.Error("id below the cap is not in the table")
 	}
 	for _, x := range []event.Var{2000, 2001, 1 << 20} {
-		ix.Publish(x, &v)
-		if ix.Lookup(x) != nil {
-			t.Errorf("id %d at or above the cap 2000 was indexed", x)
+		m := s.Insert(s.ShardOf(x), x)
+		if s.Peek(x) != nil {
+			t.Errorf("id %d at or above the cap 2000 is in the table", x)
 		}
+		if s.Lookup(s.ShardOf(x), x) != m {
+			t.Errorf("id %d at or above the cap 2000 is not in its shard map", x)
+		}
+	}
+}
+
+// TestRecordTableOneHome pins that every record lives in exactly one
+// structure: identifiers below the bound only in the table, the rest only
+// in their shard's map. It covers the page edges and the top of the
+// identifier space.
+func TestRecordTableOneHome(t *testing.T) {
+	const bound = 3 * 4096
+	s := newStore(bound)
+	ids := []event.Var{0, 4095, 4096, bound - 1, bound, 0xFFFFFFFE}
+	for _, x := range ids {
+		m := s.Insert(s.ShardOf(x), x)
+		*m = uint32(x)
+	}
+	for _, x := range ids {
+		_, inMap := s.Table[s.ShardOf(x)].Vars[x]
+		inTable := s.Peek(x) != nil
+		if want := x < bound; inTable != want || inMap == want {
+			t.Errorf("id %d: in table %v, in shard map %v; want it in exactly the %s", x, inTable, inMap,
+				map[bool]string{true: "table", false: "shard map"}[want])
+		}
+		if m := s.Lookup(s.ShardOf(x), x); m == nil || *m != uint32(x) {
+			t.Errorf("Lookup(%d) = %v, want its record", x, m)
+		}
+	}
+	if got := s.VarsTracked(); got != len(ids) {
+		t.Errorf("VarsTracked = %d, want %d", got, len(ids))
+	}
+}
+
+// TestRecordTableVarsTrackedAfterDeletes: inserts and deletes on both
+// sides of the bound leave VarsTracked and Range exact, a deleted record
+// is gone from Lookup and Peek, and an identifier can be inserted again.
+func TestRecordTableVarsTrackedAfterDeletes(t *testing.T) {
+	const bound = 5000
+	s := newStore(bound)
+	live := map[event.Var]*uint32{}
+	for i := 0; i < 300; i++ {
+		x := event.Var(i * 37) // 0 .. 11063: both sides of the bound, three pages
+		live[x] = s.Insert(s.ShardOf(x), x)
+	}
+	for x, m := range live {
+		if x%3 == 0 {
+			s.Delete(s.ShardOf(x), x, m)
+			delete(live, x)
+			if s.Lookup(s.ShardOf(x), x) != nil || s.Peek(x) != nil {
+				t.Fatalf("id %d still found after Delete", x)
+			}
+		}
+	}
+	if got := s.VarsTracked(); got != len(live) {
+		t.Fatalf("VarsTracked = %d after deletes, want %d", got, len(live))
+	}
+	seen := map[event.Var]bool{}
+	s.Range(func(x event.Var, m *uint32) bool {
+		if live[x] != m || seen[x] {
+			t.Errorf("Range visited id %d (%p) once more or with the wrong record", x, m)
+		}
+		seen[x] = true
+		return true
+	})
+	if len(seen) != len(live) {
+		t.Errorf("Range visited %d records, want %d", len(seen), len(live))
+	}
+	s.Insert(s.ShardOf(0), 0)
+	s.Insert(s.ShardOf(bound+1), bound+1) // 5001 = 37·135 + 6: never inserted before
+	if got := s.VarsTracked(); got != len(live)+2 {
+		t.Errorf("VarsTracked = %d after re-inserting, want %d", got, len(live)+2)
+	}
+}
+
+// TestRecordTableConcurrentPages is the record table's race stress: one
+// writer goroutine per shard inserts its shard's identifiers under its
+// shard's lock, page by page, all writers starting each page together, so
+// they race to install the same page (adjacent identifiers hash to
+// different shards); the last round goes past the bound, into the shard
+// maps. Lock-free readers Peek across every page meanwhile. A record a
+// reader finds must be the one inserted for that identifier; afterwards
+// every record must be found, and counted, exactly once. Run it under
+// -race.
+func TestRecordTableConcurrentPages(t *testing.T) {
+	const pages, bound = 32, 32 * 4096
+	s := new(shardbase.Store[atomic.Uint32])
+	s.Init(nil, shardbase.Config{Shards: 4, IndexCap: bound}, nil)
+	// ids[si][p] are shard si's identifiers in page p; page `pages` lies
+	// past the bound.
+	ids := make([][pages + 1][]event.Var, s.Shards())
+	for x := event.Var(0); x < bound+2000; x += 3 {
+		si := s.ShardOf(x)
+		ids[si][x/4096] = append(ids[si][x/4096], x)
+	}
+	var writers, readers sync.WaitGroup
+	var start [pages + 1]sync.WaitGroup
+	for p := range start {
+		start[p].Add(len(ids))
+	}
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for x := event.Var(r); x < bound; x += 97 {
+					if m := s.Peek(x); m != nil {
+						if got := m.Load(); got != 0 && got != uint32(x)+1 {
+							t.Errorf("Peek(%d) found the record of id %d", x, got-1)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	for si := range ids {
+		writers.Add(1)
+		go func(si int) {
+			defer writers.Done()
+			for p := range ids[si] {
+				start[p].Done()
+				start[p].Wait()
+				for _, x := range ids[si][p] {
+					if s.Lookup(si, x) != nil {
+						t.Errorf("id %d found before its insert", x)
+					}
+					s.Insert(si, x).Store(uint32(x) + 1)
+				}
+			}
+		}(si)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	n := 0
+	for si := range ids {
+		for _, page := range ids[si] {
+			for _, x := range page {
+				if m := s.Lookup(si, x); m == nil || m.Load() != uint32(x)+1 {
+					t.Fatalf("id %d lost its record", x)
+				}
+			}
+			n += len(page)
+		}
+	}
+	if got := s.VarsTracked(); got != n {
+		t.Errorf("VarsTracked = %d, want %d", got, n)
+	}
+}
+
+// TestShardbaseThreadPubGrowsGeometrically: announcing threads one at a
+// time, as forks do, allocates O(log n) times, and every published epoch
+// survives the growth.
+func TestShardbaseThreadPubGrowsGeometrically(t *testing.T) {
+	const n = 8192
+	var tp shardbase.ThreadPub
+	c := vclock.New(1)
+	c.Set(0, 3)
+	allocs := testing.AllocsPerRun(1, func() {
+		tp = shardbase.ThreadPub{}
+		for i := 1; i <= n; i++ {
+			tp.Ensure(i)
+			if i == 1 {
+				tp.Publish(0, c)
+			}
+		}
+	})
+	// Doubling from one slot reaches 8192 in 14 growths, each one slice
+	// and one header.
+	if allocs > 2*14 {
+		t.Errorf("Ensure(1..%d) allocated %v times, want O(log n) (at most %d)", n, allocs, 2*14)
+	}
+	if got := tp.Epoch(0); got != uint64(vclock.MakeEpoch(0, 3)) {
+		t.Errorf("thread 0's epoch reads %#x after growth, want %#x", got, uint64(vclock.MakeEpoch(0, 3)))
+	}
+	if tp.Epoch(n-1) != 0 || tp.Clock(n-1) != nil {
+		t.Error("a thread that never published reads a published slot")
 	}
 }
 
@@ -155,17 +359,17 @@ func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 }
 
 // TestShardbaseVETable pins the version-epoch table behind SyncNoOp: an
-// identifier past the table is unknown, one inside it that was never set
-// reads ⊥ve, growth keeps published values, and identifiers at or above
-// the cap are never covered.
+// identifier below the cap that was never set reads ⊥ve, inside the table
+// or past it (even before the table exists), growth keeps published
+// values, and identifiers at or above the cap are never covered.
 func TestShardbaseVETable(t *testing.T) {
 	var vt shardbase.VETable
-	if _, ok := vt.Get(3); ok {
-		t.Error("empty table covers identifier 3")
+	if got, ok := vt.Get(3); !ok || got != vclock.VEBottom {
+		t.Errorf("empty table: Get(3) = %v, %v; want ⊥ve, true", got, ok)
 	}
 	vt.Set(3, vclock.VEBottom)
-	if _, ok := vt.Get(3); ok {
-		t.Error("storing ⊥ve grew the table")
+	if got, ok := vt.Get(3); !ok || got != vclock.VEBottom {
+		t.Errorf("after storing ⊥ve: Get(3) = %v, %v; want ⊥ve, true", got, ok)
 	}
 	ve := vclock.MakeVersionEpoch(2, 5)
 	vt.Set(5, ve)
@@ -182,9 +386,15 @@ func TestShardbaseVETable(t *testing.T) {
 	if got, ok := vt.Get(5000); !ok || got != vclock.VETop {
 		t.Errorf("Get(5000) = %v, %v; want ⊤ve, true", got, ok)
 	}
+	if got, ok := vt.Get(1 << 20); !ok || got != vclock.VEBottom {
+		t.Errorf("Get(1<<20) past the table = %v, %v; want ⊥ve, true", got, ok)
+	}
 	vt.Set(shardbase.DefaultIndexCap, ve)
 	if _, ok := vt.Get(shardbase.DefaultIndexCap); ok {
 		t.Error("identifier at the cap was published")
+	}
+	if _, ok := vt.Get(shardbase.DefaultIndexCap - 1); !ok {
+		t.Error("identifier just below the cap reads unknown")
 	}
 }
 

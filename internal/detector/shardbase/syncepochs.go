@@ -9,7 +9,7 @@ import (
 )
 
 // syncEpochCap bounds the identifiers a VETable covers, as DefaultIndexCap
-// bounds the direct index. Identifiers at or above it are never published,
+// bounds the record table. Identifiers at or above it are never published,
 // so SyncNoOp reports them unknown and the caller takes its locked path.
 const syncEpochCap = DefaultIndexCap
 
@@ -21,8 +21,17 @@ const veMin = 64
 // volatile, or thread identifier, readable with atomic loads. Set and its
 // growth require the owner's exclusive access; growth copies and then
 // republishes, so a reader still on the old slice reads a value that was
-// current at some instant after it loaded the slice. An identifier inside
-// the table that was never set reads ⊥ve.
+// current at some instant after it loaded the slice.
+//
+// Every identifier below syncEpochCap reads ⊥ve until a non-⊥ value is
+// set for it, whether it lies inside the table or past its end, and even
+// before the table is first allocated. That is sound because Set grows
+// the table to cover i before it stores a non-⊥ value for i, and tables
+// only grow: a reader that loads a table too short for i (or none) made
+// its load before the table covering i was published, so before any
+// non-⊥ store to i, and ⊥ve was i's value at that instant. A lock no
+// thread has released yet therefore reads ⊥ve, and Rule 4 dismisses an
+// acquire of it. Only identifiers at or above the cap read unknown.
 type VETable struct {
 	p atomic.Pointer[[]atomic.Uint64]
 }
@@ -62,13 +71,17 @@ func (vt *VETable) Ensure(n int) {
 	vt.p.Store(&grown)
 }
 
-// Get returns identifier i's published version epoch, or false when i lies
-// past the table (unknown: never published, or past the cap). Safe to call
-// lock-free at any time.
+// Get returns identifier i's published version epoch: ⊥ve when i lies
+// below the cap but past the table (see VETable), false when i lies at or
+// above the cap (unknown: never published). Safe to call lock-free at any
+// time.
 func (vt *VETable) Get(i uint32) (vclock.VersionEpoch, bool) {
+	if i >= syncEpochCap {
+		return 0, false
+	}
 	tab := vt.p.Load()
 	if tab == nil || i >= uint32(len(*tab)) {
-		return 0, false
+		return vclock.VEBottom, true
 	}
 	return vclock.VersionEpoch((*tab)[i].Load()), true
 }

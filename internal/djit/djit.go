@@ -81,7 +81,7 @@ func New(report detector.Reporter) *Detector {
 func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
 	d := &Detector{}
 	// DJIT+ never deletes a record, so none is recycled: no reset.
-	d.Init(report, cfg, false, nil)
+	d.Init(report, cfg, nil)
 	d.skips = make([]frameSkips, d.Shards())
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
@@ -108,7 +108,7 @@ func (d *Detector) FrameSkips() uint64 {
 func (d *Detector) EnsureThreadSlots(n int) { d.sync.EnsureThreadSlots(n) }
 
 func (d *Detector) varMeta(si int, x event.Var) *varMeta {
-	if m, ok := d.Table[si].Vars[x]; ok {
+	if m := d.Lookup(si, x); m != nil {
 		return m
 	}
 	m := d.Insert(si, x)
@@ -221,11 +221,10 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.sync.VolWrit
 // MetadataWords implements detector.MemoryAccounted.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
-	for i := range d.Table {
-		for _, m := range d.Table[i].Vars {
-			w += m.r.MemoryWords() + m.w.MemoryWords() +
-				(len(m.rSites)+len(m.wSites)+len(m.rFrame)+len(m.wFrame))/2 + 2
-		}
-	}
+	d.Range(func(_ event.Var, m *varMeta) bool {
+		w += m.r.MemoryWords() + m.w.MemoryWords() +
+			(len(m.rSites)+len(m.wSites)+len(m.rFrame)+len(m.wFrame))/2 + 2
+		return true
+	})
 	return w
 }

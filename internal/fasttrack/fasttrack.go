@@ -129,8 +129,9 @@ func (m *varMeta) publishMirrors() {
 // The embedded store's state word is the constant 1 — flag set, zero
 // transitions — trivially satisfying the two-equal-loads protocol of the
 // Sharded contract, and its presence filter never decrements: FASTTRACK
-// never discards metadata. Its direct index (variable identifier →
-// record) is what the lock-free fast paths read.
+// never discards metadata. Its record table (variable identifier →
+// record, below the configured bound) is what the lock-free fast paths
+// read, through Peek.
 type Detector struct {
 	shardbase.Store[varMeta]
 	sync *detector.BaseSync
@@ -170,7 +171,7 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 		ownedOK: !opts.DisableEpochFastPath && !opts.KeepReadEpochOnWrite,
 	}
 	// FASTTRACK never deletes a record, so none is recycled: no reset.
-	d.Init(report, cfg, true, nil)
+	d.Init(report, cfg, nil)
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
 	// Always-on: the sampling flag is set for the detector's whole life.
@@ -232,7 +233,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 	if e == 0 {
 		return false
 	}
-	m := d.Index.Lookup(x)
+	m := d.Peek(x)
 	if m == nil {
 		return false
 	}
@@ -261,7 +262,7 @@ func (d *Detector) TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site,
 	if d.tpub.Epoch(t) == 0 {
 		return false
 	}
-	m := d.Index.Lookup(x)
+	m := d.Peek(x)
 	if m == nil {
 		return false
 	}
@@ -334,7 +335,7 @@ func (d *Detector) ownedWrite(m *varMeta, t vclock.Thread, ct *vclock.VC, site e
 // varMetaFor returns x's metadata record in shard si, creating it on first
 // access (FASTTRACK tracks every variable it ever sees).
 func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
-	if m, ok := d.Table[si].Vars[x]; ok {
+	if m := d.Lookup(si, x); m != nil {
 		return m
 	}
 	return d.Insert(si, x) // mirrors are still zero: not yet dismissable
@@ -485,14 +486,13 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 // (which takes no other lock) cannot race the read-map inspection.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
-	for i := range d.Table {
-		for _, m := range d.Table[i].Vars {
-			// Write epoch + site, the two published epoch mirrors, the
-			// ownership word, and the read map.
-			m.own.Lock()
-			w += 5 + m.r.MemoryWords()
-			m.own.Unlock()
-		}
-	}
+	d.Range(func(_ event.Var, m *varMeta) bool {
+		// Write epoch + site, the two published epoch mirrors, the
+		// ownership word, and the read map.
+		m.own.Lock()
+		w += 5 + m.r.MemoryWords()
+		m.own.Unlock()
+		return true
+	})
 	return w
 }

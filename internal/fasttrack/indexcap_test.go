@@ -9,10 +9,10 @@ import (
 )
 
 // TestFastTrackIndexCapSmall pins shardbase.Config.IndexCap: variables
-// below the cap are direct-indexed and their same-epoch repeats dismiss
-// lock-free, variables at or above the cap never enter the index
-// (TrySameEpoch must refuse them) yet still detect races through the
-// locked path.
+// below the cap keep their records in the record table and their
+// same-epoch repeats dismiss lock-free, variables at or above the cap
+// keep theirs in the shard maps (TrySameEpoch must refuse them) yet still
+// detect races through the locked path.
 func TestFastTrackIndexCapSmall(t *testing.T) {
 	c := detector.NewCollector()
 	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: 4}, Options{})
@@ -27,7 +27,7 @@ func TestFastTrackIndexCapSmall(t *testing.T) {
 		t.Error("below-cap variable not dismissible lock-free after its write")
 	}
 	if d.TrySameEpoch(0, high, true) {
-		t.Error("above-cap variable was direct-indexed despite IndexCap")
+		t.Error("above-cap variable is in the record table despite IndexCap")
 	}
 
 	// Both sides of the cap must detect the concurrent second write.
@@ -43,8 +43,8 @@ func TestFastTrackIndexCapSmall(t *testing.T) {
 }
 
 // TestFastTrackIndexCapDisabled pins the negative-cap escape hatch: no
-// variable is ever indexed, every same-epoch probe refuses, and detection
-// is unchanged.
+// record is ever in the table, every same-epoch probe refuses, and
+// detection is unchanged.
 func TestFastTrackIndexCapDisabled(t *testing.T) {
 	c := detector.NewCollector()
 	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: -1}, Options{})
@@ -52,7 +52,7 @@ func TestFastTrackIndexCapDisabled(t *testing.T) {
 	d.Fork(0, 1)
 	d.Write(0, 1, 1, 0)
 	if d.TrySameEpoch(0, 1, true) {
-		t.Error("negative IndexCap must disable the direct index")
+		t.Error("negative IndexCap must disable the record table")
 	}
 	d.Write(1, 1, 2, 0)
 	if len(c.Dynamic) != 1 {
@@ -61,16 +61,17 @@ func TestFastTrackIndexCapDisabled(t *testing.T) {
 }
 
 // TestFastTrackIndexCapDefault pins that the zero value keeps the
-// original behavior: sequentially allocated identifiers are indexed.
+// original behavior: sequentially allocated identifiers live in the
+// record table.
 func TestFastTrackIndexCapDefault(t *testing.T) {
 	d := NewWithOptions(func(detector.Race) {}, shardbase.Config{}, Options{})
-	if d.Index.Cap() != shardbase.DefaultIndexCap {
+	if d.Bound() != shardbase.DefaultIndexCap {
 		t.Fatalf("zero Config.IndexCap resolved to %d, want the %d default",
-			d.Index.Cap(), shardbase.DefaultIndexCap)
+			d.Bound(), shardbase.DefaultIndexCap)
 	}
 	d.EnsureThreadSlots(1)
 	d.Write(0, 7, 1, 0)
 	if !d.TrySameEpoch(0, 7, true) {
-		t.Error("default cap failed to index a small identifier")
+		t.Error("default cap kept a small identifier out of the record table")
 	}
 }

@@ -114,7 +114,7 @@ func New(report detector.Reporter) *Detector {
 func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
 	d := &Detector{}
 	// Records are never deleted, so none is recycled: no reset.
-	d.Init(report, cfg, true, nil)
+	d.Init(report, cfg, nil)
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
 	// The state word starts "not sampling, zero transitions"; the first
@@ -187,7 +187,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 	if e == 0 {
 		return false
 	}
-	m := d.Index.Lookup(x)
+	m := d.Peek(x)
 	if m == nil {
 		return false
 	}
@@ -199,17 +199,12 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 
 // varMetaFor returns x's record in shard si, creating it on first sampled
 // access. Only sampled accesses create records — that is the entire space
-// discipline — so callers on the non-sampling path use lookupMeta instead.
+// discipline — so callers on the non-sampling path use Lookup instead.
 func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
-	if m := d.lookupMeta(si, x); m != nil {
+	if m := d.Lookup(si, x); m != nil {
 		return m
 	}
 	return d.Insert(si, x)
-}
-
-// lookupMeta returns x's record or nil without creating one.
-func (d *Detector) lookupMeta(si int, x event.Var) *varMeta {
-	return d.Table[si].Vars[x]
 }
 
 // Read checks the recorded write epoch against C_t and, when sampling,
@@ -223,7 +218,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 	var m *varMeta
 	if d.sampling {
 		m = d.varMetaFor(si, x)
-	} else if m = d.lookupMeta(si, x); m == nil {
+	} else if m = d.Lookup(si, x); m == nil {
 		// Never sampled: nothing to check, nothing to record. This is the
 		// locked twin of the front-end's lock-free dismissal.
 		sh.Stats.ReadFast[p]++
@@ -270,7 +265,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 	var m *varMeta
 	if d.sampling {
 		m = d.varMetaFor(si, x)
-	} else if m = d.lookupMeta(si, x); m == nil {
+	} else if m = d.Lookup(si, x); m == nil {
 		sh.Stats.WriteFast[p]++
 		return
 	}
@@ -355,9 +350,5 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 // recorded variable — the constant the backend is named for — plus the
 // synchronization clocks.
 func (d *Detector) MetadataWords() int {
-	w := d.sync.MetadataWords()
-	for i := range d.Table {
-		w += 6 * len(d.Table[i].Vars)
-	}
-	return w
+	return d.sync.MetadataWords() + 6*d.VarsTracked()
 }

@@ -244,13 +244,15 @@ func lookupSync(addr uintptr, kind syncKind) *syncObj {
 
 // syncOp hands goroutine g's sync op of kind on target to the detector.
 // One the detector proves a no-op (pacer.Detector.DismissSync) ends here,
-// counted in g's tally; any other publishes the tally first.
+// counted in g's tally; any other publishes the tally first and goes
+// straight to the detector's locked path (SyncLocked), which does not
+// probe it again.
 func syncOp(g *G, kind event.Kind, target uint32) {
 	e := pacer.Event{Kind: kind, Thread: g.t, Target: target}
 	d := state.det
 	if !d.DismissSync(e) {
 		g.flush()
-		d.Apply(e)
+		d.SyncLocked(e)
 		return
 	}
 	switch kind {

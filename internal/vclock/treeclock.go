@@ -547,7 +547,10 @@ func allZero(s []uint64) bool {
 func (v *VC) flatCopyFrom(o *VC) {
 	prev := len(v.c)
 	if cap(v.c) < len(o.c) {
-		v.c = make([]uint64, len(o.c))
+		// Grow geometrically, as grow does: a lock's clock copied from a
+		// source that widens by one thread at a time reallocates O(log n)
+		// times. Fresh storage is zero past len, as the invariant requires.
+		v.c = make([]uint64, len(o.c), max(len(o.c), 2*cap(v.c)))
 	} else {
 		v.c = v.c[:len(o.c)]
 		if len(o.c) < prev {

@@ -239,6 +239,42 @@ func TestVCCopyFromReusesCapacity(t *testing.T) {
 	}
 }
 
+// TestCopyGrowthGeometric: copying from a source that widens by one entry
+// at a time, as a lock's clock copies from a thread clock after each fork,
+// allocates O(log n) times, and the copy keeps entries past its length
+// zero: shrinking and regrowing re-exposes zeros, never stale values.
+func TestCopyGrowthGeometric(t *testing.T) {
+	const n = 4096
+	full := New(n)
+	for i := 0; i < n; i++ {
+		full.Set(Thread(i), uint64(i+1))
+	}
+	var dst *VC
+	allocs := testing.AllocsPerRun(1, func() {
+		dst = New(0)
+		src := &VC{}
+		for i := 1; i <= n; i++ {
+			src.c = full.c[:i]
+			dst.CopyFrom(src)
+		}
+	})
+	// Doubling from one entry reaches 4096 in 13 growths; the VC itself
+	// is one more.
+	if allocs > 14 {
+		t.Errorf("CopyFrom from a source widening to %d allocated %v times, want O(log n) (at most 14)", n, allocs)
+	}
+	if !dst.Equal(full) {
+		t.Fatal("final copy differs from its source")
+	}
+	dst.CopyFrom(FromSlice([]uint64{5}))
+	dst.grow(n)
+	for i := 1; i < n; i++ {
+		if dst.Get(Thread(i)) != 0 {
+			t.Fatalf("entry %d reads %d past a shrinking copy, want 0", i, dst.Get(Thread(i)))
+		}
+	}
+}
+
 // TestUnshare pins the copy-on-write reclamation rule: heap clocks keep
 // the paper's sticky shared mark for life, while a managed clock whose
 // holder count has returned to one is provably exclusive again and may

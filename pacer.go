@@ -210,14 +210,20 @@ type Options struct {
 	// conformance matrix enforces this); only the cost model changes. New
 	// panics on any other value, as it does on an unknown Algorithm.
 	Clock string
-	// EpochFastVarCap bounds the direct-indexed variable table behind the
-	// lock-free same-epoch fast path, kept by fasttrack, o1samples, and
-	// literace's FASTTRACK core: variables with identifiers at or above the
-	// cap are analyzed through the locked path instead — same reports, no
-	// fast-path table growth. 0 keeps the default (1<<22); negative
-	// disables the index. Useful when variable identifiers are
-	// drawn from a huge sparse space (e.g. hashed addresses) and the
-	// table's worst-case memory must stay bounded.
+	// EpochFastVarCap bounds the record table of every sharded backend:
+	// a variable whose identifier lies below the cap keeps its metadata
+	// record in a paged table, found with two loads and no hashing and
+	// visible to the lock-free same-epoch and owned-access fast paths of
+	// fasttrack, o1samples, and literace's FASTTRACK core; one at or above
+	// the cap keeps its record in a hashed per-shard map, reached through
+	// the locked path only — same reports, slower lookups. 0 keeps the
+	// default (1<<22); negative disables the table, so every record lives
+	// in the maps. The table's page directory takes one pointer per 4096
+	// identifiers below the cap, allocated with the detector (8 KB at the
+	// default), and each page 32 KB once a variable in it gains a record.
+	// Lower it when variable identifiers are drawn from a huge sparse
+	// space (e.g. hashed addresses) and the table's memory must stay
+	// bounded.
 	EpochFastVarCap int
 	// DisableOwnedFastPath turns off the owned-access (CAS read-map)
 	// dismissal of backends that expose one (FASTTRACK): the SmartTrack-
@@ -809,7 +815,7 @@ func (p *Detector) DismissUnclaimed(st uint64) bool {
 // epochs proving it a no-op (detector.Sharded's SyncNoOp; only PACER
 // publishes them). Like DismissUnclaimed it is a pure probe: a front door
 // that gets true counts e in its Tally, and one that gets false passes e
-// on to Acquire, Release, VolRead or VolWrite. It never fires when the
+// on to SyncLocked, which does not probe it again. It never fires when the
 // front-end is serialized or recording (nothing would log e), nor for a
 // thread still on the spill cell. e must be issued by e.Thread's own
 // sequential flow, as for every other operation.
@@ -1070,6 +1076,17 @@ func (p *Detector) syncOp(e Event) {
 	if p.trySyncNoOp(e) {
 		return
 	}
+	p.SyncLocked(e)
+}
+
+// SyncLocked applies the Acquire, Release, VolRead or VolWrite event e on
+// the locked path, skipping the lock-free dismissal probe that Acquire,
+// Release, VolRead and VolWrite make first. It is for a front door whose
+// own DismissSync probe has just rejected e: passing e on through Apply
+// would probe it a second time. An op that became dismissible between the
+// probe and this call is still analyzed exactly; the locked path is the
+// full analysis. e.Kind must be one of the four.
+func (p *Detector) SyncLocked(e Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t0 := p.enter()

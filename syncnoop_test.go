@@ -297,3 +297,27 @@ func TestSyncNoOpStress(t *testing.T) {
 		t.Errorf("race reported on a mutex-guarded variable: %v", r)
 	}
 }
+
+// TestSyncNoOpFreshLock: in a detector that has released nothing, so the
+// lock table was never allocated, an acquire of a lock no thread has
+// released reads ⊥ve. Rule 4 makes it a no-op, and DismissSync says so;
+// the embedded API then dismisses it lock-free.
+func TestSyncNoOpFreshLock(t *testing.T) {
+	d := pacer.New(pacer.Options{})
+	t0 := d.NewThread()
+	d.Fork(t0) // creates t0's clock and publishes its version
+	m := d.NewLockID()
+	e := pacer.Event{Kind: event.Acquire, Thread: t0, Target: uint32(m)}
+	if !d.DismissSync(e) {
+		t.Fatal("DismissSync rejected an acquire of a never-released lock")
+	}
+	before, st := d.SyncDismissals(), d.Stats()
+	d.Acquire(t0, m)
+	if d.SyncDismissals() != before+1 {
+		t.Error("Acquire of a never-released lock took the locked path")
+	}
+	if s := d.Stats(); s.SyncOps != st.SyncOps+1 || s.FastJoins != st.FastJoins+1 {
+		t.Errorf("SyncOps +%d, FastJoins +%d; want +1 and +1, as the locked path counts it",
+			s.SyncOps-st.SyncOps, s.FastJoins-st.FastJoins)
+	}
+}
