@@ -196,8 +196,8 @@ func TestArenaInvariantLedger(t *testing.T) {
 }
 
 // TestArenaThreadReuse drives the identifier-reuse path (fork/join heavy
-// trace) under the ledger, since ReusableThread mutates possibly-shared
-// clocks through the copy-on-write path.
+// trace) under the ledger, since reviving a slot mutates a possibly-shared
+// clock through the copy-on-write path.
 func TestArenaThreadReuse(t *testing.T) {
 	d := NewWithOptions(nil, shardbase.Config{Arena: true, ArenaDebug: true}, Options{})
 	for round := 0; round < 50; round++ {
@@ -211,8 +211,8 @@ func TestArenaThreadReuse(t *testing.T) {
 			d.Read(0, event.Var(round%5), 2, 0)
 			d.SampleEnd()
 		}
-		if got, ok := d.ReusableThread(); ok && got != u {
-			t.Fatalf("round %d: reused unexpected slot %d", round, got)
+		if got, ok := d.ReusableThread(0); !ok || got != u {
+			t.Fatalf("round %d: ReusableThread(0) = %d, %v; want %d", round, got, ok, u)
 		}
 	}
 	d.checkRefcounts(t)

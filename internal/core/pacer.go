@@ -49,10 +49,13 @@ type Options struct {
 
 // threadMeta is the per-thread analysis state: the thread's vector clock
 // (possibly shared with synchronization objects after a shallow copy) and
-// its version vector (Appendix A.2).
+// its version vector (Appendix A.2). retired is nonzero while the slot is
+// listed for reuse: the thread's version when it was last joined (see
+// reuse.go).
 type threadMeta struct {
-	clock *vclock.VC
-	ver   *vclock.VC
+	clock   *vclock.VC
+	ver     *vclock.VC
+	retired uint64
 }
 
 // syncMeta is the metadata for a lock or volatile: its clock (possibly
@@ -103,7 +106,7 @@ type varMeta struct {
 // by the event's own thread; it reads the version epochs the detector
 // publishes at every assignment of a lock's or volatile's version epoch
 // and at every change of a thread's own version (creation, SampleBegin,
-// inc, a Rule 6 join, reuse). A thread first seen by a shared-mode access
+// inc, a Rule 6 join, a revival). A thread first seen by a shared-mode access
 // publishes with one atomic store into the slot EnsureThreadSlots
 // reserved. Under an ablation (Options) nothing is published and SyncNoOp
 // reports false.
@@ -116,7 +119,7 @@ type Detector struct {
 	sampling bool
 	threads  []*threadMeta
 	dead     map[vclock.Thread]bool
-	joined   map[vclock.Thread]bool
+	free     []vclock.Thread // joined slots listed for reuse, oldest first
 	locks    map[event.Lock]*syncMeta
 	vols     map[event.Volatile]*syncMeta
 	opts     Options
@@ -194,7 +197,7 @@ func (d *Detector) SampleBegin() {
 			// clock need not advance (a real VM has no thread to touch).
 			continue
 		}
-		d.ownThreadClock(vclock.Thread(t), tm)
+		d.ownThreadClock(vclock.Thread(t), tm, 0)
 		tm.clock.Inc(vclock.Thread(t))
 		tm.ver.Inc(vclock.Thread(t))
 		d.publishVersion(vclock.Thread(t), tm)
@@ -288,12 +291,16 @@ func (d *Detector) publishVersion(t vclock.Thread, tm *threadMeta) {
 // (vclock.Unshare), the mark is cleared instead: the clock is the thread's
 // exclusive clock again — owner, index, and label stream intact — and the
 // full-width clone would copy a snapshot nothing else reads.
-func (d *Detector) ownThreadClock(t vclock.Thread, tm *threadMeta) {
+//
+// width is the width the caller is about to grow the clock to (a Rule 6
+// join's source), or 0: the clone is allocated that wide at once instead
+// of being reallocated by the join that follows.
+func (d *Detector) ownThreadClock(t vclock.Thread, tm *threadMeta, width int) {
 	if tm.clock.Unshare() {
 		return
 	}
 	old := tm.clock
-	tm.clock = old.Clone()
+	tm.clock = old.CloneWidth(width)
 	tm.clock.SetOwner(t)
 	old.Release()
 	d.SyncStats.Clones[d.period()]++
@@ -307,7 +314,7 @@ func (d *Detector) inc(t vclock.Thread) {
 		return
 	}
 	tm := d.thread(t)
-	d.ownThreadClock(t, tm)
+	d.ownThreadClock(t, tm, 0)
 	tm.clock.Inc(t)
 	tm.ver.Inc(t)
 	d.publishVersion(t, tm)
@@ -371,7 +378,7 @@ func (d *Detector) joinIntoThread(t vclock.Thread, srcClock *vclock.VC, srcVE vc
 	}
 	// Rule 6 (concurrent): a real join; the clock changes, so t's version
 	// advances and the source version is recorded.
-	d.ownThreadClock(t, tm)
+	d.ownThreadClock(t, tm, srcClock.Len())
 	tm.clock.JoinFrom(srcClock)
 	tm.ver.Inc(t)
 	d.recordVersion(tm, srcVE)
@@ -445,20 +452,32 @@ func (d *Detector) Release(t vclock.Thread, m event.Lock) {
 }
 
 // Fork implements fork(t, u) (Table 6 Rule 3): C_u ← C_u ⊔ C_t; inc(t).
+// When u is a slot a Join listed for reuse, it is revived first: its clock
+// and version advance past everything the joined thread left, so the new
+// thread is analysed as a fresh identifier would be (reuse.go).
 func (d *Detector) Fork(t, u vclock.Thread) {
 	d.SyncStats.SyncOps[d.period()]++
+	if int(u) < len(d.threads) {
+		if um := d.threads[u]; um != nil && um.retired != 0 {
+			d.revive(u, um)
+		}
+	}
 	tm := d.thread(t)
 	d.joinIntoThread(u, tm.clock, d.vepochOf(t, tm))
 	d.inc(t)
 }
 
 // Join implements join(t, u) (Table 6 Rule 4): C_t ← C_t ⊔ C_u; inc(u).
+// It retires u: u's version before the inc is recorded and the slot is
+// listed, and a later Fork by a thread that has received that version
+// (t, from here on) may reuse it (reuse.go).
 func (d *Detector) Join(t, u vclock.Thread) {
 	d.SyncStats.SyncOps[d.period()]++
 	um := d.thread(u)
-	d.joinIntoThread(t, um.clock, d.vepochOf(u, um))
+	ve := d.vepochOf(u, um)
+	d.joinIntoThread(t, um.clock, ve)
 	d.inc(u)
-	d.markJoined(u)
+	d.retire(u, um, ve.Version())
 }
 
 // VolRead implements vol_rd(t, vx) (Table 6 Rule 5): C_t ← C_t ⊔ V_vx.

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"pacer/internal/event"
+	"slices"
+
 	"pacer/internal/vclock"
 )
 
@@ -12,83 +13,73 @@ import (
 // production implementation could use accordion clocks to reuse thread
 // identifiers soundly").
 //
-// A slot u may be reassigned to a brand-new thread when:
+// Join(t, u) retires u: it records u's final version Ver(u) = ver_u(u)
+// (before the join's inc(u)) and lists the slot. A fork by parent p may
+// hand a listed slot u to its new child when
 //
-//  1. u has terminated (ThreadExit) and been joined (so its final time has
-//     propagated into its joiner, keeping happens-before intact), and
-//  2. no surviving metadata names u: no write epoch c@u, no read map entry
-//     by u, and no lock or volatile version epoch v@u. A stale epoch
-//     naming u could otherwise be compared against the *new* thread's
-//     clock component and silently look ordered.
+//	ver_p(u) ≥ the recorded version of u,
 //
-// The reused slot keeps its clock and version vector, which are monotone:
-// the new thread's own component continues from the old thread's final
-// time, so epochs recorded by the new thread are strictly larger than any
-// the old thread could have produced — third parties' stale C[u] values
-// (≤ the old final time) correctly read as "have not synchronized with the
-// new thread".
+// one comparison per listed slot. The condition says p has received a
+// snapshot of u at or after u's last clock change (every change of a
+// thread's clock advances its version), so C_p ⊒ u's final clock. Fork
+// then revives the slot: its clock and version vector are kept and both
+// advance u's own component, so the new thread's values continue strictly
+// above every value the old thread produced or published, and its clock
+// (the old one joined with C_p) equals the clock a fresh identifier would
+// get from p, but for the one component. The kept version vector records
+// only snapshots the old clock, and so the new one, already holds.
+//
+// That makes every surviving metadatum naming u, a write epoch c@u, a
+// read-map entry, or a lock's or volatile's version epoch v@u, compare
+// exactly as it would against a fresh identifier. A clock that holds none
+// of the new thread's values has the same u component it would have had.
+// A clock that holds some has received the new thread's clock, hence C_p
+// and all of the old thread, as it would have through the fresh thread's
+// fork edge. And the new thread's own epochs and versions lie above
+// anything the old one left. Nothing needs to be scanned for stale
+// references; the condition costs nothing at Join and one comparison per
+// candidate at Fork.
+//
+// Reuse is offered only by the full algorithm (zero Options), the
+// configuration that publishes version epochs too. Fork revives a listed
+// slot whichever way its identifier was chosen, so replaying a recorded
+// trace that re-forks an identifier (pacer.Detector.Apply) analyses it
+// exactly as the live run did.
 
-// Join also records that u has been joined, making its slot a reuse
-// candidate; see the Join method in pacer.go and markJoined below.
-
-func (d *Detector) markJoined(u vclock.Thread) {
-	if d.joined == nil {
-		d.joined = make(map[vclock.Thread]bool)
+// retire lists u, joined at version ver, as a candidate for reuse.
+func (d *Detector) retire(u vclock.Thread, um *threadMeta, ver uint64) {
+	if um.retired == 0 {
+		d.free = append(d.free, u)
 	}
-	d.joined[u] = true
+	um.retired = ver
 }
 
-// referenced reports whether any live metadata names thread u.
-func (d *Detector) referenced(u vclock.Thread) bool {
-	found := false
-	d.Range(func(_ event.Var, m *varMeta) bool {
-		if !m.w.IsZero() && m.w.Thread() == u {
-			found = true
-			return false
-		}
-		if _, ok := m.r.Get(u); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	if found {
-		return true
+// revive takes the listed slot u off the free list for a new thread and
+// advances its clock and version past everything the old thread left.
+func (d *Detector) revive(u vclock.Thread, um *threadMeta) {
+	if i := slices.Index(d.free, u); i >= 0 {
+		d.free = slices.Delete(d.free, i, i+1)
 	}
-	for _, s := range d.locks {
-		if !s.vepoch.IsTop() && s.vepoch != vclock.VEBottom && s.vepoch.Thread() == u {
-			return true
-		}
-	}
-	for _, s := range d.vols {
-		if !s.vepoch.IsTop() && s.vepoch != vclock.VEBottom && s.vepoch.Thread() == u {
-			return true
-		}
-	}
-	return false
+	um.retired = 0
+	delete(d.dead, u)
+	d.ownThreadClock(u, um, 0)
+	um.clock.Inc(u)
+	um.ver.Inc(u)
+	d.publishVersion(u, um)
 }
 
-// ReusableThread returns a dead, joined, unreferenced thread slot and
-// revives it for a new thread, or reports false when none is available.
-// The scan is O(tracked variables + locks); callers fork rarely relative
-// to accesses, so this costs far less than letting clocks grow without
-// bound.
-func (d *Detector) ReusableThread() (vclock.Thread, bool) {
-	for u := range d.joined {
-		if !d.dead[u] || d.referenced(u) {
-			continue
+// ReusableThread returns the first listed slot whose recorded version
+// parent has received, for parent's next Fork, or reports false when none
+// qualifies. It changes nothing: Fork revives the slot.
+func (d *Detector) ReusableThread(parent vclock.Thread) (vclock.Thread, bool) {
+	if d.opts != (Options{}) || int(parent) >= len(d.threads) || d.threads[parent] == nil {
+		return vclock.NoThread, false
+	}
+	ver := d.threads[parent].ver
+	for _, u := range d.free {
+		if u != parent && ver.Get(u) >= d.threads[u].retired {
+			return u, true
 		}
-		delete(d.joined, u)
-		delete(d.dead, u)
-		// The slot keeps its monotone clock and version vector; bump both
-		// so the new thread's first epoch is distinct from the old
-		// thread's final state even before any synchronization.
-		tm := d.thread(u)
-		d.ownThreadClock(u, tm)
-		tm.clock.Inc(u)
-		tm.ver.Inc(u)
-		d.publishVersion(u, tm)
-		return u, true
 	}
 	return vclock.NoThread, false
 }

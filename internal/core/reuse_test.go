@@ -4,140 +4,159 @@ import (
 	"testing"
 
 	"pacer/internal/detector"
+	"pacer/internal/detector/shardbase"
+	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
 
-func TestReusableThreadRequiresDeadAndJoined(t *testing.T) {
+func TestReusableThreadRequiresJoin(t *testing.T) {
 	d := New(nil)
 	d.Fork(0, 1)
-	if _, ok := d.ReusableThread(); ok {
+	if _, ok := d.ReusableThread(0); ok {
 		t.Fatal("live thread offered for reuse")
 	}
 	d.ThreadExit(1)
-	if _, ok := d.ReusableThread(); ok {
+	if _, ok := d.ReusableThread(0); ok {
 		t.Fatal("unjoined thread offered for reuse")
 	}
 	d.Join(0, 1)
-	u, ok := d.ReusableThread()
+	u, ok := d.ReusableThread(0)
 	if !ok || u != 1 {
-		t.Fatalf("ReusableThread = %v, %v; want 1, true", u, ok)
+		t.Fatalf("ReusableThread(0) = %v, %v; want 1, true", u, ok)
 	}
-	// The slot is revived: not offered again until retired again.
-	if _, ok := d.ReusableThread(); ok {
-		t.Fatal("slot offered twice")
+	if _, ok := d.ReusableThread(0); !ok {
+		t.Fatal("ReusableThread changed the free list")
 	}
-}
-
-func TestReusableThreadBlockedByMetadata(t *testing.T) {
-	d := New(nil)
-	d.SampleBegin()
-	d.Fork(0, 1)
-	d.Write(1, 7, 100, 0) // sampled write: metadata names thread 1
-	d.SampleEnd()
-	d.ThreadExit(1)
-	d.Join(0, 1)
-	if _, ok := d.ReusableThread(); ok {
-		t.Fatal("slot with a live write epoch offered for reuse")
+	// Fork revives the slot: it is not offered again until joined again.
+	d.Fork(0, u)
+	if _, ok := d.ReusableThread(0); ok {
+		t.Fatal("revived slot offered again")
 	}
-	// An unsampled write by another thread discards x7's metadata.
-	d.Write(2, 7, 200, 0)
-	if d.VarsTracked() != 0 {
-		t.Fatal("metadata not discarded")
-	}
-	if u, ok := d.ReusableThread(); !ok || u != 1 {
-		t.Fatalf("slot not offered after discard: %v, %v", u, ok)
+	if d.dead[u] {
+		t.Fatal("revived slot still marked terminated")
 	}
 }
 
-func TestReusableThreadBlockedByReadEntryAndVepoch(t *testing.T) {
+// Only a thread that has received the joined thread's final version may
+// reuse its slot: the joiner, or a thread that acquired a snapshot the
+// joined thread published at that version.
+func TestReusableThreadRequiresFinalVersion(t *testing.T) {
 	d := New(nil)
 	d.SampleBegin()
 	d.Fork(0, 1)
-	d.Read(1, 7, 100, 0)
-	d.SampleEnd()
-	d.ThreadExit(1)
+	d.Write(1, 7, 100, 0)
+	d.Release(1, 5) // published at a version inc then moves past
 	d.Join(0, 1)
-	if _, ok := d.ReusableThread(); ok {
-		t.Fatal("slot with a live read entry offered for reuse")
+	d.Acquire(2, 5) // thread 2 holds an older snapshot of thread 1 only
+	if _, ok := d.ReusableThread(2); ok {
+		t.Fatal("slot offered to a thread that missed the joined thread's last version")
+	}
+	if u, ok := d.ReusableThread(0); !ok || u != 1 {
+		t.Fatalf("joiner not offered the slot: %v, %v", u, ok)
 	}
 
+	// Outside sampling a release does not advance the version, so a
+	// thread acquiring the thread's last release has its final clock.
 	d2 := New(nil)
 	d2.Fork(0, 1)
-	d2.Release(1, 5) // lock 5's version epoch names thread 1
-	d2.ThreadExit(1)
+	d2.Release(1, 5)
 	d2.Join(0, 1)
-	if _, ok := d2.ReusableThread(); ok {
-		t.Fatal("slot named by a lock version epoch offered for reuse")
+	if _, ok := d2.ReusableThread(2); ok {
+		t.Fatal("slot offered to a thread with no edge from it")
 	}
-	d2.Release(2, 5) // lock 5's vepoch now names thread 2
-	if u, ok := d2.ReusableThread(); !ok || u != 1 {
-		t.Fatalf("slot not offered after vepoch moved on: %v, %v", u, ok)
+	d2.Acquire(2, 5)
+	if u, ok := d2.ReusableThread(2); !ok || u != 1 {
+		t.Fatalf("slot not offered after acquiring the final snapshot: %v, %v", u, ok)
+	}
+}
+
+// An ablated detector publishes no version epochs and reuses nothing, but
+// its Fork still revives a listed slot it is handed (a replayed trace).
+func TestReusableThreadAblations(t *testing.T) {
+	d := NewWithOptions(nil, shardbase.Config{}, Options{DisableSharing: true})
+	d.Fork(0, 1)
+	d.Join(0, 1)
+	if _, ok := d.ReusableThread(0); ok {
+		t.Fatal("ablated detector offered a slot")
+	}
+	before := d.threads[1].clock.Get(1)
+	d.Fork(0, 1)
+	if d.threads[1].retired != 0 || d.threads[1].clock.Get(1) <= before {
+		t.Fatal("re-forked slot not revived")
 	}
 }
 
 // Races involving a reused slot are attributed correctly: the new thread's
-// epochs are strictly above the old thread's final time, so a third party
-// that synchronized only with the old thread still races with the new one.
+// epochs are strictly above the old thread's final time, so a thread that
+// synchronized only with the old thread still races with the new one.
 func TestReuseSoundness(t *testing.T) {
 	col := detector.NewCollector()
 	d := New(col.Report)
 	d.SampleBegin()
 
-	// Generation 1: thread 1 works and retires; thread 2 joins it.
+	// Generation 1: thread 1 writes x7 and publishes through lock 5 at
+	// its final version; thread 0 joins it.
 	d.Fork(0, 1)
-	d.Write(1, 7, 100, 0)
 	d.Fork(0, 2)
-	// Thread 2 joins thread 1: ordered after 1's write.
-	d.Join(2, 1)
-	d.Read(2, 7, 110, 0) // ordered → no race
+	d.Write(1, 7, 100, 0)
+	d.Release(1, 5)
+	d.Acquire(2, 5) // thread 2 is ordered after the old occupant
+	d.Read(2, 7, 110, 0)
+	d.Join(0, 1)
 	if col.DynamicCount() != 0 {
 		t.Fatalf("ordered access raced: %v", col.Dynamic)
 	}
-	d.ThreadExit(1)
-	// Clear x7's metadata so slot 1 becomes reusable.
-	d.SampleEnd()
-	d.Write(3, 7, 120, 0) // unsampled write discards (and races — but first access was sampled!)
-	racesSoFar := col.DynamicCount()
-	d.SampleBegin()
 
-	u, ok := d.ReusableThread()
+	u, ok := d.ReusableThread(0)
 	if !ok || u != 1 {
 		t.Fatalf("expected slot 1 reusable, got %v, %v", u, ok)
 	}
-	// Generation 2: new thread reuses slot 1, forked by thread 3.
-	d.Fork(3, u)
+	// Generation 2: the new thread in slot 1 writes x8.
+	d.Fork(0, u)
 	d.Write(u, 8, 200, 0)
-	// Thread 2 synchronized with the OLD occupant of slot 1 only; its
-	// access to x8 must still race with the new occupant's write.
+	// Thread 2 synchronized with the old occupant only; its access to x8
+	// still races with the new occupant's write.
 	d.Write(2, 8, 210, 0)
-	if col.DynamicCount() != racesSoFar+1 {
-		t.Fatalf("reused-slot race missed: %d reports (want %d)", col.DynamicCount(), racesSoFar+1)
+	if col.DynamicCount() != 1 {
+		t.Fatalf("reused-slot race missed: %d reports (want 1)", col.DynamicCount())
 	}
-	last := col.Dynamic[len(col.Dynamic)-1]
+	last := col.Dynamic[0]
 	if last.FirstThread != u || last.FirstSite != 200 {
 		t.Errorf("race misattributed: %v", last)
 	}
+	// The old occupant's write to x7 is ordered before the new occupant's
+	// fork; thread 2's read of x7 is not.
+	d.Write(u, 7, 220, 0)
+	if col.DynamicCount() != 2 {
+		t.Fatalf("write after reuse: %d reports (want 2): %v", col.DynamicCount(), col.Dynamic)
+	}
+	if r := col.Dynamic[1]; r.FirstThread != 2 || r.FirstSite != 110 || r.SecondSite != 220 {
+		t.Errorf("new occupant's write raced with %v, want thread 2's read", r)
+	}
 }
 
-// With reuse, generations of fork/join keep the clock width bounded.
+// With reuse, generations of fork/join keep the clock width bounded, in and
+// out of sampling periods, with no other synchronization needed.
 func TestReuseBoundsClockWidth(t *testing.T) {
 	d := New(nil)
 	for gen := 0; gen < 50; gen++ {
-		u, ok := d.ReusableThread()
+		if gen%10 == 5 {
+			d.SampleBegin()
+		} else if gen%10 == 0 {
+			d.SampleEnd()
+		}
+		u, ok := d.ReusableThread(0)
 		if !ok {
 			u = vclock.Thread(d.ThreadSlots())
 		}
 		d.Fork(0, u)
 		d.Acquire(u, 1)
+		d.Write(u, 3, 1, 0)
 		d.Release(u, 1)
-		d.ThreadExit(u)
 		d.Join(0, u)
-		// Clear the lock's vepoch reference so the slot can recycle.
-		d.Acquire(0, 1)
-		d.Release(0, 1)
 	}
-	if d.ThreadSlots() > 4 {
-		t.Errorf("thread slots = %d after 50 generations, want ≤ 4", d.ThreadSlots())
+	if d.ThreadSlots() != 2 {
+		t.Errorf("thread slots = %d after 50 generations, want 2", d.ThreadSlots())
 	}
 }
 
@@ -148,7 +167,7 @@ func TestReuseNoFalsePositives(t *testing.T) {
 	d := New(col.Report)
 	d.SampleBegin()
 	for gen := 0; gen < 30; gen++ {
-		u, ok := d.ReusableThread()
+		u, ok := d.ReusableThread(0)
 		if !ok {
 			u = vclock.Thread(d.ThreadSlots())
 		}
@@ -157,10 +176,98 @@ func TestReuseNoFalsePositives(t *testing.T) {
 		d.Read(u, 7, 10, 0)
 		d.Write(u, 7, 11, 0)
 		d.Release(u, 1)
-		d.ThreadExit(u)
+		d.Write(u, 8, 12, 0)
 		d.Join(0, u)
+		d.Read(0, 8, 13, 0)
 	}
 	if col.DynamicCount() != 0 {
 		t.Fatalf("false positive across generations: %v", col.Dynamic[0])
+	}
+	if d.ThreadSlots() != 2 {
+		t.Errorf("thread slots = %d, want 2", d.ThreadSlots())
+	}
+}
+
+// A write epoch naming the joined thread does not hold its slot back: it
+// still names thread 1 when the slot is reused, and compares as it would
+// against a fresh identifier.
+func TestReuseDespiteWriteEpoch(t *testing.T) {
+	col := detector.NewCollector()
+	d := New(col.Report)
+	d.SampleBegin()
+	d.Fork(0, 1)
+	d.Write(1, 7, 100, 0)
+	d.Join(0, 1)
+	if u, ok := d.ReusableThread(0); !ok || u != 1 {
+		t.Fatalf("slot named by a write epoch not offered: %v, %v", u, ok)
+	}
+	d.Fork(0, 1)
+	d.Write(1, 7, 200, 0) // ordered after the old write: no race
+	if col.DynamicCount() != 0 {
+		t.Fatalf("new occupant raced with the old one: %v", col.Dynamic)
+	}
+	d.Write(3, 7, 301, 0) // a root thread races with the new write
+	if col.DynamicCount() != 1 {
+		t.Fatalf("%d reports, want 1: %v", col.DynamicCount(), col.Dynamic)
+	}
+	if r := col.Dynamic[0]; r.Kind != detector.WriteWrite || r.FirstThread != 1 || uint32(r.FirstSite) != 200 {
+		t.Errorf("report = %v, want %v by thread 1 at site 200", r, detector.WriteWrite)
+	}
+}
+
+// A read-map entry and a lock's version epoch naming the joined thread do
+// not hold its slot back either: both still name thread 1 when it is
+// reused, and each compares as it would against a fresh identifier.
+func TestReuseDespiteReadEntryAndVepoch(t *testing.T) {
+	col := detector.NewCollector()
+	d := New(col.Report)
+	d.SampleBegin()
+	d.Fork(0, 1)
+	d.Read(1, 8, 101, 0)
+	d.Release(1, 5)
+	d.Join(0, 1)
+	if u, ok := d.ReusableThread(0); !ok || u != 1 {
+		t.Fatalf("slot named by a read entry and a lock epoch not offered: %v, %v", u, ok)
+	}
+	d.Fork(0, 1)
+	d.Acquire(1, 5) // the old release is in the new clock: Rule 4
+	if col.DynamicCount() != 0 {
+		t.Fatalf("new occupant raced with the old one: %v", col.Dynamic)
+	}
+	if d.SyncStats.FastJoins[detector.Sampling] == 0 {
+		t.Error("acquire of the old occupant's release was not a fast join")
+	}
+	d.Write(2, 8, 300, 0) // a root thread races with the old read
+	if col.DynamicCount() != 1 {
+		t.Fatalf("%d reports, want 1: %v", col.DynamicCount(), col.Dynamic)
+	}
+	if r := col.Dynamic[0]; r.Kind != detector.ReadWrite || r.FirstThread != 1 || uint32(r.FirstSite) != 101 {
+		t.Errorf("report = %v, want %v by thread 1 at site 101", r, detector.ReadWrite)
+	}
+}
+
+// A revived slot's clock and version continue above everything the old
+// thread published: outside sampling the join's inc is a no-op, so without
+// the revival's own step the new thread would share its version epoch with
+// the old thread's last release and SyncNoOp would dismiss the new
+// thread's release of that lock, leaving the lock the old snapshot.
+func TestReviveAdvancesPastPublished(t *testing.T) {
+	d := New(nil)
+	d.Fork(0, 1)
+	d.Release(1, 5)
+	old := d.locks[5]
+	final := old.clock.Get(1)
+	d.Join(0, 1)
+	d.Fork(0, 1)
+	tm := d.threads[1]
+	if own := d.vepochOf(1, tm); own.Version() <= old.vepoch.Version() {
+		t.Fatalf("revived version %v not above the old thread's published %v", own, old.vepoch)
+	}
+	if tm.clock.Get(1) <= final {
+		t.Fatalf("revived clock component %d not above the old thread's %d", tm.clock.Get(1), final)
+	}
+	e := event.Event{Kind: event.Release, Thread: 1, Target: 5}
+	if d.SyncNoOp(e) {
+		t.Fatal("release by the revived thread dismissed as a repeat of the old thread's")
 	}
 }

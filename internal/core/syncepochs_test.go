@@ -64,8 +64,11 @@ func TestSyncEpochsMirrorState(t *testing.T) {
 			if e.Kind == event.Join {
 				d.ThreadExit(vclock.Thread(e.Target))
 			}
-			if i%29 == 0 {
-				d.ReusableThread()
+			if i%29 == 0 && e.Kind != event.SampleBegin && e.Kind != event.SampleEnd {
+				// Fork a thread that does nothing into a reusable slot.
+				if u, ok := d.ReusableThread(e.Thread); ok {
+					d.Fork(e.Thread, u)
+				}
 			}
 			d.checkSyncEpochs(t, i)
 		}

@@ -132,12 +132,14 @@ type OwnedAccess interface {
 }
 
 // ThreadReuser is implemented by detectors that can soundly recycle the
-// identifiers of dead, joined threads whose metadata has been discarded
-// (the accordion-clocks direction the paper recommends for production).
+// identifiers of joined threads (the accordion-clocks direction the paper
+// recommends for production).
 type ThreadReuser interface {
-	// ReusableThread returns a revived thread slot for a brand-new thread,
-	// or reports false when none is safely recyclable.
-	ReusableThread() (vclock.Thread, bool)
+	// ReusableThread returns a joined thread's identifier that parent may
+	// hand to the child of its next Fork, or reports false when none is
+	// safely recyclable for parent. It changes nothing; the backend's Fork
+	// revives the slot it is given.
+	ReusableThread(parent vclock.Thread) (vclock.Thread, bool)
 }
 
 // VarAccounted is implemented by detectors that can report how many

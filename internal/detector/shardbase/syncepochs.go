@@ -40,12 +40,15 @@ type VETable struct {
 // table already covers i (Ensure), when it is one atomic store. Storing ⊥ve
 // past the table's end is skipped: the slot would read ⊥ve once grown.
 func (vt *VETable) Set(i uint32, ve vclock.VersionEpoch) {
-	if ve != vclock.VEBottom && i < syncEpochCap {
+	tab := vt.p.Load()
+	if tab == nil || i >= uint32(len(*tab)) {
+		if ve == vclock.VEBottom || i >= syncEpochCap {
+			return
+		}
 		vt.Ensure(int(i) + 1)
+		tab = vt.p.Load()
 	}
-	if tab := vt.p.Load(); tab != nil && i < uint32(len(*tab)) {
-		(*tab)[i].Store(uint64(ve))
-	}
+	(*tab)[i].Store(uint64(ve))
 }
 
 // Ensure grows the table to cover identifiers below n (at most the cap).

@@ -137,21 +137,27 @@ func (v *VC) CopyFrom(o *VC) {
 // the copy-on-write path). A tree-backed clock's clone carries a deep copy
 // of the index, so snapshot-and-continue (PACER's copy-on-write) keeps
 // proportional joins on both halves.
-func (v *VC) Clone() *VC {
-	var n *VC
+func (v *VC) Clone() *VC { return v.CloneWidth(0) }
+
+// CloneWidth is Clone with the copy at least n entries wide, the entries
+// past v's length zero: a caller about to join a wider clock into the copy
+// allocates it once, at the width the join would grow it to.
+func (v *VC) CloneWidth(n int) *VC {
+	n = max(n, len(v.c))
+	var c *VC
 	switch {
 	case v.talloc != nil:
-		n = v.talloc.NewVC(len(v.c))
+		c = v.talloc.NewVC(n)
 	case v.alloc != nil:
-		n = v.alloc.NewVC(len(v.c))
+		c = v.alloc.NewVC(n)
 	default:
-		n = &VC{c: make([]uint64, len(v.c))}
+		c = &VC{c: make([]uint64, n)}
 	}
-	copy(n.c, v.c)
+	copy(c.c, v.c)
 	if v.tr != nil {
-		n.cloneTree(v)
+		c.cloneTree(v)
 	}
-	return n
+	return c
 }
 
 // Shared reports whether the clock is marked as shared.

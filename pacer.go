@@ -179,12 +179,6 @@ type Options struct {
 	// analysis overhead near the target (see BudgetOptions). Only
 	// meaningful for backends with sampling periods.
 	Budget BudgetOptions
-	// ReuseThreadIDs recycles the identifiers of dead, joined threads
-	// whose metadata has been fully discarded, keeping vector clocks
-	// bounded by the peak live thread count instead of the total thread
-	// count — the accordion-clocks improvement the paper recommends for
-	// production use. Ignored by backends that cannot recycle soundly.
-	ReuseThreadIDs bool
 	// Shards, Arena, Clock, and EpochFastVarCap configure the metadata
 	// store of the sharded backends (pacer, fasttrack, o1samples, djit,
 	// literace); the serialized backends ignore them.
@@ -707,15 +701,18 @@ func (p *Detector) NewThread() ThreadID {
 }
 
 // Fork registers a new thread forked by parent and records the
-// happens-before edge fork(parent, child). With Options.ReuseThreadIDs
-// (and a backend that supports sound recycling), the identifier of a fully
-// retired thread may be reused.
+// happens-before edge fork(parent, child). With the default backend the
+// child may get the identifier of a thread already joined, when parent has
+// received that thread's final version (parent joined it, say); vector
+// clocks then stay as wide as the threads alive at once, not as the
+// threads ever forked. Once joined, an identifier names no thread until a
+// Fork returns it again.
 func (p *Detector) Fork(parent ThreadID) ThreadID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id, reused := ThreadID(0), false
-	if p.opts.ReuseThreadIDs && p.reuser != nil {
-		id, reused = p.reuser.ReusableThread()
+	if p.reuser != nil {
+		id, reused = p.reuser.ReusableThread(parent)
 	}
 	if !reused {
 		id = p.nextThread
@@ -743,8 +740,8 @@ func (p *Detector) forkTo(t, u ThreadID) {
 }
 
 // Join records join(t, u): t blocked until u terminated. It also marks u
-// terminated, which (with Options.ReuseThreadIDs) makes its identifier a
-// recycling candidate once no metadata names it.
+// terminated, and with the default backend makes its identifier a
+// candidate for reuse by a later Fork (see Fork).
 func (p *Detector) Join(t, u ThreadID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

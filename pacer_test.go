@@ -2,6 +2,7 @@ package pacer_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -282,51 +283,81 @@ func TestDescribeWithLabels(t *testing.T) {
 	}
 }
 
+// heapAfterGC returns the live heap after a full collection.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// Generations of fork, locked work and join: the joiner reuses the joined
+// child's identifier, so clocks stay three threads wide and the heap stays
+// flat however many threads have lived.
 func TestReuseThreadIDsKeepsWidthBounded(t *testing.T) {
-	d := pacer.New(pacer.Options{SamplingRate: 0.5, PeriodOps: 16, ReuseThreadIDs: true})
+	const gens = 10000
+	d := pacer.New(pacer.Options{SamplingRate: 0.5, PeriodOps: 16})
 	main := d.NewThread()
 	v := d.NewVarID()
 	mu := d.NewMutex()
-	seen := map[pacer.ThreadID]bool{main: true}
-	for gen := 0; gen < 200; gen++ {
+	width := main + 1
+	var mid uint64
+	for gen := 0; gen < gens; gen++ {
+		if gen == gens/10 {
+			mid = heapAfterGC()
+		}
 		w := d.Fork(main)
-		seen[w] = true
+		width = max(width, w+1)
 		mu.Lock(w)
 		d.Read(w, v, 1)
 		d.Write(w, v, 2)
 		mu.Unlock(w)
 		d.Join(main, w)
-		// Main touches the lock so its version epoch stops naming w.
 		mu.Lock(main)
 		mu.Unlock(main)
 	}
-	if len(seen) > 20 {
-		t.Errorf("%d distinct thread ids across 200 generations; reuse ineffective", len(seen))
+	if width > 3 {
+		t.Errorf("clock width %d after %d generations, want at most 3", width, gens)
+	}
+	// Without reuse each generation's clock is one thread wider than the
+	// last and every one stays alive: hundreds of megabytes by the end.
+	if end := heapAfterGC(); end > mid+1<<20 {
+		t.Errorf("heap grew from %d to %d bytes over %d generations", mid, end, gens-gens/10)
 	}
 }
 
 func TestReuseThreadIDsStillDetectsRaces(t *testing.T) {
+	const gens = 10000
 	found := 0
-	d := pacer.New(pacer.Options{SamplingRate: 1.0, ReuseThreadIDs: true, OnRace: func(pacer.Race) { found++ }})
+	d := pacer.New(pacer.Options{SamplingRate: 1.0, OnRace: func(pacer.Race) { found++ }})
 	main := d.NewThread()
 	v := d.NewVarID()
-	for gen := 0; gen < 10; gen++ {
+	width := main + 1
+	for gen := 0; gen < gens; gen++ {
 		w := d.Fork(main)
-		d.Write(w, v, pacer.SiteID(100+gen))
+		width = max(width, w+1)
+		d.Write(w, v, pacer.SiteID(100+gen%50))
 		d.Join(main, w)
 	}
 	// Each generation's write is ordered after the previous via main's
-	// join+fork, so no races yet.
+	// join and fork, so no races yet.
 	if found != 0 {
 		t.Fatalf("ordered generational writes raced (%d)", found)
 	}
-	// A concurrent writer races with the last generation.
+	if width > 3 {
+		t.Errorf("clock width %d after %d generations, want at most 3", width, gens)
+	}
+	// A thread forked by main is ordered after the last generation; a
+	// root thread is concurrent with everything and races with both.
 	other := d.Fork(main)
 	d.Write(other, v, 999)
-	loner := d.NewThread() // root thread, concurrent with everything
+	if found != 0 {
+		t.Fatalf("write ordered after the last generation raced (%d)", found)
+	}
+	loner := d.NewThread()
 	d.Write(loner, v, 1000)
-	if found == 0 {
-		t.Error("race with reused-slot thread missed")
+	if found != 1 {
+		t.Errorf("root thread's write: %d races, want 1 (with the reused slot's write)", found)
 	}
 }
 

@@ -2,7 +2,6 @@ package pacer_test
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"pacer"
@@ -54,21 +53,15 @@ func remapVars(tr event.Trace, ids []event.Var) (event.Trace, map[pacer.VarID]pa
 }
 
 // raceList replays tr through Apply and returns its races, variables
-// renamed through back (nil keeps them), sorted.
+// renamed through back (nil keeps them), rendered and sorted.
 func raceList(tr event.Trace, opts pacer.Options, back map[pacer.VarID]pacer.VarID) []string {
-	var races []string
-	opts.OnRace = func(r pacer.Race) {
-		if back != nil {
-			r.Var = back[r.Var]
+	races := replayRaces(tr, opts, nil)
+	if back != nil {
+		for i := range races {
+			races[i].Var = back[races[i].Var]
 		}
-		races = append(races, fmt.Sprintf("%+v", r))
 	}
-	d := pacer.New(opts)
-	for _, e := range tr {
-		d.Apply(e)
-	}
-	sort.Strings(races)
-	return races
+	return raceStrings(races)
 }
 
 // TestRecordTableSparseIDs replays corpus-shaped traces through every
