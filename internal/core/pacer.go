@@ -50,12 +50,17 @@ type Options struct {
 // threadMeta is the per-thread analysis state: the thread's vector clock
 // (possibly shared with synchronization objects after a shallow copy) and
 // its version vector (Appendix A.2). retired is nonzero while the slot is
-// listed for reuse: the thread's version when it was last joined (see
+// listed for reuse: the thread's version when it was last joined, and
+// listed the number of that listing. scanned is the thread's free-list
+// watermark: every slot listed at or below it failed the thread's reuse
+// check, and keeps failing it until recordVersion lowers the mark (see
 // reuse.go).
 type threadMeta struct {
 	clock   *vclock.VC
 	ver     *vclock.VC
 	retired uint64
+	listed  uint64
+	scanned uint64
 }
 
 // syncMeta is the metadata for a lock or volatile: its clock (possibly
@@ -116,13 +121,16 @@ type varMeta struct {
 // arbitrary component assignments the index cannot track).
 type Detector struct {
 	shardbase.Store[varMeta]
-	sampling bool
-	threads  []*threadMeta
-	dead     map[vclock.Thread]bool
-	free     []vclock.Thread // joined slots listed for reuse, oldest first
-	locks    map[event.Lock]*syncMeta
-	vols     map[event.Volatile]*syncMeta
-	opts     Options
+	sampling    bool
+	threads     []*threadMeta
+	dead        map[vclock.Thread]bool
+	free        []freeSlot // joined slots listed for reuse, oldest first; some revived since (reuse.go)
+	listings    uint64     // slots ever listed
+	unlisted    int        // entries of free revived since the last compaction
+	reuseChecks uint64     // version comparisons ReusableThread made
+	locks       map[event.Lock]*syncMeta
+	vols        map[event.Volatile]*syncMeta
+	opts        Options
 }
 
 var (
@@ -395,6 +403,14 @@ func (d *Detector) recordVersion(tm *threadMeta, srcVE vclock.VersionEpoch) {
 	}
 	if u, v := srcVE.Thread(), srcVE.Version(); v > tm.ver.Get(u) {
 		tm.ver.Set(u, v)
+		// Only u's check can start passing, and only if u is listed at
+		// or below the watermark: lower the mark to just below it
+		// (reuse.go).
+		if int(u) < len(d.threads) {
+			if um := d.threads[u]; um != nil && um.listed != 0 && um.listed <= tm.scanned {
+				tm.scanned = um.listed - 1
+			}
+		}
 	}
 }
 

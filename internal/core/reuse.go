@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"sort"
 
 	"pacer/internal/vclock"
 )
@@ -46,10 +46,34 @@ import (
 // trace that re-forks an identifier (pacer.Detector.Apply) analyses it
 // exactly as the live run did.
 
+// A fork examines each listed slot about once. A version vector entry
+// ver_p(u) changes only when recordVersion raises it, so a slot u that
+// failed p's check keeps failing it until p receives a newer version of u
+// itself: u's recorded version only grows while it stays listed, and a
+// revived slot is listed anew, behind every slot listed before. Each
+// thread therefore keeps a watermark below which every listed slot has
+// failed its check, and a fork examines only the slots listed above it.
+// recordVersion lowers the mark to just below u's listing when it raises
+// ver_p(u) for a slot u listed at or below it, and leaves it alone for any
+// other thread's version, so a parent that forks while other threads join
+// its children examines each joined slot once, not once per fork, however
+// much it synchronizes with the joiners, as long as it never receives a
+// joined child's version. Revived slots leave their entries behind,
+// compacted away once they are half the list.
+
+// freeSlot is one entry of the free list: a joined slot and its listing
+// number, which identifies the listing (threadMeta.listed).
+type freeSlot struct {
+	t   vclock.Thread
+	seq uint64
+}
+
 // retire lists u, joined at version ver, as a candidate for reuse.
 func (d *Detector) retire(u vclock.Thread, um *threadMeta, ver uint64) {
 	if um.retired == 0 {
-		d.free = append(d.free, u)
+		d.listings++
+		um.listed = d.listings
+		d.free = append(d.free, freeSlot{u, um.listed})
 	}
 	um.retired = ver
 }
@@ -57,10 +81,17 @@ func (d *Detector) retire(u vclock.Thread, um *threadMeta, ver uint64) {
 // revive takes the listed slot u off the free list for a new thread and
 // advances its clock and version past everything the old thread left.
 func (d *Detector) revive(u vclock.Thread, um *threadMeta) {
-	if i := slices.Index(d.free, u); i >= 0 {
-		d.free = slices.Delete(d.free, i, i+1)
+	um.retired, um.listed = 0, 0
+	if d.unlisted++; 2*d.unlisted > len(d.free) {
+		live := d.free[:0]
+		for _, e := range d.free {
+			if d.threads[e.t].listed == e.seq {
+				live = append(live, e)
+			}
+		}
+		clear(d.free[len(live):])
+		d.free, d.unlisted = live, 0
 	}
-	um.retired = 0
 	delete(d.dead, u)
 	d.ownThreadClock(u, um, 0)
 	um.clock.Inc(u)
@@ -70,16 +101,23 @@ func (d *Detector) revive(u vclock.Thread, um *threadMeta) {
 
 // ReusableThread returns the first listed slot whose recorded version
 // parent has received, for parent's next Fork, or reports false when none
-// qualifies. It changes nothing: Fork revives the slot.
+// qualifies. It changes nothing but parent's watermark, so, like Fork,
+// which revives the slot, it needs exclusive access.
 func (d *Detector) ReusableThread(parent vclock.Thread) (vclock.Thread, bool) {
 	if d.opts != (Options{}) || int(parent) >= len(d.threads) || d.threads[parent] == nil {
 		return vclock.NoThread, false
 	}
-	ver := d.threads[parent].ver
-	for _, u := range d.free {
-		if u != parent && ver.Get(u) >= d.threads[u].retired {
-			return u, true
+	pm := d.threads[parent]
+	i := sort.Search(len(d.free), func(i int) bool { return d.free[i].seq > pm.scanned })
+	for _, e := range d.free[i:] {
+		um := d.threads[e.t]
+		if um.listed == e.seq && e.t != parent {
+			d.reuseChecks++
+			if pm.ver.Get(e.t) >= um.retired {
+				return e.t, true
+			}
 		}
+		pm.scanned = e.seq
 	}
 	return vclock.NoThread, false
 }

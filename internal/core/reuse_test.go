@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pacer/internal/detector"
@@ -269,5 +270,99 @@ func TestReviveAdvancesPastPublished(t *testing.T) {
 	e := event.Event{Kind: event.Release, Thread: 1, Target: 5}
 	if d.SyncNoOp(e) {
 		t.Fatal("release by the revived thread dismissed as a repeat of the old thread's")
+	}
+}
+
+// One thread forks while another joins its children: the forker never
+// receives the joined threads' versions, so no slot qualifies for it, and
+// each of its forks must examine only the slots listed since its last one
+// instead of the whole, ever longer list. That holds also when the two
+// synchronize (the joiner releases a lock after each join and the forker
+// acquires it before each fork): every acquire raises the forker's version
+// entry for the joiner, never for a joined child. The joiner's fork then
+// reuses the oldest slot at the first comparison, and a slot revived
+// meanwhile is never examined again.
+func TestReuseScanForkerJoiner(t *testing.T) {
+	for _, synced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("synced=%v", synced), func(t *testing.T) {
+			const pairs = 2000
+			const forker, joiner = 0, 1
+			const m = event.Lock(7)
+			d := New(nil)
+			d.SampleBegin()
+			d.Fork(forker, joiner)
+			for k := 0; k < pairs; k++ {
+				if synced {
+					d.Acquire(forker, m)
+					d.Release(forker, m)
+				}
+				if u, ok := d.ReusableThread(forker); ok {
+					t.Fatalf("pair %d: slot %d offered to a thread that never received it", k, u)
+				}
+				u := vclock.Thread(d.ThreadSlots())
+				d.Fork(forker, u)
+				d.Write(u, event.Var(k), event.Site(k), 0)
+				if synced {
+					d.Acquire(joiner, m)
+				}
+				d.Join(joiner, u)
+				if synced {
+					d.Release(joiner, m)
+				}
+			}
+			if _, ok := d.ReusableThread(forker); ok {
+				t.Fatal("slot offered to a thread that never received it")
+			}
+			if d.reuseChecks != pairs {
+				t.Fatalf("%d scans made %d reuse checks; want one per listed slot", pairs+1, d.reuseChecks)
+			}
+			checks := d.reuseChecks
+			u, ok := d.ReusableThread(joiner)
+			if !ok || u != 2 || d.reuseChecks != checks+1 {
+				t.Fatalf("joiner offered %v, %v after %d checks; want the oldest slot 2 after one",
+					u, ok, d.reuseChecks-checks)
+			}
+			d.Fork(joiner, u)
+			if _, ok := d.ReusableThread(forker); ok || d.reuseChecks != checks+1 {
+				t.Fatalf("forker's scan after a revival made %d checks; want none", d.reuseChecks-checks-1)
+			}
+		})
+	}
+}
+
+// A thread whose check failed is offered the slot once it receives the
+// joined thread's final version: receiving it lowers the watermark.
+func TestReuseWatermarkClearedOnReceive(t *testing.T) {
+	d := New(nil)
+	d.Fork(0, 1)
+	d.Fork(0, 2)
+	d.Release(1, 5) // outside sampling: the lock holds thread 1's final version
+	d.Join(0, 1)
+	if u, ok := d.ReusableThread(2); ok {
+		t.Fatalf("slot %d offered to a thread with no edge from it", u)
+	}
+	d.Acquire(2, 5)
+	if u, ok := d.ReusableThread(2); !ok || u != 1 {
+		t.Fatalf("slot not offered after acquiring the final snapshot: %v, %v", u, ok)
+	}
+}
+
+// Revived slots' entries are compacted away: a thread forking and joining
+// one child per generation keeps the free list at one entry.
+func TestReuseFreeListCompacts(t *testing.T) {
+	d := New(nil)
+	d.SampleBegin()
+	d.thread(0)
+	for gen := 0; gen < 100; gen++ {
+		u, ok := d.ReusableThread(0)
+		if !ok {
+			u = vclock.Thread(d.ThreadSlots())
+		}
+		d.Fork(0, u)
+		d.Join(0, u)
+	}
+	if d.ThreadSlots() != 2 || len(d.free) != 1 {
+		t.Fatalf("%d slots, free list of %d after 100 generations; want 2 slots and 1 entry",
+			d.ThreadSlots(), len(d.free))
 	}
 }

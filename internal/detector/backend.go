@@ -137,8 +137,11 @@ type OwnedAccess interface {
 type ThreadReuser interface {
 	// ReusableThread returns a joined thread's identifier that parent may
 	// hand to the child of its next Fork, or reports false when none is
-	// safely recyclable for parent. It changes nothing; the backend's Fork
-	// revives the slot it is given.
+	// safely recyclable for parent. An implementation may update memo
+	// state of parent's (core keeps a watermark over its free list), so
+	// it must be called under the detector's exclusive lock, as
+	// pacer.Detector.Fork does; the backend's Fork revives the slot it is
+	// given.
 	ReusableThread(parent vclock.Thread) (vclock.Thread, bool)
 }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -504,13 +505,17 @@ func TestFleetPushEncoding(t *testing.T) {
 	if err := fleet.EncodePush(&buf, in); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	out, err := fleet.DecodePush(&buf, 0)
+	out, entries, err := fleet.DecodePush(&buf, 0)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	want, err := fleet.ParseTriage(in.Races)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
 	if out.Instance != in.Instance || out.Epoch != in.Epoch || out.Seq != in.Seq || out.Dropped != in.Dropped ||
-		!bytes.Equal(bytes.TrimSpace(out.Races), bytes.TrimSpace(in.Races)) {
-		t.Errorf("round trip mangled push: %+v", out)
+		!reflect.DeepEqual(entries, want) {
+		t.Errorf("round trip mangled push: %+v, entries %v", out, entries)
 	}
 	if out.Arena == nil || *out.Arena != *in.Arena {
 		t.Errorf("round trip mangled arena gauges: %+v", out.Arena)
@@ -546,13 +551,13 @@ func bombPush(t *testing.T) []byte {
 // must fail with a size error, not expand in memory.
 func TestFleetDecodePushDecompressedCap(t *testing.T) {
 	bomb := bombPush(t)
-	if _, err := fleet.DecodePush(bytes.NewReader(bomb), 64<<10); err == nil {
+	if _, _, err := fleet.DecodePush(bytes.NewReader(bomb), 64<<10); err == nil {
 		t.Fatalf("%d compressed bytes inflating past the 64 KiB cap were accepted", len(bomb))
 	} else if !strings.Contains(err.Error(), "decompressed") {
 		t.Errorf("bomb rejected for the wrong reason: %v", err)
 	}
 	// The same push passes under a cap that accommodates it.
-	if _, err := fleet.DecodePush(bytes.NewReader(bomb), 2<<20); err != nil {
+	if _, _, err := fleet.DecodePush(bytes.NewReader(bomb), 2<<20); err != nil {
 		t.Errorf("push within the cap rejected: %v", err)
 	}
 }

@@ -27,11 +27,13 @@
 package fleet
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // SchemaVersion is the baseline wire schema version: cumulative
@@ -126,61 +128,135 @@ type ShadowGauges struct {
 	Vars   uint64 `json:"vars"`
 }
 
-// EncodePush writes p to w as gzip-compressed JSON.
+// EncodePush writes p to w as gzip-compressed JSON. The compressor comes
+// from a pool and is reset, not rebuilt: a gzip writer at the default
+// level carries about 800 KB of state, which would otherwise be allocated
+// and zeroed for every push.
 func EncodePush(w io.Writer, p *Push) error {
-	zw := gzip.NewWriter(w)
-	if err := json.NewEncoder(zw).Encode(p); err != nil {
+	e := encoders.Get().(*pushEncoder)
+	err := e.encode(w, p)
+	encoders.Put(e)
+	return err
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := &pushEncoder{}
+	e.zw = gzip.NewWriter(e)
+	return e
+}}
+
+// pushEncoder is one reusable push compressor. The gzip writer writes
+// through the encoder, which forwards to the caller's writer only for the
+// duration of one encode, so an idle encoder keeps no caller's buffer
+// reachable. Not safe for concurrent use.
+type pushEncoder struct {
+	zw  *gzip.Writer
+	dst io.Writer
+}
+
+func (e *pushEncoder) Write(b []byte) (int, error) { return e.dst.Write(b) }
+
+func (e *pushEncoder) encode(w io.Writer, p *Push) error {
+	e.dst = w
+	defer func() { e.dst = nil }()
+	e.zw.Reset(e)
+	if err := json.NewEncoder(e.zw).Encode(p); err != nil {
 		return err
 	}
-	return zw.Close()
+	return e.zw.Close()
 }
 
 // DefaultMaxDecompressedBytes caps how far DecodePush will inflate one
 // push when the caller passes no limit of its own.
 const DefaultMaxDecompressedBytes = 64 << 20
 
-// DecodePush reads one gzip-compressed push and validates its envelope:
-// a schema version from SchemaVersion through SchemaVersionDelta, a
-// non-empty instance, and — on a delta (nonzero BaseSeq) — a version-2
-// push whose base precedes its own sequence number, so a malformed push
-// is rejected before any state is touched. maxDecompressed bounds the
-// inflated size — the compressed body alone is not a safe bound, since a
-// kilobyte of gzip can expand to gigabytes and OOM the collector; <= 0
-// means DefaultMaxDecompressedBytes.
-func DecodePush(r io.Reader, maxDecompressed int64) (*Push, error) {
+// pushDecoder is one reusable gzip inflater, the buffered reader under it
+// and the inflation bound over it. The inflater and the reader are reset
+// per push, so decoding one allocates no inflater state; release detaches
+// the caller's body before the decoder goes back to the pool.
+type pushDecoder struct {
+	br bufio.Reader
+	zr gzip.Reader
+	lr io.LimitedReader
+}
+
+var decoders = sync.Pool{New: func() any { return new(pushDecoder) }}
+
+func (d *pushDecoder) release() {
+	d.br.Reset(nil)
+	decoders.Put(d)
+}
+
+// pushWire is a push as DecodePush reads it: Push's envelope fields, with
+// the triage rows decoded straight into typed entries. Races points at a
+// caller-owned slice before decoding, so that a missing field (the
+// pointer unchanged, the slice nil) is told apart from "races": null (the
+// pointer cleared), which is an empty list.
+type pushWire struct {
+	Push
+	Races *[]TriageEntry `json:"races"`
+}
+
+// DecodePush reads one gzip-compressed push and validates it: a schema
+// version from SchemaVersion through SchemaVersionDelta, a non-empty
+// instance, a triage list, and — on a delta (nonzero BaseSeq) — a
+// version-2 push whose base precedes its own sequence number. The triage
+// rows are decoded in the same JSON pass as the envelope and validated
+// and folded into a map keyed by distinct race as ParseTriage does, so a
+// malformed push is rejected before any state is touched. The returned
+// Push carries the envelope; its Races is nil, the rows being in the map.
+// (An object that names races twice has its later list decoded over the
+// earlier one, row by row, as encoding/json does for a repeated key; no
+// encoder produces one, and its rows are validated like any others.)
+// maxDecompressed bounds the inflated size — the compressed body alone
+// is not a safe bound, since a kilobyte of gzip can expand to gigabytes
+// and OOM the collector; <= 0 means DefaultMaxDecompressedBytes.
+func DecodePush(r io.Reader, maxDecompressed int64) (*Push, map[TriageKey]TriageEntry, error) {
 	if maxDecompressed <= 0 {
 		maxDecompressed = DefaultMaxDecompressedBytes
 	}
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: push is not gzip: %w", err)
+	dec := decoders.Get().(*pushDecoder)
+	defer dec.release()
+	dec.br.Reset(r)
+	if err := dec.zr.Reset(&dec.br); err != nil {
+		return nil, nil, fmt.Errorf("fleet: push is not gzip: %w", err)
 	}
-	defer zr.Close()
-	lr := &io.LimitedReader{R: zr, N: maxDecompressed + 1}
-	var p Push
-	if err := json.NewDecoder(lr).Decode(&p); err != nil && lr.N > 0 {
-		return nil, fmt.Errorf("fleet: decoding push: %w", err)
+	lr := &dec.lr
+	*lr = io.LimitedReader{R: &dec.zr, N: maxDecompressed + 1}
+	var rows []TriageEntry
+	w := &pushWire{Races: &rows}
+	if err := json.NewDecoder(lr).Decode(w); err != nil && lr.N > 0 {
+		return nil, nil, fmt.Errorf("fleet: decoding push: %w", err)
 	}
 	if lr.N <= 0 {
-		return nil, fmt.Errorf("fleet: push exceeds %d bytes decompressed", maxDecompressed)
+		return nil, nil, fmt.Errorf("fleet: push exceeds %d bytes decompressed", maxDecompressed)
 	}
+	p := &w.Push
 	if p.Version < SchemaVersion || p.Version > SchemaVersionDelta {
-		return nil, fmt.Errorf("fleet: unsupported schema version %d (this collector speaks 1..%d)",
+		return nil, nil, fmt.Errorf("fleet: unsupported schema version %d (this collector speaks 1..%d)",
 			p.Version, SchemaVersionDelta)
 	}
 	if p.Instance == "" {
-		return nil, errors.New("fleet: push names no instance")
+		return nil, nil, errors.New("fleet: push names no instance")
 	}
-	if len(p.Races) == 0 {
-		return nil, errors.New("fleet: push carries no triage list")
+	if w.Races == &rows && rows == nil {
+		return nil, nil, errors.New("fleet: push carries no triage list")
 	}
 	if p.BaseSeq != 0 {
 		if p.Version < SchemaVersionDelta {
-			return nil, fmt.Errorf("fleet: version-%d push carries a delta base", p.Version)
+			return nil, nil, fmt.Errorf("fleet: version-%d push carries a delta base", p.Version)
 		}
 		if p.BaseSeq >= p.Seq {
-			return nil, fmt.Errorf("fleet: delta base seq %d not before push seq %d", p.BaseSeq, p.Seq)
+			return nil, nil, fmt.Errorf("fleet: delta base seq %d not before push seq %d", p.BaseSeq, p.Seq)
 		}
 	}
-	return &p, nil
+	var in []TriageEntry
+	if w.Races != nil {
+		in = *w.Races
+	}
+	entries, err := foldTriage(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, entries, nil
 }

@@ -77,6 +77,12 @@ func ParseTriage(data []byte) (map[TriageKey]TriageEntry, error) {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("fleet: parsing triage list: %w", err)
 	}
+	return foldTriage(in)
+}
+
+// foldTriage validates parsed triage rows and folds them by distinct race
+// (ParseTriage; DecodePush's rows).
+func foldTriage(in []TriageEntry) (map[TriageKey]TriageEntry, error) {
 	out := make(map[TriageKey]TriageEntry, len(in))
 	for i, e := range in {
 		if !validKind(e.Kind) {

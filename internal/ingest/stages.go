@@ -12,8 +12,8 @@ import (
 	"pacer/internal/fleet"
 )
 
-// Decode inflates and parses the push envelope (schema versions 1 and
-// 2), then materializes and validates the triage payload, so every later
+// Decode inflates the push and parses its envelope (schema versions 1 and
+// 2) and triage payload in one pass (fleet.DecodePush), so every later
 // stage works with typed, bounds-checked data and a malformed push is
 // rejected before it can touch shared state.
 type Decode struct {
@@ -34,15 +34,12 @@ func (d *Decode) Decoded() uint64 { return d.decoded.Load() }
 func (d *Decode) Rejected() uint64 { return d.rejected.Load() }
 
 func (d *Decode) Process(_ context.Context, req *Request) error {
-	p, err := fleet.DecodePush(req.Body, d.MaxDecompressed)
-	if err == nil {
-		req.Entries, err = fleet.ParseTriage(p.Races)
-	}
+	p, entries, err := fleet.DecodePush(req.Body, d.MaxDecompressed)
 	if err != nil {
 		d.rejected.Add(1)
 		return &StatusError{Status: http.StatusBadRequest, Err: err}
 	}
-	req.Push = p
+	req.Push, req.Entries = p, entries
 	d.decoded.Add(1)
 	return nil
 }
