@@ -8,42 +8,6 @@ import (
 	"pacer"
 )
 
-// TestFastPathAllocFree pins the non-sampling fast path at zero
-// allocations per access, with and without the arena: the whole point of
-// rate-proportional overhead is that untracked accesses outside sampling
-// periods cost two atomic loads and a counter bump — if either
-// configuration starts allocating there, proportionality is gone for
-// every workload.
-func TestFastPathAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{
-		{"heap", false},
-		{"arena", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := pacer.New(pacer.Options{SamplingRate: 0, Arena: tc.arena})
-			tid := d.NewThread()
-			v := d.NewVarID()
-			// Warm the thread's op-counter cell and the shard counters.
-			d.Read(tid, v, 1)
-			d.Write(tid, v, 1)
-
-			if got := testing.AllocsPerRun(200, func() {
-				d.Read(tid, v, 1)
-			}); got != 0 {
-				t.Errorf("fast-path Read allocates %v per op, want 0", got)
-			}
-			if got := testing.AllocsPerRun(200, func() {
-				d.Write(tid, v, 1)
-			}); got != 0 {
-				t.Errorf("fast-path Write allocates %v per op, want 0", got)
-			}
-		})
-	}
-}
-
 // TestArenaFrontEndStress hammers an arena-backed detector from many
 // goroutines (run under -race in CI): the refcount/recycle protocol must
 // hold up under the concurrent sharded discipline, and the detector must

@@ -289,8 +289,10 @@ func (in *instrumenter) target(e ast.Expr) (lv ast.Expr, t types.Type, ok bool) 
 			return e, v.Type(), true
 		}
 	case *ast.StarExpr:
-		if t := in.info.TypeOf(e); t != nil {
-			return e, t, true
+		// In a method expression such as (*T).M the star builds a type;
+		// nothing is dereferenced.
+		if tv := in.info.Types[e]; tv.Type != nil && !tv.IsType() {
+			return e, tv.Type, true
 		}
 	case *ast.SelectorExpr:
 		if sel, oks := in.info.Selections[x]; oks {
@@ -343,7 +345,7 @@ func (in *instrumenter) addressable(e ast.Expr) bool {
 		v, ok := in.objOf(x).(*types.Var)
 		return ok && !v.IsField()
 	case *ast.StarExpr:
-		return true
+		return !in.info.Types[e].IsType()
 	case *ast.SelectorExpr:
 		if sel, ok := in.info.Selections[x]; ok && sel.Kind() == types.FieldVal {
 			if _, ptr := in.info.TypeOf(x.X).Underlying().(*types.Pointer); ptr {

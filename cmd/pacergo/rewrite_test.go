@@ -184,6 +184,91 @@ func TestRewriteInitScope(t *testing.T) {
 	}
 }
 
+// typeExprSources put a type where an expression may stand: method
+// expressions, method values, generic instantiations, conversions and
+// parenthesized types. A star or an index in a type is not a dereference
+// or an element access, so none of them may be hooked.
+var typeExprSources = map[string]string{
+	"method expression on pointer": `package p
+
+type T struct{ n int }
+
+func (t *T) Get() int { return t.n }
+
+var shared T
+
+func use() int {
+	f := (*T).Get
+	return f(&shared)
+}
+`,
+	"method expression on value": `package p
+
+type T struct{ n int }
+
+func (t T) Get() int { return t.n }
+
+var shared T
+
+func use() int {
+	f := T.Get
+	return f(shared)
+}
+`,
+	"method value": `package p
+
+type T struct{ n int }
+
+func (t *T) Get() int { return t.n }
+
+var shared T
+
+func use() int {
+	f := shared.Get
+	return f()
+}
+`,
+	"generic instantiation": `package p
+
+type G[E any] struct{ v E }
+
+func Id[E any](e E) E { return e }
+
+var shared int
+
+func use() int {
+	f := Id[int]
+	g := G[int]{v: shared}
+	return f(g.v)
+}
+`,
+	"conversion and parenthesized type": `package p
+
+type T struct{ n int }
+
+var shared T
+
+func use() int {
+	p := (*T)(&shared)
+	var q (*T) = ((*T))(p)
+	return q.n + (T)(shared).n
+}
+`,
+}
+
+// TestRewriteTypeExprs: types in expression position are left alone, and
+// the instrumented file still type-checks.
+func TestRewriteTypeExprs(t *testing.T) {
+	for name, src := range typeExprSources {
+		t.Run(name, func(t *testing.T) {
+			out := instrumentSource(t, src)
+			if err := typeCheck(out); err != nil {
+				t.Fatalf("instrumented output does not type-check: %v\n%s", err, out)
+			}
+		})
+	}
+}
+
 // FuzzRewrite: a package that type-checks must still type-check once
 // instrumented.
 func FuzzRewrite(f *testing.F) {
@@ -221,6 +306,9 @@ func (b *box) run(k int) int {
 	return <-b.ch
 }
 `)
+	for _, src := range typeExprSources {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		out, changed, err := instrument(src)
 		if err != nil || !changed {

@@ -60,28 +60,15 @@ func main() {
 	}
 }
 
-// printBackends prints the live mount/arena/capability/sync matrix straight
+// printBackends prints the live mount/arena/sampling/sync/chain matrix straight
 // from the backend registry — the authoritative version of the
 // docs/backends.md table (a test pins the two together).
 func printBackends() {
 	fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", "backend", "mount", "arena", "sampling", "sync", "lock-free dismissals")
 	for _, c := range backends.All() {
-		var extras []string
-		if c.Sharded && c.Sampler {
-			extras = append(extras, "no-metadata")
-		}
-		if c.EpochFast {
-			extras = append(extras, "same-epoch")
-		}
-		if c.OwnedAccess {
-			extras = append(extras, "owned-access")
-		}
-		if c.BurstSampler {
-			extras = append(extras, "burst-skip")
-		}
-		ex := strings.Join(extras, ", ")
-		if ex == "" {
-			ex = "—"
+		chain := strings.Join(c.Stages, ", ")
+		if chain == "" {
+			chain = "—"
 		}
 		arena := "no"
 		if c.Arena {
@@ -95,7 +82,7 @@ func printBackends() {
 		if c.SyncNoOp {
 			sync = "yes"
 		}
-		fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", c.Name, c.Mount(), arena, sampling, sync, ex)
+		fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", c.Name, c.Mount(), arena, sampling, sync, chain)
 	}
 }
 

@@ -85,118 +85,3 @@ func replayMultiset(tr event.Trace) map[racePair]int {
 	}
 	return races
 }
-
-// TestEpochFastPathAllocFree pins the lock-free same-epoch dismissal
-// (detector.EpochFast, served by the FASTTRACK mount) at zero allocations
-// per operation, mirroring TestFastPathAllocFree for the non-sampling
-// dismissal: an always-on detector's dominant case must not churn the
-// garbage collector.
-func TestEpochFastPathAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{
-		{"heap", false},
-		{"arena", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := pacer.New(pacer.Options{Algorithm: "fasttrack", Arena: tc.arena})
-			tid := d.NewThread()
-			v := d.NewVarID()
-			// Install metadata and the epoch mirrors: the write pins the
-			// write epoch, the read pins a single-entry read epoch. Every
-			// repeat after this is a same-epoch dismissal.
-			d.Write(tid, v, 1)
-			d.Read(tid, v, 1)
-
-			if got := testing.AllocsPerRun(200, func() {
-				d.Read(tid, v, 1)
-			}); got != 0 {
-				t.Errorf("same-epoch Read allocates %v per op, want 0", got)
-			}
-			if got := testing.AllocsPerRun(200, func() {
-				d.Write(tid, v, 1)
-			}); got != 0 {
-				t.Errorf("same-epoch Write allocates %v per op, want 0", got)
-			}
-		})
-	}
-}
-
-// TestOwnedFastPathAllocFree pins the owned-access CAS dismissal
-// (detector.OwnedAccess) at zero allocations per operation in the case it
-// exists to serve: the shared-read update. Two concurrent readers spill
-// the read map to multi-entry, which publishes a zero read mirror — the
-// same-epoch dismissal can no longer fire, so without the ownership claim
-// every further read would serialize on the variable's shard lock.
-func TestOwnedFastPathAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{
-		{"heap", false},
-		{"arena", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := pacer.New(pacer.Options{Algorithm: "fasttrack", Arena: tc.arena})
-			t0 := d.NewThread()
-			v := d.NewVarID()
-			t1 := d.Fork(t0)
-			// Unordered reads from both threads: the read map inflates to
-			// two entries and stays there (no write, no sync between them).
-			d.Read(t0, v, 1)
-			d.Read(t1, v, 2)
-
-			before := d.Stats().FastPathReads
-			if got := testing.AllocsPerRun(200, func() {
-				d.Read(t0, v, 3)
-			}); got != 0 {
-				t.Errorf("owned shared-read update allocates %v per op, want 0", got)
-			}
-			if after := d.Stats().FastPathReads; after <= before {
-				t.Fatalf("owned fast path never fired: FastPathReads %d -> %d", before, after)
-			}
-		})
-	}
-}
-
-// TestBurstSkipAllocFree pins the lock-free burst-sampler dismissal
-// (detector.BurstSampler, served by the LITERACE mount) at zero
-// allocations per operation: once a (method, thread) burst drains, the
-// cold-method skip is the sampler's dominant state and must not churn the
-// garbage collector. The accesses go through Apply so they carry a Method,
-// which the public Read/Write surface does not.
-func TestBurstSkipAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{
-		{"heap", false},
-		{"arena", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := pacer.New(pacer.Options{Algorithm: "literace", Arena: tc.arena})
-			tid := d.NewThread()
-			v := d.NewVarID()
-			read := pacer.Event{Kind: event.Read, Thread: tid, Target: uint32(v), Site: 1, Method: 7}
-			// Drain the first burst (BurstLength defaults to 1000): after
-			// it the rate backs off and skip gaps dominate.
-			for i := 0; i < 1000; i++ {
-				d.Apply(read)
-			}
-
-			before := d.Stats().FastPathReads
-			if got := testing.AllocsPerRun(2000, func() {
-				d.Apply(read)
-			}); got != 0 {
-				t.Errorf("post-burst access allocates %v per op, want 0", got)
-			}
-			// The measurement window must actually have exercised the
-			// skip path, and dominantly so (rate is at most 1/Backoff by
-			// now); otherwise the zero-alloc claim proves nothing.
-			if skips := d.Stats().FastPathReads - before; skips < 500 {
-				t.Fatalf("burst skip barely fired during measurement: %d lock-free dismissals", skips)
-			}
-		})
-	}
-}

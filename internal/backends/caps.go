@@ -10,9 +10,9 @@ import (
 
 // Caps describes one registered backend's mount and capability surface,
 // derived the same way the front-end derives it: construct the backend and
-// type-assert the capability interfaces. Because it is computed from the
-// live registry, it cannot drift from the code — the docs/backends.md
-// matrix is tested against it, and `racereplay backends` prints it.
+// ask it. Because it is computed from the live registry, it cannot drift
+// from the code — the docs/backends.md matrix is tested against it, and
+// `racereplay backends` prints it.
 type Caps struct {
 	// Name is the registry name ("djit" and "djit+" are distinct entries
 	// for the same factory).
@@ -20,18 +20,16 @@ type Caps struct {
 	// Sharded reports the concurrent mount (detector.Sharded): false means
 	// the front-end drives the backend fully serialized.
 	Sharded bool
-	// Arena reports that Config.Arena actually enables a slab arena
-	// (detector.ArenaAccounted with an enabled arena), not merely that the
-	// interface exists.
+	// Arena reports that Config.Arena actually enables a slab arena, not
+	// merely that the backend could report one.
 	Arena bool
 	// Sampler reports sampling periods (detector.Sampler); always-on
 	// backends analyze every access.
 	Sampler bool
-	// EpochFast, OwnedAccess, and BurstSampler report the lock-free
-	// dismissal capabilities the front-end can discover.
-	EpochFast    bool
-	OwnedAccess  bool
-	BurstSampler bool
+	// Stages names the backend's lock-free access dismissals, in the order
+	// the front-end tries them (detector.Sharded's Stages); empty for a
+	// serialized mount.
+	Stages []string
 	// SyncNoOp reports the lock-free sync dismissal: the backend proves a
 	// redundant acquire or release a no-op from published version epochs
 	// (detector.Sharded's SyncNoOp), so the front-end skips the epoch lock.
@@ -46,21 +44,20 @@ func Probe(name string) (Caps, error) {
 		return Caps{}, err
 	}
 	c := Caps{Name: name}
-	sh, ok := d.(detector.Sharded)
-	c.Sharded = ok
-	if ok {
-		// The front-end asks the backend about each operation; a thread
-		// acquiring the lock it released last is the simplest no-op.
-		d.Release(0, 0)
-		c.SyncNoOp = sh.SyncNoOp(event.Event{Kind: event.Acquire})
-	}
 	_, c.Sampler = d.(detector.Sampler)
-	_, c.EpochFast = d.(detector.EpochFast)
-	_, c.OwnedAccess = d.(detector.OwnedAccess)
-	_, c.BurstSampler = d.(detector.BurstSampler)
-	if aa, ok := d.(detector.ArenaAccounted); ok {
-		_, c.Arena = aa.ArenaStats()
+	sh, ok := d.(detector.Sharded)
+	if !ok {
+		return c, nil
 	}
+	c.Sharded = true
+	_, c.Arena = sh.ArenaStats()
+	for _, st := range sh.Stages() {
+		c.Stages = append(c.Stages, st.Name)
+	}
+	// The front-end asks the backend about each operation; a thread
+	// acquiring the lock it released last is the simplest no-op.
+	d.Release(0, 0)
+	c.SyncNoOp = sh.SyncNoOp(event.Event{Kind: event.Acquire})
 	return c, nil
 }
 

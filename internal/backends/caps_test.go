@@ -10,9 +10,10 @@ import (
 
 // TestCapabilityMatrixMatchesDocs pins the docs/backends.md mounting
 // matrix to the live registry: every registered backend has a row, and the
-// row's mount, arena, capability, and sync-dismissal columns state exactly
-// what probing the constructed backend reports. The matrix cannot silently
-// drift from the code.
+// row's mount, arena, dismissal-chain, and sync-dismissal columns state
+// exactly what probing the constructed backend reports — the chain's
+// stage names in the order the front-end tries them. The matrix cannot
+// silently drift from the code.
 func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/backends.md")
 	if err != nil {
@@ -43,15 +44,8 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 		if row.sync != wantSync {
 			t.Errorf("%s: docs sync-dismissal column %q, registry probe says %q", c.Name, row.sync, wantSync)
 		}
-		for iface, have := range map[string]bool{
-			"detector.EpochFast":    c.EpochFast,
-			"detector.OwnedAccess":  c.OwnedAccess,
-			"detector.BurstSampler": c.BurstSampler,
-		} {
-			if mentioned := strings.Contains(row.extras, iface); mentioned != have {
-				t.Errorf("%s: docs extras %q mention %s=%v, registry probe says %v",
-					c.Name, row.extras, iface, mentioned, have)
-			}
+		if want := chainCell(c.Stages); row.chain != want {
+			t.Errorf("%s: docs dismissal chain %q, registry probe says %q", c.Name, row.chain, want)
 		}
 	}
 	for name := range rows {
@@ -61,10 +55,40 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 	}
 }
 
-type matrixRow struct{ mount, arena, extras, sync string }
+// TestDismissalChains pins each backend's declared dismissal chain: the
+// stages and their order are part of what a backend is, and `racereplay
+// backends` prints them.
+func TestDismissalChains(t *testing.T) {
+	want := map[string]string{
+		"pacer":     "`no-metadata`",
+		"o1samples": "`no-metadata`, `same-epoch`",
+		"fasttrack": "`same-epoch`, `owned-access`",
+		"literace":  "`burst-skip`",
+	}
+	for _, c := range backends.All() {
+		w, ok := want[c.Name]
+		if !ok {
+			w = "—"
+		}
+		if got := chainCell(c.Stages); got != w {
+			t.Errorf("%s: dismissal chain %s, want %s", c.Name, got, w)
+		}
+	}
+}
+
+// chainCell renders a dismissal chain as the docs matrix writes it: the
+// backtick-quoted stage names in order, or a dash for none.
+func chainCell(stages []string) string {
+	if len(stages) == 0 {
+		return "—"
+	}
+	return "`" + strings.Join(stages, "`, `") + "`"
+}
+
+type matrixRow struct{ mount, arena, chain, sync string }
 
 // parseMatrix extracts the backend table: rows of the form
-// `| `name` | mount | arena | extras | sync |`, with multiple backtick-quoted
+// `| `name` | mount | arena | chain | sync |`, with multiple backtick-quoted
 // names per first cell allowed (the djit/djit+ row).
 func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 	t.Helper()
@@ -79,10 +103,10 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 			continue
 		}
 		row := matrixRow{
-			mount:  strings.TrimSpace(cells[1]),
-			arena:  strings.TrimSpace(cells[2]),
-			extras: strings.TrimSpace(cells[3]),
-			sync:   strings.TrimSpace(cells[4]),
+			mount: strings.TrimSpace(cells[1]),
+			arena: strings.TrimSpace(cells[2]),
+			chain: strings.TrimSpace(cells[3]),
+			sync:  strings.TrimSpace(cells[4]),
 		}
 		// Every backtick-quoted token in the first cell names a backend.
 		parts := strings.Split(cells[0], "`")

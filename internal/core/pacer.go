@@ -104,7 +104,7 @@ type varMeta struct {
 // operations.
 //
 // The State word and MetaPossible may be read lock-free at any time; they
-// are the probes behind the public front-end's non-sampling fast path.
+// are the probes behind the no-metadata stage, the one entry of Stages.
 // The embedded store publishes the sampling flag in its state word, so a
 // lock-free reader can both test sampling and detect that no transition
 // intervened between two loads. SyncNoOp may likewise be called lock-free
@@ -134,14 +134,11 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Sampler         = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.Sharded         = (*Detector)(nil)
-	_ detector.ThreadReuser    = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
-	_ detector.ArenaAccounted  = (*Detector)(nil)
+	_ detector.Detector     = (*Detector)(nil)
+	_ detector.Sampler      = (*Detector)(nil)
+	_ detector.Accounted    = (*Detector)(nil)
+	_ detector.Sharded      = (*Detector)(nil)
+	_ detector.ThreadReuser = (*Detector)(nil)
 )
 
 // New returns a PACER detector with the default store and options,
@@ -185,6 +182,13 @@ func (d *Detector) EnsureThreadSlots(n int) {
 	d.ReserveOwnVersions(n)
 }
 
+// Stages implements detector.Sharded: PACER's one lock-free access
+// dismissal is the paper's inline fast path, an access outside sampling
+// periods to a variable with no metadata.
+func (d *Detector) Stages() []detector.Stage {
+	return []detector.Stage{{Name: detector.StageNoMetadata, Try: d.NoMetadata}}
+}
+
 // Sampling reports whether the detector is inside a sampling period.
 func (d *Detector) Sampling() bool { return d.sampling }
 
@@ -213,7 +217,7 @@ func (d *Detector) SampleBegin() {
 	}
 }
 
-// ThreadExit marks thread t terminated (detector.ThreadLifecycle).
+// ThreadExit marks thread t terminated (detector.ThreadReuser).
 func (d *Detector) ThreadExit(t vclock.Thread) { d.dead[t] = true }
 
 // SampleEnd leaves the sampling period (Table 5 Rule 2). Logical time
@@ -640,7 +644,7 @@ func (d *Detector) maybeDiscard(si int, x event.Var, m *varMeta) {
 	}
 }
 
-// MetadataWords implements detector.MemoryAccounted. Shared vector clocks
+// MetadataWords implements detector.Accounted. Shared vector clocks
 // are counted once, reflecting the space saving of shallow copies.
 func (d *Detector) MetadataWords() int {
 	seen := make(map[*vclock.VC]bool)

@@ -45,6 +45,17 @@ import (
 // slot whichever way its identifier was chosen, so replaying a recorded
 // trace that re-forks an identifier (pacer.Detector.Apply) analyses it
 // exactly as the live run did.
+//
+// The bound this buys: vector clocks are as wide as the threads alive at
+// once plus the joined slots that no forking thread has received the final
+// version of. Only a thread that received u's own version can reuse u, and
+// receiving the joiner's clock later does not raise ver_p(u). So when one
+// thread forks and another joins, as a dispatcher hands work to
+// goroutines a collector joins, the forker never qualifies and no slot is
+// ever reused: the free list grows by one entry per join and the clocks by
+// one thread per fork, exactly as without reuse. 8,000 such fork/join
+// pairs through the public API end with clocks 8,002 wide. A fork by the
+// joiner itself reuses at once.
 
 // A fork examines each listed slot about once. A version vector entry
 // ver_p(u) changes only when recordVersion raises it, so a slot u that

@@ -5,17 +5,14 @@ import (
 	"pacer/internal/vclock"
 )
 
-// This file defines the optional capability interfaces a backend may
-// implement beyond Detector. The public front-end mounts any Detector and
-// discovers capabilities by type assertion: a backend that implements
-// Sharded gets the concurrent sharded ingestion path and the lock-free
-// non-sampling fast path; one that does not is driven fully serialized
-// under the front-end's exclusive lock, which is always correct because
-// the base Detector contract is single-threaded. Sampler, Counted,
-// MemoryAccounted, VarAccounted, ThreadLifecycle, and ThreadReuser degrade
-// the same way: absent the capability, the front-end substitutes the
-// conservative behavior (always-sample semantics, zeroed counters, no
-// identifier reuse).
+// This file defines what a backend may offer beyond Detector. The public
+// front-end mounts any Detector and asks it, once, for four optional
+// interfaces: Sharded (the concurrent mount, with the backend's ordered
+// list of lock-free access dismissals and its arena), Sampler (global
+// sampling periods), ThreadReuser (identifier reuse and thread lifetimes)
+// and Accounted (operation counters and space). A backend without one
+// gets the conservative behaviour: fully serialized with no dismissals,
+// always-sample semantics, fresh identifiers, and zeroed counters.
 
 // Sharded is implemented by detectors whose Read/Write paths admit the
 // concurrent front-end's sharded reader-writer discipline:
@@ -27,13 +24,12 @@ import (
 //     shared-mode access.
 //   - State returns the backend's published sampling state, one
 //     detector.State for the backend's lifetime, so a front-end fetches
-//     it once and loads its word directly. The word and MetaPossible may
-//     be read lock-free at any time; they are the probes behind the
-//     non-sampling fast path. The word's bit 0 is the sampling flag and
-//     its upper bits count sampling transitions, so two equal loads
-//     bracketing a MetaPossible load prove the flag held throughout; a
-//     false MetaPossible proves the variable held no metadata at the
-//     instant of the load.
+//     it once and loads its word directly. The word may be read lock-free
+//     at any time. Its bit 0 is the sampling flag and its upper bits
+//     count sampling transitions, so two equal loads bracketing another
+//     probe prove the flag held throughout.
+//   - Stages lists the backend's lock-free access dismissals, in the
+//     order the front-end tries them before the locked path (see Stage).
 //   - SyncNoOp may be called lock-free at any time by the event's own
 //     thread: true proves the synchronization event was a no-op of the
 //     analysis, apart from its counters, at some instant inside the call
@@ -51,8 +47,9 @@ type Sharded interface {
 	// State returns the atomically published sampling state. It returns
 	// the same pointer on every call.
 	State() *State
-	// MetaPossible reports whether x might currently hold metadata.
-	MetaPossible(x event.Var) bool
+	// Stages returns the backend's dismissal chain. The front-end calls it
+	// once, at mount.
+	Stages() []Stage
 	// SyncNoOp reports whether the Acquire, Release, VolRead or VolWrite
 	// event e is provably a no-op, so the caller may dismiss it after
 	// counting it.
@@ -60,80 +57,50 @@ type Sharded interface {
 	// EnsureThreadSlots pre-grows the thread table to hold identifiers
 	// below n. Requires exclusive access.
 	EnsureThreadSlots(n int)
+	// ArenaStats reports the metadata arena's occupancy and traffic. The
+	// bool result is false when no arena is enabled (the stats are then
+	// zero).
+	ArenaStats() (ArenaStats, bool)
 }
 
-// BurstSampler is implemented by detectors whose per-access sampling
-// decision depends only on a per-(method, thread) state machine (LITERACE's
-// bursty adaptive sampler), so a "skip this access" decision can be taken
-// without the caller's exclusive lock. TrySkip may be called concurrently
-// with any operation of other threads; the caller keeps its standing rule
-// that a single thread's operations are serialized, which makes the
-// probe-then-analyze sequence atomic per (method, thread) key.
+// The names of the access dismissal stages, as a backend's Stages lists
+// them and `racereplay backends` prints them.
+const (
+	// StageNoMetadata dismisses an access outside sampling periods to a
+	// variable holding no metadata: the paper's inline fast path.
+	StageNoMetadata = "no-metadata"
+	// StageSameEpoch dismisses an access that repeats the variable's
+	// current epoch, FastTrack's own no-op case.
+	StageSameEpoch = "same-epoch"
+	// StageOwnedAccess performs a race-free access's full metadata update
+	// under a per-variable ownership word instead of the locks.
+	StageOwnedAccess = "owned-access"
+	// StageBurstSkip consumes a cold (method, thread) burst sampler's skip
+	// decision.
+	StageBurstSkip = "burst-skip"
+)
+
+// Stage is one lock-free dismissal of a data access. The front-end tries
+// a backend's stages in order, without its epoch or shard locks, and
+// sends the access to the locked Read or Write only when every stage
+// refuses it.
 //
-// TrySkip returns true when the sampler decides this access is skipped —
-// the analysis would have been a no-op — consuming that decision, and the
-// caller must not route the access to Read/Write. When it returns false
-// the sampler state is left untouched: the caller routes the access to
-// Read/Write under its usual locking, and the detector takes the identical
-// decision there. Implementations must make decision streams per-key
-// deterministic (independent of cross-thread interleaving), so a
-// serialized replay of a recorded trace reproduces every decision.
-type BurstSampler interface {
-	TrySkip(method uint32, t vclock.Thread) bool
+// Try reports whether the stage fully handled rd(t, x) or wr(t, x) at site
+// within method: the locked path, at some instant inside the call, would
+// have ended with exactly the effect Try had, and reported no race. A
+// true result dismisses the access; the caller counts it. A false result
+// must leave the backend as it found it. Try may run concurrently with
+// any operation of another thread; the caller keeps its standing rule
+// that one thread's operations are serialized, which keeps the thread's
+// own published state stable across the call.
+type Stage struct {
+	Name string
+	Try  func(t vclock.Thread, x event.Var, site event.Site, method uint32, write bool) bool
 }
 
-// EpochFast is implemented by Sharded detectors that publish enough state
-// atomically to prove, without any lock, that an access is a same-epoch
-// no-op — FastTrack's headline fast path (the majority of reads and writes
-// repeat an access the current epoch already recorded, and the analysis
-// leaves every structure untouched).
-//
-// TrySameEpoch reports whether a serialized detector observing this
-// operation at the instant of the internal loads would change no metadata
-// and report no race; a true result lets the caller dismiss the access
-// entirely. A false result proves nothing and routes the access to the
-// locked path. Implementations must publish their per-variable epoch
-// mirrors conservatively — cleared before the locked path mutates the
-// underlying state and republished only after it settles — so a true
-// result is sound at some linearization point between two locked
-// operations on the variable. The caller keeps its standing rule that a
-// single thread's operations are serialized, which makes the thread's own
-// epoch stable across the probe.
-type EpochFast interface {
-	TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool
-}
-
-// OwnedAccess is implemented by Sharded detectors that can perform the
-// full analysis and metadata update of an access without the caller's
-// locks, by claiming a per-variable ownership word with a single
-// CompareAndSwap (the SmartTrack-style exclusive writer/reader ownership
-// transition). It serves what EpochFast cannot: accesses that mutate
-// metadata but report no race — chiefly the shared-read case, where a
-// multi-entry read map publishes no epoch mirror and every read would
-// otherwise serialize on the variable's shard lock.
-//
-// TryOwnedAccess returns true when the access was fully handled: the
-// analysis ran against the thread's published clock, no race was found,
-// and the metadata update was performed under ownership with the same
-// mirror publication discipline the locked path uses. It returns false —
-// with the variable's record untouched — when the ownership claim fails
-// (contention), when the thread or variable has no published state, or
-// when a race would have to be reported; the caller then routes the access
-// through the locked path, which redoes the analysis from the same settled
-// state and reports through its usual channel.
-//
-// The implementation must guarantee that every other path that mutates or
-// inspects a variable's record claims the same ownership word, so a
-// successful claim confers exclusive access to the record; the caller
-// keeps its standing rule that a single thread's operations are
-// serialized, which keeps the thread's clock stable across the call.
-type OwnedAccess interface {
-	TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site, write bool) bool
-}
-
-// ThreadReuser is implemented by detectors that can soundly recycle the
-// identifiers of joined threads (the accordion-clocks direction the paper
-// recommends for production).
+// ThreadReuser is implemented by detectors that track thread lifetimes and
+// can soundly recycle the identifiers of joined threads (the
+// accordion-clocks direction the paper recommends for production).
 type ThreadReuser interface {
 	// ReusableThread returns a joined thread's identifier that parent may
 	// hand to the child of its next Fork, or reports false when none is
@@ -143,13 +110,24 @@ type ThreadReuser interface {
 	// pacer.Detector.Fork does; the backend's Fork revives the slot it is
 	// given.
 	ReusableThread(parent vclock.Thread) (vclock.Thread, bool)
+	// ThreadExit marks thread t terminated, so the detector can stop
+	// advancing its clock: a terminated thread performs no further
+	// accesses. pacer.Detector.Join calls it for the joined thread; a
+	// simulator that knows when its threads finish calls it then.
+	ThreadExit(t vclock.Thread)
 }
 
-// VarAccounted is implemented by detectors that can report how many
-// variables currently hold metadata, for space accounting (Figure 10's
-// companion to MemoryAccounted).
-type VarAccounted interface {
+// Accounted is implemented by detectors that account for their work and
+// their space: the operation counters of Table 3, and the live metadata
+// of Figure 10. Every method requires exclusive access.
+type Accounted interface {
+	// Stats returns the operation counters. The pointer is to a snapshot
+	// the next call may overwrite.
+	Stats() *Counters
+	// VarsTracked returns how many variables currently hold metadata.
 	VarsTracked() int
+	// MetadataWords approximates the live metadata in 8-byte words.
+	MetadataWords() int
 }
 
 // ArenaStats is a snapshot of a metadata arena's occupancy and traffic,
@@ -163,12 +141,4 @@ type ArenaStats struct {
 	Recycles, Misses uint64
 	// Trimmed counts free slabs handed back to the garbage collector.
 	Trimmed uint64
-}
-
-// ArenaAccounted is implemented by detectors that can run on a slab
-// arena. The bool result reports whether an arena is actually enabled;
-// a false return means the detector is on the default heap allocator and
-// the stats are zero.
-type ArenaAccounted interface {
-	ArenaStats() (ArenaStats, bool)
 }

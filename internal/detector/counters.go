@@ -86,8 +86,3 @@ func (c *Counters) TotalWrites() uint64 {
 func (c *Counters) TotalSyncOps() uint64 {
 	return c.SyncOps[0] + c.SyncOps[1]
 }
-
-// Counted is implemented by detectors exposing operation counters.
-type Counted interface {
-	Stats() *Counters
-}

@@ -47,21 +47,6 @@ type Sampler interface {
 	Sampling() bool
 }
 
-// ThreadLifecycle is implemented by detectors that want to know when a
-// thread terminates (e.g. PACER stops advancing dead threads' clocks at
-// sampling-period starts, as a real VM would — dead threads perform no
-// further accesses, so skipping them is sound).
-type ThreadLifecycle interface {
-	ThreadExit(t vclock.Thread)
-}
-
-// MemoryAccounted is implemented by detectors that can report the live size
-// of their metadata, in 8-byte words, for the space measurements of
-// Figure 10.
-type MemoryAccounted interface {
-	MetadataWords() int
-}
-
 // Apply dispatches a single event to d. Sampling events are forwarded only
 // to detectors implementing Sampler.
 func Apply(d Detector, e event.Event) {

@@ -106,10 +106,10 @@ type page[M any] [pageSize]atomic.Pointer[M]
 // in the backend's Detector: the stripe geometry, the record table and
 // the per-shard overflow maps and counters, the presence filter, the
 // arena with its record pool, and the clock allocators, built from one
-// Config. It defines the detector.Sharded probes and the accounting
-// methods every sharded backend shares; the backend keeps only its record
-// type M, its access analysis, and its synchronization wrappers. Call
-// Init before use.
+// Config. It defines the detector.Sharded probes, the no-metadata
+// dismissal stage, and the accounting methods every sharded backend
+// shares; the backend keeps only its record type M, its access analysis,
+// and its synchronization wrappers. Call Init before use.
 //
 // Every record lives in exactly one place. A variable below the bound
 // (Config.IndexCap) keeps it in the record table: a directory of page
@@ -196,6 +196,19 @@ func (p *probes) State() *detector.State { return &p.state }
 // hash collision and only obliges the caller to take the slow path.
 func (p *probes) MetaPossible(x event.Var) bool { return p.presence.Possible(x) }
 
+// NoMetadata is the no-metadata dismissal stage (detector.StageNoMetadata)
+// of the sampling backends, the paper's inline fast path served
+// lock-free. If the state word reads "not sampling" both before and after
+// the presence filter reads "no metadata", then at the instant of the
+// presence load no sampling period was in progress and x held no
+// metadata, so the locked path would have done nothing for this access.
+// An always-on backend's word keeps the sampling flag set, so it never
+// lists this stage.
+func (p *probes) NoMetadata(_ vclock.Thread, x event.Var, _ event.Site, _ uint32, _ bool) bool {
+	st := p.state.Word()
+	return st&1 == 0 && !p.MetaPossible(x) && p.state.Word() == st
+}
+
 // Arena returns the slab arena, or nil on the heap path.
 func (p *probes) Arena() *arena.Arena { return p.arena }
 
@@ -222,8 +235,8 @@ func (p *probes) ClockAlloc(i int) vclock.Allocator {
 // SetAllocator (nil on the flat heap path).
 func (p *probes) Clocks() func(int) vclock.Allocator { return p.clocks }
 
-// ArenaStats implements detector.ArenaAccounted. The bool result is false
-// on the heap path.
+// ArenaStats implements detector.Sharded's arena report. The bool result
+// is false on the heap path.
 func (p *probes) ArenaStats() (detector.ArenaStats, bool) {
 	if p.arena == nil {
 		return detector.ArenaStats{}, false
@@ -373,7 +386,7 @@ func (s *Store[M]) Trim() {
 	}
 }
 
-// Stats returns the operation counters: SyncStats plus every shard's
+// Stats implements detector.Accounted: SyncStats plus every shard's
 // access counters. Exclusive access required; the returned pointer is to a
 // snapshot that the next Stats call overwrites.
 func (s *Store[M]) Stats() *detector.Counters {
@@ -384,7 +397,7 @@ func (s *Store[M]) Stats() *detector.Counters {
 	return &s.snap
 }
 
-// VarsTracked implements detector.VarAccounted: the number of variables
+// VarsTracked implements detector.Accounted: the number of variables
 // currently holding a record. Exclusive access required.
 func (s *Store[M]) VarsTracked() int {
 	n := 0

@@ -340,11 +340,7 @@ func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 			if got := sh.Shards(); got != 8 {
 				t.Errorf("Shards() = %d, want 8", got)
 			}
-			aa, ok := d.(detector.ArenaAccounted)
-			if !ok {
-				t.Fatal("backend has no arena accounting")
-			}
-			if _, on := aa.ArenaStats(); !on {
+			if _, on := sh.ArenaStats(); !on {
 				t.Error("arena requested but not enabled")
 			}
 

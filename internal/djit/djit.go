@@ -61,12 +61,9 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
-	_ detector.Sharded         = (*Detector)(nil)
-	_ detector.ArenaAccounted  = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
+	_ detector.Sharded   = (*Detector)(nil)
 )
 
 // New returns a DJIT+ detector with the default store.
@@ -106,6 +103,11 @@ func (d *Detector) FrameSkips() uint64 {
 // n, so shared-mode Read/Write calls never resize it. Requires exclusive
 // access.
 func (d *Detector) EnsureThreadSlots(n int) { d.sync.EnsureThreadSlots(n) }
+
+// Stages implements detector.Sharded: DJIT+ has no lock-free access
+// dismissal. It analyzes every access, and its per-variable vector
+// clocks publish no epoch a lock-free probe could compare.
+func (d *Detector) Stages() []detector.Stage { return nil }
 
 func (d *Detector) varMeta(si int, x event.Var) *varMeta {
 	if m := d.Lookup(si, x); m != nil {
@@ -218,7 +220,7 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) { d.sync.VolRead(
 // VolWrite implements Algorithm 15.
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.sync.VolWrite(t, vx) }
 
-// MetadataWords implements detector.MemoryAccounted.
+// MetadataWords implements detector.Accounted.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
 	d.Range(func(_ event.Var, m *varMeta) bool {

@@ -100,7 +100,7 @@ func TestDifferentialShardedFastTrackArena(t *testing.T) {
 
 // TestDifferentialBurstSkipLockFree records a parallel LITERACE run — whose
 // burst sampler now serves skip decisions through the lock-free
-// detector.BurstSampler path — and replays the linearization through a
+// burst-skip stage — and replays the linearization through a
 // fresh serialized LITERACE with the same seed. Per-(method, thread)
 // decision streams are interleaving-independent by construction, so the
 // race multisets must match exactly even though the live run dismissed

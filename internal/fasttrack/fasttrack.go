@@ -15,18 +15,18 @@
 // accesses to variables in distinct shards proceed in parallel while
 // synchronization operations retain exclusive access. Unlike PACER,
 // FASTTRACK has no non-sampling periods — every access creates or updates
-// metadata — so the published sampling flag is constantly set and the
-// front-end's lock-free no-metadata dismissal never fires (dismissing a
-// first access would lose the read-map entry or write epoch it must
-// install). What an always-on detector can dismiss without a lock is its
+// metadata — so the published sampling flag is constantly set and its
+// dismissal chain has no no-metadata stage (dismissing a first access
+// would lose the read-map entry or write epoch it must install). What an always-on detector can dismiss without a lock is its
 // own same-epoch no-op, the dominant case FastTrack was built around; the
-// detector.EpochFast capability publishes per-variable epoch mirrors so the
-// front-end serves exactly that case with a handful of atomic loads.
+// same-epoch stage of its dismissal chain (Stages) reads per-variable
+// epoch mirrors so the front-end serves exactly that case with a handful
+// of atomic loads.
 //
-// What EpochFast cannot dismiss — chiefly the shared-read case, where a
-// multi-entry read map publishes no mirror — is served by the SmartTrack-
-// style owned-access path (detector.OwnedAccess): a per-variable ownership
-// word claimed by CompareAndSwap lets one access run the full analysis and
+// What the same-epoch stage cannot dismiss — chiefly the shared-read
+// case, where a multi-entry read map publishes no mirror — is served by
+// the SmartTrack-style owned-access stage: a per-variable ownership word
+// claimed by CompareAndSwap lets one access run the full analysis and
 // update lock-free, falling back to the locked slow path on contention or
 // whenever a race would have to be reported.
 package fasttrack
@@ -47,14 +47,15 @@ import (
 type Options struct {
 	// KeepReadEpochOnWrite restores the original FastTrack behaviour of
 	// leaving a single-entry read map in place at a write (the paper's
-	// modified algorithm clears it). It also disables the owned-access
-	// fast path, whose repeat-read dismissal relies on writes clearing the
-	// read map.
+	// modified algorithm clears it). Stages then leaves out the
+	// owned-access stage, whose repeat-read dismissal relies on writes
+	// clearing the read map.
 	KeepReadEpochOnWrite bool
 	// DisableEpochFastPath forces the full analysis even when the access
 	// matches the variable's current epoch, for the ablation benchmark
-	// measuring the value of FastTrack's same-epoch check. It also
-	// disables the owned-access fast path, which extends the same check.
+	// measuring the value of FastTrack's same-epoch check. Stages then
+	// lists neither the same-epoch stage nor the owned-access stage,
+	// which extends the same check.
 	DisableEpochFastPath bool
 }
 
@@ -70,7 +71,7 @@ type varMeta struct {
 	own sync.Mutex
 	// aw and ar are lock-free mirrors of the write epoch and the
 	// single-entry read epoch (packed, zero meaning "no dismissal
-	// possible"), read by TrySameEpoch without any lock. The paths that
+	// possible"), read by the same-epoch stage without any lock. The paths that
 	// mutate this record maintain them conservatively: cleared before the
 	// underlying state mutates, republished only after it settles, so a
 	// nonzero value always equals the settled state of the last mutating
@@ -110,16 +111,14 @@ func (m *varMeta) publishMirrors() {
 // interleaving is equivalent to some serialized execution of the same
 // operations.
 //
-// The State word and MetaPossible may be read, and TrySameEpoch and
-// TryOwnedAccess called, lock-free at any time (TryOwnedAccess still under
-// rule (d)). Because
-// FASTTRACK analyzes every access, the state word's sampling flag is
-// constantly set — callers implementing the PACER-shaped "skip when not
-// sampling" dismissal therefore always fall through, which is the only
-// sound behavior for an always-on detector whose first accesses install
-// metadata. TrySameEpoch is the dismissal that is sound: it proves from the
-// published epoch mirrors that the access repeats the variable's current
-// epoch, making the analysis a guaranteed no-op. TryOwnedAccess goes one
+// The State word and MetaPossible may be read, and the stages' TrySameEpoch
+// and TryOwnedAccess called, lock-free at any time (under rule (d)).
+// Because FASTTRACK analyzes every access, the state word's sampling flag
+// is constantly set and the chain has no no-metadata stage: dismissing a
+// first access would lose the metadata it must install. TrySameEpoch is
+// the dismissal that is sound: it proves from the published epoch mirrors
+// that the access repeats the variable's current epoch, making the
+// analysis a guaranteed no-op. TryOwnedAccess goes one
 // step further: it claims the variable's ownership word and, when the
 // analysis reports no race, performs the full metadata update in place —
 // every path that mutates or inspects a variable record (locked accesses,
@@ -142,20 +141,12 @@ type Detector struct {
 	// lock-free only by that thread's own probes.
 	tpub shardbase.ThreadPub
 	opts Options
-	// ownedOK caches the option combination under which the owned-access
-	// fast path is sound and enabled.
-	ownedOK bool
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
-	_ detector.Sharded         = (*Detector)(nil)
-	_ detector.EpochFast       = (*Detector)(nil)
-	_ detector.OwnedAccess     = (*Detector)(nil)
-	_ detector.ArenaAccounted  = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
+	_ detector.Sharded   = (*Detector)(nil)
 )
 
 // New returns a FASTTRACK detector with the default store and options.
@@ -166,10 +157,7 @@ func New(report detector.Reporter) *Detector {
 // NewWithOptions returns a FASTTRACK detector with an explicit store
 // configuration and analysis options.
 func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
-	d := &Detector{
-		opts:    opts,
-		ownedOK: !opts.DisableEpochFastPath && !opts.KeepReadEpochOnWrite,
-	}
+	d := &Detector{opts: opts}
 	// FASTTRACK never deletes a record, so none is recycled: no reset.
 	d.Init(report, cfg, nil)
 	d.sync = detector.NewBaseSync(&d.SyncStats)
@@ -217,7 +205,20 @@ func (d *Detector) seedEpoch(t vclock.Thread) {
 	}
 }
 
-// TrySameEpoch implements detector.EpochFast: a lock-free proof that the
+// Stages implements detector.Sharded: the same-epoch stage, then the
+// owned-access stage, each left out under the ablation that disables it.
+func (d *Detector) Stages() []detector.Stage {
+	if d.opts.DisableEpochFastPath {
+		return nil
+	}
+	stages := []detector.Stage{{Name: detector.StageSameEpoch, Try: d.TrySameEpoch}}
+	if !d.opts.KeepReadEpochOnWrite {
+		stages = append(stages, detector.Stage{Name: detector.StageOwnedAccess, Try: d.TryOwnedAccess})
+	}
+	return stages
+}
+
+// TrySameEpoch is the same-epoch stage: a lock-free proof that the
 // access repeats the variable's current epoch and the analysis would be a
 // no-op (Algorithm 7/8, line 1 — the overwhelmingly common case). The
 // thread's published epoch is stable during the call (only t's own
@@ -225,10 +226,7 @@ func (d *Detector) seedEpoch(t vclock.Thread) {
 // state of the last mutating operation on the variable, so a match
 // linearizes the access right after that operation, where the serialized
 // detector dismisses it without touching metadata.
-func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
-	if d.opts.DisableEpochFastPath {
-		return false
-	}
+func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, _ event.Site, _ uint32, write bool) bool {
 	e := d.tpub.Epoch(t)
 	if e == 0 {
 		return false
@@ -243,7 +241,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 	return m.ar.Load() == e
 }
 
-// TryOwnedAccess implements detector.OwnedAccess, the SmartTrack-style
+// TryOwnedAccess is the owned-access stage, the SmartTrack-style
 // exclusive-ownership fast path for what the epoch mirrors cannot dismiss
 // — chiefly the shared-read case, where a multi-entry read map publishes
 // no mirror. The variable's ownership word is claimed with one
@@ -255,10 +253,7 @@ func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
 // publication returns false with the record untouched — the locked path
 // then redoes the analysis from the same settled state and reports through
 // its usual channel.
-func (d *Detector) TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site, write bool) bool {
-	if !d.ownedOK {
-		return false
-	}
+func (d *Detector) TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site, _ uint32, write bool) bool {
 	if d.tpub.Epoch(t) == 0 {
 		return false
 	}
@@ -325,7 +320,7 @@ func (d *Detector) ownedWrite(m *varMeta, t vclock.Thread, ct *vclock.VC, site e
 	}
 	m.aw.Store(0)
 	m.ar.Store(0)
-	m.r.Clear() // ownedOK excludes KeepReadEpochOnWrite
+	m.r.Clear() // Stages lists this stage only without KeepReadEpochOnWrite
 	m.w = vclock.MakeEpoch(t, c)
 	m.wSite = site
 	m.publishMirrors()
@@ -481,7 +476,7 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.publishEpoch(t)
 }
 
-// MetadataWords implements detector.MemoryAccounted. Each record is
+// MetadataWords implements detector.Accounted. Each record is
 // briefly claimed via its ownership word, so a concurrent owned access
 // (which takes no other lock) cannot race the read-map inspection.
 func (d *Detector) MetadataWords() int {

@@ -23,10 +23,10 @@ func TestFastTrackIndexCapSmall(t *testing.T) {
 	d.Write(0, low, 1, 0)
 	d.Write(0, high, 2, 0)
 
-	if !d.TrySameEpoch(0, low, true) {
+	if !d.TrySameEpoch(0, low, 0, 0, true) {
 		t.Error("below-cap variable not dismissible lock-free after its write")
 	}
-	if d.TrySameEpoch(0, high, true) {
+	if d.TrySameEpoch(0, high, 0, 0, true) {
 		t.Error("above-cap variable is in the record table despite IndexCap")
 	}
 
@@ -51,7 +51,7 @@ func TestFastTrackIndexCapDisabled(t *testing.T) {
 	d.EnsureThreadSlots(2)
 	d.Fork(0, 1)
 	d.Write(0, 1, 1, 0)
-	if d.TrySameEpoch(0, 1, true) {
+	if d.TrySameEpoch(0, 1, 0, 0, true) {
 		t.Error("negative IndexCap must disable the record table")
 	}
 	d.Write(1, 1, 2, 0)
@@ -71,7 +71,7 @@ func TestFastTrackIndexCapDefault(t *testing.T) {
 	}
 	d.EnsureThreadSlots(1)
 	d.Write(0, 7, 1, 0)
-	if !d.TrySameEpoch(0, 7, true) {
+	if !d.TrySameEpoch(0, 7, 0, 0, true) {
 		t.Error("default cap kept a small identifier out of the record table")
 	}
 }

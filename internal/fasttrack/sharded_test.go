@@ -1,6 +1,7 @@
 package fasttrack_test
 
 import (
+	"strings"
 	"testing"
 
 	"pacer/internal/detector"
@@ -52,49 +53,49 @@ func TestFastTrackShardedContract(t *testing.T) {
 	}
 }
 
-// TestFastTrackSameEpochProbe pins the detector.EpochFast contract: the
+// TestFastTrackSameEpochProbe pins the same-epoch stage's contract: the
 // lock-free probe answers true exactly when the access would repeat the
 // variable's current epoch (a guaranteed no-op), tracks epoch advances at
-// synchronization operations, and is disabled by the ablation option.
+// synchronization operations, and the ablation options leave it, and the
+// owned-access stage that extends it, out of the dismissal chain.
 func TestFastTrackSameEpochProbe(t *testing.T) {
 	d := fasttrack.New(nil)
-	var _ detector.EpochFast = d
 	x := event.Var(3)
 
 	// Before EnsureThreadSlots there is no published thread epoch.
-	if d.TrySameEpoch(0, x, true) {
+	if d.TrySameEpoch(0, x, 0, 0, true) {
 		t.Fatal("probe true before the thread table was announced")
 	}
 	d.EnsureThreadSlots(4)
-	if d.TrySameEpoch(0, x, true) || d.TrySameEpoch(0, x, false) {
+	if d.TrySameEpoch(0, x, 0, 0, true) || d.TrySameEpoch(0, x, 0, 0, false) {
 		t.Fatal("probe true before any access installed metadata")
 	}
 
 	d.Write(0, x, 1, 0)
-	if !d.TrySameEpoch(0, x, true) {
+	if !d.TrySameEpoch(0, x, 0, 0, true) {
 		t.Fatal("repeat write in the same epoch not dismissable")
 	}
-	if d.TrySameEpoch(0, x, false) {
+	if d.TrySameEpoch(0, x, 0, 0, false) {
 		t.Fatal("read dismissable though the write cleared the read map")
 	}
-	if d.TrySameEpoch(1, x, true) {
+	if d.TrySameEpoch(1, x, 0, 0, true) {
 		t.Fatal("another thread's write dismissed against thread 0's epoch")
 	}
 
 	d.Read(0, x, 2, 0)
-	if !d.TrySameEpoch(0, x, false) {
+	if !d.TrySameEpoch(0, x, 0, 0, false) {
 		t.Fatal("repeat read in the same epoch not dismissable")
 	}
 
 	// A release advances thread 0's epoch: nothing matches anymore.
 	d.Acquire(0, 9)
 	d.Release(0, 9)
-	if d.TrySameEpoch(0, x, true) || d.TrySameEpoch(0, x, false) {
+	if d.TrySameEpoch(0, x, 0, 0, true) || d.TrySameEpoch(0, x, 0, 0, false) {
 		t.Fatal("probe still true after the epoch advanced at a release")
 	}
 	// The next write settles the new epoch and reopens the fast path.
 	d.Write(0, x, 3, 0)
-	if !d.TrySameEpoch(0, x, true) {
+	if !d.TrySameEpoch(0, x, 0, 0, true) {
 		t.Fatal("write in the new epoch not dismissable after settling")
 	}
 
@@ -102,16 +103,27 @@ func TestFastTrackSameEpochProbe(t *testing.T) {
 	// read epoch, so read dismissal closes for everyone.
 	d.Read(0, x, 4, 0)
 	d.Read(1, x, 5, 0)
-	if d.TrySameEpoch(0, x, false) || d.TrySameEpoch(1, x, false) {
+	if d.TrySameEpoch(0, x, 0, 0, false) || d.TrySameEpoch(1, x, 0, 0, false) {
 		t.Fatal("read dismissed against a multi-entry read map")
 	}
 
-	// The ablation switch disables the probe entirely.
-	da := fasttrack.NewWithOptions(nil, shardbase.Config{}, fasttrack.Options{DisableEpochFastPath: true})
-	da.EnsureThreadSlots(2)
-	da.Write(0, x, 1, 0)
-	if da.TrySameEpoch(0, x, true) {
-		t.Fatal("probe true with DisableEpochFastPath set")
+	// The chain lists both stages, and each ablation drops what it
+	// disables.
+	for _, tc := range []struct {
+		opts fasttrack.Options
+		want string
+	}{
+		{fasttrack.Options{}, "same-epoch owned-access"},
+		{fasttrack.Options{KeepReadEpochOnWrite: true}, "same-epoch"},
+		{fasttrack.Options{DisableEpochFastPath: true}, ""},
+	} {
+		var names []string
+		for _, st := range fasttrack.NewWithOptions(nil, shardbase.Config{}, tc.opts).Stages() {
+			names = append(names, st.Name)
+		}
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("%+v: chain %q, want %q", tc.opts, got, tc.want)
+		}
 	}
 }
 

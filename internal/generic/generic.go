@@ -25,10 +25,8 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
 )
 
 // New returns a GENERIC detector reporting races to report (which may be
@@ -133,10 +131,10 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) { d.sync.VolRead(
 // VolWrite implements Algorithm 15.
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.sync.VolWrite(t, vx) }
 
-// VarsTracked implements detector.VarAccounted.
+// VarsTracked implements detector.Accounted.
 func (d *Detector) VarsTracked() int { return len(d.vars) }
 
-// MetadataWords implements detector.MemoryAccounted.
+// MetadataWords implements detector.Accounted.
 func (d *Detector) MetadataWords() int {
 	w := d.sync.MetadataWords()
 	for _, m := range d.vars {

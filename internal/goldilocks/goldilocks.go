@@ -75,9 +75,8 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector     = (*Detector)(nil)
-	_ detector.Counted      = (*Detector)(nil)
-	_ detector.VarAccounted = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
 )
 
 // New returns a Goldilocks detector.
@@ -253,5 +252,9 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.transfer(threadElem(t), volElem(vx))
 }
 
-// VarsTracked implements detector.VarAccounted.
+// VarsTracked implements detector.Accounted.
 func (d *Detector) VarsTracked() int { return len(d.vars) }
+
+// MetadataWords completes detector.Accounted. The Goldilocks baseline does
+// not size its locksets in words: it reports 0.
+func (d *Detector) MetadataWords() int { return 0 }

@@ -13,11 +13,12 @@ import (
 // some, so the sampling flag is constantly set), but its own dominant
 // case — an access repeating the variable's current epoch — is a
 // guaranteed no-op, and the sharded mount serves it lock-free through
-// detector.EpochFast. Everything else takes the sharded slow path: a
-// shared epoch-lock hold plus the variable's shard lock. Serialized mode
-// funnels every access through one exclusive mutex, so the speedup column
-// isolates what teaching FASTTRACK the Sharded and EpochFast contracts
-// bought.
+// the same-epoch stage of FASTTRACK's dismissal chain (and a shared read
+// through the owned-access stage). Everything else takes the sharded slow
+// path: a shared epoch-lock hold plus the variable's shard lock.
+// Serialized mode funnels every access through one exclusive mutex and
+// runs no stage, so the speedup column isolates what teaching FASTTRACK
+// the Sharded contract and its stages bought.
 //
 // Unlike the simulator experiments this one measures this process on this
 // hardware; numbers vary across machines, the shape (speedup > 1, growing

@@ -17,18 +17,19 @@
 // deterministically from Options.Seed and the key, so a key's decision
 // sequence depends only on its own access count — never on how accesses of
 // different keys interleave. That order-independence is what makes the
-// detector.BurstSampler capability sound: the front-end may consume skip
-// decisions lock-free (TrySkip) while other threads are mid-analysis, and
-// a serialized replay of the recorded trace still reproduces every
-// decision exactly.
+// burst-skip stage sound: the front-end may consume skip decisions
+// lock-free (TrySkip) while other threads are mid-analysis, and a
+// serialized replay of the recorded trace still reproduces every decision
+// exactly.
 //
 // The detector implements detector.Sharded by delegating the contract to
 // its wrapped FASTTRACK core, whose shards hold all variable metadata, and
 // keeps the sampler state on its own striped locks so concurrent TrySkip
 // probes and sampled analyses of different (method, thread) keys do not
-// serialize on one mutex. It deliberately does NOT forward the EpochFast
-// or OwnedAccess capabilities: those dismiss accesses without consulting
-// the sampler, which would leave burst decisions unconsumed and break the
+// serialize on one mutex. Its dismissal chain is the burst-skip stage
+// alone: it deliberately leaves out the core's same-epoch and
+// owned-access stages, which dismiss accesses without consulting the
+// sampler and so would leave burst decisions unconsumed and break the
 // decision-stream determinism a serialized replay relies on.
 package literace
 
@@ -101,7 +102,7 @@ type samplerStripe struct {
 // core it admits the detector.Sharded reader-writer discipline for Read
 // and Write (variable metadata lives in the core's shards; the sampler
 // decision takes only the key's stripe lock) and requires exclusive access
-// for synchronization and accounting calls. TrySkip (detector.BurstSampler)
+// for synchronization and accounting calls. TrySkip (the burst-skip stage)
 // takes only the key's stripe lock and so may run concurrently with any
 // operation of other threads.
 type Detector struct {
@@ -112,13 +113,9 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
-	_ detector.Sharded         = (*Detector)(nil)
-	_ detector.BurstSampler    = (*Detector)(nil)
-	_ detector.ArenaAccounted  = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
+	_ detector.Sharded   = (*Detector)(nil)
 )
 
 // New returns an online LITERACE detector over a default FASTTRACK store.
@@ -218,14 +215,17 @@ func (d *Detector) ShardOf(x event.Var) int { return d.ft.ShardOf(x) }
 
 // State returns the published sampling state: the wrapped core's
 // constant always-on word. LITERACE's sampling is per-(method, thread),
-// not global, so the global flag must stay set — the front-end's
-// "skip when not sampling" dismissal would bypass the burst sampler and
-// leave decisions unconsumed. Per-access skips flow through TrySkip, which
-// does consume them.
+// not global, so the global flag must stay set: a front door's unclaimed
+// dismissal (pacer.Detector.ProbeUnclaimed) reads it, and would otherwise
+// bypass the burst sampler and leave decisions unconsumed.
 func (d *Detector) State() *detector.State { return d.ft.State() }
 
-// MetaPossible reports whether x might hold metadata in the wrapped core.
-func (d *Detector) MetaPossible(x event.Var) bool { return d.ft.MetaPossible(x) }
+// Stages implements detector.Sharded: the burst-skip stage alone. A
+// no-metadata stage would bypass the burst sampler and leave decisions
+// unconsumed; TrySkip does consume them.
+func (d *Detector) Stages() []detector.Stage {
+	return []detector.Stage{{Name: detector.StageBurstSkip, Try: d.TrySkip}}
+}
 
 // SyncNoOp delegates to the wrapped core, which publishes no version
 // epochs, so it reports false.
@@ -301,7 +301,7 @@ func (d *Detector) decide(method uint32, t vclock.Thread, write bool) bool {
 	return false
 }
 
-// TrySkip implements detector.BurstSampler: it consumes a pending skip
+// TrySkip is the burst-skip stage: it consumes a pending skip
 // decision for (method, t) when one is due, letting the caller dismiss the
 // access without routing it through Read/Write. When the sampler would
 // instead analyze the access (mid-burst, or a fresh burst is due), the
@@ -310,7 +310,7 @@ func (d *Detector) decide(method uint32, t vclock.Thread, write bool) bool {
 // call concurrently with operations of other threads; a single thread's
 // operations must be serialized by the caller, which is what keeps the
 // probe-then-analyze sequence atomic per key.
-func (d *Detector) TrySkip(method uint32, t vclock.Thread) bool {
+func (d *Detector) TrySkip(t vclock.Thread, _ event.Var, _ event.Site, method uint32, _ bool) bool {
 	key := methodThread{method, t}
 	st := d.stripeFor(key)
 	st.mu.Lock()
@@ -359,11 +359,11 @@ func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) { d.ft.VolRead(t,
 // VolWrite is fully instrumented.
 func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.ft.VolWrite(t, vx) }
 
-// VarsTracked implements detector.VarAccounted, delegating to the
+// VarsTracked implements detector.Accounted, delegating to the
 // underlying FASTTRACK metadata table.
 func (d *Detector) VarsTracked() int { return d.ft.VarsTracked() }
 
-// MetadataWords implements detector.MemoryAccounted. LITERACE never
+// MetadataWords implements detector.Accounted. LITERACE never
 // discards metadata, so this grows with the data the program touches, not
 // with the sampling rate.
 func (d *Detector) MetadataWords() int {
@@ -377,6 +377,6 @@ func (d *Detector) MetadataWords() int {
 	return d.ft.MetadataWords() + 5*n
 }
 
-// ArenaStats implements detector.ArenaAccounted, delegating to the wrapped
-// core's arena (false on the default heap path).
+// ArenaStats implements detector.Sharded's arena report, delegating to
+// the wrapped core's arena (false on the default heap path).
 func (d *Detector) ArenaStats() (detector.ArenaStats, bool) { return d.ft.ArenaStats() }

@@ -56,8 +56,8 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector = (*Detector)(nil)
-	_ detector.Counted  = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
 )
 
 // New returns a lockset detector reporting discipline violations to
@@ -75,6 +75,11 @@ func (d *Detector) Name() string { return "lockset" }
 
 // Stats returns the detector's operation counters.
 func (d *Detector) Stats() *detector.Counters { return &d.stats }
+
+// VarsTracked and MetadataWords complete detector.Accounted. The lockset
+// baseline does not account its space: both report 0.
+func (d *Detector) VarsTracked() int   { return 0 }
+func (d *Detector) MetadataWords() int { return 0 }
 
 func (d *Detector) heldBy(t vclock.Thread) map[event.Lock]struct{} {
 	h, ok := d.held[t]

@@ -32,10 +32,9 @@
 //
 // The detector mounts the same concurrency plumbing as PACER and FASTTRACK
 // (internal/detector/shardbase): the Sharded stripe geometry, the published
-// sampling-state word and presence filter behind the front-end's lock-free
-// "not sampling and no metadata" dismissal, and the EpochFast epoch mirrors
-// behind the lock-free same-epoch dismissal. It deliberately omits the
-// owned-access CAS path: with a single read slot there is no multi-entry
+// sampling-state word and presence filter behind the no-metadata stage,
+// and the epoch mirrors behind the same-epoch stage, the two stages of its
+// dismissal chain. It deliberately omits the owned-access stage: with a single read slot there is no multi-entry
 // read map to protect, and the epoch mirrors already dismiss the repeat
 // accesses that matter.
 package o1samples
@@ -58,8 +57,8 @@ type varMeta struct {
 	wSite event.Site
 	r     vclock.Epoch
 	rSite event.Site
-	// aw and ar are the lock-free mirrors of the two epochs read by
-	// TrySameEpoch, maintained with the usual conservative discipline:
+	// aw and ar are the lock-free mirrors of the two epochs read by the
+	// same-epoch stage, maintained with the usual conservative discipline:
 	// cleared before the slot mutates, republished after it settles.
 	aw, ar atomic.Uint64
 }
@@ -76,12 +75,13 @@ func (m *varMeta) publishMirrors() {
 // detector.Sharded and the FASTTRACK documentation for the full contract):
 // synchronization operations and sampling transitions require exclusive
 // access; Read and Write may run concurrently across shards; the State
-// word, MetaPossible, and TrySameEpoch are lock-free.
+// word, MetaPossible, and both stages of the dismissal chain are
+// lock-free.
 //
 // The embedded store's presence filter counts recorded variables. Records
 // are created only by sampled accesses and never discarded, so outside
-// sampling periods the front-end's lock-free probe dismisses every access
-// to a never-sampled variable without touching a lock.
+// sampling periods the no-metadata stage dismisses every access to a
+// never-sampled variable without touching a lock.
 type Detector struct {
 	shardbase.Store[varMeta]
 	sync     *detector.BaseSync
@@ -90,14 +90,10 @@ type Detector struct {
 }
 
 var (
-	_ detector.Detector        = (*Detector)(nil)
-	_ detector.Sampler         = (*Detector)(nil)
-	_ detector.Counted         = (*Detector)(nil)
-	_ detector.MemoryAccounted = (*Detector)(nil)
-	_ detector.VarAccounted    = (*Detector)(nil)
-	_ detector.Sharded         = (*Detector)(nil)
-	_ detector.EpochFast       = (*Detector)(nil)
-	_ detector.ArenaAccounted  = (*Detector)(nil)
+	_ detector.Detector  = (*Detector)(nil)
+	_ detector.Sampler   = (*Detector)(nil)
+	_ detector.Accounted = (*Detector)(nil)
+	_ detector.Sharded   = (*Detector)(nil)
 )
 
 // New returns an O(1)-samples detector with the default store.
@@ -176,13 +172,22 @@ func (d *Detector) seedEpoch(t vclock.Thread) {
 	}
 }
 
-// TrySameEpoch implements detector.EpochFast: a lock-free proof that the
+// Stages implements detector.Sharded: the no-metadata stage, then the
+// same-epoch stage.
+func (d *Detector) Stages() []detector.Stage {
+	return []detector.Stage{
+		{Name: detector.StageNoMetadata, Try: d.NoMetadata},
+		{Name: detector.StageSameEpoch, Try: d.TrySameEpoch},
+	}
+}
+
+// TrySameEpoch is the same-epoch stage: a lock-free proof that the
 // access repeats the epoch of the variable's last sampled access of the
 // same kind by the same thread, which the locked path below dismisses
 // unconditionally (the race checks ran, against the same write epoch, when
 // that sample was recorded — a sampled write clears the read slot, so a
 // surviving read mirror also certifies the write epoch is unchanged).
-func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, write bool) bool {
+func (d *Detector) TrySameEpoch(t vclock.Thread, x event.Var, _ event.Site, _ uint32, write bool) bool {
 	e := d.tpub.Epoch(t)
 	if e == 0 {
 		return false
@@ -346,7 +351,7 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 	d.publishEpoch(t)
 }
 
-// MetadataWords implements detector.MemoryAccounted. Six words per
+// MetadataWords implements detector.Accounted. Six words per
 // recorded variable — the constant the backend is named for — plus the
 // synchronization clocks.
 func (d *Detector) MetadataWords() int {

@@ -26,7 +26,7 @@ func Run(p Program, cfg Config) (*Result, error) {
 	}
 	if cfg.Detector != nil {
 		s.sampler, _ = cfg.Detector.(detector.Sampler)
-		s.counted, _ = cfg.Detector.(detector.Counted)
+		s.acct, _ = cfg.Detector.(detector.Accounted)
 	}
 	s.result.Program = p.Name
 	// Roll the initial period like any other: without this, short runs with
@@ -217,8 +217,8 @@ func (s *Sim) step(t *Thread) error {
 		t.done = true
 		t.pending = nil
 		close(t.grants)
-		if lc, ok := d.(detector.ThreadLifecycle); ok {
-			lc.ThreadExit(t.id)
+		if tr, ok := d.(detector.ThreadReuser); ok {
+			tr.ThreadExit(t.id)
 		}
 		s.maybeGC()
 		return nil
@@ -249,10 +249,10 @@ func (s *Sim) syncOp() {
 // event into instrumentation cost and metadata allocation (which advances
 // the collector, reproducing the sampling bias of Section 4).
 func (s *Sim) accountDelta() {
-	if s.counted == nil {
+	if s.acct == nil {
 		return
 	}
-	cur := *s.counted.Stats()
+	cur := *s.acct.Stats()
 	d := diff(&cur, &s.prevStats)
 	s.prevStats = cur
 	cm := &s.cfg.Cost
@@ -377,8 +377,8 @@ func (s *Sim) adjustedProbability() float64 {
 
 func (s *Sim) recordMemSample() {
 	meta := 0
-	if ma, ok := s.cfg.Detector.(detector.MemoryAccounted); ok {
-		meta = ma.MetadataWords()
+	if s.acct != nil {
+		meta = s.acct.MetadataWords()
 	}
 	om := 0
 	if s.cfg.Detector != nil {
@@ -418,10 +418,8 @@ func (s *Sim) finish() {
 		s.result.EffectiveRate = float64(s.syncSampling) / float64(s.syncTotal)
 	}
 	s.result.SamplingPeriods = s.sampPeriods
-	if s.counted != nil {
-		s.result.Counters = *s.counted.Stats()
-	}
-	if ma, ok := s.cfg.Detector.(detector.MemoryAccounted); ok {
-		s.result.FinalMetaWords = ma.MetadataWords()
+	if s.acct != nil {
+		s.result.Counters = *s.acct.Stats()
+		s.result.FinalMetaWords = s.acct.MetadataWords()
 	}
 }

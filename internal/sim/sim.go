@@ -195,7 +195,7 @@ type Sim struct {
 	lockOwner map[Lock]vclock.Thread
 	result    Result
 	sampler   detector.Sampler
-	counted   detector.Counted
+	acct      detector.Accounted
 	prevStats detector.Counters
 
 	// Condition variable wait queues.

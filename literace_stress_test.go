@@ -1,6 +1,6 @@
 // Stress test for the sharded LITERACE mount: burst-sampled detection
 // driven through the concurrent front-end, with the per-(method, thread)
-// skip decisions consumed lock-free (detector.BurstSampler) on striped
+// skip decisions consumed lock-free (the burst-skip stage) on striped
 // sampler locks. Run under `go test -race` (CI does) so the Go race
 // detector audits the striped sampler state itself; the assertions check
 // operation conservation across the burst-skip dismissals and the sharded

@@ -30,7 +30,8 @@
 // behind the identical public API, so competing analyses can be compared
 // on real wall-clock workloads through the exact code path production
 // uses. Backends advertise capabilities via interfaces (sampling periods,
-// sharded concurrency, memory accounting); the front-end degrades
+// sharded concurrency with an ordered list of lock-free access
+// dismissals, thread reuse, accounting); the front-end degrades
 // gracefully where a capability is absent — in particular, backends
 // without sampling periods run with always-sample semantics (every
 // operation is analyzed) and backends without sharding support are driven
@@ -219,16 +220,16 @@ type Options struct {
 	// space (e.g. hashed addresses) and the table's memory must stay
 	// bounded.
 	EpochFastVarCap int
-	// DisableOwnedFastPath turns off the owned-access (CAS read-map)
-	// dismissal of backends that expose one (FASTTRACK): the SmartTrack-
-	// style path that claims a per-variable ownership word and performs the
-	// full analysis and metadata update without the epoch or shard locks —
-	// the shared-read case the same-epoch mirrors cannot serve. Reports are
-	// identical either way; this is the middle column of the contention
-	// benchmark.
+	// DisableOwnedFastPath leaves the owned-access (CAS read-map) stage
+	// out of the dismissal chain of backends that list one (FASTTRACK): the
+	// SmartTrack-style stage that claims a per-variable ownership word and
+	// performs the full analysis and metadata update without the epoch or
+	// shard locks — the shared-read case the same-epoch mirrors cannot
+	// serve. Reports are identical either way; this is the middle column of
+	// the contention benchmark.
 	DisableOwnedFastPath bool
 	// Serialized disables the concurrent front-end: every operation takes
-	// the epoch lock exclusively and the lock-free fast path is off,
+	// the epoch lock exclusively and no lock-free dismissal runs,
 	// reproducing the classic single-mutex behavior. Useful as a
 	// differential-testing reference and as a benchmark baseline. Implied
 	// for backends that do not support sharded concurrency.
@@ -254,10 +255,10 @@ type Stats struct {
 	// the front-end dismissed lock-free as version-epoch no-ops.
 	SyncOps uint64
 	// FastPathReads/Writes count accesses dismissed by an O(1) fast path:
-	// the backend's own no-metadata dismissal plus the front-end's
-	// lock-free dismissals (non-sampling no-metadata probes, unclaimed
-	// dismissals, same-epoch proofs, owned-access CAS updates,
-	// burst-sampler skips).
+	// those the backend's locked path dismisses itself (PACER's and
+	// O(1)-samples' no-metadata checks, LITERACE's skipped accesses), those
+	// a stage of its dismissal chain dismisses lock-free (see
+	// docs/backends.md), and a front door's unclaimed dismissals.
 	FastPathReads, FastPathWrites uint64
 	// SlowJoins and FastJoins count O(n) versus version-skipped joins.
 	// FastJoins includes the front-end's lock-free dismissals of acquires,
@@ -334,8 +335,8 @@ type FrontDoorStats struct {
 // FrontDoorAccounted is implemented by instrumentation front doors (e.g.
 // pacergo's runtime shim) that resolve real program state — addresses,
 // goroutines — onto detector identifiers. Mounting one with MountFrontDoor
-// folds its counters into Stats, the same capability-interface discipline
-// backends use (detector.VarAccounted and friends). Stats calls
+// folds its counters into Stats, as a backend's detector.Accounted folds
+// its own. Stats calls
 // FrontDoorStats on its own goroutine before taking the epoch lock, so a
 // front door that tallies per goroutine can publish the caller's Tally
 // there (with Count), putting the caller's own operations in the snapshot.
@@ -361,17 +362,14 @@ type Detector struct {
 	// state is the sharded backend's published sampling state, fetched
 	// once so the lock-free probes load its word directly; nil when the
 	// backend is not sharded.
-	state     *detector.State
-	sampler   detector.Sampler
-	burst     detector.BurstSampler
-	epoch     detector.EpochFast
-	owned     detector.OwnedAccess
-	counted   detector.Counted
-	memory    detector.MemoryAccounted
-	varsAcct  detector.VarAccounted
-	lifecycle detector.ThreadLifecycle
-	reuser    detector.ThreadReuser
-	arenaAcct detector.ArenaAccounted
+	state   *detector.State
+	sampler detector.Sampler
+	reuser  detector.ThreadReuser
+	acct    detector.Accounted
+	// stages is the dismissal chain access tries before the locked path:
+	// the sharded backend's Stages, less those the Options turn off; empty
+	// when serialized.
+	stages []detector.Stage
 
 	// serialized is Options.Serialized, or forced when the backend lacks
 	// sharded-concurrency support: every operation then takes the epoch
@@ -379,7 +377,8 @@ type Detector struct {
 	serialized bool
 	// lockFreeOK is set when the dismissals that record nothing may fire
 	// (ProbeUnclaimed's and trySyncNoOp's): the front-end is concurrent
-	// and no TraceSink is recording.
+	// and no TraceSink is recording. The stages record, so they run with a
+	// TraceSink too (see access).
 	lockFreeOK bool
 	nshards    int
 	opts       Options
@@ -483,30 +482,22 @@ func New(opts Options) *Detector {
 	}
 	det.back = back
 	det.sharded, _ = back.(detector.Sharded)
-	if det.sharded != nil {
-		det.state = det.sharded.State()
-	}
 	det.sampler, _ = back.(detector.Sampler)
-	if !opts.Serialized {
-		det.burst, _ = back.(detector.BurstSampler)
-	}
-	if det.sharded != nil && !opts.Serialized {
-		det.epoch, _ = back.(detector.EpochFast)
-		if !opts.DisableOwnedFastPath {
-			det.owned, _ = back.(detector.OwnedAccess)
-		}
-	}
-	det.counted, _ = back.(detector.Counted)
-	det.memory, _ = back.(detector.MemoryAccounted)
-	det.varsAcct, _ = back.(detector.VarAccounted)
-	det.lifecycle, _ = back.(detector.ThreadLifecycle)
 	det.reuser, _ = back.(detector.ThreadReuser)
-	det.arenaAcct, _ = back.(detector.ArenaAccounted)
+	det.acct, _ = back.(detector.Accounted)
 	det.serialized = opts.Serialized || det.sharded == nil
 	det.lockFreeOK = !det.serialized && opts.TraceSink == nil
 	det.nshards = 1
 	if det.sharded != nil {
+		det.state = det.sharded.State()
 		det.nshards = det.sharded.Shards()
+	}
+	if !det.serialized {
+		for _, st := range det.sharded.Stages() {
+			if !(opts.DisableOwnedFastPath && st.Name == detector.StageOwnedAccess) {
+				det.stages = append(det.stages, st)
+			}
+		}
 	}
 	det.varMu = make([]shardLock, det.nshards)
 	cells := make([]*opCell, 0)
@@ -746,8 +737,8 @@ func (p *Detector) Join(t, u ThreadID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.back.Join(t, u)
-	if p.lifecycle != nil {
-		p.lifecycle.ThreadExit(u)
+	if p.reuser != nil {
+		p.reuser.ThreadExit(u)
 	}
 	p.record(Event{Kind: event.Join, Thread: t, Target: uint32(u)})
 	p.tickLocked()
@@ -795,11 +786,12 @@ func (p *Detector) ProbeUnclaimed() (uint64, bool) {
 // DismissUnclaimed completes the dismissal ProbeUnclaimed opened. If the
 // state word still reads st, no sampling period was in progress at any
 // instant between the two loads, and in particular when the caller found
-// the variable unclaimed. The soundness argument is tryFast's, with the
-// claim word standing in for the presence filter. A front door claims a
-// VarID only for an access it then passes to Read or Write, and only when
-// this dismissal was not allowed, so metadata exists only for claimed
-// variables and the detector would have done nothing for this access.
+// the variable unclaimed. The soundness argument is the no-metadata
+// stage's, with the claim word standing in for the presence filter. A
+// front door claims a VarID only for an access it then passes to Read or
+// Write, and only when this dismissal was not allowed, so metadata exists
+// only for claimed variables and the detector would have done nothing for
+// this access.
 // DismissUnclaimed is a pure probe: on true the access is dismissed, and
 // the front door counts it in its Tally and publishes it later with
 // Count. Otherwise the caller must claim a VarID and call Read or Write.
@@ -864,115 +856,6 @@ func (p *Detector) Count(t ThreadID, n Tally) {
 	tick(&c.volCopies, n.VolCopies)
 }
 
-// tryFast attempts the lock-free non-sampling dismissal of an access: if
-// the sampling-state word reads "not sampling" both before and after the
-// metadata presence filter reads "no metadata", then at the instant of the
-// presence load the serialized detector would have done nothing for this
-// operation, so it is dismissed having only bumped the thread's counter.
-// When a TraceSink is configured the probe runs under the sink lock, so
-// the recorded position is exactly that linearization instant. Callers
-// have already established that the backend is sharded (p.serialized is
-// false only then).
-func (p *Detector) tryFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		st := p.state.Word()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.state.Word() != st {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else {
-		st := p.state.Word()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.state.Word() != st {
-			return false
-		}
-	}
-	p.dismissed(t, write)
-	return true
-}
-
-// tryBurstSkip attempts the lock-free burst-sampler dismissal of an
-// access: backends exposing detector.BurstSampler (LITERACE) can consume a
-// per-(method, thread) skip decision without the epoch lock, so accesses
-// of a method whose sampler has gone cold never serialize on it. As with
-// tryFast, the dismissal bumps only the thread's own counter cell; with a
-// TraceSink configured, the decision is taken under the sink lock so the
-// recorded position is its linearization instant (per-key decisions are
-// interleaving-independent, so a serialized replay reproduces them).
-// Disabled by Options.Serialized (p.burst stays nil).
-func (p *Detector) tryBurstSkip(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.burst.TrySkip(method, t) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.burst.TrySkip(method, t) {
-		return false
-	}
-	p.dismissed(t, write)
-	return true
-}
-
-// tryEpochFast attempts the lock-free same-epoch dismissal: backends
-// exposing detector.EpochFast (FASTTRACK) publish per-variable epoch
-// mirrors that prove an access repeats the variable's current epoch, so
-// the analysis — a guaranteed no-op — can be skipped without the epoch
-// lock. This is how an always-on detector's dominant case scales: the
-// no-metadata dismissal (tryFast) never applies to it, but the same-epoch
-// dismissal is exactly FastTrack's own fast path served lock-free. As
-// with the other dismissals, only the thread's own counter cell is
-// bumped; with a TraceSink configured the probe runs under the sink lock
-// so the recorded position is its linearization instant. Disabled by
-// Options.Serialized (p.epoch stays nil).
-func (p *Detector) tryEpochFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.epoch.TrySameEpoch(t, v, write) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.epoch.TrySameEpoch(t, v, write) {
-		return false
-	}
-	p.dismissed(t, write)
-	return true
-}
-
-// tryOwned attempts the lock-free owned-access dismissal: backends
-// exposing detector.OwnedAccess (FASTTRACK) claim the variable's ownership
-// word with one CompareAndSwap and, when the analysis finds no race,
-// perform the full metadata update in place — serving what the same-epoch
-// mirrors cannot, chiefly the shared-read case whose multi-entry read map
-// publishes no mirror and would otherwise serialize every reader on the
-// variable's shard lock. Unlike the other lock-free dismissals this one
-// mutates backend state, so with a TraceSink configured the claim runs
-// under the sink lock and the slow path holds the same lock across its
-// backend call (see access), keeping the recorded order identical to the
-// metadata mutation order. Disabled by Options.Serialized and
-// Options.DisableOwnedFastPath (p.owned stays nil).
-func (p *Detector) tryOwned(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.owned.TryOwnedAccess(t, v, s, write) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.owned.TryOwnedAccess(t, v, s, write) {
-		return false
-	}
-	p.dismissed(t, write)
-	return true
-}
-
 func accessEvent(t ThreadID, v VarID, s SiteID, method uint32, write bool) Event {
 	k := event.Read
 	if write {
@@ -988,24 +871,35 @@ func (p *Detector) samplingLocked() bool {
 	return p.sampler == nil || p.sampler.Sampling()
 }
 
-// access funnels Read and Write: lock-free fast path first, then the
+// access funnels Read and Write: the dismissal chain first, then the
 // sharded slow path under a shared epoch-lock hold plus the variable's
 // shard lock (or the exclusive epoch lock when serialized). Trace-sink
 // appends for non-sampling operations happen before the analysis (they can
 // only discard metadata) and for sampling operations after it (they can
 // only create metadata), which keeps the recorded order consistent with
 // the lock-free probes.
+//
+// The chain runs each stage in order, until one dismisses the access,
+// which then bumps only the thread's own counter cell. With a TraceSink
+// configured each stage runs under the sink lock and a dismissal is
+// recorded before the lock drops, so the recorded position is the stage's
+// linearization instant.
 func (p *Detector) access(t ThreadID, v VarID, s SiteID, method uint32, write bool) {
-	if !p.serialized && p.tryFast(t, v, s, method, write) {
-		return
-	}
-	if p.epoch != nil && p.tryEpochFast(t, v, s, method, write) {
-		return
-	}
-	if p.owned != nil && p.tryOwned(t, v, s, method, write) {
-		return
-	}
-	if p.burst != nil && p.tryBurstSkip(t, v, s, method, write) {
+	for _, st := range p.stages {
+		if p.opts.TraceSink != nil {
+			p.sinkMu.Lock()
+			ok := st.Try(t, v, s, method, write)
+			if ok {
+				p.opts.TraceSink(accessEvent(t, v, s, method, write))
+			}
+			p.sinkMu.Unlock()
+			if !ok {
+				continue
+			}
+		} else if !st.Try(t, v, s, method, write) {
+			continue
+		}
+		p.dismissed(t, write)
 		return
 	}
 	p.ensureThread(t)
@@ -1024,8 +918,8 @@ func (p *Detector) access(t ThreadID, v VarID, s SiteID, method uint32, write bo
 		p.record(accessEvent(t, v, s, method, write))
 	}
 	t0 := p.enter()
-	// With an owned-access backend mounted, lock-free dismissals can mutate
-	// metadata under the sink lock; holding the same lock across this
+	// With an owned-access stage in the chain, lock-free dismissals can
+	// mutate metadata under the sink lock; holding the same lock across this
 	// backend call keeps every recorded sampled access at exactly the
 	// instant its metadata effect takes place, so the recorded order stays
 	// a faithful linearization. (Lock order sinkMu → ownership word matches
@@ -1265,8 +1159,8 @@ func (p *Detector) Stats() Stats {
 	}
 	// Unclaimed dismissals are non-sampling fast-path dismissals too.
 	fr, fw = fr+ur, fw+uw
-	if p.counted != nil {
-		c := p.counted.Stats()
+	if p.acct != nil {
+		c := p.acct.Stats()
 		s = Stats{
 			Races:          c.Races,
 			Reads:          c.TotalReads() + fr,
@@ -1280,16 +1174,12 @@ func (p *Detector) Stats() Stats {
 			FastJoins:     c.FastJoins[0] + c.FastJoins[1] + sj + svc,
 			DeepCopies:    c.DeepCopies[0] + c.DeepCopies[1],
 			ShallowCopies: c.ShallowCopies[0] + c.ShallowCopies[1] + sc + svc,
+			VarsTracked:   p.acct.VarsTracked(),
+			MetadataWords: p.acct.MetadataWords(),
 		}
 	}
-	if p.varsAcct != nil {
-		s.VarsTracked = p.varsAcct.VarsTracked()
-	}
-	if p.memory != nil {
-		s.MetadataWords = p.memory.MetadataWords()
-	}
-	if p.arenaAcct != nil {
-		if a, ok := p.arenaAcct.ArenaStats(); ok {
+	if p.sharded != nil {
+		if a, ok := p.sharded.ArenaStats(); ok {
 			s.ArenaEnabled = true
 			s.ArenaSlabsLive = a.SlabsLive
 			s.ArenaSlabsFree = a.SlabsFree
