@@ -176,14 +176,8 @@ func (in *instrumenter) analyzeShared(files []*ast.File) {
 			case *ast.FuncLit:
 				in.markCaptured(x)
 			case *ast.SelectorExpr:
-				if sel, ok := in.info.Selections[x]; ok && sel.Kind() == types.MethodVal {
-					if sig, ok := sel.Obj().Type().(*types.Signature); ok && sig.Recv() != nil {
-						if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
-							if _, isPtr := sel.Recv().(*types.Pointer); !isPtr {
-								in.markRoot(x.X) // implicit &recv
-							}
-						}
-					}
+				if in.implicitAddr(x) {
+					in.markRoot(x.X)
 				}
 			}
 			return true
@@ -418,7 +412,11 @@ func (in *instrumenter) readHooks(e ast.Expr, out *[]ast.Stmt) {
 			}
 		}
 	case *ast.SelectorExpr:
-		in.readHooks(x.X, out)
+		// A pointer-receiver method value of a non-pointer operand only
+		// takes the operand's address; any other selection evaluates it.
+		if !in.implicitAddr(x) {
+			in.readHooks(x.X, out)
+		}
 	case *ast.IndexExpr:
 		in.readHooks(x.X, out)
 		in.readHooks(x.Index, out)
@@ -1143,6 +1141,17 @@ func (in *instrumenter) valueReceiverCall(sel *ast.SelectorExpr) bool {
 	}
 	_, ptr := sig.Recv().Type().(*types.Pointer)
 	return !ptr
+}
+
+// implicitAddr reports whether sel selects a pointer-receiver method of a
+// non-pointer operand, so evaluating it takes &sel.X without reading it.
+func (in *instrumenter) implicitAddr(sel *ast.SelectorExpr) bool {
+	s, ok := in.info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal || in.valueReceiverCall(sel) {
+		return false
+	}
+	_, isPtr := s.Recv().(*types.Pointer)
+	return !isPtr
 }
 
 func hasPrefix(s, p string) bool {

@@ -228,6 +228,19 @@ func use() int {
 	return f()
 }
 `,
+	"method value on value receiver": `package p
+
+type T struct{ n int }
+
+func (t T) Get() int { return t.n }
+
+var shared T
+
+func use() int {
+	f := shared.Get
+	return f()
+}
+`,
 	"generic instantiation": `package p
 
 type G[E any] struct{ v E }
@@ -256,6 +269,14 @@ func use() int {
 `,
 }
 
+// typeExprSharedRead says, for the method-value rows of typeExprSources,
+// whether use() reads shared: a value receiver copies it, while a pointer
+// receiver only takes its address.
+var typeExprSharedRead = map[string]bool{
+	"method value":                   false,
+	"method value on value receiver": true,
+}
+
 // TestRewriteTypeExprs: types in expression position are left alone, and
 // the instrumented file still type-checks.
 func TestRewriteTypeExprs(t *testing.T) {
@@ -264,6 +285,17 @@ func TestRewriteTypeExprs(t *testing.T) {
 			out := instrumentSource(t, src)
 			if err := typeCheck(out); err != nil {
 				t.Fatalf("instrumented output does not type-check: %v\n%s", err, out)
+			}
+			want, ok := typeExprSharedRead[name]
+			if !ok {
+				return
+			}
+			got := false
+			for _, line := range strings.Split(out, "\n") {
+				got = got || strings.Contains(line, ".R(") && strings.Contains(line, "&(shared)")
+			}
+			if got != want {
+				t.Fatalf("read hook on shared = %v, want %v:\n%s", got, want, out)
 			}
 		})
 	}

@@ -22,7 +22,6 @@ import (
 	"pacer/internal/goldilocks"
 	"pacer/internal/literace"
 	"pacer/internal/lockset"
-	"pacer/internal/o1samples"
 )
 
 // Config carries the cross-backend construction knobs. Backends ignore the
@@ -110,7 +109,7 @@ func init() {
 		return literace.NewWithConfig(report, cfg.Config, o)
 	})
 	Register("o1samples", func(report detector.Reporter, cfg Config) detector.Detector {
-		return o1samples.NewWithConfig(report, cfg.Config)
+		return fasttrack.NewO1Samples(report, cfg.Config)
 	})
 	Register("goldilocks", func(report detector.Reporter, _ Config) detector.Detector {
 		return goldilocks.New(report)

@@ -17,11 +17,12 @@
 // FASTTRACK has no non-sampling periods — every access creates or updates
 // metadata — so the published sampling flag is constantly set and its
 // dismissal chain has no no-metadata stage (dismissing a first access
-// would lose the read-map entry or write epoch it must install). What an always-on detector can dismiss without a lock is its
-// own same-epoch no-op, the dominant case FastTrack was built around; the
-// same-epoch stage of its dismissal chain (Stages) reads per-variable
-// epoch mirrors so the front-end serves exactly that case with a handful
-// of atomic loads.
+// would lose the read-map entry or write epoch it must install). What an
+// always-on detector can dismiss without a lock is its own same-epoch
+// no-op, the dominant case FastTrack was built around; the same-epoch
+// stage of its dismissal chain (Stages) reads per-variable epoch mirrors
+// so the front-end serves exactly that case with a handful of atomic
+// loads.
 //
 // What the same-epoch stage cannot dismiss — chiefly the shared-read
 // case, where a multi-entry read map publishes no mirror — is served by
@@ -29,6 +30,24 @@
 // claimed by CompareAndSwap lets one access run the full analysis and
 // update lock-free, falling back to the locked slow path on contention or
 // whenever a race would have to be reported.
+//
+// # The O(1)-samples preset
+//
+// O1Samples runs the same engine under the budget of "Dynamic Race
+// Detection with O(1) Samples" (see PAPERS.md), inverting PACER's trade:
+// synchronization is analyzed at full precision all the time, while access
+// metadata stays one write epoch and one read epoch per variable.
+//
+//   - A sampled access *records*: a write replaces the write epoch and
+//     clears the read map; a read replaces the read map with its own epoch.
+//     Nothing else is kept per variable, so a record costs 6 words.
+//   - Every access, sampled or not, *checks* the recorded epochs against
+//     the thread's exact clock, so every report is a true race at every
+//     sampling rate, and a race needs only its first access sampled.
+//
+// What the budget gives up is completeness at rate 1.0: a write racing
+// with several concurrent reads reports against the last sampled one only,
+// so the conformance suite holds the preset to the precision band.
 package fasttrack
 
 import (
@@ -127,10 +146,10 @@ func (m *varMeta) publishMirrors() {
 //
 // The embedded store's state word is the constant 1 — flag set, zero
 // transitions — trivially satisfying the two-equal-loads protocol of the
-// Sharded contract, and its presence filter never decrements: FASTTRACK
-// never discards metadata. Its record table (variable identifier →
-// record, below the configured bound) is what the lock-free fast paths
-// read, through Peek.
+// Sharded contract (the O(1)-samples preset publishes its periods instead),
+// and its presence filter never decrements: no record is ever discarded.
+// Its record table (variable identifier → record, below the configured
+// bound) is what the lock-free fast paths read, through Peek.
 type Detector struct {
 	shardbase.Store[varMeta]
 	sync *detector.BaseSync
@@ -141,6 +160,11 @@ type Detector struct {
 	// lock-free only by that thread's own probes.
 	tpub shardbase.ThreadPub
 	opts Options
+	// sampling is whether accesses record: always for FASTTRACK, inside
+	// sampling periods for the O(1)-samples preset (see Read and Write).
+	sampling bool
+	// capped holds the read map to one entry (the O(1)-samples preset).
+	capped bool
 }
 
 var (
@@ -157,13 +181,19 @@ func New(report detector.Reporter) *Detector {
 // NewWithOptions returns a FASTTRACK detector with an explicit store
 // configuration and analysis options.
 func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
+	d := newDetector(report, cfg, opts)
+	// Always-on: the sampling flag is set for the detector's whole life.
+	d.sampling = true
+	d.State().SetAlwaysOn()
+	return d
+}
+
+func newDetector(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
 	d := &Detector{opts: opts}
-	// FASTTRACK never deletes a record, so none is recycled: no reset.
+	// No record is ever deleted, so none is recycled: no reset.
 	d.Init(report, cfg, nil)
 	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.sync.SetAllocator(d.Clocks())
-	// Always-on: the sampling flag is set for the detector's whole life.
-	d.State().SetAlwaysOn()
 	return d
 }
 
@@ -327,10 +357,11 @@ func (d *Detector) ownedWrite(m *varMeta, t vclock.Thread, ct *vclock.VC, site e
 	return true
 }
 
-// varMetaFor returns x's metadata record in shard si, creating it on first
-// access (FASTTRACK tracks every variable it ever sees).
+// varMetaFor returns x's metadata record in shard si. A sampled access
+// creates it on first access (FASTTRACK tracks every variable it ever
+// sees); outside sampling it is nil when x holds none.
 func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
-	if m := d.Lookup(si, x); m != nil {
+	if m := d.Lookup(si, x); m != nil || !d.sampling {
 		return m
 	}
 	return d.Insert(si, x) // mirrors are still zero: not yet dismissable
@@ -340,10 +371,16 @@ func (d *Detector) varMetaFor(si int, x event.Var) *varMeta {
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
 	sh := &d.Table[si]
-	sh.Stats.ReadSlow[detector.Sampling]++
+	p := detector.PeriodOf(d.sampling)
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
 	m := d.varMetaFor(si, x)
+	if m == nil {
+		// Unsampled, never sampled: the locked no-metadata stage.
+		sh.Stats.ReadFast[p]++
+		return
+	}
+	sh.Stats.ReadSlow[p]++
 	m.own.Lock()
 	defer m.own.Unlock()
 
@@ -369,10 +406,13 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 		})
 	}
 	// Update the read map: collapse to an epoch when reads so far are
-	// totally ordered before this one; otherwise record a concurrent read.
-	if m.r.Size() <= 1 && m.r.Leq(ct) {
+	// totally ordered before this one, or always under the one-entry cap;
+	// otherwise record a concurrent read.
+	switch {
+	case !d.sampling: // checked, not recorded
+	case d.capped || m.r.Size() <= 1 && m.r.Leq(ct):
 		m.r.SetEpoch(vclock.ReadEntry{T: t, C: ct.Get(t), Site: uint32(site)})
-	} else {
+	default:
 		m.r.Set(t, ct.Get(t), uint32(site))
 	}
 	m.publishMirrors()
@@ -382,10 +422,15 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32) {
 	si := d.ShardOf(x)
 	sh := &d.Table[si]
-	sh.Stats.WriteSlow[detector.Sampling]++
+	p := detector.PeriodOf(d.sampling)
 	ct := d.sync.ThreadClock(t)
 	d.seedEpoch(t)
 	m := d.varMetaFor(si, x)
+	if m == nil {
+		sh.Stats.WriteFast[p]++
+		return
+	}
+	sh.Stats.WriteSlow[p]++
 	m.own.Lock()
 	defer m.own.Unlock()
 
@@ -414,13 +459,14 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 			FirstSite: event.Site(e.Site), SecondSite: site,
 		})
 	})
-	if d.opts.KeepReadEpochOnWrite && m.r.Size() <= 1 {
-		// Original FastTrack: a read epoch survives the write.
-	} else {
-		m.r.Clear()
+	if d.sampling {
+		// Original FastTrack (KeepReadEpochOnWrite) keeps a read epoch.
+		if !d.opts.KeepReadEpochOnWrite || m.r.Size() > 1 {
+			m.r.Clear()
+		}
+		m.w = vclock.MakeEpoch(t, ct.Get(t))
+		m.wSite = site
 	}
-	m.w = vclock.MakeEpoch(t, ct.Get(t))
-	m.wSite = site
 	m.publishMirrors()
 }
 

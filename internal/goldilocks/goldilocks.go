@@ -255,6 +255,22 @@ func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) {
 // VarsTracked implements detector.Accounted.
 func (d *Detector) VarsTracked() int { return len(d.vars) }
 
-// MetadataWords completes detector.Accounted. The Goldilocks baseline does
-// not size its locksets in words: it reports 0.
-func (d *Detector) MetadataWords() int { return 0 }
+// MetadataWords implements detector.Accounted. A variable costs two words
+// (the write closure and the reader table) plus, for each closure it
+// records — the last write's and one per concurrent reader — three words
+// (the owning thread, its site and kind, the element set) and one word
+// per element. The inverted index repeats the elements for the
+// synchronization side and is not counted.
+func (d *Detector) MetadataWords() int {
+	w := 0
+	for _, v := range d.vars {
+		w += 2
+		if v.write != nil {
+			w += 3 + len(v.write.elems)
+		}
+		for _, c := range v.readers {
+			w += 3 + len(c.elems)
+		}
+	}
+	return w
+}

@@ -160,3 +160,14 @@ func TestStatsAndName(t *testing.T) {
 		t.Error("race counter not incremented")
 	}
 }
+
+func TestMetadataWordsCountsClosures(t *testing.T) {
+	// Variable 1: a write whose closure grows from {0} to {0, lock 5}.
+	// Variable 2: two concurrent readers, closures {1} and {2}.
+	b := dtest.NewTB().Write(0, 1).Rel(0, 5).Read(1, 2).Read(2, 2)
+	d := goldilocks.New(nil)
+	detector.Replay(d, b.Trace)
+	if got, want := d.MetadataWords(), (2+3+2)+(2+(3+1)+(3+1)); got != want {
+		t.Fatalf("MetadataWords = %d, want %d", got, want)
+	}
+}

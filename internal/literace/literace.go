@@ -22,15 +22,15 @@
 // serialized replay of the recorded trace still reproduces every decision
 // exactly.
 //
-// The detector implements detector.Sharded by delegating the contract to
-// its wrapped FASTTRACK core, whose shards hold all variable metadata, and
-// keeps the sampler state on its own striped locks so concurrent TrySkip
-// probes and sampled analyses of different (method, thread) keys do not
-// serialize on one mutex. Its dismissal chain is the burst-skip stage
-// alone: it deliberately leaves out the core's same-epoch and
-// owned-access stages, which dismiss accesses without consulting the
-// sampler and so would leave burst decisions unconsumed and break the
-// decision-stream determinism a serialized replay relies on.
+// The detector implements detector.Sharded through its embedded FASTTRACK
+// core, whose shards hold all variable metadata, and keeps the sampler
+// state on its own striped locks so concurrent TrySkip probes and sampled
+// analyses of different (method, thread) keys do not serialize on one
+// mutex. Its dismissal chain is the burst-skip stage alone: it
+// deliberately leaves out the core's same-epoch and owned-access stages,
+// which dismiss accesses without consulting the sampler and so would leave
+// burst decisions unconsumed and break the decision-stream determinism a
+// serialized replay relies on.
 package literace
 
 import (
@@ -44,7 +44,7 @@ import (
 	"pacer/internal/vclock"
 )
 
-// Options configure the sampler; the wrapped FASTTRACK core's store is
+// Options configure the sampler; the embedded FASTTRACK core's store is
 // configured by shardbase.Config.
 type Options struct {
 	// BurstLength is the number of consecutive accesses sampled per burst.
@@ -98,15 +98,16 @@ type samplerStripe struct {
 	_          [64]byte
 }
 
-// Detector is the online LITERACE analysis. Like its underlying FASTTRACK
-// core it admits the detector.Sharded reader-writer discipline for Read
-// and Write (variable metadata lives in the core's shards; the sampler
-// decision takes only the key's stripe lock) and requires exclusive access
-// for synchronization and accounting calls. TrySkip (the burst-skip stage)
-// takes only the key's stripe lock and so may run concurrently with any
+// Detector is the online LITERACE analysis. Synchronization operations are
+// the embedded FASTTRACK core's, fully instrumented (O(n), like all
+// LITERACE sync operations). Like that core it admits the detector.Sharded
+// discipline for Read and Write (metadata lives in the core's shards; the
+// sampler decision takes only the key's stripe lock) and requires
+// exclusive access for synchronization and accounting calls. TrySkip takes
+// only the key's stripe lock, so it may run concurrently with any
 // operation of other threads.
 type Detector struct {
-	ft      *fasttrack.Detector
+	*fasttrack.Detector
 	opts    Options
 	stripes [samplerStripes]samplerStripe
 	snap    detector.Counters // Stats() merge scratch
@@ -136,8 +137,8 @@ func NewWithConfig(report detector.Reporter, cfg shardbase.Config, opts Options)
 		opts.Backoff = 10
 	}
 	d := &Detector{
-		ft:   fasttrack.NewWithOptions(report, cfg, fasttrack.Options{}),
-		opts: opts,
+		Detector: fasttrack.NewWithOptions(report, cfg, fasttrack.Options{}),
+		opts:     opts,
 	}
 	for i := range d.stripes {
 		d.stripes[i].state = make(map[methodThread]*samplerState)
@@ -161,7 +162,7 @@ func (d *Detector) stripeFor(key methodThread) *samplerStripe {
 // accesses on the fast-path rows. Exclusive access required; the returned
 // pointer is to a snapshot the next call overwrites.
 func (d *Detector) Stats() *detector.Counters {
-	d.snap = *d.ft.Stats()
+	d.snap = *d.Detector.Stats()
 	for i := range d.stripes {
 		st := &d.stripes[i]
 		st.mu.Lock()
@@ -207,33 +208,16 @@ func (d *Detector) EffectiveRate() float64 {
 	return float64(sampled) / float64(total)
 }
 
-// Shards returns the wrapped core's variable-shard count.
-func (d *Detector) Shards() int { return d.ft.Shards() }
-
-// ShardOf maps a variable to its metadata shard in the wrapped core.
-func (d *Detector) ShardOf(x event.Var) int { return d.ft.ShardOf(x) }
-
-// State returns the published sampling state: the wrapped core's
-// constant always-on word. LITERACE's sampling is per-(method, thread),
-// not global, so the global flag must stay set: a front door's unclaimed
-// dismissal (pacer.Detector.ProbeUnclaimed) reads it, and would otherwise
-// bypass the burst sampler and leave decisions unconsumed.
-func (d *Detector) State() *detector.State { return d.ft.State() }
-
 // Stages implements detector.Sharded: the burst-skip stage alone. A
 // no-metadata stage would bypass the burst sampler and leave decisions
-// unconsumed; TrySkip does consume them.
+// unconsumed; TrySkip does consume them. For the same reason the state
+// word stays the core's constant always-on word: LITERACE's sampling is
+// per-(method, thread), not global, and a front door's unclaimed dismissal
+// (pacer.Detector.ProbeUnclaimed) that saw the global flag clear would
+// bypass the burst sampler too.
 func (d *Detector) Stages() []detector.Stage {
 	return []detector.Stage{{Name: detector.StageBurstSkip, Try: d.TrySkip}}
 }
-
-// SyncNoOp delegates to the wrapped core, which publishes no version
-// epochs, so it reports false.
-func (d *Detector) SyncNoOp(e event.Event) bool { return d.ft.SyncNoOp(e) }
-
-// EnsureThreadSlots pre-grows the wrapped core's thread tables. Requires
-// exclusive access.
-func (d *Detector) EnsureThreadSlots(n int) { d.ft.EnsureThreadSlots(n) }
 
 // stateLocked returns (method, thread)'s sampler state in stripe st,
 // creating it cold (100% rate, full burst) on first use. Callers hold
@@ -330,38 +314,16 @@ func (d *Detector) TrySkip(t vclock.Thread, _ event.Var, _ event.Site, method ui
 // Read samples rd(t, x); sampled reads run the FASTTRACK read analysis.
 func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, method uint32) {
 	if d.decide(method, t, false) {
-		d.ft.Read(t, x, site, method)
+		d.Detector.Read(t, x, site, method)
 	}
 }
 
 // Write samples wr(t, x); sampled writes run the FASTTRACK write analysis.
 func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, method uint32) {
 	if d.decide(method, t, true) {
-		d.ft.Write(t, x, site, method)
+		d.Detector.Write(t, x, site, method)
 	}
 }
-
-// Acquire is fully instrumented (O(n), like all LITERACE sync operations).
-func (d *Detector) Acquire(t vclock.Thread, m event.Lock) { d.ft.Acquire(t, m) }
-
-// Release is fully instrumented.
-func (d *Detector) Release(t vclock.Thread, m event.Lock) { d.ft.Release(t, m) }
-
-// Fork is fully instrumented.
-func (d *Detector) Fork(t, u vclock.Thread) { d.ft.Fork(t, u) }
-
-// Join is fully instrumented.
-func (d *Detector) Join(t, u vclock.Thread) { d.ft.Join(t, u) }
-
-// VolRead is fully instrumented.
-func (d *Detector) VolRead(t vclock.Thread, vx event.Volatile) { d.ft.VolRead(t, vx) }
-
-// VolWrite is fully instrumented.
-func (d *Detector) VolWrite(t vclock.Thread, vx event.Volatile) { d.ft.VolWrite(t, vx) }
-
-// VarsTracked implements detector.Accounted, delegating to the
-// underlying FASTTRACK metadata table.
-func (d *Detector) VarsTracked() int { return d.ft.VarsTracked() }
 
 // MetadataWords implements detector.Accounted. LITERACE never
 // discards metadata, so this grows with the data the program touches, not
@@ -374,9 +336,5 @@ func (d *Detector) MetadataWords() int {
 		n += len(st.state)
 		st.mu.Unlock()
 	}
-	return d.ft.MetadataWords() + 5*n
+	return d.Detector.MetadataWords() + 5*n
 }
-
-// ArenaStats implements detector.Sharded's arena report, delegating to
-// the wrapped core's arena (false on the default heap path).
-func (d *Detector) ArenaStats() (detector.ArenaStats, bool) { return d.ft.ArenaStats() }

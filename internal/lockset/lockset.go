@@ -76,10 +76,21 @@ func (d *Detector) Name() string { return "lockset" }
 // Stats returns the detector's operation counters.
 func (d *Detector) Stats() *detector.Counters { return &d.stats }
 
-// VarsTracked and MetadataWords complete detector.Accounted. The lockset
-// baseline does not account its space: both report 0.
-func (d *Detector) VarsTracked() int   { return 0 }
-func (d *Detector) MetadataWords() int { return 0 }
+// VarsTracked implements detector.Accounted.
+func (d *Detector) VarsTracked() int { return len(d.vars) }
+
+// MetadataWords implements detector.Accounted. A variable costs four
+// words of Eraser state (its state and owner, the candidate set's
+// pointer, the reported flag and the two sites) plus one word per lock
+// in its candidate set. The per-thread held sets are synchronization
+// state and are not counted.
+func (d *Detector) MetadataWords() int {
+	w := 0
+	for _, v := range d.vars {
+		w += 4 + len(v.candidate)
+	}
+	return w
+}
 
 func (d *Detector) heldBy(t vclock.Thread) map[event.Lock]struct{} {
 	h, ok := d.held[t]

@@ -167,3 +167,20 @@ func TestStatsAndName(t *testing.T) {
 		t.Error("counters wrong")
 	}
 }
+
+func TestMetadataWordsCountsCandidateLocks(t *testing.T) {
+	// Variable 7 is shared under lock 1, so its candidate set is {1};
+	// variable 8 stays exclusive, with no candidate set.
+	b := dtest.NewTB().
+		Acq(0, 1).Write(0, 7).Rel(0, 1).
+		Acq(1, 1).Write(1, 7).Rel(1, 1).
+		Write(0, 8)
+	d := lockset.New(nil)
+	detector.Replay(d, b.Trace)
+	if got := d.VarsTracked(); got != 2 {
+		t.Fatalf("VarsTracked = %d, want 2", got)
+	}
+	if got, want := d.MetadataWords(), (4+1)+4; got != want {
+		t.Fatalf("MetadataWords = %d, want %d", got, want)
+	}
+}
