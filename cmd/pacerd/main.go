@@ -4,12 +4,12 @@
 // fleet-wide triage list.
 //
 // Instances run a fleet.Reporter pointed at this daemon. Pushes flow
-// through the production ingest pipeline (internal/ingest):
+// through the ingest pipeline (internal/ingest):
 //
-//	authenticate → decode → rate-limit → load-shed → merge
+//	authenticate → decode → rate-limit → shed(merge)
 //
-// with a retry-wrapped, circuit-breaker-guarded merge into sharded,
-// memory-bounded per-instance state. pacerd serves:
+// where the merge applies each push to sharded, memory-bounded
+// per-instance state. pacerd serves:
 //
 //	POST /v1/push  — accept one gzip JSON snapshot, cumulative (v1) or
 //	                 delta (v2; see docs/fleet.md). Acks advertise delta
@@ -86,10 +86,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 256,
 		"pushes waiting for a merge worker before load-shedding with 503")
 	mergeWorkers := flag.Int("merge-workers", 4, "merge worker-pool size")
-	breakerFailures := flag.Int("breaker-failures", 5,
-		"consecutive merge failures that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second,
-		"how long the opened breaker fails fast before probing the merge again")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: pacerd [-listen addr] [-state-dir dir] [flags]; see pacerd -h\n")
@@ -111,8 +107,6 @@ func main() {
 		PushBurst:            *pushBurst,
 		QueueDepth:           *queueDepth,
 		MergeWorkers:         *mergeWorkers,
-		BreakerThreshold:     *breakerFailures,
-		BreakerCooldown:      *breakerCooldown,
 		StateDir:             *stateDir,
 		SnapshotInterval:     *snapshotInterval,
 		OnError:              func(err error) { log.Printf("background: %v", err) },

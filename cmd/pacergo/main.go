@@ -31,7 +31,9 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 func main() {
@@ -63,23 +65,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Which arguments name packages? `go run` takes exactly one package
-	// followed by program arguments; test and build take flags and
-	// patterns in any order (use flag=value forms so patterns are
-	// recognizable).
-	var patterns []string
-	if sub == "run" {
-		patterns = []string{rest[0]}
-	} else {
-		for _, a := range rest {
-			if len(a) > 0 && a[0] != '-' {
-				patterns = append(patterns, a)
-			}
+	patterns, end := packageArgs(sub, rest)
+	if len(patterns) == 0 {
+		if sub == "run" {
+			fs.Usage()
+			os.Exit(2)
 		}
-		if len(patterns) == 0 {
-			patterns = []string{"."}
-			rest = append(rest, ".")
-		}
+		patterns = []string{"."}
+		rest = slices.Insert(rest, end, ".")
 	}
 
 	overlay, tmpDir, err := instrumentPackages(patterns, sub == "test", *verbose)
@@ -117,6 +110,54 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pacergo: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// valueFlags are the go build and go test flags (Go 1.24: `go help
+// build`, `go help testflag`) whose value may follow as the next
+// argument instead of after '='.
+var valueFlags = map[string]bool{
+	// go build, shared by run and test.
+	"C": true, "p": true, "o": true, "asmflags": true, "buildmode": true,
+	"compiler": true, "covermode": true, "coverpkg": true,
+	"debug-actiongraph": true, "debug-runtime-trace": true, "debug-trace": true,
+	"exec": true, "gccgoflags": true, "gcflags": true, "installsuffix": true,
+	"ldflags": true, "mod": true, "modfile": true, "overlay": true, "pgo": true,
+	"pkgdir": true, "tags": true, "toolexec": true,
+	// go test.
+	"bench": true, "benchtime": true, "blockprofile": true,
+	"blockprofilerate": true, "count": true, "coverprofile": true, "cpu": true,
+	"cpuprofile": true, "fuzz": true, "fuzzminimizetime": true, "fuzztime": true,
+	"list": true, "memprofile": true, "memprofilerate": true,
+	"mutexprofile": true, "mutexprofilefraction": true, "outputdir": true,
+	"parallel": true, "run": true, "shuffle": true, "skip": true,
+	"timeout": true, "trace": true, "vet": true,
+}
+
+// packageArgs picks the package arguments out of a go run, test or build
+// command line, parsing flags the way the go command does: a flag in
+// valueFlags written without '=' consumes the next argument. `go run`
+// takes one package, and what follows it belongs to the program; for
+// test and build every other argument up to -args is a pattern. end is
+// the index where the go command stops reading patterns.
+func packageArgs(sub string, args []string) (patterns []string, end int) {
+	for i := 0; i < len(args); i++ {
+		a := args[i]
+		if sub == "test" && (a == "-args" || a == "--args") {
+			return patterns, i
+		}
+		if strings.HasPrefix(a, "-") {
+			name := strings.TrimPrefix(strings.TrimLeft(a, "-"), "test.")
+			if !strings.Contains(name, "=") && valueFlags[name] {
+				i++
+			}
+			continue
+		}
+		patterns = append(patterns, a)
+		if sub == "run" {
+			break
+		}
+	}
+	return patterns, len(args)
 }
 
 // childEnv builds the child process environment: the inherited

@@ -403,13 +403,11 @@ func (in *instrumenter) readHooks(e ast.Expr, out *[]ast.Stmt) {
 		for _, a := range x.Args {
 			in.readHooks(a, out)
 		}
-		// A value-receiver method call copies — reads — its receiver; a
-		// pointer-receiver call only takes the address, which is not a
-		// read (hooking it could report a race the program cannot have).
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-			if in.valueReceiverCall(sel) {
-				in.readHooks(sel.X, out)
-			}
+		// A method call reads its operand unless it only takes the
+		// operand's address (hooking that could report a race the
+		// program cannot have).
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && in.readsReceiver(sel) {
+			in.readHooks(sel.X, out)
 		}
 	case *ast.SelectorExpr:
 		// A pointer-receiver method value of a non-pointer operand only
@@ -836,10 +834,8 @@ func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 	for _, a := range call.Args {
 		in.readHooks(a, &setup)
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if in.valueReceiverCall(sel) {
-			in.readHooks(sel.X, &setup)
-		}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && in.readsReceiver(sel) {
+		in.readHooks(sel.X, &setup)
 	}
 
 	gname := in.temp("g")
@@ -1141,6 +1137,15 @@ func (in *instrumenter) valueReceiverCall(sel *ast.SelectorExpr) bool {
 	}
 	_, ptr := sig.Recv().Type().(*types.Pointer)
 	return !ptr
+}
+
+// readsReceiver reports whether calling the method sel evaluates — reads
+// — its operand: a value receiver copies it, and a pointer receiver of a
+// pointer operand loads that pointer. Only a pointer-receiver method of
+// a non-pointer operand takes &sel.X without reading it.
+func (in *instrumenter) readsReceiver(sel *ast.SelectorExpr) bool {
+	s, ok := in.info.Selections[sel]
+	return ok && s.Kind() == types.MethodVal && !in.implicitAddr(sel)
 }
 
 // implicitAddr reports whether sel selects a pointer-receiver method of a

@@ -241,6 +241,30 @@ func use() int {
 	return f()
 }
 `,
+	"pointer-receiver call on pointer": `package p
+
+type T struct{ n int }
+
+func (t *T) Get() int { return t.n }
+
+var shared *T
+
+func use() int {
+	return shared.Get()
+}
+`,
+	"pointer-receiver call on value": `package p
+
+type T struct{ n int }
+
+func (t *T) Get() int { return t.n }
+
+var shared T
+
+func use() int {
+	return shared.Get()
+}
+`,
 	"generic instantiation": `package p
 
 type G[E any] struct{ v E }
@@ -269,12 +293,15 @@ func use() int {
 `,
 }
 
-// typeExprSharedRead says, for the method-value rows of typeExprSources,
-// whether use() reads shared: a value receiver copies it, while a pointer
-// receiver only takes its address.
+// typeExprSharedRead says, for the method rows of typeExprSources,
+// whether use() reads shared: a value receiver copies it and a pointer
+// operand is loaded, while a pointer receiver of a value only takes its
+// address.
 var typeExprSharedRead = map[string]bool{
-	"method value":                   false,
-	"method value on value receiver": true,
+	"method value":                     false,
+	"method value on value receiver":   true,
+	"pointer-receiver call on pointer": true,
+	"pointer-receiver call on value":   false,
 }
 
 // TestRewriteTypeExprs: types in expression position are left alone, and

@@ -63,15 +63,6 @@ type ReporterOptions struct {
 	// runs with (pacerd -auth-token). A mismatch surfaces through OnError
 	// as a 401 on every push attempt.
 	AuthToken string
-	// DisableDelta pins the reporter to version-1 cumulative snapshots
-	// even against a delta-capable collector. By default the reporter
-	// starts cumulative and switches to delta pushes — only the triage
-	// entries changed since the last queued snapshot — once a push ack
-	// carries the collector's ProtocolHeader; a collector that loses the
-	// delta base (restart from an older state snapshot, eviction) answers
-	// 409 and the reporter transparently resynchronizes with a full
-	// cumulative snapshot.
-	DisableDelta bool
 	// Stats, when non-nil, is sampled at every snapshot and its arena
 	// occupancy (Stats.ArenaEnabled and friends) rides along on the push,
 	// so the collector's /metrics can export per-instance arena gauges.
@@ -116,6 +107,13 @@ type ReporterStats struct {
 // It owns one background goroutine; the detection hot path never blocks
 // on it — races land in the in-memory aggregator, and a collector outage
 // costs at most QueueLen retained snapshots.
+//
+// A reporter starts with cumulative snapshots and switches to delta
+// pushes (only the triage entries changed since the last queued
+// snapshot) once a push ack carries the collector's ProtocolHeader. A
+// collector that loses the delta base (restart from an older state
+// snapshot, eviction) answers 409, and the reporter resynchronizes with
+// a full cumulative snapshot.
 type Reporter struct {
 	agg    *pacer.Aggregator
 	opts   ReporterOptions
@@ -342,13 +340,10 @@ func (r *Reporter) snapshot() {
 			}
 		}
 	}
-	var entries map[TriageKey]TriageEntry
-	if !r.opts.DisableDelta {
-		// Materialize our own export so the next snapshot can diff against
-		// it. A parse failure (impossible for our own MarshalJSON output)
-		// just degrades this snapshot to cumulative framing.
-		entries, _ = ParseTriage(races)
-	}
+	// Materialize our own export so the next snapshot can diff against
+	// it. A parse failure (impossible for our own MarshalJSON output)
+	// just degrades this snapshot to cumulative framing.
+	entries, _ := ParseTriage(races)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stats.Snapshots++
@@ -388,7 +383,7 @@ func (r *Reporter) snapshot() {
 	}
 	r.seq++
 	ver := SchemaVersion
-	if r.deltaOK && !r.opts.DisableDelta {
+	if r.deltaOK {
 		ver = SchemaVersionDelta
 	}
 	p := &Push{
@@ -505,7 +500,7 @@ func (r *Reporter) push(ctx context.Context, p *Push) error {
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return fmt.Errorf("fleet: push seq %d: collector said %s", p.Seq, resp.Status)
 	}
-	if v := resp.Header.Get(ProtocolHeader); v != "" && !r.opts.DisableDelta {
+	if v := resp.Header.Get(ProtocolHeader); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n >= SchemaVersionDelta {
 			r.mu.Lock()
 			r.deltaOK = true

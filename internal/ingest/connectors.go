@@ -5,182 +5,10 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Connectors wrap stages uniformly: each is itself a Stage, so a
-// retried, breaker-guarded merge composes as
-// Queue(Breaker(Retry(Merge))) and slots into the pipeline like any
-// plain stage. The shapes follow the classic resilience connectors
-// (retry-with-backoff, circuit breaker, bounded-concurrency shed);
-// each keeps its own counters for /metrics.
-
-// Retry re-runs its inner stage on transient errors with exponential
-// backoff. It only makes sense around idempotent stages — the merge is
-// idempotent by the protocol's construction (replayed snapshots and
-// deltas are absorbed or acknowledged as stale), and snapshot writes
-// replace whole files.
-type Retry struct {
-	next     Stage
-	attempts int
-	base     time.Duration
-
-	retries atomic.Uint64
-}
-
-// NewRetry wraps next with up to attempts total tries, sleeping
-// base<<try (honoring ctx) between them.
-func NewRetry(next Stage, attempts int, base time.Duration) *Retry {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	return &Retry{next: next, attempts: attempts, base: base}
-}
-
-func (r *Retry) Name() string { return "retry(" + r.next.Name() + ")" }
-
-// Retries counts re-attempts (not first tries).
-func (r *Retry) Retries() uint64 { return r.retries.Load() }
-
-func (r *Retry) Process(ctx context.Context, req *Request) error {
-	backoff := r.base
-	var err error
-	for try := 0; try < r.attempts; try++ {
-		if try > 0 {
-			r.retries.Add(1)
-			select {
-			case <-ctx.Done():
-				return &StatusError{Status: http.StatusServiceUnavailable, Transient: true, Err: ctx.Err()}
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		if err = r.next.Process(ctx, req); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// Breaker states.
-const (
-	breakerClosed = iota
-	breakerHalfOpen
-	breakerOpen
-)
-
-// Breaker is a circuit breaker around its inner stage: after Threshold
-// consecutive server-side failures it opens and fails every request
-// fast (503, counted in pacer_ingest_breaker_open_total) for Cooldown,
-// then lets a single probe through; the probe's success closes the
-// circuit, its failure re-opens it. Client errors (4xx — bad pushes,
-// stale deltas) never trip it: the breaker protects against a sick
-// state layer, not a misbehaving reporter.
-type Breaker struct {
-	next      Stage
-	threshold int
-	cooldown  time.Duration
-	clock     func() time.Time
-
-	mu       sync.Mutex
-	state    int
-	failures int
-	openedAt time.Time
-	probing  bool
-
-	opens     atomic.Uint64 // closed/half-open -> open transitions
-	fastFails atomic.Uint64 // requests rejected while open
-}
-
-// NewBreaker wraps next. threshold <= 0 means 5 consecutive failures;
-// cooldown <= 0 means 10s; clock nil means time.Now (tests inject a
-// fake to drive the open -> half-open transition deterministically).
-func NewBreaker(next Stage, threshold int, cooldown time.Duration, clock func() time.Time) *Breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 10 * time.Second
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Breaker{next: next, threshold: threshold, cooldown: cooldown, clock: clock}
-}
-
-func (b *Breaker) Name() string { return "breaker(" + b.next.Name() + ")" }
-
-// Opens counts transitions into the open state.
-func (b *Breaker) Opens() uint64 { return b.opens.Load() }
-
-// FastFails counts requests rejected without reaching the inner stage.
-func (b *Breaker) FastFails() uint64 { return b.fastFails.Load() }
-
-// State returns 0 (closed), 1 (half-open), or 2 (open) for /metrics.
-func (b *Breaker) State() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerOpen && b.clock().Sub(b.openedAt) >= b.cooldown {
-		return breakerHalfOpen
-	}
-	return b.state
-}
-
-func (b *Breaker) Process(ctx context.Context, req *Request) error {
-	b.mu.Lock()
-	switch b.state {
-	case breakerOpen:
-		if b.clock().Sub(b.openedAt) < b.cooldown {
-			b.mu.Unlock()
-			b.fastFails.Add(1)
-			return &StatusError{Status: http.StatusServiceUnavailable, Transient: false,
-				Err: errBreakerOpen}
-		}
-		b.state = breakerHalfOpen
-		fallthrough
-	case breakerHalfOpen:
-		if b.probing {
-			// One probe at a time; everyone else still fails fast.
-			b.mu.Unlock()
-			b.fastFails.Add(1)
-			return &StatusError{Status: http.StatusServiceUnavailable, Transient: false,
-				Err: errBreakerOpen}
-		}
-		b.probing = true
-	}
-	b.mu.Unlock()
-
-	err := b.next.Process(ctx, req)
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if err != nil && isServerFault(err) {
-		b.failures++
-		if b.state == breakerHalfOpen || b.failures >= b.threshold {
-			if b.state != breakerOpen {
-				b.opens.Add(1)
-			}
-			b.state = breakerOpen
-			b.openedAt = b.clock()
-			b.failures = 0
-		}
-		return err
-	}
-	// Success — and client-side rejections count as the state layer
-	// working correctly.
-	b.failures = 0
-	b.state = breakerClosed
-	return err
-}
-
-var errBreakerOpen = Errf(http.StatusServiceUnavailable, "ingest: circuit breaker open").Err
-
-// Queue is the load-shed connector: a bounded queue drained by a fixed
-// worker pool. A push arriving at a full queue is shed immediately
+// Queue is the load-shed stage that wraps the merge: a bounded queue
+// drained by a fixed worker pool. A push arriving at a full queue is shed immediately
 // (503, counted) instead of piling up — reporters retry with backoff,
 // so shedding under overload trades latency for bounded memory, never
 // data (cumulative snapshots and resync-healed deltas both survive a
@@ -243,8 +71,7 @@ func (q *Queue) Process(ctx context.Context, req *Request) error {
 	case q.ch <- item:
 	default:
 		q.shed.Add(1)
-		return &StatusError{Status: http.StatusServiceUnavailable, Transient: true,
-			Err: errShed}
+		return &StatusError{Status: http.StatusServiceUnavailable, Err: errShed}
 	}
 	select {
 	case err := <-item.done:
@@ -252,10 +79,9 @@ func (q *Queue) Process(ctx context.Context, req *Request) error {
 	case <-ctx.Done():
 		// The worker may still complete the merge (harmless — it is
 		// idempotent), but this caller is gone.
-		return &StatusError{Status: http.StatusServiceUnavailable, Transient: true, Err: ctx.Err()}
+		return &StatusError{Status: http.StatusServiceUnavailable, Err: ctx.Err()}
 	case <-q.stop:
-		return &StatusError{Status: http.StatusServiceUnavailable, Transient: true,
-			Err: errShuttingDown}
+		return &StatusError{Status: http.StatusServiceUnavailable, Err: errShuttingDown}
 	}
 }
 

@@ -1,22 +1,18 @@
 // Package ingest is the fleet collector: the push-ingestion tier that
-// cmd/pacerd serves, built to survive "millions of instances" (ROADMAP
-// north star) where a single-mutex, trust-everything handler cannot.
+// cmd/pacerd serves, combining many sampled instances' race reports into
+// one fleet-wide triage list (the paper's deployment story, Section 1).
 //
-// The tier is an explicit, composable pipeline mounted on /v1/push:
+// The tier is an explicit pipeline mounted on /v1/push:
 //
-//	authenticate → decode → rate-limit → load-shed → merge
+//	authenticate → decode → rate-limit → shed(merge)
 //
 // Authentication reads only headers, so an unauthenticated push is
 // rejected before its body is inflated or parsed.
 //
 // Every stage is a Stage value with its own counters (exported on
-// /metrics as pacer_ingest_*), and resilience connectors wrap stages
-// uniformly: Retry wraps transient-failure-prone stages with
-// exponential backoff, Breaker wraps the merge in a circuit breaker
-// that fails fast while the state layer is sick, and Queue bounds the
+// /metrics as pacer_ingest_*). Queue wraps the merge and bounds the
 // number of pushes in flight, shedding (503, counted) instead of
-// queueing without bound — SmartTrack's lesson that hot-path work must
-// be restructured, not just locked, applied to ingestion.
+// queueing without bound.
 //
 // Behind the pipeline, State shards the collector's per-instance triage
 // state by instance key so pushes to different instances never contend
@@ -75,12 +71,10 @@ func (s StageFunc) Name() string { return s.StageName }
 func (s StageFunc) Process(ctx context.Context, req *Request) error { return s.Fn(ctx, req) }
 
 // StatusError is a pipeline error that knows the HTTP status the
-// handler should answer with, and whether the failure is transient
-// (retry-worthy for the Retry connector, breaker-relevant for Breaker).
+// handler should answer with.
 type StatusError struct {
-	Status    int
-	Transient bool
-	Err       error
+	Status int
+	Err    error
 }
 
 func (e *StatusError) Error() string {
@@ -92,7 +86,7 @@ func (e *StatusError) Error() string {
 
 func (e *StatusError) Unwrap() error { return e.Err }
 
-// Errf builds a non-transient StatusError.
+// Errf builds a StatusError with a formatted message.
 func Errf(status int, format string, args ...any) *StatusError {
 	return &StatusError{Status: status, Err: fmt.Errorf(format, args...)}
 }
@@ -107,36 +101,15 @@ func StatusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// IsTransient reports whether err is worth retrying: a StatusError
-// flagged transient, or any error that carries no status at all
-// (unclassified internal failures).
-func IsTransient(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Transient
-	}
-	return err != nil
-}
-
-// isServerFault reports whether err should count against the circuit
-// breaker: server-side trouble (5xx or unclassified), never the
-// client's own 4xx.
-func isServerFault(err error) bool {
-	return StatusOf(err) >= 500
-}
-
 // Pipeline runs stages in order, stopping at the first error. It is the
-// spine of the ingest tier; connectors nest inside individual stages,
-// so the top-level sequence stays readable in one place.
+// spine of the ingest tier; the load-shed Queue nests the merge inside
+// itself, so the top-level sequence stays readable in one place.
 type Pipeline struct {
 	stages []Stage
 }
 
 // NewPipeline composes stages into a pipeline.
 func NewPipeline(stages ...Stage) *Pipeline { return &Pipeline{stages: stages} }
-
-// Stages exposes the composed stages (metrics enumeration).
-func (p *Pipeline) Stages() []Stage { return p.stages }
 
 // Process runs req through every stage in order.
 func (p *Pipeline) Process(ctx context.Context, req *Request) error {

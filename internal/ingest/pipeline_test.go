@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +12,8 @@ import (
 	"pacer/internal/fleet"
 )
 
-// fakeClock is a concurrency-safe manual clock for breaker, limiter,
-// and TTL tests.
+// fakeClock is a concurrency-safe manual clock for limiter and TTL
+// tests.
 type fakeClock struct{ ns atomic.Int64 }
 
 func newFakeClock() *fakeClock {
@@ -56,149 +54,7 @@ func pushFor(instance string, epoch, seq, baseSeq uint64, rows ...fleet.TriageEn
 	return p, entries
 }
 
-// flakyStage fails its first failN calls, transiently or not.
-type flakyStage struct {
-	mu        sync.Mutex
-	failLeft  int
-	transient bool
-	calls     int
-}
-
-func (f *flakyStage) Name() string { return "flaky" }
-
-func (f *flakyStage) Process(context.Context, *Request) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	if f.failLeft > 0 {
-		f.failLeft--
-		return &StatusError{Status: http.StatusInternalServerError, Transient: f.transient,
-			Err: errors.New("injected stage failure")}
-	}
-	return nil
-}
-
-func TestIngestRetryRecoversTransientFailures(t *testing.T) {
-	inner := &flakyStage{failLeft: 2, transient: true}
-	r := NewRetry(inner, 3, time.Millisecond)
-	if err := r.Process(context.Background(), &Request{}); err != nil {
-		t.Fatalf("retry should have absorbed 2 transient failures: %v", err)
-	}
-	if inner.calls != 3 {
-		t.Fatalf("inner stage ran %d times, want 3", inner.calls)
-	}
-	if r.Retries() != 2 {
-		t.Fatalf("Retries() = %d, want 2", r.Retries())
-	}
-}
-
-func TestIngestRetryDoesNotRetryPermanentErrors(t *testing.T) {
-	inner := &flakyStage{failLeft: 1, transient: false}
-	r := NewRetry(inner, 3, time.Millisecond)
-	if err := r.Process(context.Background(), &Request{}); err == nil {
-		t.Fatal("permanent error should surface")
-	}
-	if inner.calls != 1 {
-		t.Fatalf("permanent error retried: inner ran %d times", inner.calls)
-	}
-}
-
-// TestIngestBreakerOpensAndCloses is the acceptance test for the
-// circuit breaker: consecutive merge failures open it, open means
-// fast-fail without touching the inner stage, the cooldown admits a
-// single probe, and the probe's success closes it again.
-func TestIngestBreakerOpensAndCloses(t *testing.T) {
-	clock := newFakeClock()
-	inner := &flakyStage{failLeft: 3, transient: false}
-	b := NewBreaker(inner, 3, 10*time.Second, clock.Now)
-	ctx := context.Background()
-
-	// Three consecutive failures: all reach the inner stage, the third
-	// opens the circuit.
-	for i := 0; i < 3; i++ {
-		if err := b.Process(ctx, &Request{}); err == nil {
-			t.Fatalf("failure %d should surface", i)
-		}
-	}
-	if got := b.State(); got != breakerOpen {
-		t.Fatalf("after %d failures breaker state = %d, want open", 3, got)
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("Opens() = %d, want 1", b.Opens())
-	}
-
-	// While open: fast-fail with 503, inner never called.
-	callsBefore := inner.calls
-	for i := 0; i < 5; i++ {
-		err := b.Process(ctx, &Request{})
-		if StatusOf(err) != http.StatusServiceUnavailable {
-			t.Fatalf("open breaker answered %d, want 503", StatusOf(err))
-		}
-	}
-	if inner.calls != callsBefore {
-		t.Fatalf("open breaker still called the inner stage (%d -> %d)", callsBefore, inner.calls)
-	}
-	if b.FastFails() != 5 {
-		t.Fatalf("FastFails() = %d, want 5", b.FastFails())
-	}
-
-	// After the cooldown the next request probes the inner stage (now
-	// healthy) and the circuit closes.
-	clock.Advance(11 * time.Second)
-	if got := b.State(); got != breakerHalfOpen {
-		t.Fatalf("post-cooldown state = %d, want half-open", got)
-	}
-	if err := b.Process(ctx, &Request{}); err != nil {
-		t.Fatalf("probe should succeed: %v", err)
-	}
-	if got := b.State(); got != breakerClosed {
-		t.Fatalf("after successful probe state = %d, want closed", got)
-	}
-	if err := b.Process(ctx, &Request{}); err != nil {
-		t.Fatalf("closed breaker should pass requests: %v", err)
-	}
-}
-
-// TestIngestBreakerReopensOnFailedProbe pins the half-open -> open
-// transition: a failing probe re-opens immediately, without needing
-// Threshold fresh failures.
-func TestIngestBreakerReopensOnFailedProbe(t *testing.T) {
-	clock := newFakeClock()
-	inner := &flakyStage{failLeft: 4, transient: false}
-	b := NewBreaker(inner, 3, 10*time.Second, clock.Now)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		b.Process(ctx, &Request{})
-	}
-	clock.Advance(11 * time.Second)
-	if err := b.Process(ctx, &Request{}); err == nil {
-		t.Fatal("probe should have failed")
-	}
-	if got := b.State(); got != breakerOpen {
-		t.Fatalf("after failed probe state = %d, want open", got)
-	}
-	if b.Opens() != 2 {
-		t.Fatalf("Opens() = %d, want 2", b.Opens())
-	}
-}
-
-// TestIngestBreakerIgnoresClientErrors: 4xx outcomes (bad pushes, stale
-// deltas) are the state layer working, not failing — they must never
-// trip the breaker.
-func TestIngestBreakerIgnoresClientErrors(t *testing.T) {
-	bad := StageFunc{StageName: "reject", Fn: func(context.Context, *Request) error {
-		return Errf(http.StatusBadRequest, "client error")
-	}}
-	b := NewBreaker(bad, 2, time.Second, nil)
-	for i := 0; i < 10; i++ {
-		b.Process(context.Background(), &Request{})
-	}
-	if got := b.State(); got != breakerClosed {
-		t.Fatalf("client errors tripped the breaker (state %d)", got)
-	}
-}
-
-// TestIngestQueueSheds drives the load-shed connector to its bound:
+// TestIngestQueueSheds drives the load-shed stage to its bound:
 // with every worker blocked and the queue full, the next push is shed
 // immediately (503, counted); unblocking drains everything.
 func TestIngestQueueSheds(t *testing.T) {

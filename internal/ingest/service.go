@@ -28,22 +28,11 @@ type Options struct {
 	// (pushes per second, burst capacity). PushRate <= 0 disables rate
 	// limiting.
 	PushRate, PushBurst float64
-	// RateLimitMaxBuckets bounds the limiter's bucket map. Default 65536.
-	RateLimitMaxBuckets int
 	// QueueDepth bounds pushes waiting for a merge worker; beyond it
 	// pushes are shed with 503. Default 256.
 	QueueDepth int
 	// MergeWorkers is the merge worker-pool size. Default 4.
 	MergeWorkers int
-	// MergeRetries is the total attempt budget for a transiently failing
-	// merge. Default 3.
-	MergeRetries int
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// merge circuit breaker. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before probing.
-	// Default 10s.
-	BreakerCooldown time.Duration
 	// StateDir, when non-empty, enables snapshot/restore: the state is
 	// restored from StateDir on New and persisted there periodically and
 	// on Close (atomic rename, versioned format).
@@ -65,14 +54,12 @@ type Service struct {
 	opts  Options
 	state *State
 
-	pipe    *Pipeline
-	decode  *Decode
-	auth    *Auth
-	limit   *RateLimit
-	queue   *Queue
-	breaker *Breaker
-	retry   *Retry
-	merge   *Merge
+	pipe   *Pipeline
+	decode *Decode
+	auth   *Auth
+	limit  *RateLimit
+	queue  *Queue
+	merge  *Merge
 
 	snapshots    atomic.Uint64
 	snapshotErrs atomic.Uint64
@@ -122,14 +109,9 @@ func New(opts Options) (*Service, error) {
 
 	s.decode = &Decode{MaxDecompressed: opts.MaxDecompressedBytes}
 	s.auth = &Auth{Token: opts.AuthToken}
-	s.limit = &RateLimit{
-		Rate: opts.PushRate, Burst: opts.PushBurst,
-		MaxBuckets: opts.RateLimitMaxBuckets, Clock: opts.Clock,
-	}
+	s.limit = &RateLimit{Rate: opts.PushRate, Burst: opts.PushBurst, Clock: opts.Clock}
 	s.merge = &Merge{State: s.state}
-	s.retry = NewRetry(s.merge, opts.MergeRetries, 2*time.Millisecond)
-	s.breaker = NewBreaker(s.retry, opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock)
-	s.queue = NewQueue(s.breaker, opts.QueueDepth, opts.MergeWorkers)
+	s.queue = NewQueue(s.merge, opts.QueueDepth, opts.MergeWorkers)
 	s.pipe = NewPipeline(s.auth, s.decode, s.limit, s.queue)
 
 	go s.snapshotLoop()
@@ -138,15 +120,6 @@ func New(opts Options) (*Service, error) {
 
 // State exposes the sharded state (tests, load harness).
 func (s *Service) State() *State { return s.state }
-
-// Pipeline exposes the composed pipeline (tests).
-func (s *Service) Pipeline() *Pipeline { return s.pipe }
-
-// Breaker exposes the merge circuit breaker (tests, metrics).
-func (s *Service) Breaker() *Breaker { return s.breaker }
-
-// Queue exposes the load-shed queue (tests, metrics).
-func (s *Service) Queue() *Queue { return s.queue }
 
 // snapshotLoop persists the state every SnapshotInterval. The final
 // snapshot on Close makes a clean shutdown independent of this timer.
@@ -208,7 +181,7 @@ func (s *Service) Close() error {
 // Handler returns the service's HTTP surface:
 //
 //	POST /v1/push  — the ingest pipeline (auth → decode → rate-limit →
-//	                 shed → merge), acks carrying ProtocolHeader
+//	                 shed(merge)), acks carrying ProtocolHeader
 //	GET  /races    — the merged fleet-wide triage list as JSON
 //	GET  /healthz  — liveness
 //	GET  /metrics  — Prometheus text metrics (pacer_ingest_* pipeline
@@ -309,14 +282,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Pushes acknowledged without effect (sequence not newer).", s.merge.Stale())
 	counter("pacer_ingest_resyncs_total",
 		"Delta pushes rejected for a missing base (409; reporter resyncs).", s.merge.Resyncs())
-	counter("pacer_ingest_merge_retries_total",
-		"Merge re-attempts after transient failures.", s.retry.Retries())
-	counter("pacer_ingest_breaker_open_total",
-		"Pushes fast-failed while the merge circuit breaker was open.", s.breaker.FastFails())
-	counter("pacer_ingest_breaker_opens_total",
-		"Circuit breaker transitions into the open state.", s.breaker.Opens())
-	gauge("pacer_ingest_breaker_state",
-		"Merge circuit breaker state: 0 closed, 1 half-open, 2 open.", int64(s.breaker.State()))
 
 	// The sharded state and its bounds.
 	gauge("pacer_ingest_state_bytes",

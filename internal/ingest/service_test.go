@@ -102,70 +102,70 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestIngestV1V2Compat is the wire-compat acceptance test: an old-style
-// cumulative (v1) reporter and a delta-capable (v2) reporter feed the
-// same collector, and the merged /races view is byte-identical to an
-// in-process aggregator over the same races.
+// client posting cumulative (v1) pushes and a delta-capable (v2)
+// reporter feed the same collector, and the merged /races view is
+// byte-identical to an in-process aggregator over the same races.
 func TestIngestV1V2Compat(t *testing.T) {
 	_, srv := newTestService(t, Options{})
 
 	aggOld := pacer.NewAggregator()
 	aggNew := pacer.NewAggregator()
-	newRep := func(agg *pacer.Aggregator, instance string, disableDelta bool) *fleet.Reporter {
-		r, err := fleet.NewReporter(agg, fleet.ReporterOptions{
-			Collector:    srv.URL,
-			Instance:     instance,
-			Interval:     time.Hour, // driven by Flush
-			Timeout:      5 * time.Second,
-			MinBackoff:   5 * time.Millisecond,
-			DisableDelta: disableDelta,
-			Seed:         1,
-		})
+	fresh, err := fleet.NewReporter(aggNew, fleet.ReporterOptions{
+		Collector:  srv.URL,
+		Instance:   "inst-new",
+		Interval:   time.Hour, // driven by Flush
+		Timeout:    5 * time.Second,
+		MinBackoff: 5 * time.Millisecond,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The old-style client knows nothing of epochs, deltas or the
+	// ProtocolHeader: every push is the whole cumulative list, framed v1.
+	pushOld := func(seq uint64) {
+		races, err := aggOld.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		p := &fleet.Push{Version: fleet.SchemaVersion, Instance: "inst-old", Seq: seq, Races: races}
+		if resp := postPush(t, srv.URL, p); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("v1 push seq %d answered %s, want 204", seq, resp.Status)
+		}
 	}
-	old := newRep(aggOld, "inst-old", true)
-	fresh := newRep(aggNew, "inst-new", false)
-
-	push := func(r *fleet.Reporter, want uint64) {
-		r.Flush()
-		waitFor(t, "push ack", func() bool { return r.Stats().Pushes >= want })
+	pushNew := func(want uint64) {
+		fresh.Flush()
+		waitFor(t, "push ack", func() bool { return fresh.Stats().Pushes >= want })
 	}
 
-	// Round 1: both reporters push full snapshots; the ack teaches the
-	// delta-capable one that this collector speaks v2.
+	// Round 1: both clients push full snapshots; the ack teaches the
+	// delta-capable reporter that this collector speaks v2.
 	for i := 0; i < 4; i++ {
 		aggOld.Reporter("inst-old")(pacer.Race{Var: pacer.VarID(i), Kind: pacer.WriteWrite,
 			FirstSite: pacer.SiteID(100 + 2*i), SecondSite: pacer.SiteID(101 + 2*i)})
 		aggNew.Reporter("inst-new")(pacer.Race{Var: pacer.VarID(1000 + i), Kind: pacer.WriteRead,
 			FirstSite: pacer.SiteID(500 + 2*i), SecondSite: pacer.SiteID(501 + 2*i)})
 	}
-	push(old, 1)
-	push(fresh, 1)
+	pushOld(1)
+	pushNew(1)
 
 	// Rounds 2..4: growth on both sides; the v2 reporter now ships
-	// deltas, the v1 reporter keeps shipping cumulative snapshots.
+	// deltas, the v1 client keeps shipping cumulative snapshots.
 	for round := 2; round <= 4; round++ {
 		aggOld.Reporter("inst-old")(pacer.Race{Var: 0, Kind: pacer.WriteWrite, FirstSite: 100, SecondSite: 101})
 		aggNew.Reporter("inst-new")(pacer.Race{Var: pacer.VarID(1000 + 10*round), Kind: pacer.ReadWrite,
 			FirstSite: pacer.SiteID(700 + 2*round), SecondSite: pacer.SiteID(701 + 2*round)})
-		push(old, uint64(round))
-		push(fresh, uint64(round))
+		pushOld(uint64(round))
+		pushNew(uint64(round))
 	}
 
 	if st := fresh.Stats(); st.DeltaPushes == 0 {
 		t.Fatalf("delta-capable reporter never sent a delta: %+v", st)
 	}
-	if st := old.Stats(); st.DeltaPushes != 0 {
-		t.Fatalf("v1-pinned reporter sent deltas: %+v", st)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := old.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if err := fresh.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +347,8 @@ func TestIngestServiceMetrics(t *testing.T) {
 		"pacer_ingest_ratelimited_total 0",
 		"pacer_ingest_shed_total 0",
 		"pacer_ingest_merged_total 1",
-		"pacer_ingest_breaker_open_total 0",
 		// Pipeline health around it.
 		"pacer_ingest_decode_errors_total 1",
-		"pacer_ingest_breaker_state 0",
 		"pacer_ingest_state_bytes",
 		"pacer_ingest_evicted_instances_total 0",
 		// Continuity with the original collector's dashboard names.
