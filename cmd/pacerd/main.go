@@ -84,8 +84,9 @@ func main() {
 	pushBurst := flag.Float64("push-burst", 0,
 		"per-instance push burst capacity (0 = 2x push-rate)")
 	queueDepth := flag.Int("queue-depth", 256,
-		"pushes waiting for a merge worker before load-shedding with 503")
-	mergeWorkers := flag.Int("merge-workers", 4, "merge worker-pool size")
+		"pushes waiting to merge before load-shedding with 503")
+	mergeWorkers := flag.Int("merge-workers", 4,
+		"merges run at once, each on its push's handler goroutine")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: pacerd [-listen addr] [-state-dir dir] [flags]; see pacerd -h\n")
@@ -156,7 +157,7 @@ func main() {
 			svc.Close() // still try to persist what we hold
 			os.Exit(1)
 		}
-		// The listener is drained; stop the merge workers and write the
+		// The listener is drained; finish the merges and write the
 		// final state snapshot so the successor boots from exactly here.
 		if err := svc.Close(); err != nil {
 			log.Printf("final state snapshot: %v", err)

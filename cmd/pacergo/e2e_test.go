@@ -213,6 +213,39 @@ func TestProgramsMatchOracleLabels(t *testing.T) {
 	}
 }
 
+// TestEvalOnceMatchesPlain builds each program of a corpus plain and
+// under `pacergo run` at rate 1, and requires the same stdout: the
+// instrumentation must not change what a program computes. The corpus is
+// testdata/evalonce, whose address expressions hold calls and receives
+// (a hook that copied one would run it twice), and the testdata/programs
+// whose output is deterministic, the norace_ main packages.
+func TestEvalOnceMatchesPlain(t *testing.T) {
+	pkgs := []string{"./testdata/evalonce/calls", "./testdata/evalonce/shapes"}
+	progs, err := filepath.Glob(filepath.Join(repoRoot, "testdata", "programs", "norace_*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range progs {
+		if tests, _ := filepath.Glob(filepath.Join(dir, "*_test.go")); len(tests) == 0 {
+			pkgs = append(pkgs, "./testdata/programs/"+filepath.Base(dir))
+		}
+	}
+	for _, pkg := range pkgs {
+		t.Run(filepath.Base(pkg), func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command("go", "run", pkg)
+			cmd.Dir = repoRoot
+			plain, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("go run %s: %v", pkg, err)
+			}
+			if _, instrumented := frontDoor(t, "run", 1, pkg); instrumented != string(plain) {
+				t.Errorf("pacergo run %s printed\n%s\nwant, as go run prints,\n%s", pkg, instrumented, plain)
+			}
+		})
+	}
+}
+
 // TestSamplingProportional measures PACER's headline property through
 // the front door: build race_plain (exactly one dynamic racy pair per
 // execution) once, run it many times at rate 0.25 with distinct seeds,

@@ -206,6 +206,10 @@ func instrumentPackages(patterns []string, tests, verbose bool) (overlayPath, tm
 				fmt.Fprintf(os.Stderr, "pacergo: instrumented %s\n", files[i])
 			}
 		}
+		if verbose && in.unhooked > 0 {
+			fmt.Fprintf(os.Stderr, "pacergo: %s: %d accesses left unhooked (address holds a call or a receive)\n",
+				entry.ImportPath, in.unhooked)
+		}
 		if verbose && len(skipped) > 0 {
 			fmt.Fprintf(os.Stderr, "pacergo: passed through uninstrumented: %s\n",
 				strings.Join(skipped, ", "))

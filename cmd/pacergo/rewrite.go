@@ -20,6 +20,11 @@ package main
 //   - expressions that the statement may not evaluate (the right side of
 //     && and ||) get no hooks: a hook must never evaluate — and possibly
 //     panic on — an expression the program would have skipped.
+//   - a hook copies the address expression of its access, so an address
+//     holding a call or a receive is never hooked: the copy would run the
+//     call or the receive a second time. The access is left unhooked
+//     (and counted) while the reads that evaluating its address performs
+//     are still hooked.
 
 import (
 	"fmt"
@@ -67,6 +72,10 @@ type instrumenter struct {
 	// slotUsed records that the function body being rewritten emitted a
 	// hook taking its identity slot, so the body must declare one.
 	slotUsed bool
+
+	// unhooked counts accesses left unhooked because their address
+	// expression holds a call or a receive (see effectful).
+	unhooked int
 }
 
 // --- site interning ---
@@ -367,6 +376,69 @@ func (in *instrumenter) addressable(e ast.Expr) bool {
 	return false
 }
 
+// effectful reports whether evaluating e can do more than read memory:
+// it holds a call other than len, cap or a conversion, or a receive. A
+// hook copying e would run that call or receive a second time.
+func (in *instrumenter) effectful(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // its body runs only if something calls it
+		case *ast.UnaryExpr:
+			found = found || x.Op == token.ARROW
+		case *ast.CallExpr:
+			found = found || !in.pureCall(x)
+		}
+		return !found
+	})
+	return found
+}
+
+// pureCall reports whether call is a conversion or a call of the len or
+// cap builtin.
+func (in *instrumenter) pureCall(call *ast.CallExpr) bool {
+	if in.info.Types[call.Fun].IsType() {
+		return true
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, okb := in.objOf(id).(*types.Builtin); okb {
+			return b.Name() == "len" || b.Name() == "cap"
+		}
+	}
+	return false
+}
+
+// addressReads appends R hooks for the reads that evaluating the address
+// lv performs, for an access left unhooked: a pointer or slice header
+// loaded on the way, and the indices and call operands. The array or
+// struct variable that holds the access is not read as a whole, so it
+// gets no hook.
+func (in *instrumenter) addressReads(lv ast.Expr, out *[]ast.Stmt) {
+	switch x := lv.(type) {
+	case *ast.ParenExpr:
+		in.addressReads(x.X, out)
+	case *ast.Ident:
+	case *ast.SelectorExpr:
+		if in.indirect(x.X) {
+			in.readHooks(x.X, out)
+		} else {
+			in.addressReads(x.X, out)
+		}
+	case *ast.IndexExpr:
+		if in.indirect(x.X) {
+			in.readHooks(x.X, out)
+		} else {
+			in.addressReads(x.X, out)
+		}
+		in.readHooks(x.Index, out)
+	case *ast.StarExpr:
+		in.readHooks(x.X, out)
+	default:
+		in.readHooks(lv, out)
+	}
+}
+
 // --- read collection ---
 
 // readHooks appends R hooks for every hookable read in e that the
@@ -376,9 +448,18 @@ func (in *instrumenter) readHooks(e ast.Expr, out *[]ast.Stmt) {
 		return
 	}
 	if lv, t, ok := in.target(e); ok && in.addressable(lv) {
+		ix, isIndex := e.(*ast.IndexExpr)
+		if in.effectful(lv) {
+			in.unhooked++
+			in.addressReads(lv, out)
+			if isIndex && lv != e {
+				in.readHooks(ix.Index, out) // a map key
+			}
+			return
+		}
 		*out = append(*out, in.accessHook("R", lv, t, e.Pos()))
 		// The index of an element access is itself evaluated.
-		if ix, oki := e.(*ast.IndexExpr); oki {
+		if isIndex {
 			in.readHooks(ix.Index, out)
 		}
 		return
@@ -448,10 +529,15 @@ func (in *instrumenter) readHooks(e ast.Expr, out *[]ast.Stmt) {
 	}
 }
 
-// writeHook returns the W hook for lv, or nil when it is not hookable.
+// writeHook returns the W hook for lv, or nil when it is not hookable
+// or its address is effectful.
 func (in *instrumenter) writeHook(e ast.Expr) ast.Stmt {
 	lv, t, ok := in.target(e)
 	if !ok || !in.addressable(lv) {
+		return nil
+	}
+	if in.effectful(lv) {
+		in.unhooked++
 		return nil
 	}
 	return in.accessHook("W", lv, t, e.Pos())

@@ -56,14 +56,45 @@ func instrument(src string) (string, bool, error) {
 }
 
 // typeCheck parses and type-checks one file of package p, imports
-// included.
+// included. On instrumented output it also fails when an R or W hook
+// copies an address expression holding a call or a receive, which the
+// hook would run a second time.
 func typeCheck(src string) error {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
 	if err != nil {
 		return err
 	}
-	_, err = (&types.Config{Importer: exportImporter(), Sizes: types.SizesFor("gc", "amd64")}).Check("p", fset, []*ast.File{f}, nil)
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	if _, err = (&types.Config{Importer: exportImporter(), Sizes: types.SizesFor("gc", "amd64")}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		return err
+	}
+	in := &instrumenter{info: info}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if err != nil {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 2 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "R" && sel.Sel.Name != "W") {
+			return true
+		}
+		if rt, ok := sel.X.(*ast.Ident); !ok || rt.Name != rtName {
+			return true
+		}
+		// The address argument is unsafe.Pointer(&(lv)).
+		if ptr, ok := call.Args[1].(*ast.CallExpr); ok && len(ptr.Args) == 1 && in.effectful(ptr.Args[0]) {
+			err = fmt.Errorf("hook copies an effectful address: %s", types.ExprString(call))
+		}
+		return true
+	})
 	return err
 }
 
@@ -368,13 +399,53 @@ func (b *box) run(k int) int {
 	for _, src := range typeExprSources {
 		f.Add(src)
 	}
+	// Addresses holding calls and a receive, in each statement form that
+	// hooks an access (testdata/evalonce/shapes runs the same shapes).
+	f.Add(`package p
+
+type T struct {
+	N   int
+	Arr [4]int
+}
+
+var (
+	xs, ys []int
+	arr    [8]int
+	m      map[string][]int
+	ts     []*T
+	ch     chan int
+)
+
+func at(i int) int { return i }
+
+func ptr(i int) *T { return ts[i] }
+
+func key() string { return "k" }
+
+func shapes() int {
+	xs[at(1)] = 5
+	v := xs[at(1)]
+	ptr(0).N = v
+	ptr(1).N += 2
+	m[key()][at(2)] = 7
+	xs[at(2)] += at(3)
+	xs[at(3)], ys[at(4)] = 1, 2
+	xs[at(5)]++
+	arr[at(1)] = 3
+	ptr(0).Arr[at(2)] = 4
+	xs[<-ch] = 9
+	for _, ys[at(0)] = range xs {
+	}
+	return xs[len(ys)-1] + ys[int(arr[0])]
+}
+`)
 	f.Fuzz(func(t *testing.T, src string) {
 		out, changed, err := instrument(src)
 		if err != nil || !changed {
 			return
 		}
 		if err := typeCheck(out); err != nil {
-			t.Fatalf("input type-checks, instrumented output does not: %v\n--- input\n%s\n--- output\n%s", err, src, out)
+			t.Fatalf("input type-checks, instrumented output fails typeCheck: %v\n--- input\n%s\n--- output\n%s", err, src, out)
 		}
 	})
 }

@@ -45,24 +45,39 @@ func (e TriageEntry) Key() TriageKey {
 	if a > b {
 		a, b = b, a
 		switch k {
-		case "write-read":
-			k = "read-write"
-		case "read-write":
-			k = "write-read"
+		case kindWriteRead:
+			k = kindReadWrite
+		case kindReadWrite:
+			k = kindWriteRead
 		}
 	}
-	if a == b && k == "write-read" {
-		k = "read-write"
+	if a == b && k == kindWriteRead {
+		k = kindReadWrite
 	}
 	return TriageKey{Var: e.Var, Kind: k, A: a, B: b}
 }
 
-func validKind(k string) bool {
+// The race kinds of the wire schema.
+const (
+	kindWriteWrite = "write-write"
+	kindWriteRead  = "write-read"
+	kindReadWrite  = "read-write"
+)
+
+// StaticKind returns the package's constant spelling of the race kind k,
+// or ok=false when k is not one. A row whose Kind is replaced by it holds
+// a static string instead of a heap copy of its own, and so does its
+// Key.
+func StaticKind(k string) (static string, ok bool) {
 	switch k {
-	case "write-write", "write-read", "read-write":
-		return true
+	case kindWriteWrite:
+		return kindWriteWrite, true
+	case kindWriteRead:
+		return kindWriteRead, true
+	case kindReadWrite:
+		return kindReadWrite, true
 	}
-	return false
+	return "", false
 }
 
 // ParseTriage parses a wire triage list (full or delta — the schema is
@@ -81,13 +96,16 @@ func ParseTriage(data []byte) (map[TriageKey]TriageEntry, error) {
 }
 
 // foldTriage validates parsed triage rows and folds them by distinct race
-// (ParseTriage; DecodePush's rows).
+// (ParseTriage; DecodePush's rows). Each row's kind becomes its
+// StaticKind, so the decoded copy is garbage once the push is folded.
 func foldTriage(in []TriageEntry) (map[TriageKey]TriageEntry, error) {
 	out := make(map[TriageKey]TriageEntry, len(in))
 	for i, e := range in {
-		if !validKind(e.Kind) {
+		kind, ok := StaticKind(e.Kind)
+		if !ok {
 			return nil, fmt.Errorf("fleet: triage entry %d: unknown race kind %q", i, e.Kind)
 		}
+		e.Kind = kind
 		if e.Count < 1 || e.Instances < 1 || e.Instances > e.Count {
 			return nil, fmt.Errorf("fleet: triage entry %d has implausible count %d / instances %d",
 				i, e.Count, e.Instances)

@@ -7,29 +7,29 @@ import (
 	"sync/atomic"
 )
 
-// Queue is the load-shed stage that wraps the merge: a bounded queue
-// drained by a fixed worker pool. A push arriving at a full queue is shed immediately
-// (503, counted) instead of piling up — reporters retry with backoff,
-// so shedding under overload trades latency for bounded memory, never
-// data (cumulative snapshots and resync-healed deltas both survive a
-// shed). Close stops the workers and fails anything still waiting.
+// Queue is the load-shed stage that wraps the merge. It admits at most
+// depth+workers pushes at once and runs at most workers merges at once;
+// an admitted push waits for a run slot, then merges on the caller's
+// (the HTTP handler's) goroutine, so a push is never handed to another
+// goroutine. A push arriving with depth+workers already admitted is
+// shed immediately (503, counted) instead of piling up — reporters retry
+// with backoff, so shedding under overload trades latency for bounded
+// memory, never data (cumulative snapshots and resync-healed deltas both
+// survive a shed). A push whose context ends while it waits is answered
+// 503 and never merged. Close refuses new merges and waits for the
+// running ones.
 type Queue struct {
 	next    Stage
-	ch      chan queued
+	admit   chan struct{} // one token per admitted push, waiting or merging
+	run     chan struct{} // one token per running merge
+	waiting atomic.Int64
 	stop    chan struct{}
-	wg      sync.WaitGroup
 	shed    atomic.Uint64
-	stopped sync.Once
+	closing sync.Once
 }
 
-type queued struct {
-	ctx  context.Context
-	req  *Request
-	done chan error
-}
-
-// NewQueue starts workers goroutines draining a depth-bounded queue
-// into next. depth <= 0 means 256; workers <= 0 means 4.
+// NewQueue bounds next to workers concurrent merges with depth more
+// pushes waiting for one. depth <= 0 means 256; workers <= 0 means 4.
 func NewQueue(next Stage, depth, workers int) *Queue {
 	if depth <= 0 {
 		depth = 256
@@ -37,12 +37,12 @@ func NewQueue(next Stage, depth, workers int) *Queue {
 	if workers <= 0 {
 		workers = 4
 	}
-	q := &Queue{next: next, ch: make(chan queued, depth), stop: make(chan struct{})}
-	for i := 0; i < workers; i++ {
-		q.wg.Add(1)
-		go q.worker()
+	return &Queue{
+		next:  next,
+		admit: make(chan struct{}, depth+workers),
+		run:   make(chan struct{}, workers),
+		stop:  make(chan struct{}),
 	}
-	return q
 }
 
 func (q *Queue) Name() string { return "shed(" + q.next.Name() + ")" }
@@ -50,47 +50,55 @@ func (q *Queue) Name() string { return "shed(" + q.next.Name() + ")" }
 // Shed counts pushes dropped at a full queue.
 func (q *Queue) Shed() uint64 { return q.shed.Load() }
 
-// Depth reports how many pushes are queued right now.
-func (q *Queue) Depth() int { return len(q.ch) }
-
-func (q *Queue) worker() {
-	defer q.wg.Done()
-	for {
-		select {
-		case <-q.stop:
-			return
-		case item := <-q.ch:
-			item.done <- q.next.Process(item.ctx, item.req)
-		}
-	}
-}
+// Depth reports how many admitted pushes are waiting to merge right now
+// (not the ones merging).
+func (q *Queue) Depth() int { return int(q.waiting.Load()) }
 
 func (q *Queue) Process(ctx context.Context, req *Request) error {
-	item := queued{ctx: ctx, req: req, done: make(chan error, 1)}
 	select {
-	case q.ch <- item:
+	case q.admit <- struct{}{}:
 	default:
 		q.shed.Add(1)
 		return &StatusError{Status: http.StatusServiceUnavailable, Err: errShed}
 	}
-	select {
-	case err := <-item.done:
+	defer func() { <-q.admit }()
+	if err := q.acquire(ctx); err != nil {
 		return err
+	}
+	defer func() { <-q.run }()
+	return q.next.Process(ctx, req)
+}
+
+// acquire takes a run slot, waiting for one when every slot is taken.
+func (q *Queue) acquire(ctx context.Context) error {
+	select {
+	case q.run <- struct{}{}:
+		return nil
+	default:
+	}
+	q.waiting.Add(1)
+	defer q.waiting.Add(-1)
+	select {
+	case q.run <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		// The worker may still complete the merge (harmless — it is
-		// idempotent), but this caller is gone.
 		return &StatusError{Status: http.StatusServiceUnavailable, Err: ctx.Err()}
 	case <-q.stop:
 		return &StatusError{Status: http.StatusServiceUnavailable, Err: errShuttingDown}
 	}
 }
 
-// Close stops the worker pool. Requests still queued get errShuttingDown
-// through their waiters' stop-channel select; in pacerd the HTTP server
-// has already drained by the time the queue closes.
+// Close refuses new merges and waits for the running ones: it takes every
+// run slot and keeps them. Pushes still waiting, and any that arrive once
+// it returns, get errShuttingDown; in pacerd the HTTP server has already
+// drained by the time the queue closes.
 func (q *Queue) Close() {
-	q.stopped.Do(func() { close(q.stop) })
-	q.wg.Wait()
+	q.closing.Do(func() {
+		close(q.stop)
+		for i := 0; i < cap(q.run); i++ {
+			q.run <- struct{}{}
+		}
+	})
 }
 
 var (

@@ -12,7 +12,9 @@
 // Every stage is a Stage value with its own counters (exported on
 // /metrics as pacer_ingest_*). Queue wraps the merge and bounds the
 // number of pushes in flight, shedding (503, counted) instead of
-// queueing without bound.
+// queueing without bound. It admits pushes rather than handing them off:
+// an admitted push waits for one of MergeWorkers run slots and merges on
+// its own handler goroutine.
 //
 // Behind the pipeline, State shards the collector's per-instance triage
 // state by instance key so pushes to different instances never contend

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,107 @@ func TestIngestQueueSheds(t *testing.T) {
 	if got := processed.Load(); got != depth+workers {
 		t.Fatalf("processed %d pushes, want %d", got, depth+workers)
 	}
+}
+
+// gatedStage is an inner stage that counts the pushes reaching it and
+// holds each until gate closes.
+func gatedStage(gate chan struct{}, entered *atomic.Int64) Stage {
+	return StageFunc{StageName: "gated", Fn: func(context.Context, *Request) error {
+		entered.Add(1)
+		<-gate
+		return nil
+	}}
+}
+
+// TestIngestQueueAdmission pins what the queue does with a push it has
+// admitted: Depth counts only the pushes waiting for a run slot, and a
+// waiting push whose context is cancelled is answered 503 without ever
+// reaching the inner stage.
+func TestIngestQueueAdmission(t *testing.T) {
+	gate := make(chan struct{})
+	var entered atomic.Int64
+	q := NewQueue(gatedStage(gate, &entered), 2, 1)
+	defer q.Close()
+
+	running := make(chan error, 1)
+	go func() { running <- q.Process(context.Background(), &Request{}) }()
+	waitFor(t, "the first push to reach the stage", func() bool { return entered.Load() == 1 })
+	if d := q.Depth(); d != 0 {
+		t.Fatalf("Depth() = %d with one push merging and none waiting, want 0", d)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() { waiter <- q.Process(ctx, &Request{}) }()
+	waitFor(t, "the second push to wait", func() bool { return q.Depth() == 1 })
+	cancel()
+	err := <-waiter
+	if StatusOf(err) != http.StatusServiceUnavailable || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter answered %v, want 503 carrying context.Canceled", err)
+	}
+	if d := q.Depth(); d != 0 {
+		t.Fatalf("Depth() = %d after the waiter left, want 0", d)
+	}
+
+	close(gate)
+	if err := <-running; err != nil {
+		t.Fatalf("running push failed: %v", err)
+	}
+	if got := entered.Load(); got != 1 {
+		t.Fatalf("%d pushes reached the stage, want 1 (the cancelled one must not)", got)
+	}
+	// Both of the waiter's slots came back: the queue admits and runs again.
+	if err := q.Process(context.Background(), &Request{}); err != nil {
+		t.Fatalf("push after the cancellation: %v", err)
+	}
+	if q.Shed() != 0 {
+		t.Fatalf("Shed() = %d, want 0", q.Shed())
+	}
+}
+
+// TestIngestQueueCloseWaitsForRunning: Close returns only after the
+// running merge has, a push waiting at Close and every push after it get
+// errShuttingDown, and neither reaches the inner stage.
+func TestIngestQueueCloseWaitsForRunning(t *testing.T) {
+	gate := make(chan struct{})
+	var entered atomic.Int64
+	q := NewQueue(gatedStage(gate, &entered), 2, 1)
+
+	running := make(chan error, 1)
+	go func() { running <- q.Process(context.Background(), &Request{}) }()
+	waitFor(t, "the first push to reach the stage", func() bool { return entered.Load() == 1 })
+	waiter := make(chan error, 1)
+	go func() { waiter <- q.Process(context.Background(), &Request{}) }()
+	waitFor(t, "the second push to wait", func() bool { return q.Depth() == 1 })
+
+	var closed atomic.Bool
+	closeDone := make(chan struct{})
+	go func() {
+		q.Close()
+		closed.Store(true)
+		close(closeDone)
+	}()
+	if err := <-waiter; StatusOf(err) != http.StatusServiceUnavailable || !errors.Is(err, errShuttingDown) {
+		t.Fatalf("push waiting at Close answered %v, want 503 errShuttingDown", err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if closed.Load() {
+		t.Fatal("Close returned while a merge was still running")
+	}
+	close(gate)
+	<-closeDone
+	if err := <-running; err != nil {
+		t.Fatalf("running push failed: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := q.Process(context.Background(), &Request{}); StatusOf(err) != http.StatusServiceUnavailable || !errors.Is(err, errShuttingDown) {
+			t.Fatalf("push after Close answered %v, want 503 errShuttingDown", err)
+		}
+	}
+	if got := entered.Load(); got != 1 {
+		t.Fatalf("%d pushes reached the stage, want 1", got)
+	}
+	q.Close() // idempotent
 }
 
 // TestIngestRateLimitPerInstance: one instance exhausting its burst is

@@ -28,10 +28,11 @@ type Options struct {
 	// (pushes per second, burst capacity). PushRate <= 0 disables rate
 	// limiting.
 	PushRate, PushBurst float64
-	// QueueDepth bounds pushes waiting for a merge worker; beyond it
-	// pushes are shed with 503. Default 256.
+	// QueueDepth bounds the pushes waiting to merge; beyond it pushes
+	// are shed with 503. Default 256.
 	QueueDepth int
-	// MergeWorkers is the merge worker-pool size. Default 4.
+	// MergeWorkers is the number of merges run at once, each on its
+	// push's handler goroutine. Default 4.
 	MergeWorkers int
 	// StateDir, when non-empty, enables snapshot/restore: the state is
 	// restored from StateDir on New and persisted there periodically and
@@ -165,9 +166,9 @@ func (s *Service) SaveSnapshot() error {
 	return err
 }
 
-// Close stops the merge workers and the snapshot loop, then writes a
-// final state snapshot — a clean shutdown never depends on the periodic
-// timer having fired recently. Idempotent.
+// Close stops the snapshot loop, refuses new merges and waits for the
+// running ones, then writes a final state snapshot — a clean shutdown
+// never depends on the periodic timer having fired recently. Idempotent.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -275,7 +276,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pacer_ingest_shed_total",
 		"Pushes shed at a full merge queue (503; reporters retry).", s.queue.Shed())
 	gauge("pacer_ingest_queue_depth",
-		"Pushes waiting for a merge worker right now.", int64(s.queue.Depth()))
+		"Pushes waiting to merge right now.", int64(s.queue.Depth()))
 	counter("pacer_ingest_merged_total",
 		"Pushes applied to the sharded collector state.", s.merge.Merged())
 	counter("pacer_ingest_stale_total",

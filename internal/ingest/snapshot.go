@@ -89,22 +89,31 @@ func (s *State) Restore(snap *SnapshotFile) error {
 		if in.Instance == "" {
 			return fmt.Errorf("ingest: state snapshot entry names no instance")
 		}
-		entries := make(map[fleet.TriageKey]fleet.TriageEntry, len(in.Races))
-		for _, e := range in.Races {
-			entries[e.Key()] = e
-		}
 		ent := &instEntry{
+			name:     in.Instance,
 			epoch:    in.Epoch,
 			seq:      in.Seq,
 			dropped:  in.Dropped,
 			lastSeen: time.Unix(0, in.LastSeenUnixNano),
-			entries:  entries,
-			cost:     instCost(in.Instance, entries),
+			entries:  make(map[fleet.TriageKey]fleet.TriageEntry, len(in.Races)),
 			arena:    in.Arena,
 			shadow:   in.Shadow,
 		}
+		for _, e := range in.Races {
+			// Rows are held as a push holds them: a static kind (an
+			// unknown kind is kept, and fails the merged view) and the
+			// instance's own name shared.
+			if k, ok := fleet.StaticKind(e.Kind); ok {
+				e.Kind = k
+			}
+			ent.entries[e.Key()] = ent.share(e)
+		}
+		ent.cost = instCost(ent.name, ent.entries)
 		sh := s.shardOf(in.Instance)
 		sh.mu.Lock()
+		if old := sh.instances[in.Instance]; old != nil {
+			sh.bytes -= old.cost // a file naming an instance twice keeps the last
+		}
 		sh.instances[in.Instance] = ent
 		sh.bytes += ent.cost
 		sh.mu.Unlock()

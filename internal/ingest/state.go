@@ -51,6 +51,10 @@ const (
 // state and the seq/epoch tracking live and die together, so no
 // tracking map can outgrow the triage state it serves.
 type instEntry struct {
+	// name is the instance's name, the one copy of it the state keeps:
+	// the shard map's key and every held row the instance itself first
+	// reported (FirstInstance) share its bytes.
+	name     string
 	epoch    uint64
 	seq      uint64
 	dropped  uint64
@@ -121,13 +125,31 @@ func (s *State) perShardBudget() int64 {
 
 // instCost approximates an instance entry's memory footprint: map and
 // struct overheads plus the variable-length strings. The accounting
-// backs the eviction bound, so it errs on the generous side.
+// backs the eviction bound, so it errs on the generous side (it counts
+// every string at its length, shared or not). A cumulative push and
+// Restore compute it whole; a delta push keeps ent.cost equal to it
+// incrementally, taking each replaced row's entryCost off and adding its
+// successor's, so a delta costs in proportion to the rows it carries.
 func instCost(name string, entries map[fleet.TriageKey]fleet.TriageEntry) int64 {
 	c := int64(160 + len(name))
 	for k, e := range entries {
-		c += int64(112 + len(k.Kind) + len(e.Kind) + len(e.FirstInstance))
+		c += entryCost(k, e)
 	}
 	return c
+}
+
+// entryCost is one held row's share of instCost.
+func entryCost(k fleet.TriageKey, e fleet.TriageEntry) int64 {
+	return int64(112 + len(k.Kind) + len(e.Kind) + len(e.FirstInstance))
+}
+
+// share points e at the entry's copy of the instance name when the
+// instance itself reported e first, so the held row owns no copy.
+func (ent *instEntry) share(e fleet.TriageEntry) fleet.TriageEntry {
+	if e.FirstInstance == ent.name {
+		e.FirstInstance = ent.name
+	}
+	return e
 }
 
 // Evicted counts instances evicted to hold the memory bound.
@@ -183,12 +205,17 @@ func (s *State) Apply(p *fleet.Push, entries map[fleet.TriageKey]fleet.TriageEnt
 		}
 		// The materialized delta rows carry absolute values, so
 		// upserting them is the whole merge.
-		sh.bytes -= ent.cost
+		var cost int64
 		for k, e := range entries {
+			if old, ok := ent.entries[k]; ok {
+				cost -= entryCost(k, old)
+			}
+			e = ent.share(e)
 			ent.entries[k] = e
+			cost += entryCost(k, e)
 		}
-		ent.cost = instCost(p.Instance, ent.entries)
-		sh.bytes += ent.cost
+		ent.cost += cost
+		sh.bytes += cost
 	} else {
 		// Full snapshot: replaces the instance's previous state.
 		if ent != nil && p.Epoch == ent.epoch && p.Seq <= ent.seq {
@@ -200,12 +227,18 @@ func (s *State) Apply(p *fleet.Push, entries map[fleet.TriageKey]fleet.TriageEnt
 			return ApplyStale
 		}
 		if ent == nil {
-			ent = &instEntry{}
+			ent = &instEntry{name: p.Instance}
 			sh.instances[p.Instance] = ent
+		}
+		for k, e := range entries {
+			if e.FirstInstance == ent.name {
+				e.FirstInstance = ent.name
+				entries[k] = e
+			}
 		}
 		sh.bytes -= ent.cost
 		ent.entries = entries
-		ent.cost = instCost(p.Instance, entries)
+		ent.cost = instCost(ent.name, entries)
 		sh.bytes += ent.cost
 	}
 	ent.epoch = p.Epoch

@@ -1,10 +1,15 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pacer/internal/fleet"
 )
@@ -241,5 +246,242 @@ func TestIngestStateStress(t *testing.T) {
 	}
 	if got := s.Bytes(); got > 256<<10 {
 		t.Fatalf("state over its bound after stress: %d bytes", got)
+	}
+}
+
+// checkAccounting requires every held instance's cost to be exactly what
+// instCost computes from scratch, and each shard's bytes their sum.
+func checkAccounting(t *testing.T, s *State, step string) {
+	t.Helper()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		var sum int64
+		for name, ent := range sh.instances {
+			if want := instCost(name, ent.entries); ent.cost != want {
+				t.Errorf("%s: instance %s cost %d, instCost %d", step, name, ent.cost, want)
+			}
+			if ent.name != name {
+				t.Errorf("%s: instance %s held under name %q", step, name, ent.name)
+			}
+			sum += ent.cost
+		}
+		if sh.bytes != sum {
+			t.Errorf("%s: shard %d bytes %d, its instances cost %d", step, i, sh.bytes, sum)
+		}
+		sh.mu.Unlock()
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// TestIngestStateAccountingInvariant pushes randomized sequences of
+// cumulative, delta, stale and resync pushes through State, with process
+// restarts (a new epoch), Restore, eviction under a small MaxBytes and
+// TTL expiry, and checks after every step that the incrementally kept
+// costs equal a recount.
+func TestIngestStateAccountingInvariant(t *testing.T) {
+	kinds := []string{"write-write", "write-read", "read-write"}
+	names := []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff"}
+	var evicted, expired uint64
+	deltas := map[ApplyResult]int{} // delta pushes by outcome
+	staleReplays := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clock := newFakeClock()
+		s := NewState(StateOptions{Shards: 2, MaxBytes: 6000, InstanceTTL: time.Minute, Clock: clock.Now})
+		type reporter struct {
+			epoch, seq uint64
+			rows       map[fleet.TriageKey]fleet.TriageEntry
+		}
+		reps := make([]*reporter, len(names))
+		for i := range reps {
+			reps[i] = &reporter{epoch: 1, rows: map[fleet.TriageKey]fleet.TriageEntry{}}
+		}
+		// row builds a race row of instance i; the first reporter is the
+		// instance itself or another one, so both string cases are held,
+		// and a later row for the same race can change it.
+		row := func(i int) fleet.TriageEntry {
+			first := names[i]
+			if rng.Intn(3) == 0 {
+				first = names[rng.Intn(len(names))]
+			}
+			site := uint32(rng.Intn(12))
+			return fleet.TriageEntry{
+				Var: uint32(rng.Intn(3)), Kind: kinds[rng.Intn(len(kinds))],
+				FirstSite: site, SecondSite: site + uint32(rng.Intn(2)),
+				FirstThread: 1, SecondThread: 2,
+				Count: 1 + rng.Intn(50), Instances: 1, FirstInstance: first,
+			}
+		}
+		push := func(i int, baseSeq uint64, rows map[fleet.TriageKey]fleet.TriageEntry) ApplyResult {
+			list := fleet.SortedTriage(rows)
+			return apply(s, names[i], reps[i].epoch, reps[i].seq, baseSeq, list...)
+		}
+		for step := 0; step < 300; step++ {
+			i := rng.Intn(len(names))
+			r := reps[i]
+			op := rng.Intn(10)
+			switch {
+			case op < 3: // cumulative
+				r.seq++
+				for n := rng.Intn(3); n > 0; n-- {
+					e := row(i)
+					r.rows[e.Key()] = e
+				}
+				push(i, 0, r.rows)
+			case op < 6: // delta on the previous push, or resync
+				if r.seq == 0 {
+					continue
+				}
+				delta := map[fleet.TriageKey]fleet.TriageEntry{}
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					e := row(i)
+					delta[e.Key()] = e
+					r.rows[e.Key()] = e
+				}
+				r.seq++
+				res := push(i, r.seq-1, delta)
+				deltas[res]++
+				if res == ApplyResync {
+					r.seq++
+					push(i, 0, r.rows)
+				}
+			case op < 7: // stale: a replay of an older push
+				if r.seq < 2 {
+					continue
+				}
+				seq := r.seq
+				r.seq = uint64(1 + rng.Intn(int(seq-1)))
+				if push(i, 0, r.rows) == ApplyStale {
+					staleReplays++
+				}
+				r.seq = seq
+			case op < 8: // the process restarts
+				r.epoch++
+				r.seq = 1
+				r.rows = map[fleet.TriageKey]fleet.TriageEntry{}
+				e := row(i)
+				r.rows[e.Key()] = e
+				push(i, 0, r.rows)
+			case op < 9: // the collector restarts from its snapshot
+				if err := s.Restore(s.Snapshot()); err != nil {
+					t.Fatalf("seed %d step %d: Restore: %v", seed, step, err)
+				}
+			default: // time passes; pushes sweep expired instances
+				clock.Advance(time.Duration(rng.Intn(80)) * time.Second)
+			}
+			checkAccounting(t, s, fmt.Sprintf("seed %d step %d op %d", seed, step, op))
+		}
+		// A snapshot file naming an instance twice keeps the later entry
+		// and counts its bytes once.
+		snap := s.Snapshot()
+		if len(snap.Instances) > 0 {
+			snap.Instances = append(snap.Instances, snap.Instances[0])
+			if err := s.Restore(snap); err != nil {
+				t.Fatalf("seed %d: Restore: %v", seed, err)
+			}
+			checkAccounting(t, s, fmt.Sprintf("seed %d: restored a repeated instance", seed))
+		}
+		evicted += s.Evicted()
+		expired += s.Expired()
+	}
+	if evicted == 0 || expired == 0 {
+		t.Fatalf("evicted %d, expired %d: the runs never exercised both", evicted, expired)
+	}
+	if deltas[ApplyMerged] == 0 || deltas[ApplyResync] == 0 || staleReplays == 0 {
+		t.Fatalf("deltas by outcome %v, stale replays %d: the runs never exercised every path", deltas, staleReplays)
+	}
+}
+
+// TestIngestStateSharesStrings: the state keeps no string of its own per
+// held row. Every held kind (row and key) is the fleet package's
+// constant, and every row the instance first reported itself shares the
+// name its entry holds, after decoded cumulative and delta pushes and
+// after Restore.
+func TestIngestStateSharesStrings(t *testing.T) {
+	s := NewState(StateOptions{})
+	decodeApply := func(p *fleet.Push, rows ...fleet.TriageEntry) {
+		t.Helper()
+		blob, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Races = blob
+		var buf bytes.Buffer
+		if err := fleet.EncodePush(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		dp, entries, err := fleet.DecodePush(&buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Apply(dp, entries); got != ApplyMerged {
+			t.Fatalf("push %+v = %v, want merged", p, got)
+		}
+	}
+	row := func(v uint32, kind, first string) fleet.TriageEntry {
+		e := entryFor(v, 10*v, 1, first)
+		e.Kind = kind
+		return e
+	}
+	for _, inst := range []string{"alpha", "beta"} {
+		decodeApply(&fleet.Push{Version: fleet.SchemaVersion, Instance: inst, Epoch: 1, Seq: 1},
+			row(1, "write-write", inst), row(2, "write-read", inst), row(3, "read-write", "other"))
+		decodeApply(&fleet.Push{Version: fleet.SchemaVersionDelta, Instance: inst, Epoch: 1, Seq: 2, BaseSeq: 1},
+			row(1, "write-write", inst), row(4, "read-write", inst), row(5, "write-read", "other"))
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	check := func(when string) {
+		t.Helper()
+		held := 0
+		for i := range s.shards {
+			sh := &s.shards[i]
+			for name, ent := range sh.instances {
+				if !same(name, ent.name) {
+					t.Errorf("%s: %s: map key and entry name are two copies", when, name)
+				}
+				for k, e := range ent.entries {
+					held++
+					for _, kind := range []string{e.Kind, k.Kind} {
+						static, ok := fleet.StaticKind(kind)
+						if !ok || !same(kind, static) {
+							t.Errorf("%s: %s var %d: kind %q is not the static constant", when, name, e.Var, kind)
+						}
+					}
+					if e.FirstInstance == name && !same(e.FirstInstance, ent.name) {
+						t.Errorf("%s: %s var %d: own FirstInstance is a copy of its own", when, name, e.Var)
+					}
+				}
+			}
+		}
+		if held != 10 {
+			t.Fatalf("%s: %d rows held, want 10", when, held)
+		}
+	}
+	check("after pushes")
+	blob, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap SnapshotFile
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore")
+
+	// An unknown kind is still rejected, quoted as it was received.
+	bogus := &fleet.Push{Version: fleet.SchemaVersion, Instance: "alpha", Seq: 3,
+		Races: json.RawMessage(`[{"var":1,"kind":"bogus","first_site":1,"second_site":2,"count":1,"instances":1,"first_instance":"alpha"}]`)}
+	var buf bytes.Buffer
+	if err := fleet.EncodePush(&buf, bogus); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fleet.DecodePush(&buf, 0); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("bogus kind: err = %v, want a rejection quoting \"bogus\"", err)
 	}
 }
