@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|arena|fasttrack|clocks|contention|ingest]
+//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|arena|fasttrack|contention|ingest]
 //	           [-bench eclipse|hsqldb|xalan|pseudojbb] [-scale 0.2] [-seed 0]
 //
 // The frontend, arena, and fasttrack experiments are different in kind:
@@ -40,7 +40,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, arena, fasttrack, clocks, contention, ingest")
+		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, arena, fasttrack, contention, ingest")
 	benchName := flag.String("bench", "", "restrict to one benchmark (eclipse, hsqldb, xalan, pseudojbb)")
 	scale := flag.Float64("scale", 0.2, "trial-count scale factor (1.0 = the paper's protocol)")
 	seed := flag.Int64("seed", 0, "base seed for all trials")
@@ -221,14 +221,6 @@ func main() {
 		harness.FastTrackScaling(harness.FastTrackConfig{Ops: ops}).Render(os.Stdout)
 		return nil
 	})
-	section("clocks", func() error {
-		ops := int(100_000 * *scale)
-		if ops < 10_000 {
-			ops = 10_000
-		}
-		harness.Clocks(harness.ClocksConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
 	section("contention", func() error {
 		ops := int(200_000 * *scale)
 		if ops < 20_000 {
@@ -263,7 +255,7 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "pacerbench: unknown experiment %q (try: %s)\n",
 			*experiment, strings.Join([]string{"all", "table1", "table2", "table3",
-				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "arena", "fasttrack", "clocks", "contention", "ingest"}, ", "))
+				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "arena", "fasttrack", "contention", "ingest"}, ", "))
 		os.Exit(2)
 	}
 	fmt.Printf("pacerbench: done in %v (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)

@@ -216,11 +216,13 @@ func TestProgramsMatchOracleLabels(t *testing.T) {
 // TestEvalOnceMatchesPlain builds each program of a corpus plain and
 // under `pacergo run` at rate 1, and requires the same stdout: the
 // instrumentation must not change what a program computes. The corpus is
-// testdata/evalonce, whose address expressions hold calls and receives
-// (a hook that copied one would run it twice), and the testdata/programs
-// whose output is deterministic, the norace_ main packages.
+// testdata/evalonce, whose address expressions and sync operands hold
+// calls and receives (a hook that copied one would run it twice), and the
+// testdata/programs whose output is deterministic, the norace_ main
+// packages.
 func TestEvalOnceMatchesPlain(t *testing.T) {
-	pkgs := []string{"./testdata/evalonce/calls", "./testdata/evalonce/shapes"}
+	pkgs := []string{"./testdata/evalonce/calls", "./testdata/evalonce/shapes",
+		"./testdata/evalonce/synccalls", "./testdata/evalonce/syncshapes"}
 	progs, err := filepath.Glob(filepath.Join(repoRoot, "testdata", "programs", "norace_*"))
 	if err != nil {
 		t.Fatal(err)

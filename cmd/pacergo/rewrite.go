@@ -25,6 +25,9 @@ package main
 //     call or the receive a second time. The access is left unhooked
 //     (and counted) while the reads that evaluating its address performs
 //     are still hooked.
+//   - a sync operation is never left unhooked: its effectful operands are
+//     hoisted into temporaries (see hoist). A labeled loop, switch or
+//     select keeps its label, so a goto to it skips them (documented gap).
 
 import (
 	"fmt"
@@ -32,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
+	"strings"
 )
 
 const (
@@ -138,10 +142,7 @@ func intLit(n int64) ast.Expr {
 
 // unsafeAddr builds __pacer_unsafe.Pointer(&lv).
 func unsafeAddr(lv ast.Expr) ast.Expr {
-	return &ast.CallExpr{
-		Fun:  &ast.SelectorExpr{X: ast.NewIdent(unsafeName), Sel: ast.NewIdent("Pointer")},
-		Args: []ast.Expr{&ast.UnaryExpr{Op: token.AND, X: &ast.ParenExpr{X: lv}}},
-	}
+	return unsafeCast(&ast.UnaryExpr{Op: token.AND, X: &ast.ParenExpr{X: lv}})
 }
 
 // accessHook builds rt.R/rt.W(unsafe.Pointer(&lv), size, site).
@@ -401,12 +402,8 @@ func (in *instrumenter) pureCall(call *ast.CallExpr) bool {
 	if in.info.Types[call.Fun].IsType() {
 		return true
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, okb := in.objOf(id).(*types.Builtin); okb {
-			return b.Name() == "len" || b.Name() == "cap"
-		}
-	}
-	return false
+	fun := ast.Unparen(call.Fun)
+	return in.isBuiltin(fun, "len") || in.isBuiltin(fun, "cap")
 }
 
 // addressReads appends R hooks for the reads that evaluating the address
@@ -608,23 +605,20 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 
 	case *ast.LabeledStmt:
 		inner := in.rewriteStmt(st.Stmt)
-		for i, x := range inner {
-			if x == st.Stmt {
-				st.Stmt = x
-				inner[i] = st
+		switch last := len(inner) - 1; st.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			// The statement comes last. A switch moved into a block with its
+			// init keeps a label a `break` names; else the block takes it.
+			if b, ok := inner[last].(*ast.BlockStmt); ok && breaksTo(st) {
+				b.List[len(b.List)-1] = st
 				return inner
 			}
+			st.Stmt, inner[last] = inner[last], st
+		default:
+			// Only a goto names the label, and it must run the hooks and
+			// temporaries emitted ahead of the statement.
+			st.Stmt, inner[0] = inner[0], st
 		}
-		last := inner[len(inner)-1]
-		// A switch moved into a block with its init keeps the label that a
-		// `break` inside it names; otherwise the label goes on the block,
-		// where a goto from outside can still reach it.
-		if b, ok := last.(*ast.BlockStmt); ok && b.List[len(b.List)-1] == st.Stmt && breaksTo(st) {
-			b.List[len(b.List)-1] = st
-			return inner
-		}
-		st.Stmt = last // core was replaced (e.g. a go statement)
-		inner[len(inner)-1] = st
 		return inner
 
 	case *ast.ExprStmt:
@@ -636,16 +630,18 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 			in.readHooks(st.X, &pre)
 			break
 		}
-		if un, ok := st.X.(*ast.UnaryExpr); ok && un.Op == token.ARROW {
-			in.readHooks(un.X, &pre)
-			pre = append(pre, in.hook("ChanRecvPre", un.X))
-			post = append(post, in.hook("ChanRecv", un.X))
+		if ch := recvOperand(st.X); ch != nil {
+			in.hoist(&pre, ch)
+			in.readHooks(*ch, &pre)
+			pre = append(pre, in.hook("ChanRecvPre", *ch))
+			post = append(post, in.hook("ChanRecv", *ch))
 			break
 		}
 		in.readHooks(st.X, &pre)
 
 	case *ast.SendStmt:
 		in.funcLits(st)
+		in.hoist(&pre, &st.Chan, &st.Value)
 		in.readHooks(st.Chan, &pre)
 		in.readHooks(st.Value, &pre)
 		pre = append(pre, in.hook("ChanSend", st.Chan))
@@ -653,16 +649,15 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 
 	case *ast.AssignStmt:
 		in.funcLits(st)
-		recv := (*ast.UnaryExpr)(nil)
+		var ch *ast.Expr
 		if len(st.Rhs) == 1 {
-			if un, ok := st.Rhs[0].(*ast.UnaryExpr); ok && un.Op == token.ARROW {
-				recv = un
-			}
+			ch = recvOperand(st.Rhs[0])
 		}
-		if recv != nil {
-			in.readHooks(recv.X, &pre)
-			pre = append(pre, in.hook("ChanRecvPre", recv.X))
-			post = append(post, in.hook("ChanRecv", recv.X))
+		if ch != nil {
+			in.hoist(&pre, ch)
+			in.readHooks(*ch, &pre)
+			pre = append(pre, in.hook("ChanRecvPre", *ch))
+			post = append(post, in.hook("ChanRecv", *ch))
 		} else {
 			var atomicHandled bool
 			if len(st.Rhs) == 1 {
@@ -773,13 +768,18 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 
 	case *ast.RangeStmt:
 		in.funcLits(st.X)
+		isChan := false
+		if t := in.info.TypeOf(st.X); t != nil {
+			_, isChan = t.Underlying().(*types.Chan)
+		}
+		if isChan {
+			in.hoist(&pre, &st.X) // the hook runs once per iteration
+		}
 		in.readHooks(st.X, &pre)
 		in.rewriteBlock(st.Body)
 		var top []ast.Stmt
-		if t := in.info.TypeOf(st.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				top = append(top, in.hook("ChanRange", st.X))
-			}
+		if isChan {
+			top = append(top, in.hook("ChanRange", st.X))
 		}
 		if st.Tok == token.ASSIGN {
 			for _, kv := range []ast.Expr{st.Key, st.Value} {
@@ -986,35 +986,35 @@ func (in *instrumenter) rewriteGo(st *ast.GoStmt) ast.Stmt {
 // publications run before the select (publishing without sending adds a
 // conservative edge that can only hide races, never invent one); the
 // acquisition side of whichever case fires runs at the top of its body.
+// The select evaluates every case's channel and sent value on entry, in
+// source order, so they are hoisted together.
 func (in *instrumenter) rewriteSelect(st *ast.SelectStmt) []ast.Stmt {
 	var pre []ast.Stmt
+	var ops []*ast.Expr
 	for _, c := range st.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		var top []ast.Stmt
-		switch comm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			in.funcLits(comm)
-			pre = append(pre, in.hook("ChanSend", comm.Chan))
-			top = append(top, in.hook("ChanSendDone", comm.Chan))
-		case *ast.ExprStmt:
-			if un, oku := comm.X.(*ast.UnaryExpr); oku && un.Op == token.ARROW {
-				pre = append(pre, in.hook("ChanRecvPre", un.X))
-				top = append(top, in.hook("ChanRecv", un.X))
+		if ch, val := commOperands(c.(*ast.CommClause).Comm); ch != nil {
+			ops = append(ops, ch)
+			if val != nil {
+				ops = append(ops, val)
 			}
-		case *ast.AssignStmt:
-			if len(comm.Rhs) == 1 {
-				if un, oku := comm.Rhs[0].(*ast.UnaryExpr); oku && un.Op == token.ARROW {
-					pre = append(pre, in.hook("ChanRecvPre", un.X))
-					top = append(top, in.hook("ChanRecv", un.X))
-					if comm.Tok == token.ASSIGN {
-						for _, l := range comm.Lhs {
-							if h := in.writeHook(l); h != nil {
-								top = append(top, h)
-							}
-						}
+		}
+	}
+	in.hoist(&pre, ops...)
+	for _, c := range st.Body.List {
+		cc := c.(*ast.CommClause)
+		var top []ast.Stmt
+		switch ch, val := commOperands(cc.Comm); {
+		case val != nil:
+			in.funcLits(cc.Comm)
+			pre = append(pre, in.hook("ChanSend", *ch))
+			top = append(top, in.hook("ChanSendDone", *ch))
+		case ch != nil:
+			pre = append(pre, in.hook("ChanRecvPre", *ch))
+			top = append(top, in.hook("ChanRecv", *ch))
+			if as, ok := cc.Comm.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+				for _, l := range as.Lhs {
+					if h := in.writeHook(l); h != nil {
+						top = append(top, h)
 					}
 				}
 			}
@@ -1022,6 +1022,29 @@ func (in *instrumenter) rewriteSelect(st *ast.SelectStmt) []ast.Stmt {
 		cc.Body = append(top, in.rewriteStmts(cc.Body)...)
 	}
 	return concat(pre, st, nil)
+}
+
+// commOperands returns the channel operand of a select case's send or
+// receive and, for a send, the sent value; nil for the default case.
+func commOperands(comm ast.Stmt) (ch, val *ast.Expr) {
+	switch c := comm.(type) {
+	case *ast.SendStmt:
+		return &c.Chan, &c.Value
+	case *ast.ExprStmt:
+		return recvOperand(c.X), nil
+	case *ast.AssignStmt:
+		return recvOperand(c.Rhs[0]), nil
+	}
+	return nil, nil
+}
+
+// recvOperand returns the channel operand slot of a receive, or nil when
+// e is not one.
+func recvOperand(e ast.Expr) *ast.Expr {
+	if un, ok := e.(*ast.UnaryExpr); ok && un.Op == token.ARROW {
+		return &un.X
+	}
+	return nil
 }
 
 // rewriteDeferSync replaces `defer mu.Unlock()` and friends with the
@@ -1105,11 +1128,41 @@ func (in *instrumenter) recvPtr(recv ast.Expr) ast.Expr {
 	return &ast.UnaryExpr{Op: token.AND, X: &ast.ParenExpr{X: recv}}
 }
 
-// unsafeRecv wraps the receiver pointer for hooks taking unsafe.Pointer.
-func (in *instrumenter) unsafeRecv(recv ast.Expr) ast.Expr {
-	return &ast.CallExpr{
-		Fun:  &ast.SelectorExpr{X: ast.NewIdent(unsafeName), Sel: ast.NewIdent("Pointer")},
-		Args: []ast.Expr{in.recvPtr(recv)},
+// hoist moves each effectful operand of a sync statement, in source
+// order, into a temporary declared ahead of it (after the hooks of the
+// reads it performs). A sync hook copies its operand, which would run an
+// effectful one twice, and a release hook must run after every call the
+// statement makes (`ch <- f()`), or their accesses miss its edge. An
+// operator stays, its operands hoisted instead (not the right side of &&
+// or ||, which may not run): its result may take its type from the
+// statement (`ch <- 1 << f()` on a `chan int8`), which a temporary loses.
+func (in *instrumenter) hoist(pre *[]ast.Stmt, ops ...*ast.Expr) {
+	for _, p := range ops {
+		if !in.effectful(*p) || in.info.Types[*p].Value != nil {
+			continue
+		}
+		switch x := (*p).(type) {
+		case *ast.ParenExpr:
+			in.hoist(pre, &x.X)
+			continue
+		case *ast.BinaryExpr:
+			if x.Op == token.LAND || x.Op == token.LOR {
+				in.hoist(pre, &x.X)
+			} else {
+				in.hoist(pre, &x.X, &x.Y)
+			}
+			continue
+		case *ast.UnaryExpr:
+			if x.Op != token.ARROW && x.Op != token.AND {
+				in.hoist(pre, &x.X)
+				continue
+			}
+		}
+		in.funcLits(*p)
+		in.readHooks(*p, pre)
+		name := in.temp("t")
+		*pre = append(*pre, &ast.AssignStmt{Lhs: []ast.Expr{ast.NewIdent(name)}, Tok: token.DEFINE, Rhs: []ast.Expr{*p}})
+		*p = ast.NewIdent(name)
 	}
 }
 
@@ -1117,97 +1170,116 @@ func (in *instrumenter) unsafeRecv(recv ast.Expr) ast.Expr {
 // and returns the hooks to place before and after the statement carrying
 // it. handled=false means an ordinary call.
 func (in *instrumenter) syncCall(call *ast.CallExpr) (pre, post []ast.Stmt, handled bool) {
-	// close(ch): publishes like a send, before the close.
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if _, isBuiltin := in.objOf(id).(*types.Builtin); isBuiltin {
-			in.readHooks(call.Args[0], &pre)
-			pre = append(pre, in.hook("ChanClose", call.Args[0]))
-			return pre, nil, true
-		}
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil, false
-	}
-
-	// Package-level sync/atomic functions: atomic.LoadT(&x) and friends.
-	if pid, okp := sel.X.(*ast.Ident); okp {
-		if pn, okn := in.info.Uses[pid].(*types.PkgName); okn && pn.Imported().Path() == "sync/atomic" {
-			if len(call.Args) == 0 {
-				return nil, nil, false
-			}
-			ptr := call.Args[0]
-			name := sel.Sel.Name
-			switch {
-			case hasPrefix(name, "Load"):
-				return nil, []ast.Stmt{in.hook("AtomicLoad", unsafeCast(ptr))}, true
-			case hasPrefix(name, "Store"):
-				return []ast.Stmt{in.hook("AtomicStore", unsafeCast(ptr))}, nil, true
-			case hasPrefix(name, "Add"), hasPrefix(name, "Swap"),
-				hasPrefix(name, "CompareAndSwap"), hasPrefix(name, "Or"), hasPrefix(name, "And"):
-				return nil, []ast.Stmt{in.hook("AtomicRMW", unsafeCast(ptr))}, true
-			}
+	var name string
+	var op *ast.Expr // the operand the hook takes
+	recv := false    // op is a method receiver, taken by address
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	switch {
+	case in.isBuiltin(call.Fun, "close") && len(call.Args) == 1:
+		// close(ch): publishes like a send, before the close.
+		name, op = "ChanClose", &call.Args[0]
+	case isSel && in.atomicPkg(sel.X):
+		// Package-level sync/atomic functions: atomic.LoadT(&x) and friends.
+		if len(call.Args) == 0 {
 			return nil, nil, false
 		}
-	}
-
-	kind, method := in.syncMethod(sel)
-	if kind == "" {
-		return nil, nil, false
-	}
-	h := func(name string) ast.Stmt { return in.hook(name, in.unsafeRecv(sel.X)) }
-	switch kind {
-	case "Mutex":
-		switch method {
-		case "Lock":
-			return nil, []ast.Stmt{h("LockAcquire")}, true
-		case "Unlock":
-			return []ast.Stmt{h("LockRelease")}, nil, true
-		}
-	case "RWMutex":
-		switch method {
-		case "Lock":
-			return nil, []ast.Stmt{h("RWLock")}, true
-		case "Unlock":
-			return []ast.Stmt{h("RWUnlock")}, nil, true
-		case "RLock":
-			return nil, []ast.Stmt{h("RWRLock")}, true
-		case "RUnlock":
-			return []ast.Stmt{h("RWRUnlock")}, nil, true
-		}
-	case "WaitGroup":
-		switch method {
-		case "Done":
-			return []ast.Stmt{h("WGDone")}, nil, true
-		case "Wait":
-			return nil, []ast.Stmt{h("WGWait")}, true
-		}
-	case "Once":
-		// once.Do(f) cannot be hooked around: the release must land
-		// inside the Once's critical section (before any other caller
-		// observes completion), so the call is replaced wholesale with
-		// rt.OnceDo, which performs the real Do with the edges in place.
-		if method == "Do" && len(call.Args) == 1 {
+		name, op = atomicHook(sel.Sel.Name), &call.Args[0]
+	case isSel:
+		kind, method := in.syncMethod(sel)
+		if kind == "Once" && method == "Do" && len(call.Args) == 1 {
+			// once.Do(f) cannot be hooked around: the release must land
+			// inside the Once's critical section (before any other caller
+			// observes completion), so the call is replaced wholesale with
+			// rt.OnceDo, which performs the real Do with the edges in place.
 			arg := call.Args[0]
 			in.readHooks(arg, &pre)
 			call.Fun = rtSel("OnceDo")
 			call.Args = []ast.Expr{in.slotRef(), in.recvPtr(sel.X), arg}
 			return pre, nil, true
 		}
-	default:
-		if hasPrefix(kind, "atomic.") {
-			switch {
-			case method == "Load":
-				return nil, []ast.Stmt{h("AtomicLoad")}, true
-			case method == "Store":
-				return []ast.Stmt{h("AtomicStore")}, nil, true
-			case method == "Add" || method == "Swap" || method == "Or" ||
-				method == "And" || hasPrefix(method, "CompareAndSwap"):
-				return nil, []ast.Stmt{h("AtomicRMW")}, true
-			}
+		name = methodHooks[kind+"."+method]
+		if strings.HasPrefix(kind, "atomic.") {
+			name = atomicHook(method)
+		}
+		op, recv = &sel.X, true
+	}
+	if name == "" {
+		return nil, nil, false
+	}
+	hooked := op // what the hook takes: op, or the receiver's address
+	if recv {
+		p := in.recvPtr(*op)
+		hooked = &p
+	}
+	ops := []*ast.Expr{hooked}
+	for i := range call.Args {
+		if &call.Args[i] != op {
+			ops = append(ops, &call.Args[i])
 		}
 	}
-	return nil, nil, false
+	in.hoist(&pre, ops...)
+	if recv && in.effectful(*op) {
+		*op = *hooked // the method is called through the hoisted address
+	}
+	arg := *hooked
+	if name == "ChanClose" {
+		in.readHooks(arg, &pre)
+	} else {
+		arg = unsafeCast(arg)
+	}
+	if h := in.hook(name, arg); releases[name] {
+		pre = append(pre, h)
+	} else {
+		post = append(post, h)
+	}
+	return pre, post, true
+}
+
+// methodHooks maps the sync methods the rewriter hooks to their hooks.
+var methodHooks = map[string]string{
+	"Mutex.Lock": "LockAcquire", "Mutex.Unlock": "LockRelease",
+	"RWMutex.Lock": "RWLock", "RWMutex.Unlock": "RWUnlock",
+	"RWMutex.RLock": "RWRLock", "RWMutex.RUnlock": "RWRUnlock",
+	"WaitGroup.Done": "WGDone", "WaitGroup.Wait": "WGWait",
+}
+
+// releases holds the hooks that publish, and so run before the operation;
+// every other sync hook acquires, after it.
+var releases = map[string]bool{
+	"ChanClose": true, "LockRelease": true, "RWUnlock": true, "RWRUnlock": true,
+	"WGDone": true, "AtomicStore": true,
+}
+
+// atomicHook returns the hook of a sync/atomic function or method, or ""
+// for one the rewriter leaves alone.
+func atomicHook(name string) string {
+	switch {
+	case strings.HasPrefix(name, "Load"):
+		return "AtomicLoad"
+	case strings.HasPrefix(name, "Store"):
+		return "AtomicStore"
+	case strings.HasPrefix(name, "Add"), strings.HasPrefix(name, "Swap"),
+		strings.HasPrefix(name, "CompareAndSwap"), strings.HasPrefix(name, "Or"), strings.HasPrefix(name, "And"):
+		return "AtomicRMW"
+	}
+	return ""
+}
+
+// isBuiltin reports whether fun names the builtin function name.
+func (in *instrumenter) isBuiltin(fun ast.Expr, name string) bool {
+	id, ok := fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = in.objOf(id).(*types.Builtin)
+	return ok
+}
+
+// atomicPkg reports whether x names the sync/atomic package.
+func (in *instrumenter) atomicPkg(x ast.Expr) bool {
+	id, _ := x.(*ast.Ident)
+	pn, ok := in.info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == "sync/atomic"
 }
 
 // valueReceiverCall reports whether sel is a method call that copies its
@@ -1245,12 +1317,7 @@ func (in *instrumenter) implicitAddr(sel *ast.SelectorExpr) bool {
 	return !isPtr
 }
 
-func hasPrefix(s, p string) bool {
-	return len(s) >= len(p) && s[:len(p)] == p
-}
-
-// unsafeCast wraps an already-pointer expression (atomic's &x argument)
-// as unsafe.Pointer.
+// unsafeCast wraps a pointer expression as unsafe.Pointer.
 func unsafeCast(p ast.Expr) ast.Expr {
 	return &ast.CallExpr{
 		Fun:  &ast.SelectorExpr{X: ast.NewIdent(unsafeName), Sel: ast.NewIdent("Pointer")},

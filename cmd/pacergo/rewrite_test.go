@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -56,9 +58,8 @@ func instrument(src string) (string, bool, error) {
 }
 
 // typeCheck parses and type-checks one file of package p, imports
-// included. On instrumented output it also fails when an R or W hook
-// copies an address expression holding a call or a receive, which the
-// hook would run a second time.
+// included. On instrumented output it also fails when a hook copies an
+// effectful operand (see copiedOperands).
 func typeCheck(src string) error {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
@@ -73,29 +74,96 @@ func typeCheck(src string) error {
 	if _, err = (&types.Config{Importer: exportImporter(), Sizes: types.SizesFor("gc", "amd64")}).Check("p", fset, []*ast.File{f}, info); err != nil {
 		return err
 	}
+	_, err = copiedOperands(info, f)
+	return err
+}
+
+// copiedOperands counts the hooks of an instrumented file that copy an
+// operand of the access or operation they hook: the R and W hooks'
+// addresses and the sync hooks' channels, receivers and atomic addresses,
+// each the argument after the identity slot. It fails on the first such
+// operand that makes a call other than len, cap or a conversion, or a
+// receive, since the hook would run it a second time. rt.OnceDo takes
+// the slot too but performs the operation itself, so it copies nothing.
+func copiedOperands(info *types.Info, f *ast.File) (hooks int, err error) {
 	in := &instrumenter{info: info}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if err != nil {
-			return false
-		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) < 2 {
-			return true
+		if err != nil || !ok || len(call.Args) < 2 {
+			return err == nil
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "R" && sel.Sel.Name != "W") {
+		if !ok || sel.Sel.Name == "OnceDo" {
 			return true
 		}
 		if rt, ok := sel.X.(*ast.Ident); !ok || rt.Name != rtName {
 			return true
 		}
-		// The address argument is unsafe.Pointer(&(lv)).
-		if ptr, ok := call.Args[1].(*ast.CallExpr); ok && len(ptr.Args) == 1 && in.effectful(ptr.Args[0]) {
-			err = fmt.Errorf("hook copies an effectful address: %s", types.ExprString(call))
+		if slot, ok := call.Args[0].(*ast.UnaryExpr); !ok || types.ExprString(slot.X) != slotName {
+			return true
+		}
+		hooks++
+		if in.effectful(call.Args[1]) {
+			err = fmt.Errorf("hook copies an effectful operand: %s", types.ExprString(call))
 		}
 		return true
 	})
-	return err
+	return hooks, err
+}
+
+// TestHookOperandsEvalOnce instruments packages of this module through
+// instrumentPackages, type-checks what it writes, and fails if any hook
+// copies an effectful operand (copiedOperands).
+func TestHookOperandsEvalOnce(t *testing.T) {
+	pkgs := []string{"pacer/internal/sim", "pacer/internal/tracegen", "pacer/internal/workload"}
+	overlay, dir, err := instrumentPackages(pkgs, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	var ov struct{ Replace map[string]string }
+	if data, err := os.ReadFile(overlay); err != nil || json.Unmarshal(data, &ov) != nil {
+		t.Fatalf("reading the overlay: %v", err)
+	}
+	listed, err := goList(false, []string{"-json"}, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range listed {
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			path := filepath.Join(p.Dir, name)
+			if r, ok := ov.Replace[path]; ok {
+				path = r
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+		}
+		if _, err := (&types.Config{Importer: exportImporter()}).Check(p.ImportPath, fset, files, info); err != nil {
+			t.Fatalf("%s: instrumented package fails to type-check: %v", p.ImportPath, err)
+		}
+		hooks := 0
+		for _, f := range files {
+			n, err := copiedOperands(info, f)
+			if err != nil {
+				t.Errorf("%s: %v", fset.Position(f.Pos()).Filename, err)
+			}
+			hooks += n
+		}
+		if hooks == 0 {
+			t.Errorf("%s: no hooks found; nothing was checked", p.ImportPath)
+		}
+		t.Logf("%s: %d hooks checked", p.ImportPath, hooks)
+	}
 }
 
 var (
@@ -437,6 +505,54 @@ func shapes() int {
 	for _, ys[at(0)] = range xs {
 	}
 	return xs[len(ys)-1] + ys[int(arr[0])]
+}
+`)
+	// Sync operands holding calls, in each statement form that hooks a
+	// synchronization operation (testdata/evalonce/syncshapes runs them).
+	f.Add(`package p
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type flag bool
+
+var (
+	chs []chan int
+	c8  chan int8
+	cf  chan flag
+	mus []sync.Mutex
+	wgs []sync.WaitGroup
+	cs  []int64
+	ns  []atomic.Int64
+)
+
+func at(i int) int { return i }
+
+func syncShapes() int {
+	chs[at(0)] <- at(1)
+	<-chs[at(0)]
+	v, ok := <-chs[at(0)]
+	select {
+	case chs[at(0)] <- at(2):
+	case v = <-chs[at(1)]:
+	}
+	c8 <- 1 << at(3)
+	cf <- at(1) > 0 && at(2) > 0
+	close(chs[at(1)])
+	for x := range chs[at(1)] {
+		v += x
+	}
+	mus[at(0)].Lock()
+	mus[at(0)].Unlock()
+	wgs[at(0)].Done()
+	atomic.StoreInt64(&cs[at(1)], int64(at(8)))
+	ns[at(0)].Add(int64(at(9)))
+	if ok {
+		v += int(atomic.LoadInt64(&cs[at(1)]))
+	}
+	return v
 }
 `)
 	f.Fuzz(func(t *testing.T, src string) {

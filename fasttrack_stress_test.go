@@ -165,32 +165,29 @@ func TestFastTrackShardedMatchesSerializedRaces(t *testing.T) {
 // epoch in place, and silently lose the cross-thread race below. Exactly
 // one write/write race must surface in every cell.
 func TestFastTrackTrimEpochRepublication(t *testing.T) {
-	for _, clock := range []string{"", "tree"} {
-		for _, serialized := range []bool{true, false} {
-			var races []pacer.Race
-			d := pacer.New(pacer.Options{
-				Algorithm:  "fasttrack",
-				Serialized: serialized,
-				Clock:      clock,
-				Seed:       11,
-				OnRace:     func(r pacer.Race) { races = append(races, r) },
-			})
-			t0 := d.NewThread()
-			t1 := d.Fork(t0)
-			x := d.NewVarID()
-			m := d.NewMutex()
-			d.Write(t0, x, 1) // epoch e0: seeds the publication
-			d.Write(t0, x, 1) // same-epoch: the mirror must serve this one
-			m.Lock(t0)
-			m.Unlock(t0)      // release advances t0's epoch to e1 and must republish
-			d.Write(t0, x, 2) // e1 write: a stale mirror would dismiss this
-			m.Lock(t1)        // t1 learns e0 (the clock before the release's inc)
-			m.Unlock(t1)
-			d.Write(t1, x, 3) // races with the e1 write, not the e0 one
-			if len(races) != 1 {
-				t.Errorf("clock=%q serialized=%v: got %d races, want exactly 1 (stale published epoch hides the e1 write)",
-					clock, serialized, len(races))
-			}
+	for _, serialized := range []bool{true, false} {
+		var races []pacer.Race
+		d := pacer.New(pacer.Options{
+			Algorithm:  "fasttrack",
+			Serialized: serialized,
+			Seed:       11,
+			OnRace:     func(r pacer.Race) { races = append(races, r) },
+		})
+		t0 := d.NewThread()
+		t1 := d.Fork(t0)
+		x := d.NewVarID()
+		m := d.NewMutex()
+		d.Write(t0, x, 1) // epoch e0: seeds the publication
+		d.Write(t0, x, 1) // same-epoch: the mirror must serve this one
+		m.Lock(t0)
+		m.Unlock(t0)      // release advances t0's epoch to e1 and must republish
+		d.Write(t0, x, 2) // e1 write: a stale mirror would dismiss this
+		m.Lock(t1)        // t1 learns e0 (the clock before the release's inc)
+		m.Unlock(t1)
+		d.Write(t1, x, 3) // races with the e1 write, not the e0 one
+		if len(races) != 1 {
+			t.Errorf("serialized=%v: got %d races, want exactly 1 (stale published epoch hides the e1 write)",
+				serialized, len(races))
 		}
 	}
 }
@@ -202,17 +199,15 @@ func TestFastTrackTrimEpochRepublication(t *testing.T) {
 // the operations that advance them — so the same-epoch fast path must keep
 // firing between sync operations, every issued operation must still be
 // accounted for exactly once across the three ingestion paths, and the
-// race-free construction must stay silent. Runs under both clock
-// representations; `go test -race` audits the sharded ingestion itself.
+// race-free construction must stay silent. Runs on the heap and the arena
+// mount; `go test -race` audits the sharded ingestion itself.
 func TestFastTrackTrimStressStatsConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		clock string
 		arena bool
 	}{
-		{"flat/heap", "", false},
-		{"tree/heap", "tree", false},
-		{"tree/arena", "tree", true},
+		{"flat/heap", false},
+		{"flat/arena", true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,7 +217,6 @@ func TestFastTrackTrimStressStatsConservation(t *testing.T) {
 				Algorithm: "fasttrack",
 				Seed:      13,
 				Shards:    8,
-				Clock:     tc.clock,
 				Arena:     tc.arena,
 				OnRace:    func(r pacer.Race) { t.Errorf("false race on race-free workload: %+v", r) },
 			})

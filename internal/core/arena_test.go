@@ -265,22 +265,19 @@ func TestArenaRecycleReuse(t *testing.T) {
 // pin that the reports stay identical; this pins that the optimization
 // fires at all.
 func TestUnshareReclaimsSnapshots(t *testing.T) {
-	for _, clock := range []string{"", "tree"} {
-		var heapClones, arenaClones uint64
-		for seed := int64(1); seed <= 10; seed++ {
-			tr := genTrace(seed, 4000)
-			heap := NewWithOptions(nil, shardbase.Config{Clock: clock}, Options{})
-			detector.Replay(heap, tr)
-			ar := NewWithOptions(nil, shardbase.Config{Arena: true, Clock: clock}, Options{})
-			detector.Replay(ar, tr)
-			hs, as := heap.Stats(), ar.Stats()
-			heapClones += hs.Clones[0] + hs.Clones[1]
-			arenaClones += as.Clones[0] + as.Clones[1]
-		}
-		if arenaClones >= heapClones {
-			t.Errorf("clock %q: arena clones %d >= heap clones %d — reclamation never fired",
-				clock, arenaClones, heapClones)
-		}
-		t.Logf("clock %q: heap clones %d, arena clones %d", clock, heapClones, arenaClones)
+	var heapClones, arenaClones uint64
+	for seed := int64(1); seed <= 10; seed++ {
+		tr := genTrace(seed, 4000)
+		heap := NewWithOptions(nil, shardbase.Config{}, Options{})
+		detector.Replay(heap, tr)
+		ar := NewWithOptions(nil, shardbase.Config{Arena: true}, Options{})
+		detector.Replay(ar, tr)
+		hs, as := heap.Stats(), ar.Stats()
+		heapClones += hs.Clones[0] + hs.Clones[1]
+		arenaClones += as.Clones[0] + as.Clones[1]
 	}
+	if arenaClones >= heapClones {
+		t.Errorf("arena clones %d >= heap clones %d — reclamation never fired", arenaClones, heapClones)
+	}
+	t.Logf("heap clones %d, arena clones %d", heapClones, arenaClones)
 }

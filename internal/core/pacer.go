@@ -29,8 +29,8 @@ import (
 )
 
 // Options tune PACER's analysis for the ablation benchmarks; the zero value
-// is the full algorithm as published. The metadata store (sharding, arena,
-// clock representation) is configured by shardbase.Config.
+// is the full algorithm as published. The metadata store (sharding, arena)
+// is configured by shardbase.Config.
 type Options struct {
 	// DisableVersions turns off the version-epoch fast join (Algorithm 11),
 	// forcing an O(n) comparison or join at every synchronization
@@ -65,8 +65,8 @@ type threadMeta struct {
 
 // syncMeta is the metadata for a lock or volatile: its clock (possibly
 // shared with a thread) and its version epoch. alloc is the object's home
-// slab allocator (nil on the heap path): a deep copy that must replace a
-// shared clock draws the replacement from it.
+// allocator: a deep copy that must replace a shared clock draws the
+// replacement from it.
 type syncMeta struct {
 	clock  *vclock.VC
 	vepoch vclock.VersionEpoch
@@ -115,10 +115,6 @@ type varMeta struct {
 // publishes with one atomic store into the slot EnsureThreadSlots
 // reserved. Under an ablation (Options) nothing is published and SyncNoOp
 // reports false.
-//
-// With tree clocks mounted, thread and synchronization clocks draw from
-// the tree-capable allocators; version vectors stay flat (they take
-// arbitrary component assignments the index cannot track).
 type Detector struct {
 	shardbase.Store[varMeta]
 	sampling    bool
@@ -209,7 +205,7 @@ func (d *Detector) SampleBegin() {
 			// clock need not advance (a real VM has no thread to touch).
 			continue
 		}
-		d.ownThreadClock(vclock.Thread(t), tm, 0)
+		d.ownThreadClock(tm, 0)
 		tm.clock.Inc(vclock.Thread(t))
 		tm.ver.Inc(vclock.Thread(t))
 		d.publishVersion(vclock.Thread(t), tm)
@@ -245,13 +241,9 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 		d.threads = append(d.threads, nil)
 	}
 	if d.threads[t] == nil {
-		clock := shardbase.NewVC(d.ClockAlloc(int(t)), int(t)+1)
-		// Declare ownership before the first tick so a tree-capable
-		// allocator can root the last-update index at t; a no-op on plain
-		// allocators.
-		clock.SetOwner(t)
+		clock := d.VCAlloc(int(t)).NewVC(int(t) + 1)
 		clock.Set(t, 1)
-		ver := shardbase.NewVC(d.VCAlloc(int(t)), int(t)+1)
+		ver := d.VCAlloc(int(t)).NewVC(int(t) + 1)
 		ver.Set(t, 1)
 		d.threads[t] = &threadMeta{clock: clock, ver: ver}
 		d.publishVersion(t, d.threads[t])
@@ -262,8 +254,8 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 func (d *Detector) lock(m event.Lock) *syncMeta {
 	s, ok := d.locks[m]
 	if !ok {
-		a := d.ClockAlloc(int(m))
-		s = &syncMeta{clock: shardbase.NewVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
+		a := d.VCAlloc(int(m))
+		s = &syncMeta{clock: a.NewVC(0), vepoch: vclock.VEBottom, alloc: a}
 		d.locks[m] = s
 	}
 	return s
@@ -272,8 +264,8 @@ func (d *Detector) lock(m event.Lock) *syncMeta {
 func (d *Detector) vol(vx event.Volatile) *syncMeta {
 	s, ok := d.vols[vx]
 	if !ok {
-		a := d.ClockAlloc(int(vx))
-		s = &syncMeta{clock: shardbase.NewVC(a, 0), vepoch: vclock.VEBottom, alloc: a}
+		a := d.VCAlloc(int(vx))
+		s = &syncMeta{clock: a.NewVC(0), vepoch: vclock.VEBottom, alloc: a}
 		d.vols[vx] = s
 	}
 	return s
@@ -293,27 +285,22 @@ func (d *Detector) publishVersion(t vclock.Thread, tm *threadMeta) {
 // ownThreadClock clones tm's clock if it is shared, so it can be mutated
 // (the copy-on-write step of Algorithms 10 and 11). The thread's hold on
 // the shared clock moves to the clone; synchronization objects sharing the
-// old clock keep it alive until their own next release. Clones are born
-// disowned (vclock.Clone), so the thread reclaims its label stream — it is
-// the unique continuation of the frozen snapshot, which is exactly the
-// case SetOwner's re-own is sound for; sync-side clones of the same
-// snapshot stay ownerless.
+// old clock keep it alive until their own next release.
 //
 // When the holder count proves every past alias has since been released
 // (vclock.Unshare), the mark is cleared instead: the clock is the thread's
-// exclusive clock again — owner, index, and label stream intact — and the
-// full-width clone would copy a snapshot nothing else reads.
+// exclusive clock again, and the full-width clone would copy a snapshot
+// nothing else reads.
 //
 // width is the width the caller is about to grow the clock to (a Rule 6
 // join's source), or 0: the clone is allocated that wide at once instead
 // of being reallocated by the join that follows.
-func (d *Detector) ownThreadClock(t vclock.Thread, tm *threadMeta, width int) {
+func (d *Detector) ownThreadClock(tm *threadMeta, width int) {
 	if tm.clock.Unshare() {
 		return
 	}
 	old := tm.clock
 	tm.clock = old.CloneWidth(width)
-	tm.clock.SetOwner(t)
 	old.Release()
 	d.SyncStats.Clones[d.period()]++
 }
@@ -326,7 +313,7 @@ func (d *Detector) inc(t vclock.Thread) {
 		return
 	}
 	tm := d.thread(t)
-	d.ownThreadClock(t, tm, 0)
+	d.ownThreadClock(tm, 0)
 	tm.clock.Inc(t)
 	tm.ver.Inc(t)
 	d.publishVersion(t, tm)
@@ -350,15 +337,11 @@ func (d *Detector) copyToSync(s *syncMeta, t vclock.Thread) {
 		d.SyncStats.ShallowCopies[p]++
 	} else {
 		// A shared sync clock whose other holders are all gone is reclaimed
-		// in place (vclock.Unshare): CopyFrom then rides the monotone join
-		// fast path instead of replicating the thread clock full-width into
-		// a fresh allocation. The reclaimed snapshot must stop minting its
-		// original thread's labels first (Disown — no-op when ownerless).
-		if s.clock.Unshare() {
-			s.clock.Disown()
-		} else {
+		// in place (vclock.Unshare): CopyFrom then reuses its storage
+		// instead of allocating a fresh clock.
+		if !s.clock.Unshare() {
 			old := s.clock
-			s.clock = shardbase.NewVC(s.alloc, 0)
+			s.clock = s.alloc.NewVC(0)
 			old.Release()
 		}
 		s.clock.CopyFrom(tm.clock)
@@ -390,7 +373,7 @@ func (d *Detector) joinIntoThread(t vclock.Thread, srcClock *vclock.VC, srcVE vc
 	}
 	// Rule 6 (concurrent): a real join; the clock changes, so t's version
 	// advances and the source version is recorded.
-	d.ownThreadClock(t, tm, srcClock.Len())
+	d.ownThreadClock(tm, srcClock.Len())
 	tm.clock.JoinFrom(srcClock)
 	tm.ver.Inc(t)
 	d.recordVersion(tm, srcVE)
@@ -442,11 +425,9 @@ func (d *Detector) joinIntoVolatile(s *syncMeta, t vclock.Thread) {
 	}
 	d.SyncStats.SlowJoins[p]++
 	d.SyncStats.JoinWork += uint64(tm.clock.Len())
-	if s.clock.Unshare() {
-		s.clock.Disown() // reclaimed snapshot must not mint its sharer's labels
-	} else {
+	if !s.clock.Unshare() {
 		old := s.clock
-		s.clock = shardbase.NewVC(s.alloc, 0)
+		s.clock = s.alloc.NewVC(0)
 		s.clock.CopyFrom(old)
 		old.Release()
 		d.SyncStats.Clones[p]++

@@ -104,7 +104,7 @@ func (d *Detector) revive(u vclock.Thread, um *threadMeta) {
 		d.free, d.unlisted = live, 0
 	}
 	delete(d.dead, u)
-	d.ownThreadClock(u, um, 0)
+	d.ownThreadClock(um, 0)
 	um.clock.Inc(u)
 	um.ver.Inc(u)
 	d.publishVersion(u, um)

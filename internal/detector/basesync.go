@@ -14,35 +14,23 @@ type BaseSync struct {
 	locks   map[event.Lock]*vclock.VC
 	vols    map[event.Volatile]*vclock.VC
 	c       *Counters
-	// alloc, when set, supplies the slab allocator clocks are drawn from,
-	// striped by the owning object's identifier (see SetAllocator).
-	alloc func(int) vclock.Allocator
+	alloc   func(int) vclock.Allocator
 }
 
 // NewBaseSync returns a synchronization engine recording operation counts
-// into c.
-func NewBaseSync(c *Counters) *BaseSync {
+// into c. The clock of a thread, lock or volatile with identifier id is
+// drawn from alloc(id) (a striped allocator mods the stripe index, so any
+// stable integer works); nil draws every clock from the heap.
+func NewBaseSync(c *Counters, alloc func(int) vclock.Allocator) *BaseSync {
+	if alloc == nil {
+		alloc = func(int) vclock.Allocator { return vclock.Heap }
+	}
 	return &BaseSync{
 		locks: make(map[event.Lock]*vclock.VC),
 		vols:  make(map[event.Volatile]*vclock.VC),
 		c:     c,
+		alloc: alloc,
 	}
-}
-
-// SetAllocator installs a striped slab allocator for clock storage: newly
-// created thread, lock, and volatile clocks draw from alloc(id), where id
-// is the owning object's identifier (the allocator mods the stripe index,
-// so any stable integer works). Call before the first operation; nil (the
-// default) allocates from the heap.
-func (s *BaseSync) SetAllocator(alloc func(int) vclock.Allocator) { s.alloc = alloc }
-
-// newVC draws a fresh clock for stripe i, falling back to the heap when no
-// allocator is installed.
-func (s *BaseSync) newVC(i, n int) *vclock.VC {
-	if s.alloc != nil {
-		return s.alloc(i).NewVC(n)
-	}
-	return vclock.New(n)
 }
 
 // EnsureThreadSlots pre-grows the thread table to hold identifiers below
@@ -62,11 +50,7 @@ func (s *BaseSync) ThreadClock(t vclock.Thread) *vclock.VC {
 		s.threads = append(s.threads, nil)
 	}
 	if s.threads[t] == nil {
-		c := s.newVC(int(t), int(t)+1)
-		// Declare ownership before the first tick so a tree-capable
-		// allocator (vclock.Tree) can root the last-update index at t; a
-		// no-op for plain allocators.
-		c.SetOwner(t)
+		c := s.alloc(int(t)).NewVC(int(t) + 1)
 		c.Set(t, 1)
 		s.threads[t] = c
 	}
@@ -79,7 +63,7 @@ func (s *BaseSync) Threads() int { return len(s.threads) }
 func (s *BaseSync) lockClock(m event.Lock) *vclock.VC {
 	c, ok := s.locks[m]
 	if !ok {
-		c = s.newVC(int(m), 0)
+		c = s.alloc(int(m)).NewVC(0)
 		s.locks[m] = c
 	}
 	return c
@@ -88,7 +72,7 @@ func (s *BaseSync) lockClock(m event.Lock) *vclock.VC {
 func (s *BaseSync) volClock(vx event.Volatile) *vclock.VC {
 	c, ok := s.vols[vx]
 	if !ok {
-		c = s.newVC(int(vx), 0)
+		c = s.alloc(int(vx)).NewVC(0)
 		s.vols[vx] = c
 	}
 	return c
@@ -101,11 +85,7 @@ func (s *BaseSync) slowJoin(dst, src *vclock.VC) bool {
 	return changed
 }
 
-// deepCopy is the release-edge copy C_dst ← C_src. The copy is full-width
-// on flat clocks; tree-backed clocks run it as a monotone in-place join of
-// just the entries that changed since the destination last saw the source
-// (vclock.CopyFrom's fast path), which is what makes release cost
-// proportional to what changed rather than to thread count.
+// deepCopy is the release-edge copy C_dst ← C_src, full-width.
 func (s *BaseSync) deepCopy(dst, src *vclock.VC) {
 	dst.CopyFrom(src)
 	s.c.DeepCopies[Sampling]++

@@ -1,7 +1,6 @@
 package shardbase
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -12,8 +11,8 @@ import (
 )
 
 // Config is the metadata-store configuration every sharded backend reads.
-// The zero value is the default store: 64 shards, heap allocation, flat
-// clocks, and the default record-table bound.
+// The zero value is the default store: 64 shards, heap allocation, and
+// the default record-table bound.
 type Config struct {
 	// Shards is the number of independent variable-metadata shards
 	// (rounded up to a power of two, default 64). Accesses to variables in
@@ -31,14 +30,6 @@ type Config struct {
 	// exactly once. Implies Arena; test-only (the ledger serializes every
 	// acquire and release).
 	ArenaDebug bool
-	// Clock selects the timestamp representation of thread and
-	// synchronization clocks: "" or "flat" is the plain vector clock;
-	// "tree" mounts the last-update tree index (vclock.Tree), making
-	// synchronization joins and release copies cost proportional to the
-	// entries that changed instead of the thread count. Any other value
-	// panics. Race reports are identical either way (the conformance matrix
-	// enforces this).
-	Clock string
 	// IndexCap bounds the record table: a variable whose identifier lies
 	// below it keeps its record in the table, found by one directory load
 	// and one slot load and visible to the lock-free fast paths; one at or
@@ -77,10 +68,6 @@ type probes struct {
 	// (upper bits). Always-on backends set it once with SetAlwaysOn.
 	state detector.State
 	arena *arena.Arena
-	// clocks supplies thread and synchronization clocks: the tree-capable
-	// wrapper when tree clocks are mounted, the arena stripes otherwise,
-	// nil on the flat heap path.
-	clocks func(int) vclock.Allocator
 	// sync publishes the version epochs behind SyncNoOp; nil unless the
 	// backend called EnableSyncEpochs.
 	syncEpochs *syncTables
@@ -141,8 +128,7 @@ type Store[M any] struct {
 
 // Init builds the store from cfg. report receives the races passed to
 // Emit. reset scrubs a record Delete recycles before the arena's record
-// pool parks it (nil for backends that never delete). Init panics on an
-// unknown cfg.Clock.
+// pool parks it (nil for backends that never delete).
 func (s *Store[M]) Init(report detector.Reporter, cfg Config, reset func(*M)) {
 	s.geo = NewGeometry(cfg.Shards)
 	s.presence = NewPresence()
@@ -158,21 +144,6 @@ func (s *Store[M]) Init(report detector.Reporter, cfg Config, reset func(*M)) {
 	if cfg.Arena || cfg.ArenaDebug {
 		s.arena = arena.New(arena.Options{Shards: len(s.Table), Debug: cfg.ArenaDebug})
 		s.pool = arena.NewRecords[M](s.arena, reset)
-		s.clocks = s.arena.Shard
-	}
-	switch cfg.Clock {
-	case "", "flat":
-	case "tree":
-		// Tree clocks wrap whatever allocator sits underneath: on the
-		// arena path the index's aux vectors draw from the same slabs as
-		// the entry arrays, so nothing falls back to the heap.
-		if s.arena != nil {
-			s.clocks = vclock.TreeStriped(s.arena.Shard)
-		} else {
-			s.clocks = vclock.TreeHeap(s.geo.Shards())
-		}
-	default:
-		panic(fmt.Sprintf("shardbase: unknown clock %q (known: flat, tree)", cfg.Clock))
 	}
 }
 
@@ -212,28 +183,15 @@ func (p *probes) NoMetadata(_ vclock.Thread, x event.Var, _ event.Site, _ uint32
 // Arena returns the slab arena, or nil on the heap path.
 func (p *probes) Arena() *arena.Arena { return p.arena }
 
-// VCAlloc returns stripe i's plain slab allocator, or nil on the heap
-// path. Clocks that take arbitrary component assignments (version vectors,
-// per-variable clocks) draw from it even when tree clocks are mounted.
+// VCAlloc returns the allocator of every clock the backend draws for
+// stripe i (thread, synchronization, version and per-variable clocks):
+// the stripe's slab allocator, or vclock.Heap on the heap path.
 func (p *probes) VCAlloc(i int) vclock.Allocator {
 	if p.arena == nil {
-		return nil
+		return vclock.Heap
 	}
 	return p.arena.Shard(i)
 }
-
-// ClockAlloc returns the allocator for stripe i's thread and
-// synchronization clocks, or nil on the flat heap path.
-func (p *probes) ClockAlloc(i int) vclock.Allocator {
-	if p.clocks == nil {
-		return nil
-	}
-	return p.clocks(i)
-}
-
-// Clocks returns the striped clock source for detector.BaseSync's
-// SetAllocator (nil on the flat heap path).
-func (p *probes) Clocks() func(int) vclock.Allocator { return p.clocks }
 
 // ArenaStats implements detector.Sharded's arena report. The bool result
 // is false on the heap path.
@@ -249,14 +207,6 @@ func (p *probes) ArenaStats() (detector.ArenaStats, bool) {
 		Misses:    st.Misses,
 		Trimmed:   st.Trimmed,
 	}, true
-}
-
-// NewVC draws a fresh clock from a, falling back to the heap when a is nil.
-func NewVC(a vclock.Allocator, n int) *vclock.VC {
-	if a != nil {
-		return a.NewVC(n)
-	}
-	return vclock.New(n)
 }
 
 // Bound returns the resolved record-table bound: identifiers below it

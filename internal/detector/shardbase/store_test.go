@@ -321,14 +321,12 @@ func TestShardbaseThreadPubGrowsGeometrically(t *testing.T) {
 var shardedBackends = []string{"pacer", "fasttrack", "o1samples", "djit", "djit+", "literace"}
 
 // TestShardbaseConfigReachesEveryBackend pins that every sharded backend
-// honors the one store configuration: the shard count, the arena, and the
-// clock representation (an unknown one panics rather than silently
-// mounting flat clocks).
+// honors the one store configuration: the shard count and the arena.
 func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 	for _, name := range shardedBackends {
 		t.Run(name, func(t *testing.T) {
 			d, err := backends.New(name, nil, backends.Config{
-				Config: shardbase.Config{Shards: 8, Arena: true, Clock: "tree"},
+				Config: shardbase.Config{Shards: 8, Arena: true},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -343,13 +341,6 @@ func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 			if _, on := sh.ArenaStats(); !on {
 				t.Error("arena requested but not enabled")
 			}
-
-			defer func() {
-				if recover() == nil {
-					t.Error(`Clock "Tree" did not panic`)
-				}
-			}()
-			backends.New(name, nil, backends.Config{Config: shardbase.Config{Clock: "Tree"}})
 		})
 	}
 }

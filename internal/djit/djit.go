@@ -11,10 +11,8 @@
 // GENERIC → DJIT+ → FASTTRACK → PACER — so the benchmarks can show each
 // paper's incremental win. Like the other precise backends it implements
 // the detector.Sharded contract through the metadata store of
-// internal/detector/shardbase, so the concurrent front-end, the slab
-// arena, and tree clocks cover it like any other sharded backend (the
-// per-variable read and write clocks stay flat: they take arbitrary
-// component assignments the tree index cannot track). Being always-on, its
+// internal/detector/shardbase, so the concurrent front-end and the slab
+// arena cover it like any other sharded backend. Being always-on, its
 // published sampling flag is constantly set; it offers no lock-free
 // dismissals (the time-frame check needs the variable's frame table), so
 // every access takes the front-end's shard lock.
@@ -80,8 +78,7 @@ func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
 	// DJIT+ never deletes a record, so none is recycled: no reset.
 	d.Init(report, cfg, nil)
 	d.skips = make([]frameSkips, d.Shards())
-	d.sync = detector.NewBaseSync(&d.SyncStats)
-	d.sync.SetAllocator(d.Clocks())
+	d.sync = detector.NewBaseSync(&d.SyncStats, d.VCAlloc)
 	d.State().SetAlwaysOn()
 	return d
 }
@@ -115,7 +112,7 @@ func (d *Detector) varMeta(si int, x event.Var) *varMeta {
 	}
 	m := d.Insert(si, x)
 	a := d.VCAlloc(si)
-	m.r, m.w = shardbase.NewVC(a, 0), shardbase.NewVC(a, 0)
+	m.r, m.w = a.NewVC(0), a.NewVC(0)
 	return m
 }
 

@@ -192,8 +192,7 @@ func newDetector(report detector.Reporter, cfg shardbase.Config, opts Options) *
 	d := &Detector{opts: opts}
 	// No record is ever deleted, so none is recycled: no reset.
 	d.Init(report, cfg, nil)
-	d.sync = detector.NewBaseSync(&d.SyncStats)
-	d.sync.SetAllocator(d.Clocks())
+	d.sync = detector.NewBaseSync(&d.SyncStats, d.VCAlloc)
 	return d
 }
 
@@ -480,11 +479,9 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 // component cannot advance (a component originates only from its own
 // thread's increments, so no other clock ever carries a larger one):
 // those republish nothing, no matter how much content the join absorbed.
-// BaseSync reports whether each such join changed the clock at all — with
-// tree clocks, computed from the pruned changed-entry walk rather than a
-// full-width comparison — which the sampling backends use to skip their
-// own post-acquire work; for FASTTRACK the publication skip is
-// unconditional.
+// BaseSync reports whether each such join changed the clock at all, which
+// the sampling backends use to skip their own post-acquire work; for
+// FASTTRACK the publication skip is unconditional.
 
 // Acquire implements Algorithm 1.
 func (d *Detector) Acquire(t vclock.Thread, m event.Lock) {

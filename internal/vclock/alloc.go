@@ -96,7 +96,6 @@ func (v *VC) CapLimbs() int { return cap(v.c) }
 // user, and the poison makes a stale Release or Retain panic instead of
 // silently corrupting whoever holds the slab next.
 func (v *VC) Scrub() {
-	v.dropTree()
 	clear(v.c[:cap(v.c)])
 	v.c = v.c[:0]
 	v.shared = false

@@ -28,12 +28,6 @@ type VC struct {
 	shared bool
 	alloc  Allocator // nil = heap-backed (the garbage collector reclaims)
 	ref    int32     // holder count; meaningful only when alloc != nil
-
-	// Last-update index (see treeclock.go). tr is nil for plain flat
-	// clocks; talloc marks a clock drawn from a Tree allocator (capable of
-	// carrying an index even while tr is nil).
-	tr     *tree
-	talloc *treeAlloc
 }
 
 // New returns a vector clock with capacity for n threads, all zero.
@@ -65,10 +59,6 @@ func (v *VC) Get(t Thread) uint64 {
 func (v *VC) Set(t Thread, c uint64) {
 	v.mustOwn()
 	v.grow(int(t) + 1)
-	if v.tr != nil {
-		v.treeSet(t, c)
-		return
-	}
 	v.c[t] = c
 }
 
@@ -78,33 +68,26 @@ func (v *VC) Set(t Thread, c uint64) {
 func (v *VC) Inc(t Thread) {
 	v.mustOwn()
 	v.grow(int(t) + 1)
-	if v.tr != nil {
-		v.treeInc(t)
-		return
-	}
 	v.c[t]++
 }
 
 // JoinFrom computes v ← v ⊔ o, the pointwise maximum (Equation 3), and
-// reports whether v changed. The receiver must not be shared. Tree-backed
-// clocks (treeclock.go) join in time proportional to the entries that
-// actually changed since the destination last absorbed the source's
-// publisher; the result is element-for-element the same.
+// reports whether v changed. The receiver must not be shared.
 func (v *VC) JoinFrom(o *VC) bool {
 	v.mustOwn()
-	if v.tr != nil || o.tr != nil || v.talloc != nil {
-		return v.joinFrom(o)
+	v.grow(len(o.c))
+	changed := false
+	for i, oc := range o.c {
+		if oc > v.c[i] {
+			v.c[i] = oc
+			changed = true
+		}
 	}
-	return v.flatJoinFrom(o)
+	return changed
 }
 
-// Leq reports v ⊑ o, the pointwise partial order (Appendix A.1). When both
-// sides are tree-backed a certified-publisher check can answer true in
-// O(1); the flat scan is the general path.
+// Leq reports v ⊑ o, the pointwise partial order (Appendix A.1).
 func (v *VC) Leq(o *VC) bool {
-	if v.leqFast(o) {
-		return true
-	}
 	for i, vc := range v.c {
 		if vc == 0 {
 			continue
@@ -118,25 +101,27 @@ func (v *VC) Leq(o *VC) bool {
 
 // CopyFrom performs a deep, element-by-element copy of o into v. The
 // receiver must not be shared. A shrinking copy zeroes the vacated tail,
-// so a later grow() re-exposes zeros, never stale clock values. Between
-// tree-backed clocks the copy runs as a monotone in-place join whenever
-// the destination's content is subsumed by the source (the common release
-// pattern), costing only the entries that changed; an O(1) totals check
-// certifies the result and an exact full-width copy is the fallback.
+// so a later grow() re-exposes zeros, never stale clock values.
 func (v *VC) CopyFrom(o *VC) {
 	v.mustOwn()
-	if v.tr != nil || o.tr != nil || v.talloc != nil {
-		v.copyFrom(o)
-		return
+	prev := len(v.c)
+	if cap(v.c) < len(o.c) {
+		// Grow geometrically, as grow does: a lock's clock copied from a
+		// source that widens by one thread at a time reallocates O(log n)
+		// times. Fresh storage is zero past len, as the invariant requires.
+		v.c = make([]uint64, len(o.c), max(len(o.c), 2*cap(v.c)))
+	} else {
+		v.c = v.c[:len(o.c)]
+		if len(o.c) < prev {
+			clear(v.c[len(o.c):prev])
+		}
 	}
-	v.flatCopyFrom(o)
+	copy(v.c, o.c)
 }
 
 // Clone returns a deep, unshared copy of v, drawn from v's allocator when
 // it is managed (so arena-backed detectors never fall back to the heap on
-// the copy-on-write path). A tree-backed clock's clone carries a deep copy
-// of the index, so snapshot-and-continue (PACER's copy-on-write) keeps
-// proportional joins on both halves.
+// the copy-on-write path).
 func (v *VC) Clone() *VC { return v.CloneWidth(0) }
 
 // CloneWidth is Clone with the copy at least n entries wide, the entries
@@ -145,18 +130,12 @@ func (v *VC) Clone() *VC { return v.CloneWidth(0) }
 func (v *VC) CloneWidth(n int) *VC {
 	n = max(n, len(v.c))
 	var c *VC
-	switch {
-	case v.talloc != nil:
-		c = v.talloc.NewVC(n)
-	case v.alloc != nil:
+	if v.alloc != nil {
 		c = v.alloc.NewVC(n)
-	default:
+	} else {
 		c = &VC{c: make([]uint64, n)}
 	}
 	copy(c.c, v.c)
-	if v.tr != nil {
-		c.cloneTree(v)
-	}
 	return c
 }
 
@@ -190,15 +169,8 @@ func (v *VC) Unshare() bool {
 func (v *VC) Equal(o *VC) bool { return v.Leq(o) && o.Leq(v) }
 
 // MemoryWords approximates the clock's footprint in 8-byte words, used by
-// the space accountant reproducing Figure 10. Tree-backed clocks account
-// for their last-update index honestly.
-func (v *VC) MemoryWords() int {
-	w := len(v.c) + 2
-	if v.tr != nil {
-		w += v.treeMemoryWords()
-	}
-	return w
-}
+// the space accountant reproducing Figure 10.
+func (v *VC) MemoryWords() int { return len(v.c) + 2 }
 
 func (v *VC) grow(n int) {
 	if n <= len(v.c) {

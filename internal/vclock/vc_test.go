@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -306,4 +307,95 @@ func TestUnshare(t *testing.T) {
 	if m.Get(0) != 1 {
 		t.Fatalf("reclaimed clock lost content: %v", m)
 	}
+}
+
+// TestVCModelDifferential drives detector-shaped operation streams —
+// release copies that shrink a lock's clock, volatile joins from several
+// writers, copy-on-write snapshots, increments, and copies into thread
+// clocks — through VC and through a map model of the total function
+// Tid → Nat, comparing after every operation. It also checks the storage
+// invariant everything else leans on: entries past the stored length are
+// zero, so a shrinking copy followed by any growth (Set, Inc, JoinFrom,
+// CloneWidth) re-exposes zeros, never stale values.
+func TestVCModelDifferential(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const n, width = 8, 12
+		clocks := make([]*VC, n)
+		model := make([]map[int]uint64, n)
+		for i := range clocks {
+			clocks[i] = New(rng.Intn(width))
+			model[i] = map[int]uint64{}
+		}
+		own := func(i int) {
+			if clocks[i].Shared() {
+				clocks[i] = clocks[i].Clone()
+			}
+		}
+		for op := 0; op < 2000; op++ {
+			a, b, th := rng.Intn(n), rng.Intn(n), rng.Intn(width)
+			switch rng.Intn(6) {
+			case 0:
+				own(a)
+				changed := clocks[a].JoinFrom(clocks[b])
+				want := false
+				for k, c := range model[b] {
+					if c > model[a][k] {
+						model[a][k], want = c, true
+					}
+				}
+				if changed != want {
+					t.Fatalf("seed %d op %d: JoinFrom changed=%v, model %v", seed, op, changed, want)
+				}
+			case 1:
+				own(a)
+				clocks[a].CopyFrom(clocks[b])
+				model[a] = maps.Clone(model[b])
+			case 2:
+				own(a)
+				clocks[a].Inc(Thread(th))
+				model[a][th]++
+			case 3:
+				own(a)
+				c := uint64(rng.Intn(50))
+				clocks[a].Set(Thread(th), c)
+				model[a][th] = c
+			case 4: // shallow snapshot: a and b alias one shared clock
+				clocks[b].SetShared()
+				clocks[a] = clocks[b]
+				model[a] = maps.Clone(model[b])
+			case 5:
+				clocks[a] = clocks[b].CloneWidth(rng.Intn(2 * width))
+				model[a] = maps.Clone(model[b])
+			}
+			for i, v := range clocks {
+				for k := 0; k < 2*width; k++ {
+					if got := v.Get(Thread(k)); got != model[i][k] {
+						t.Fatalf("seed %d op %d: clock %d entry %d = %d, model %d (%v)", seed, op, i, k, got, model[i][k], v)
+					}
+				}
+				if !allZeroTail(v) {
+					t.Fatalf("seed %d op %d: clock %d holds nonzero storage past its length %d", seed, op, i, v.Len())
+				}
+				for j, o := range clocks {
+					want := true
+					for k, c := range model[i] {
+						want = want && c <= model[j][k]
+					}
+					if v.Leq(o) != want {
+						t.Fatalf("seed %d op %d: Leq(%d, %d) = %v, model %v", seed, op, i, j, !want, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func allZeroTail(v *VC) bool {
+	for _, c := range v.c[len(v.c):cap(v.c)] {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

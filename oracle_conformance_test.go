@@ -33,7 +33,6 @@ import (
 type matrixCell struct {
 	serialized bool
 	arena      bool
-	clock      string // "" = flat vector clocks, "tree" = vclock.Tree
 }
 
 func (c matrixCell) String() string {
@@ -44,33 +43,21 @@ func (c matrixCell) String() string {
 	if c.arena {
 		a = "arena"
 	}
-	out := s + "/" + a
-	if c.clock != "" {
-		out += "/" + c.clock
-	}
-	return out
-}
-
-// fullMatrix is the {serialized, sharded} × {heap, arena} slice for one
-// clock representation.
-func fullMatrix(clock string) []matrixCell {
-	return []matrixCell{
-		{serialized: true, clock: clock}, {serialized: true, arena: true, clock: clock},
-		{serialized: false, clock: clock}, {serialized: false, arena: true, clock: clock},
-	}
+	return s + "/" + a
 }
 
 // matrixCellsFor returns the cells that are behaviorally distinct for a
 // backend. Every sharded backend (pacer, fasttrack, literace, djit+,
 // o1samples) reads the one store configuration, so it exercises all four
-// front-end configurations and repeats them with tree clocks mounted,
-// since the representation swap must be invisible to every verdict. The
-// remaining backends are driven serialized with heap metadata whatever the
+// front-end configurations. The remaining backends are driven serialized with heap metadata whatever the
 // options say, so one cell covers them.
 func matrixCellsFor(algo string) []matrixCell {
 	switch algo {
 	case "pacer", "fasttrack", "o1samples", "literace", "djit", "djit+":
-		return append(fullMatrix(""), fullMatrix("tree")...)
+		return []matrixCell{
+			{serialized: true}, {serialized: true, arena: true},
+			{serialized: false}, {serialized: false, arena: true},
+		}
 	default:
 		return []matrixCell{{serialized: true}}
 	}
@@ -86,7 +73,6 @@ func replayOracle(algo string, tr event.Trace, cell matrixCell, shards int) []pa
 		Seed:         5,
 		Serialized:   cell.serialized,
 		Arena:        cell.arena,
-		Clock:        cell.clock,
 		Shards:       shards,
 		OnRace:       func(r pacer.Race) { races = append(races, r) },
 	})

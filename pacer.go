@@ -197,14 +197,6 @@ type Options struct {
 	// Recommended for long-running processes with nonzero sampling rates;
 	// see docs/arena.md.
 	Arena bool
-	// Clock selects the timestamp representation: "" or "flat" is the
-	// plain vector clock; "tree" mounts the last-update tree index, making
-	// synchronization joins and release copies cost proportional to the
-	// entries that actually changed instead of the thread count — see
-	// docs/clocks.md. Race reports are identical either way (the
-	// conformance matrix enforces this); only the cost model changes. New
-	// panics on any other value, as it does on an unknown Algorithm.
-	Clock string
 	// EpochFastVarCap bounds the record table of every sharded backend:
 	// a variable whose identifier lies below the cap keeps its metadata
 	// record in a paged table, found with two loads and no hashing and
@@ -441,9 +433,8 @@ type Detector struct {
 func Algorithms() []string { return backends.Names() }
 
 // New returns a detector with the given options. It panics if
-// Options.Algorithm names an unregistered backend or Options.Clock an
-// unknown representation (programming errors; validate user input against
-// Algorithms first).
+// Options.Algorithm names an unregistered backend (a programming error;
+// validate user input against Algorithms first).
 func New(opts Options) *Detector {
 	if opts.Algorithm == "" {
 		opts.Algorithm = "pacer"
@@ -473,7 +464,6 @@ func New(opts Options) *Detector {
 		Config: shardbase.Config{
 			Shards:   opts.Shards,
 			Arena:    opts.Arena,
-			Clock:    opts.Clock,
 			IndexCap: opts.EpochFastVarCap,
 		},
 	})

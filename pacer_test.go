@@ -190,25 +190,6 @@ func TestOptionsClamping(t *testing.T) {
 	}
 }
 
-// TestUnknownClockPanics pins that a misspelled clock representation is
-// rejected like an unknown Algorithm, instead of silently mounting flat
-// clocks.
-func TestUnknownClockPanics(t *testing.T) {
-	for _, clock := range []string{"Tree", "vc"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("pacer.New with Clock %q did not panic", clock)
-				}
-			}()
-			pacer.New(pacer.Options{Clock: clock})
-		}()
-	}
-	for _, clock := range []string{"", "flat", "tree"} {
-		pacer.New(pacer.Options{Clock: clock}) // must not panic
-	}
-}
-
 func TestIDAllocation(t *testing.T) {
 	d := pacer.New(pacer.Options{})
 	if a, b := d.NewVarID(), d.NewVarID(); a == b {
