@@ -17,11 +17,10 @@ import (
 // testdata/stats.golden. One corpus trace is replayed with its recorded
 // sampling transitions stripped, so the seeded roller alternates sampling
 // and non-sampling periods and every dismissal path the backend offers
-// gets work. The arena is on, so its counters are pinned too. A change to
-// how a backend exposes its counters, its variable count, its metadata
-// size or its arena must leave every number here as it was; a change that
-// means to move one updates the golden file with the lines this test
-// prints.
+// gets work. A change to how a backend exposes its counters, its variable
+// count or its metadata size must leave every number here as it was; a
+// change that means to move one updates the golden file with the lines
+// this test prints.
 func TestStatsGoldenPerBackend(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "corpus", "gen-003.trace"))
 	if err != nil {
@@ -39,7 +38,6 @@ func TestStatsGoldenPerBackend(t *testing.T) {
 				SamplingRate: 0.5,
 				PeriodOps:    16,
 				Seed:         3,
-				Arena:        true,
 				Serialized:   serialized,
 				OnRace:       func(pacer.Race) {},
 			})

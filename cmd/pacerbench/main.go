@@ -3,16 +3,14 @@
 //
 // Usage:
 //
-//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|arena|fasttrack|contention|ingest]
+//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|fasttrack|contention|ingest]
 //	           [-bench eclipse|hsqldb|xalan|pseudojbb] [-scale 0.2] [-seed 0]
 //
-// The frontend, arena, and fasttrack experiments are different in kind:
+// The frontend, fasttrack, and contention experiments are different in kind:
 // they measure the real wall-clock behavior of the concurrent public API
 // on this machine. frontend compares the sharded lock-free front-end
 // against the single-mutex baseline across goroutine counts (with
-// allocations/op and metadata-words columns); arena compares the
-// slab-allocated metadata arena (Options.Arena) against the default heap
-// allocator; fasttrack compares the always-on FASTTRACK backend mounted
+// allocations/op and metadata-words columns); fasttrack compares the always-on FASTTRACK backend mounted
 // sharded against the same backend driven serialized; contention runs
 // FASTTRACK on shared-read and sync-heavy mixes three ways — serialized,
 // sharded without the owned-access path, and the full sharded mount with
@@ -40,7 +38,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, arena, fasttrack, contention, ingest")
+		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, fasttrack, contention, ingest")
 	benchName := flag.String("bench", "", "restrict to one benchmark (eclipse, hsqldb, xalan, pseudojbb)")
 	scale := flag.Float64("scale", 0.2, "trial-count scale factor (1.0 = the paper's protocol)")
 	seed := flag.Int64("seed", 0, "base seed for all trials")
@@ -205,14 +203,6 @@ func main() {
 		harness.Frontend(harness.FrontendConfig{Ops: ops}).Render(os.Stdout)
 		return nil
 	})
-	section("arena", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Arena(harness.ArenaConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
 	section("fasttrack", func() error {
 		ops := int(200_000 * *scale)
 		if ops < 20_000 {
@@ -255,7 +245,7 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "pacerbench: unknown experiment %q (try: %s)\n",
 			*experiment, strings.Join([]string{"all", "table1", "table2", "table3",
-				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "arena", "fasttrack", "contention", "ingest"}, ", "))
+				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "fasttrack", "contention", "ingest"}, ", "))
 		os.Exit(2)
 	}
 	fmt.Printf("pacerbench: done in %v (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)

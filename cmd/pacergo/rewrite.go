@@ -700,6 +700,7 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 
 	case *ast.IncDecStmt:
+		in.funcLits(st)
 		in.readHooks(st.X, &pre)
 		if h := in.writeHook(st.X); h != nil {
 			post = append(post, h)
@@ -733,14 +734,11 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 
 	case *ast.IfStmt:
-		if st.Init != nil {
-			in.funcLits(st.Init)
-			in.initReads(st.Init, &pre)
-		}
+		wrap = in.rewriteInit(&st.Init, &pre)
 		in.funcLits(st.Cond)
 		var cond []ast.Stmt
 		in.readHooks(st.Cond, &cond)
-		wrap = afterInit(&st.Init, &pre, cond)
+		wrap = afterInit(&st.Init, &pre, cond) || wrap
 		in.rewriteBlock(st.Body)
 		switch e := st.Else.(type) {
 		case *ast.BlockStmt:
@@ -757,7 +755,9 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 	case *ast.ForStmt:
 		// Cond and Post run once per iteration; hooks for them would
 		// need to run inside the loop header, which Go cannot express
-		// without restructuring the loop (documented gap).
+		// without restructuring the loop (documented gap). The init stays
+		// in the header: each iteration gets its own copy of a variable it
+		// declares, so moving it out would change the program.
 		in.funcLits(st.Init)
 		in.funcLits(st.Cond)
 		in.funcLits(st.Post)
@@ -799,14 +799,11 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 
 	case *ast.SwitchStmt:
-		if st.Init != nil {
-			in.funcLits(st.Init)
-			in.initReads(st.Init, &pre)
-		}
+		wrap = in.rewriteInit(&st.Init, &pre)
 		in.funcLits(st.Tag)
 		var tag []ast.Stmt
 		in.readHooks(st.Tag, &tag)
-		wrap = afterInit(&st.Init, &pre, tag)
+		wrap = afterInit(&st.Init, &pre, tag) || wrap
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				cc.Body = in.rewriteStmts(cc.Body)
@@ -814,9 +811,7 @@ func (in *instrumenter) rewriteStmt(s ast.Stmt) []ast.Stmt {
 		}
 
 	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			in.initReads(st.Init, &pre)
-		}
+		wrap = in.rewriteInit(&st.Init, &pre)
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				cc.Body = in.rewriteStmts(cc.Body)
@@ -852,10 +847,29 @@ func (in *instrumenter) rewriteStmts(list []ast.Stmt) []ast.Stmt {
 	return out
 }
 
-// initReads collects read hooks from a one-statement init clause (if/for/
-// switch). Writes in init clauses are not hooked — their hook would have
-// to run between the init and the condition, which cannot be expressed
-// without restructuring (documented gap).
+// rewriteInit rewrites an if's or a switch's init clause as the statement
+// it is, so a receive or a sync call there is hoisted and hooked like
+// anywhere else. When that emits anything, the init moves out of the
+// statement, after what runs ahead of it and before its own hooks (the
+// caller wraps the result in a block). It reports whether the init moved.
+func (in *instrumenter) rewriteInit(init *ast.Stmt, pre *[]ast.Stmt) bool {
+	if *init == nil {
+		return false
+	}
+	stmts := in.rewriteStmt(*init)
+	if len(stmts) == 1 {
+		*init = stmts[0]
+		return false
+	}
+	*pre = append(*pre, stmts...)
+	*init = nil
+	return true
+}
+
+// initReads collects read hooks from a for loop's init clause. Writes
+// there are not hooked: their hook would have to run between the init
+// and the condition, which cannot be expressed without restructuring the
+// loop (documented gap).
 func (in *instrumenter) initReads(s ast.Stmt, out *[]ast.Stmt) {
 	switch st := s.(type) {
 	case *ast.AssignStmt:

@@ -552,6 +552,22 @@ func syncShapes() int {
 	if ok {
 		v += int(atomic.LoadInt64(&cs[at(1)]))
 	}
+	if x := <-chs[at(0)]; x > v {
+		v = x
+	}
+	switch y := atomic.LoadInt64(&cs[at(0)]); {
+	case y > 0:
+		v++
+	}
+	switch x, ok := <-chs[at(1)]; w := any(x).(type) {
+	case int:
+		if ok {
+			v += w
+		}
+	}
+	for x := <-chs[at(0)]; x > 0; x-- {
+		v++
+	}
 	return v
 }
 `)

@@ -60,19 +60,15 @@ func main() {
 	}
 }
 
-// printBackends prints the live mount/arena/sampling/sync/chain matrix straight
+// printBackends prints the live mount/sampling/sync/chain matrix straight
 // from the backend registry — the authoritative version of the
 // docs/backends.md table (a test pins the two together).
 func printBackends() {
-	fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", "backend", "mount", "arena", "sampling", "sync", "lock-free dismissals")
+	fmt.Printf("%-12s %-11s %-10s %-5s %s\n", "backend", "mount", "sampling", "sync", "lock-free dismissals")
 	for _, c := range backends.All() {
 		chain := strings.Join(c.Stages, ", ")
 		if chain == "" {
 			chain = "—"
-		}
-		arena := "no"
-		if c.Arena {
-			arena = "yes"
 		}
 		sampling := "always-on"
 		if c.Sampler {
@@ -82,7 +78,7 @@ func printBackends() {
 		if c.SyncNoOp {
 			sync = "yes"
 		}
-		fmt.Printf("%-12s %-11s %-6s %-10s %-5s %s\n", c.Name, c.Mount(), arena, sampling, sync, chain)
+		fmt.Printf("%-12s %-11s %-10s %-5s %s\n", c.Name, c.Mount(), sampling, sync, chain)
 	}
 }
 
@@ -291,14 +287,13 @@ func verify(args []string) {
 	violations := 0
 	for _, algo := range algos {
 		exact := fullyAnalyzed && (algo != "literace" || literaceBurstsOpen(tr))
-		for _, cell := range verifyCells(algo) {
+		for _, serialized := range verifyModes(algo) {
 			var races []detector.Race
 			d := pacer.New(pacer.Options{
 				Algorithm:    algo,
 				SamplingRate: 1.0,
 				Seed:         5,
-				Serialized:   cell.serialized,
-				Arena:        cell.arena,
+				Serialized:   serialized,
 				OnRace:       func(r detector.Race) { races = append(races, r) },
 			})
 			for _, e := range tr {
@@ -306,20 +301,16 @@ func verify(args []string) {
 			}
 			issues := rep.Check(races, exact)
 			mode := "sharded"
-			if cell.serialized {
+			if serialized {
 				mode = "serialized"
 			}
-			alloc := "heap"
-			if cell.arena {
-				alloc = "arena"
-			}
 			if len(issues) == 0 {
-				fmt.Printf("  ok   %-10s %-10s %-5s (%d report(s))\n", algo, mode, alloc, len(races))
+				fmt.Printf("  ok   %-10s %-10s (%d report(s))\n", algo, mode, len(races))
 				continue
 			}
 			violations += len(issues)
 			for _, issue := range issues {
-				fmt.Printf("  FAIL %-10s %-10s %-5s %s\n", algo, mode, alloc, issue)
+				fmt.Printf("  FAIL %-10s %-10s %s\n", algo, mode, issue)
 			}
 		}
 	}
@@ -328,18 +319,15 @@ func verify(args []string) {
 	}
 }
 
-type verifyCell struct{ serialized, arena bool }
-
-// verifyCells mirrors the conformance suite's matrix slice per backend:
-// the sharded arena-capable backends exercise all four front-end
-// configurations, the rest only the configurations that differ
-// behaviorally for them.
-func verifyCells(algo string) []verifyCell {
+// verifyModes mirrors the conformance suite's matrix slice per backend,
+// as the Serialized option of each cell: the sharded backends run both
+// front-end mounts, the rest only the serialized one.
+func verifyModes(algo string) []bool {
 	switch algo {
 	case "pacer", "fasttrack", "literace", "djit", "djit+":
-		return []verifyCell{{true, false}, {true, true}, {false, false}, {false, true}}
+		return []bool{true, false}
 	default:
-		return []verifyCell{{true, false}}
+		return []bool{true}
 	}
 }
 

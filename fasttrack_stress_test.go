@@ -22,92 +22,80 @@ import (
 // serialized sync path — and that the same-epoch fast path actually fires
 // (repeated private accesses within an epoch are its bread and butter).
 func TestFastTrackShardedStressStatsConservation(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{{"heap", false}, {"arena", true}} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			const goroutines = 8
-			const opsPer = 4000
-			var raceCount atomic.Uint64
-			d := pacer.New(pacer.Options{
-				Algorithm: "fasttrack",
-				PeriodOps: 256,
-				Seed:      3,
-				Shards:    8, // small shard count: more same-shard contention
-				Arena:     tc.arena,
-				OnRace:    func(pacer.Race) { raceCount.Add(1) },
-			})
-			if d.ShardCount() != 8 {
-				t.Fatalf("ShardCount = %d, want 8: FASTTRACK should mount sharded", d.ShardCount())
-			}
-			if !d.Sampling() {
-				t.Fatal("always-on backend must report Sampling() == true")
-			}
-			main := d.NewThread()
-			shared := d.NewVarID()
-			m := d.NewMutex()
-			var issuedReads, issuedWrites atomic.Uint64
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				tid := d.Fork(main)
-				wg.Add(1)
-				go func(tid pacer.ThreadID, g int) {
-					defer wg.Done()
-					private := d.NewVarID()
-					for i := 0; i < opsPer; i++ {
-						switch i % 8 {
-						case 0: // unsynchronized shared write: race-prone
-							d.Write(tid, shared, pacer.SiteID(g))
-							issuedWrites.Add(1)
-						case 1:
-							m.Lock(tid)
-							d.Read(tid, shared, pacer.SiteID(g+100))
-							m.Unlock(tid)
-							issuedReads.Add(1)
-						case 2, 3: // private writes: distinct shards in parallel
-							d.Write(tid, private, pacer.SiteID(g+200))
-							issuedWrites.Add(1)
-						default:
-							d.Read(tid, private, pacer.SiteID(g+300))
-							issuedReads.Add(1)
-						}
-					}
-				}(tid, g)
-			}
-			wg.Wait()
-			s := d.Stats()
-			if s.Reads != issuedReads.Load() {
-				t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
-			}
-			if s.Writes != issuedWrites.Load() {
-				t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
-			}
-			if s.FastPathReads == 0 || s.FastPathWrites == 0 {
-				t.Errorf("same-epoch fast path never fired: %d reads, %d writes dismissed",
-					s.FastPathReads, s.FastPathWrites)
-			}
-			if s.SyncOps == 0 {
-				t.Error("sync ops not counted")
-			}
-			if s.Races == 0 || raceCount.Load() == 0 {
-				t.Error("unsynchronized shared writes from 8 goroutines produced no race report")
-			}
-			if s.Races != raceCount.Load() {
-				t.Errorf("Stats.Races = %d, OnRace saw %d", s.Races, raceCount.Load())
-			}
-			if s.VarsTracked == 0 || s.MetadataWords == 0 {
-				t.Error("always-on detection tracked no metadata")
-			}
-			if s.ArenaEnabled != tc.arena {
-				t.Errorf("ArenaEnabled = %v, want %v", s.ArenaEnabled, tc.arena)
-			}
-			if tc.arena && s.ArenaSlabsLive == 0 {
-				t.Error("arena mount holds no live slabs after tracking metadata")
-			}
+	// The subtest is named for the heap, where every clock lives.
+	t.Run("heap", func(t *testing.T) {
+		const goroutines = 8
+		const opsPer = 4000
+		var raceCount atomic.Uint64
+		d := pacer.New(pacer.Options{
+			Algorithm: "fasttrack",
+			PeriodOps: 256,
+			Seed:      3,
+			Shards:    8, // small shard count: more same-shard contention
+			OnRace:    func(pacer.Race) { raceCount.Add(1) },
 		})
-	}
+		if d.ShardCount() != 8 {
+			t.Fatalf("ShardCount = %d, want 8: FASTTRACK should mount sharded", d.ShardCount())
+		}
+		if !d.Sampling() {
+			t.Fatal("always-on backend must report Sampling() == true")
+		}
+		main := d.NewThread()
+		shared := d.NewVarID()
+		m := d.NewMutex()
+		var issuedReads, issuedWrites atomic.Uint64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			tid := d.Fork(main)
+			wg.Add(1)
+			go func(tid pacer.ThreadID, g int) {
+				defer wg.Done()
+				private := d.NewVarID()
+				for i := 0; i < opsPer; i++ {
+					switch i % 8 {
+					case 0: // unsynchronized shared write: race-prone
+						d.Write(tid, shared, pacer.SiteID(g))
+						issuedWrites.Add(1)
+					case 1:
+						m.Lock(tid)
+						d.Read(tid, shared, pacer.SiteID(g+100))
+						m.Unlock(tid)
+						issuedReads.Add(1)
+					case 2, 3: // private writes: distinct shards in parallel
+						d.Write(tid, private, pacer.SiteID(g+200))
+						issuedWrites.Add(1)
+					default:
+						d.Read(tid, private, pacer.SiteID(g+300))
+						issuedReads.Add(1)
+					}
+				}
+			}(tid, g)
+		}
+		wg.Wait()
+		s := d.Stats()
+		if s.Reads != issuedReads.Load() {
+			t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
+		}
+		if s.Writes != issuedWrites.Load() {
+			t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
+		}
+		if s.FastPathReads == 0 || s.FastPathWrites == 0 {
+			t.Errorf("same-epoch fast path never fired: %d reads, %d writes dismissed",
+				s.FastPathReads, s.FastPathWrites)
+		}
+		if s.SyncOps == 0 {
+			t.Error("sync ops not counted")
+		}
+		if s.Races == 0 || raceCount.Load() == 0 {
+			t.Error("unsynchronized shared writes from 8 goroutines produced no race report")
+		}
+		if s.Races != raceCount.Load() {
+			t.Errorf("Stats.Races = %d, OnRace saw %d", s.Races, raceCount.Load())
+		}
+		if s.VarsTracked == 0 || s.MetadataWords == 0 {
+			t.Error("always-on detection tracked no metadata")
+		}
+	})
 }
 
 // TestFastTrackShardedMatchesSerializedRaces runs the identical
@@ -199,85 +187,76 @@ func TestFastTrackTrimEpochRepublication(t *testing.T) {
 // the operations that advance them — so the same-epoch fast path must keep
 // firing between sync operations, every issued operation must still be
 // accounted for exactly once across the three ingestion paths, and the
-// race-free construction must stay silent. Runs on the heap and the arena
-// mount; `go test -race` audits the sharded ingestion itself.
+// race-free construction must stay silent. `go test -race` audits the
+// sharded ingestion itself.
 func TestFastTrackTrimStressStatsConservation(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{
-		{"flat/heap", false},
-		{"flat/arena", true},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			const goroutines = 8
-			const opsPer = 3000
-			d := pacer.New(pacer.Options{
-				Algorithm: "fasttrack",
-				Seed:      13,
-				Shards:    8,
-				Arena:     tc.arena,
-				OnRace:    func(r pacer.Race) { t.Errorf("false race on race-free workload: %+v", r) },
-			})
-			main := d.NewThread()
-			shared := d.NewVarID()
-			handoff := d.NewMutex()
-			var issuedReads, issuedWrites, issuedSyncs atomic.Uint64
-			d.Write(main, shared, 1) // ordered before every fork
-			issuedWrites.Add(1)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				tid := d.Fork(main)
-				wg.Add(1)
-				go func(tid pacer.ThreadID, g int) {
-					defer wg.Done()
-					mine := d.NewMutex() // uncontended: acquires learn nothing
-					private := d.NewVarID()
-					for i := 0; i < opsPer; i++ {
-						switch i % 8 {
-						case 0: // redundant acquire/release churn
-							mine.Lock(tid)
-							mine.Unlock(tid)
-							issuedSyncs.Add(2)
-						case 1: // cross-thread ordered read of the pre-fork write
-							handoff.Lock(tid)
-							d.Read(tid, shared, pacer.SiteID(g+100))
-							handoff.Unlock(tid)
-							issuedReads.Add(1)
-							issuedSyncs.Add(2)
-						case 2, 3: // private writes: same-epoch after the first
-							d.Write(tid, private, pacer.SiteID(g+200))
-							issuedWrites.Add(1)
-						default: // private reads: same-epoch fodder
-							d.Read(tid, private, pacer.SiteID(g+300))
-							issuedReads.Add(1)
-						}
-					}
-				}(tid, g)
-			}
-			wg.Wait()
-			s := d.Stats()
-			if s.Reads != issuedReads.Load() {
-				t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
-			}
-			if s.Writes != issuedWrites.Load() {
-				t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
-			}
-			// Fork/join bookkeeping adds sync ops beyond the mutex traffic;
-			// conservation here is "at least what we issued, never lost".
-			if s.SyncOps < issuedSyncs.Load() {
-				t.Errorf("Stats.SyncOps = %d, issued %d mutex ops", s.SyncOps, issuedSyncs.Load())
-			}
-			if s.FastPathReads == 0 || s.FastPathWrites == 0 {
-				t.Errorf("same-epoch fast path stopped firing under the trim: %d reads, %d writes dismissed",
-					s.FastPathReads, s.FastPathWrites)
-			}
-			if s.Races != 0 {
-				t.Errorf("Stats.Races = %d on a race-free workload", s.Races)
-			}
+	// The subtest is named for the heap, where every clock lives.
+	t.Run("flat/heap", func(t *testing.T) {
+		const goroutines = 8
+		const opsPer = 3000
+		d := pacer.New(pacer.Options{
+			Algorithm: "fasttrack",
+			Seed:      13,
+			Shards:    8,
+			OnRace:    func(r pacer.Race) { t.Errorf("false race on race-free workload: %+v", r) },
 		})
-	}
+		main := d.NewThread()
+		shared := d.NewVarID()
+		handoff := d.NewMutex()
+		var issuedReads, issuedWrites, issuedSyncs atomic.Uint64
+		d.Write(main, shared, 1) // ordered before every fork
+		issuedWrites.Add(1)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			tid := d.Fork(main)
+			wg.Add(1)
+			go func(tid pacer.ThreadID, g int) {
+				defer wg.Done()
+				mine := d.NewMutex() // uncontended: acquires learn nothing
+				private := d.NewVarID()
+				for i := 0; i < opsPer; i++ {
+					switch i % 8 {
+					case 0: // redundant acquire/release churn
+						mine.Lock(tid)
+						mine.Unlock(tid)
+						issuedSyncs.Add(2)
+					case 1: // cross-thread ordered read of the pre-fork write
+						handoff.Lock(tid)
+						d.Read(tid, shared, pacer.SiteID(g+100))
+						handoff.Unlock(tid)
+						issuedReads.Add(1)
+						issuedSyncs.Add(2)
+					case 2, 3: // private writes: same-epoch after the first
+						d.Write(tid, private, pacer.SiteID(g+200))
+						issuedWrites.Add(1)
+					default: // private reads: same-epoch fodder
+						d.Read(tid, private, pacer.SiteID(g+300))
+						issuedReads.Add(1)
+					}
+				}
+			}(tid, g)
+		}
+		wg.Wait()
+		s := d.Stats()
+		if s.Reads != issuedReads.Load() {
+			t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
+		}
+		if s.Writes != issuedWrites.Load() {
+			t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
+		}
+		// Fork/join bookkeeping adds sync ops beyond the mutex traffic;
+		// conservation here is "at least what we issued, never lost".
+		if s.SyncOps < issuedSyncs.Load() {
+			t.Errorf("Stats.SyncOps = %d, issued %d mutex ops", s.SyncOps, issuedSyncs.Load())
+		}
+		if s.FastPathReads == 0 || s.FastPathWrites == 0 {
+			t.Errorf("same-epoch fast path stopped firing under the trim: %d reads, %d writes dismissed",
+				s.FastPathReads, s.FastPathWrites)
+		}
+		if s.Races != 0 {
+			t.Errorf("Stats.Races = %d on a race-free workload", s.Races)
+		}
+	})
 }
 
 // TestOwnedStressStatsConservation hammers the owned-access CAS path: the
@@ -291,55 +270,49 @@ func TestFastTrackTrimStressStatsConservation(t *testing.T) {
 // construction (the only writes happen before the forks), so any report
 // would be a false positive from a torn owned update.
 func TestOwnedStressStatsConservation(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{{"heap", false}, {"arena", true}} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			const goroutines = 8
-			const opsPer = 4000
-			d := pacer.New(pacer.Options{
-				Algorithm: "fasttrack",
-				Seed:      5,
-				Shards:    8,
-				Arena:     tc.arena,
-				OnRace:    func(r pacer.Race) { t.Errorf("false race on read-only workload: %+v", r) },
-			})
-			main := d.NewThread()
-			shared := make([]pacer.VarID, 4)
-			for i := range shared {
-				shared[i] = d.NewVarID()
-				d.Write(main, shared[i], 1) // ordered before every fork
-			}
-			m := d.NewMutex()
-			var issuedReads atomic.Uint64
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				tid := d.Fork(main)
-				wg.Add(1)
-				go func(tid pacer.ThreadID, g int) {
-					defer wg.Done()
-					for i := 0; i < opsPer; i++ {
-						if i%512 == 511 { // epoch churn: republication keeps claims valid
-							m.Lock(tid)
-							m.Unlock(tid)
-							continue
-						}
-						d.Read(tid, shared[i%len(shared)], pacer.SiteID(g+1))
-						issuedReads.Add(1)
-					}
-				}(tid, g)
-			}
-			wg.Wait()
-			s := d.Stats()
-			if s.Reads != issuedReads.Load() {
-				t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
-			}
-			if s.FastPathReads < issuedReads.Load()/4 {
-				t.Errorf("owned fast path carried %d of %d shared reads — CAS claims are not firing",
-					s.FastPathReads, issuedReads.Load())
-			}
+	// The subtest is named for the heap, where every clock lives.
+	t.Run("heap", func(t *testing.T) {
+		const goroutines = 8
+		const opsPer = 4000
+		d := pacer.New(pacer.Options{
+			Algorithm: "fasttrack",
+			Seed:      5,
+			Shards:    8,
+			OnRace:    func(r pacer.Race) { t.Errorf("false race on read-only workload: %+v", r) },
 		})
-	}
+		main := d.NewThread()
+		shared := make([]pacer.VarID, 4)
+		for i := range shared {
+			shared[i] = d.NewVarID()
+			d.Write(main, shared[i], 1) // ordered before every fork
+		}
+		m := d.NewMutex()
+		var issuedReads atomic.Uint64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			tid := d.Fork(main)
+			wg.Add(1)
+			go func(tid pacer.ThreadID, g int) {
+				defer wg.Done()
+				for i := 0; i < opsPer; i++ {
+					if i%512 == 511 { // epoch churn: republication keeps claims valid
+						m.Lock(tid)
+						m.Unlock(tid)
+						continue
+					}
+					d.Read(tid, shared[i%len(shared)], pacer.SiteID(g+1))
+					issuedReads.Add(1)
+				}
+			}(tid, g)
+		}
+		wg.Wait()
+		s := d.Stats()
+		if s.Reads != issuedReads.Load() {
+			t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
+		}
+		if s.FastPathReads < issuedReads.Load()/4 {
+			t.Errorf("owned fast path carried %d of %d shared reads — CAS claims are not firing",
+				s.FastPathReads, issuedReads.Load())
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pacer/internal/detector"
-	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 )
 
@@ -20,9 +19,6 @@ type Caps struct {
 	// Sharded reports the concurrent mount (detector.Sharded): false means
 	// the front-end drives the backend fully serialized.
 	Sharded bool
-	// Arena reports that Config.Arena actually enables a slab arena, not
-	// merely that the backend could report one.
-	Arena bool
 	// Sampler reports sampling periods (detector.Sampler); always-on
 	// backends analyze every access.
 	Sampler bool
@@ -36,10 +32,9 @@ type Caps struct {
 	SyncNoOp bool
 }
 
-// Probe constructs the named backend (with the arena requested, so the
-// Arena field reports real adoption) and reports its capability surface.
+// Probe constructs the named backend and reports its capability surface.
 func Probe(name string) (Caps, error) {
-	d, err := New(name, nil, Config{Config: shardbase.Config{Arena: true}})
+	d, err := New(name, nil, Config{})
 	if err != nil {
 		return Caps{}, err
 	}
@@ -50,7 +45,6 @@ func Probe(name string) (Caps, error) {
 		return c, nil
 	}
 	c.Sharded = true
-	_, c.Arena = sh.ArenaStats()
 	for _, st := range sh.Stages() {
 		c.Stages = append(c.Stages, st.Name)
 	}

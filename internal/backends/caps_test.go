@@ -10,7 +10,7 @@ import (
 
 // TestCapabilityMatrixMatchesDocs pins the docs/backends.md mounting
 // matrix to the live registry: every registered backend has a row, and the
-// row's mount, arena, dismissal-chain, and sync-dismissal columns state
+// row's mount, dismissal-chain, and sync-dismissal columns state
 // exactly what probing the constructed backend reports — the chain's
 // stage names in the order the front-end tries them. The matrix cannot
 // silently drift from the code.
@@ -29,13 +29,6 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 		}
 		if row.mount != c.Mount() {
 			t.Errorf("%s: docs say mount %q, registry probe says %q", c.Name, row.mount, c.Mount())
-		}
-		wantArena := "no"
-		if c.Arena {
-			wantArena = "yes"
-		}
-		if !strings.HasPrefix(row.arena, wantArena) {
-			t.Errorf("%s: docs arena column %q, registry probe says %q", c.Name, row.arena, wantArena)
 		}
 		wantSync := "no"
 		if c.SyncNoOp {
@@ -85,10 +78,10 @@ func chainCell(stages []string) string {
 	return "`" + strings.Join(stages, "`, `") + "`"
 }
 
-type matrixRow struct{ mount, arena, chain, sync string }
+type matrixRow struct{ mount, chain, sync string }
 
 // parseMatrix extracts the backend table: rows of the form
-// `| `name` | mount | arena | chain | sync |`, with multiple backtick-quoted
+// `| `name` | mount | chain | sync |`, with multiple backtick-quoted
 // names per first cell allowed (the djit/djit+ row).
 func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 	t.Helper()
@@ -99,14 +92,13 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 			continue
 		}
 		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if len(cells) != 5 {
+		if len(cells) != 4 {
 			continue
 		}
 		row := matrixRow{
 			mount: strings.TrimSpace(cells[1]),
-			arena: strings.TrimSpace(cells[2]),
-			chain: strings.TrimSpace(cells[3]),
-			sync:  strings.TrimSpace(cells[4]),
+			chain: strings.TrimSpace(cells[2]),
+			sync:  strings.TrimSpace(cells[3]),
 		}
 		// Every backtick-quoted token in the first cell names a backend.
 		parts := strings.Split(cells[0], "`")
@@ -122,20 +114,15 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 
 // TestShardedMatrixComplete pins the tentpole: every precise backend
 // (everything but the imprecise lockset and the O(n^2) teaching baselines)
-// mounts sharded, and every sharded backend adopts the arena.
+// mounts sharded.
 func TestShardedMatrixComplete(t *testing.T) {
 	wantSharded := map[string]bool{
 		"pacer": true, "fasttrack": true, "literace": true,
 		"djit": true, "djit+": true, "o1samples": true,
 	}
 	for _, c := range backends.All() {
-		if wantSharded[c.Name] {
-			if !c.Sharded {
-				t.Errorf("%s: must mount sharded", c.Name)
-			}
-			if !c.Arena {
-				t.Errorf("%s: must adopt the arena under Config.Arena", c.Name)
-			}
+		if wantSharded[c.Name] && !c.Sharded {
+			t.Errorf("%s: must mount sharded", c.Name)
 		}
 	}
 }

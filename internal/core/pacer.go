@@ -29,8 +29,8 @@ import (
 )
 
 // Options tune PACER's analysis for the ablation benchmarks; the zero value
-// is the full algorithm as published. The metadata store (sharding, arena)
-// is configured by shardbase.Config.
+// is the full algorithm as published. The metadata store (sharding, the
+// record table) is configured by shardbase.Config.
 type Options struct {
 	// DisableVersions turns off the version-epoch fast join (Algorithm 11),
 	// forcing an O(n) comparison or join at every synchronization
@@ -64,13 +64,10 @@ type threadMeta struct {
 }
 
 // syncMeta is the metadata for a lock or volatile: its clock (possibly
-// shared with a thread) and its version epoch. alloc is the object's home
-// allocator: a deep copy that must replace a shared clock draws the
-// replacement from it.
+// shared with a thread) and its version epoch.
 type syncMeta struct {
 	clock  *vclock.VC
 	vepoch vclock.VersionEpoch
-	alloc  vclock.Allocator
 }
 
 // varMeta is the read/write metadata for one data variable. A record
@@ -152,11 +149,7 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 		vols:  make(map[event.Volatile]*syncMeta),
 		opts:  opts,
 	}
-	d.Init(report, cfg, func(m *varMeta) {
-		m.w = 0
-		m.wSite = 0
-		m.r.Clear() // keeps the read map's spilled-map spare
-	})
+	d.Init(report, cfg)
 	if opts == (Options{}) {
 		// An ablation changes what a synchronization operation does, so
 		// only the full algorithm publishes version epochs for SyncNoOp.
@@ -217,17 +210,13 @@ func (d *Detector) SampleBegin() {
 func (d *Detector) ThreadExit(t vclock.Thread) { d.dead[t] = true }
 
 // SampleEnd leaves the sampling period (Table 5 Rule 2). Logical time
-// freezes until the next SampleBegin. This is also the arena's bulk
-// reclamation point: send is where PACER's metadata population starts
-// shrinking (non-sampled accesses only discard), so free-list slack built
-// up during the period is handed back to the GC here.
+// freezes until the next SampleBegin.
 func (d *Detector) SampleEnd() {
 	if !d.sampling {
 		return
 	}
 	d.sampling = false
 	d.publishState()
-	d.Trim()
 }
 
 // publishState mirrors d.sampling into the atomic state word, bumping the
@@ -241,9 +230,9 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 		d.threads = append(d.threads, nil)
 	}
 	if d.threads[t] == nil {
-		clock := d.VCAlloc(int(t)).NewVC(int(t) + 1)
+		clock := vclock.New(int(t) + 1)
 		clock.Set(t, 1)
-		ver := d.VCAlloc(int(t)).NewVC(int(t) + 1)
+		ver := vclock.New(int(t) + 1)
 		ver.Set(t, 1)
 		d.threads[t] = &threadMeta{clock: clock, ver: ver}
 		d.publishVersion(t, d.threads[t])
@@ -254,8 +243,7 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 func (d *Detector) lock(m event.Lock) *syncMeta {
 	s, ok := d.locks[m]
 	if !ok {
-		a := d.VCAlloc(int(m))
-		s = &syncMeta{clock: a.NewVC(0), vepoch: vclock.VEBottom, alloc: a}
+		s = &syncMeta{clock: vclock.New(0), vepoch: vclock.VEBottom}
 		d.locks[m] = s
 	}
 	return s
@@ -264,8 +252,7 @@ func (d *Detector) lock(m event.Lock) *syncMeta {
 func (d *Detector) vol(vx event.Volatile) *syncMeta {
 	s, ok := d.vols[vx]
 	if !ok {
-		a := d.VCAlloc(int(vx))
-		s = &syncMeta{clock: a.NewVC(0), vepoch: vclock.VEBottom, alloc: a}
+		s = &syncMeta{clock: vclock.New(0), vepoch: vclock.VEBottom}
 		d.vols[vx] = s
 	}
 	return s
@@ -283,25 +270,17 @@ func (d *Detector) publishVersion(t vclock.Thread, tm *threadMeta) {
 }
 
 // ownThreadClock clones tm's clock if it is shared, so it can be mutated
-// (the copy-on-write step of Algorithms 10 and 11). The thread's hold on
-// the shared clock moves to the clone; synchronization objects sharing the
-// old clock keep it alive until their own next release.
-//
-// When the holder count proves every past alias has since been released
-// (vclock.Unshare), the mark is cleared instead: the clock is the thread's
-// exclusive clock again, and the full-width clone would copy a snapshot
-// nothing else reads.
+// (the copy-on-write step of Algorithms 10 and 11). Synchronization
+// objects sharing the old clock keep it until their own next release.
 //
 // width is the width the caller is about to grow the clock to (a Rule 6
 // join's source), or 0: the clone is allocated that wide at once instead
 // of being reallocated by the join that follows.
 func (d *Detector) ownThreadClock(tm *threadMeta, width int) {
-	if tm.clock.Unshare() {
+	if !tm.clock.Shared() {
 		return
 	}
-	old := tm.clock
-	tm.clock = old.CloneWidth(width)
-	old.Release()
+	tm.clock = tm.clock.CloneWidth(width)
 	d.SyncStats.Clones[d.period()]++
 }
 
@@ -327,22 +306,12 @@ func (d *Detector) copyToSync(s *syncMeta, t vclock.Thread) {
 	tm := d.thread(t)
 	p := d.period()
 	if !d.sampling && !d.opts.DisableSharing {
-		// Retain before releasing the displaced clock: when s already holds
-		// tm's clock, the count must never transiently reach zero.
 		tm.clock.SetShared()
-		tm.clock.Retain()
-		old := s.clock
 		s.clock = tm.clock
-		old.Release()
 		d.SyncStats.ShallowCopies[p]++
 	} else {
-		// A shared sync clock whose other holders are all gone is reclaimed
-		// in place (vclock.Unshare): CopyFrom then reuses its storage
-		// instead of allocating a fresh clock.
-		if !s.clock.Unshare() {
-			old := s.clock
-			s.clock = s.alloc.NewVC(0)
-			old.Release()
+		if s.clock.Shared() {
+			s.clock = vclock.New(0)
 		}
 		s.clock.CopyFrom(tm.clock)
 		d.SyncStats.DeepCopies[p]++
@@ -425,11 +394,8 @@ func (d *Detector) joinIntoVolatile(s *syncMeta, t vclock.Thread) {
 	}
 	d.SyncStats.SlowJoins[p]++
 	d.SyncStats.JoinWork += uint64(tm.clock.Len())
-	if !s.clock.Unshare() {
-		old := s.clock
-		s.clock = s.alloc.NewVC(0)
-		s.clock.CopyFrom(old)
-		old.Release()
+	if s.clock.Shared() {
+		s.clock = s.clock.Clone()
 		d.SyncStats.Clones[p]++
 	}
 	s.clock.JoinFrom(tm.clock)
@@ -613,7 +579,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 		return
 	}
 	if exists {
-		d.Delete(si, x, m)
+		d.Delete(si, x)
 	}
 }
 
@@ -621,7 +587,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 // reclaiming space (Section 4's null metadata header word).
 func (d *Detector) maybeDiscard(si int, x event.Var, m *varMeta) {
 	if m.w.IsZero() && m.r.IsEmpty() {
-		d.Delete(si, x, m)
+		d.Delete(si, x)
 	}
 }
 

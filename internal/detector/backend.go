@@ -8,7 +8,7 @@ import (
 // This file defines what a backend may offer beyond Detector. The public
 // front-end mounts any Detector and asks it, once, for four optional
 // interfaces: Sharded (the concurrent mount, with the backend's ordered
-// list of lock-free access dismissals and its arena), Sampler (global
+// list of lock-free access dismissals), Sampler (global
 // sampling periods), ThreadReuser (identifier reuse and thread lifetimes)
 // and Accounted (operation counters and space). A backend without one
 // gets the conservative behaviour: fully serialized with no dismissals,
@@ -57,10 +57,6 @@ type Sharded interface {
 	// EnsureThreadSlots pre-grows the thread table to hold identifiers
 	// below n. Requires exclusive access.
 	EnsureThreadSlots(n int)
-	// ArenaStats reports the metadata arena's occupancy and traffic. The
-	// bool result is false when no arena is enabled (the stats are then
-	// zero).
-	ArenaStats() (ArenaStats, bool)
 }
 
 // The names of the access dismissal stages, as a backend's Stages lists
@@ -128,17 +124,4 @@ type Accounted interface {
 	VarsTracked() int
 	// MetadataWords approximates the live metadata in 8-byte words.
 	MetadataWords() int
-}
-
-// ArenaStats is a snapshot of a metadata arena's occupancy and traffic,
-// surfaced through the front-end's Stats and the fleet's /metrics.
-type ArenaStats struct {
-	// SlabsLive is the number of slabs currently acquired (clock storage
-	// and variable records); SlabsFree the number parked on free lists.
-	SlabsLive, SlabsFree uint64
-	// Recycles counts acquisitions served from a free list; Misses counts
-	// acquisitions that fell through to a fresh heap allocation.
-	Recycles, Misses uint64
-	// Trimmed counts free slabs handed back to the garbage collector.
-	Trimmed uint64
 }

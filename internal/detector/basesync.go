@@ -14,22 +14,15 @@ type BaseSync struct {
 	locks   map[event.Lock]*vclock.VC
 	vols    map[event.Volatile]*vclock.VC
 	c       *Counters
-	alloc   func(int) vclock.Allocator
 }
 
 // NewBaseSync returns a synchronization engine recording operation counts
-// into c. The clock of a thread, lock or volatile with identifier id is
-// drawn from alloc(id) (a striped allocator mods the stripe index, so any
-// stable integer works); nil draws every clock from the heap.
-func NewBaseSync(c *Counters, alloc func(int) vclock.Allocator) *BaseSync {
-	if alloc == nil {
-		alloc = func(int) vclock.Allocator { return vclock.Heap }
-	}
+// into c.
+func NewBaseSync(c *Counters) *BaseSync {
 	return &BaseSync{
 		locks: make(map[event.Lock]*vclock.VC),
 		vols:  make(map[event.Volatile]*vclock.VC),
 		c:     c,
-		alloc: alloc,
 	}
 }
 
@@ -50,7 +43,7 @@ func (s *BaseSync) ThreadClock(t vclock.Thread) *vclock.VC {
 		s.threads = append(s.threads, nil)
 	}
 	if s.threads[t] == nil {
-		c := s.alloc(int(t)).NewVC(int(t) + 1)
+		c := vclock.New(int(t) + 1)
 		c.Set(t, 1)
 		s.threads[t] = c
 	}
@@ -63,7 +56,7 @@ func (s *BaseSync) Threads() int { return len(s.threads) }
 func (s *BaseSync) lockClock(m event.Lock) *vclock.VC {
 	c, ok := s.locks[m]
 	if !ok {
-		c = s.alloc(int(m)).NewVC(0)
+		c = vclock.New(0)
 		s.locks[m] = c
 	}
 	return c
@@ -72,7 +65,7 @@ func (s *BaseSync) lockClock(m event.Lock) *vclock.VC {
 func (s *BaseSync) volClock(vx event.Volatile) *vclock.VC {
 	c, ok := s.vols[vx]
 	if !ok {
-		c = s.alloc(int(vx)).NewVC(0)
+		c = vclock.New(0)
 		s.vols[vx] = c
 	}
 	return c

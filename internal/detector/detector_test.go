@@ -175,7 +175,7 @@ func TestPeriodOf(t *testing.T) {
 
 func TestBaseSyncThreadClockInit(t *testing.T) {
 	var c detector.Counters
-	s := detector.NewBaseSync(&c, nil)
+	s := detector.NewBaseSync(&c)
 	ct := s.ThreadClock(3)
 	if ct.Get(3) != 1 {
 		t.Errorf("initial C_t(t) = %d, want 1", ct.Get(3))
@@ -191,7 +191,7 @@ func TestBaseSyncThreadClockInit(t *testing.T) {
 
 func TestBaseSyncHappensBeforeEdges(t *testing.T) {
 	var c detector.Counters
-	s := detector.NewBaseSync(&c, nil)
+	s := detector.NewBaseSync(&c)
 	s.ThreadClock(0)
 	s.ThreadClock(1)
 	s.Release(0, 1)
@@ -213,7 +213,7 @@ func TestBaseSyncHappensBeforeEdges(t *testing.T) {
 
 func TestBaseSyncForkJoinVolatiles(t *testing.T) {
 	var c detector.Counters
-	s := detector.NewBaseSync(&c, nil)
+	s := detector.NewBaseSync(&c)
 	// fork(0,1): the child's clock receives the parent's, the parent
 	// advances.
 	s.Fork(0, 1)

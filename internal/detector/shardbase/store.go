@@ -4,32 +4,20 @@ import (
 	"math"
 	"sync/atomic"
 
-	"pacer/internal/arena"
 	"pacer/internal/detector"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
 )
 
 // Config is the metadata-store configuration every sharded backend reads.
-// The zero value is the default store: 64 shards, heap allocation, and
-// the default record-table bound.
+// The zero value is the default store: 64 shards and the default
+// record-table bound.
 type Config struct {
 	// Shards is the number of independent variable-metadata shards
 	// (rounded up to a power of two, default 64). Accesses to variables in
 	// distinct shards may run concurrently under the detector.Sharded
 	// locking contract.
 	Shards int
-	// Arena backs vector clocks and variable records with a slab arena
-	// (internal/arena) striped like the variable shards: records a backend
-	// discards are recycled through per-shard free lists instead of
-	// churning the garbage collector. Race reports are identical either way
-	// (the differential suites enforce this); only allocation changes.
-	Arena bool
-	// ArenaDebug additionally maintains the arena's outstanding-slab
-	// ledger, so invariant tests can prove every acquired slab is released
-	// exactly once. Implies Arena; test-only (the ledger serializes every
-	// acquire and release).
-	ArenaDebug bool
 	// IndexCap bounds the record table: a variable whose identifier lies
 	// below it keeps its record in the table, found by one directory load
 	// and one slot load and visible to the lock-free fast paths; one at or
@@ -56,8 +44,8 @@ type Shard[M any] struct {
 }
 
 // probes is the non-generic half of Store: everything the lock-free
-// probes and the clock allocators read, kept off the generic type so the
-// hot probes compile as plain methods.
+// probes read, kept off the generic type so the hot probes compile as
+// plain methods.
 type probes struct {
 	geo Geometry
 	// presence counts tracked variables per hash bucket, maintained
@@ -67,7 +55,6 @@ type probes struct {
 	// state publishes the sampling flag (bit 0) and a transition count
 	// (upper bits). Always-on backends set it once with SetAlwaysOn.
 	state detector.State
-	arena *arena.Arena
 	// sync publishes the version epochs behind SyncNoOp; nil unless the
 	// backend called EnableSyncEpochs.
 	syncEpochs *syncTables
@@ -91,9 +78,8 @@ type page[M any] [pageSize]atomic.Pointer[M]
 
 // Store is a sharded backend's variable-metadata store, embedded by value
 // in the backend's Detector: the stripe geometry, the record table and
-// the per-shard overflow maps and counters, the presence filter, the
-// arena with its record pool, and the clock allocators, built from one
-// Config. It defines the detector.Sharded probes, the no-metadata
+// the per-shard overflow maps and counters and the presence filter, built
+// from one Config. It defines the detector.Sharded probes, the no-metadata
 // dismissal stage, and the accounting methods every sharded backend
 // shares; the backend keeps only its record type M, its access analysis,
 // and its synchronization wrappers. Call Init before use.
@@ -122,14 +108,12 @@ type Store[M any] struct {
 	// live per shard.
 	SyncStats detector.Counters
 	snap      detector.Counters // Stats() aggregation scratch
-	pool      *arena.Records[M]
 	report    detector.Reporter
 }
 
 // Init builds the store from cfg. report receives the races passed to
-// Emit. reset scrubs a record Delete recycles before the arena's record
-// pool parks it (nil for backends that never delete).
-func (s *Store[M]) Init(report detector.Reporter, cfg Config, reset func(*M)) {
+// Emit.
+func (s *Store[M]) Init(report detector.Reporter, cfg Config) {
 	s.geo = NewGeometry(cfg.Shards)
 	s.presence = NewPresence()
 	s.report = report
@@ -141,10 +125,6 @@ func (s *Store[M]) Init(report detector.Reporter, cfg Config, reset func(*M)) {
 		s.bound = DefaultIndexCap
 	}
 	s.dir = make([]atomic.Pointer[page[M]], (uint64(s.bound)+pageSize-1)>>pageBits)
-	if cfg.Arena || cfg.ArenaDebug {
-		s.arena = arena.New(arena.Options{Shards: len(s.Table), Debug: cfg.ArenaDebug})
-		s.pool = arena.NewRecords[M](s.arena, reset)
-	}
 }
 
 // Shards returns the number of variable-metadata shards; the caller's
@@ -178,35 +158,6 @@ func (p *probes) MetaPossible(x event.Var) bool { return p.presence.Possible(x) 
 func (p *probes) NoMetadata(_ vclock.Thread, x event.Var, _ event.Site, _ uint32, _ bool) bool {
 	st := p.state.Word()
 	return st&1 == 0 && !p.MetaPossible(x) && p.state.Word() == st
-}
-
-// Arena returns the slab arena, or nil on the heap path.
-func (p *probes) Arena() *arena.Arena { return p.arena }
-
-// VCAlloc returns the allocator of every clock the backend draws for
-// stripe i (thread, synchronization, version and per-variable clocks):
-// the stripe's slab allocator, or vclock.Heap on the heap path.
-func (p *probes) VCAlloc(i int) vclock.Allocator {
-	if p.arena == nil {
-		return vclock.Heap
-	}
-	return p.arena.Shard(i)
-}
-
-// ArenaStats implements detector.Sharded's arena report. The bool result
-// is false on the heap path.
-func (p *probes) ArenaStats() (detector.ArenaStats, bool) {
-	if p.arena == nil {
-		return detector.ArenaStats{}, false
-	}
-	st := p.arena.Stats()
-	return detector.ArenaStats{
-		SlabsLive: st.Live,
-		SlabsFree: st.Free,
-		Recycles:  st.Recycles,
-		Misses:    st.Misses,
-		Trimmed:   st.Trimmed,
-	}, true
 }
 
 // Bound returns the resolved record-table bound: identifiers below it
@@ -253,16 +204,11 @@ func (s *Store[M]) Lookup(si int, x event.Var) *M {
 	return s.Table[si].Vars[x]
 }
 
-// Insert creates x's record in shard si, drawn from the record pool on the
-// arena path, and stores it in the table below the bound or in the shard's
-// map at or above it. x must hold no record; the caller holds the shard.
+// Insert creates x's record in shard si and stores it in the table below
+// the bound or in the shard's map at or above it. x must hold no record;
+// the caller holds the shard.
 func (s *Store[M]) Insert(si int, x event.Var) *M {
-	var m *M
-	if s.pool != nil {
-		m = s.pool.Get(si)
-	} else {
-		m = new(M)
-	}
+	m := new(M)
 	s.presence.Add(x) // before insert: a zero presence read proves absence
 	if uint32(x) < s.bound {
 		s.slot(uint32(x)).Store(m)
@@ -276,20 +222,16 @@ func (s *Store[M]) Insert(si int, x event.Var) *M {
 	return m
 }
 
-// Delete removes x's record m from shard si and recycles it. No reference
-// to m may survive; the caller holds the shard. Only backends that never
-// Peek lock-free may delete (a lock-free reader could still hold the
-// record).
-func (s *Store[M]) Delete(si int, x event.Var, m *M) {
+// Delete removes x's record from shard si; the caller holds the shard.
+// Only backends that never Peek lock-free may delete (a lock-free reader
+// could still hold the record).
+func (s *Store[M]) Delete(si int, x event.Var) {
 	if uint32(x) < s.bound {
 		s.slot(uint32(x)).Store(nil)
 	} else {
 		delete(s.Table[si].Vars, x)
 	}
 	s.presence.Remove(x) // after delete: presence covers the metadata's lifetime
-	if s.pool != nil {
-		s.pool.Put(si, m)
-	}
 }
 
 // Range calls f for every variable holding a record, the table's in
@@ -323,16 +265,6 @@ func (s *Store[M]) Emit(sh *Shard[M], r detector.Race) {
 	sh.Stats.Races++
 	if s.report != nil {
 		s.report(r)
-	}
-}
-
-// Trim hands free-list slack in the arena and the record pool back to the
-// garbage collector; a no-op on the heap path. Sampling backends call it at
-// the end of a sampling period.
-func (s *Store[M]) Trim() {
-	if s.arena != nil {
-		s.arena.Trim()
-		s.pool.Trim()
 	}
 }
 

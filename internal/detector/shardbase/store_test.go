@@ -88,7 +88,7 @@ func TestShardbasePresence(t *testing.T) {
 // newStore returns a Store of uint32 records with the given table bound.
 func newStore(indexCap int) *shardbase.Store[uint32] {
 	s := new(shardbase.Store[uint32])
-	s.Init(nil, shardbase.Config{Shards: 8, IndexCap: indexCap}, nil)
+	s.Init(nil, shardbase.Config{Shards: 8, IndexCap: indexCap})
 	return s
 }
 
@@ -175,9 +175,9 @@ func TestRecordTableVarsTrackedAfterDeletes(t *testing.T) {
 		x := event.Var(i * 37) // 0 .. 11063: both sides of the bound, three pages
 		live[x] = s.Insert(s.ShardOf(x), x)
 	}
-	for x, m := range live {
+	for x := range live {
 		if x%3 == 0 {
-			s.Delete(s.ShardOf(x), x, m)
+			s.Delete(s.ShardOf(x), x)
 			delete(live, x)
 			if s.Lookup(s.ShardOf(x), x) != nil || s.Peek(x) != nil {
 				t.Fatalf("id %d still found after Delete", x)
@@ -217,7 +217,7 @@ func TestRecordTableVarsTrackedAfterDeletes(t *testing.T) {
 func TestRecordTableConcurrentPages(t *testing.T) {
 	const pages, bound = 32, 32 * 4096
 	s := new(shardbase.Store[atomic.Uint32])
-	s.Init(nil, shardbase.Config{Shards: 4, IndexCap: bound}, nil)
+	s.Init(nil, shardbase.Config{Shards: 4, IndexCap: bound})
 	// ids[si][p] are shard si's identifiers in page p; page `pages` lies
 	// past the bound.
 	ids := make([][pages + 1][]event.Var, s.Shards())
@@ -321,12 +321,12 @@ func TestShardbaseThreadPubGrowsGeometrically(t *testing.T) {
 var shardedBackends = []string{"pacer", "fasttrack", "o1samples", "djit", "djit+", "literace"}
 
 // TestShardbaseConfigReachesEveryBackend pins that every sharded backend
-// honors the one store configuration: the shard count and the arena.
+// honors the one store configuration's shard count.
 func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 	for _, name := range shardedBackends {
 		t.Run(name, func(t *testing.T) {
 			d, err := backends.New(name, nil, backends.Config{
-				Config: shardbase.Config{Shards: 8, Arena: true},
+				Config: shardbase.Config{Shards: 8},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -337,9 +337,6 @@ func TestShardbaseConfigReachesEveryBackend(t *testing.T) {
 			}
 			if got := sh.Shards(); got != 8 {
 				t.Errorf("Shards() = %d, want 8", got)
-			}
-			if _, on := sh.ArenaStats(); !on {
-				t.Error("arena requested but not enabled")
 			}
 		})
 	}

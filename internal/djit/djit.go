@@ -11,8 +11,8 @@
 // GENERIC → DJIT+ → FASTTRACK → PACER — so the benchmarks can show each
 // paper's incremental win. Like the other precise backends it implements
 // the detector.Sharded contract through the metadata store of
-// internal/detector/shardbase, so the concurrent front-end and the slab
-// arena cover it like any other sharded backend. Being always-on, its
+// internal/detector/shardbase, so the concurrent front-end covers it like
+// any other sharded backend. Being always-on, its
 // published sampling flag is constantly set; it offers no lock-free
 // dismissals (the time-frame check needs the variable's frame table), so
 // every access takes the front-end's shard lock.
@@ -70,15 +70,12 @@ func New(report detector.Reporter) *Detector {
 }
 
 // NewWithConfig returns a DJIT+ detector with an explicit store
-// configuration. DJIT+ never discards metadata, so the arena recycles
-// nothing; its benefit is size-class capacity headroom on clock growth and
-// uniform arena accounting.
+// configuration.
 func NewWithConfig(report detector.Reporter, cfg shardbase.Config) *Detector {
 	d := &Detector{}
-	// DJIT+ never deletes a record, so none is recycled: no reset.
-	d.Init(report, cfg, nil)
+	d.Init(report, cfg)
 	d.skips = make([]frameSkips, d.Shards())
-	d.sync = detector.NewBaseSync(&d.SyncStats, d.VCAlloc)
+	d.sync = detector.NewBaseSync(&d.SyncStats)
 	d.State().SetAlwaysOn()
 	return d
 }
@@ -111,8 +108,7 @@ func (d *Detector) varMeta(si int, x event.Var) *varMeta {
 		return m
 	}
 	m := d.Insert(si, x)
-	a := d.VCAlloc(si)
-	m.r, m.w = a.NewVC(0), a.NewVC(0)
+	m.r, m.w = vclock.New(0), vclock.New(0)
 	return m
 }
 

@@ -32,16 +32,15 @@ func recordedRun(rate float64, seed int64, goroutines, opsPer int) (event.Trace,
 
 // recordedRunAlgo is recordedRun with the backend chosen by name — the
 // same workload through the identical unified front-end, whatever is
-// mounted behind it. Optional modifiers adjust the front-end options
-// (e.g. the arena differential flips Options.Arena).
-func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer int, mod ...func(*pacer.Options)) (event.Trace, []pacer.Race) {
+// mounted behind it.
+func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer int) (event.Trace, []pacer.Race) {
 	var (
 		trace  event.Trace // appends already serialized by the sink lock
 		raceMu sync.Mutex
 		races  []pacer.Race
 		site   atomic.Uint32
 	)
-	o := pacer.Options{
+	d := pacer.New(pacer.Options{
 		Algorithm:    algo,
 		SamplingRate: rate,
 		PeriodOps:    128,
@@ -53,11 +52,7 @@ func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer i
 			raceMu.Unlock()
 		},
 		TraceSink: func(e pacer.Event) { trace = append(trace, e) },
-	}
-	for _, m := range mod {
-		m(&o)
-	}
-	d := pacer.New(o)
+	})
 	main := d.NewThread()
 	shared := make([]pacer.VarID, 6)
 	for i := range shared {
@@ -246,7 +241,7 @@ func TestSampledRacesAreSubsetOfFullTracking(t *testing.T) {
 // Lockset is included here deliberately — it is imprecise, but it must be
 // *deterministically* imprecise through the front-end.
 func TestDifferentialMountedBackends(t *testing.T) {
-	for _, algo := range []string{"fasttrack", "generic", "djit", "literace", "goldilocks", "lockset"} {
+	for _, algo := range []string{"fasttrack", "o1samples", "generic", "djit", "literace", "goldilocks", "lockset"} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {

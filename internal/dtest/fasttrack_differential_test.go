@@ -74,30 +74,6 @@ func TestDifferentialShardedFastTrack(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedFastTrackArena repeats the differential property
-// with the arena-backed mount (Options.Arena reaches FASTTRACK through the
-// registry): slab allocation must not change a single report.
-func TestDifferentialShardedFastTrackArena(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		trace, races := recordedRunAlgo("fasttrack", 1.0, seed, 4, 500,
-			func(o *pacer.Options) { o.Arena = true })
-		live := make([]detector.Race, len(races))
-		copy(live, races)
-		ref := dtest.Run(trace, func(rep detector.Reporter) detector.Detector {
-			return fasttrack.New(rep)
-		})
-		got, want := dtest.KeySet(live), dtest.KeySet(ref.Dynamic)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: arena live run has %d distinct keys, heap replay %d", seed, len(got), len(want))
-		}
-		for k, n := range got {
-			if want[k] != n {
-				t.Fatalf("seed %d: key %+v reported %d times live (arena), %d in heap replay", seed, k, n, want[k])
-			}
-		}
-	}
-}
-
 // TestDifferentialBurstSkipLockFree records a parallel LITERACE run — whose
 // burst sampler now serves skip decisions through the lock-free
 // burst-skip stage — and replays the linearization through a

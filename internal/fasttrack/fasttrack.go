@@ -190,9 +190,8 @@ func NewWithOptions(report detector.Reporter, cfg shardbase.Config, opts Options
 
 func newDetector(report detector.Reporter, cfg shardbase.Config, opts Options) *Detector {
 	d := &Detector{opts: opts}
-	// No record is ever deleted, so none is recycled: no reset.
-	d.Init(report, cfg, nil)
-	d.sync = detector.NewBaseSync(&d.SyncStats, d.VCAlloc)
+	d.Init(report, cfg)
+	d.sync = detector.NewBaseSync(&d.SyncStats)
 	return d
 }
 

@@ -51,12 +51,11 @@ func (o *O1Samples) SampleBegin() {
 }
 
 // SampleEnd leaves the sampling period. Records persist, since unsampled
-// accesses check against them; the store only trims free-list slack.
+// accesses check against them.
 func (o *O1Samples) SampleEnd() {
 	if o.sampling {
 		o.sampling = false
 		o.State().Publish(false)
-		o.Trim()
 	}
 }
 

@@ -159,52 +159,3 @@ func TestFastTrackShardedStatsAggregation(t *testing.T) {
 		t.Error("MetadataWords zero after tracking 40 vars")
 	}
 }
-
-// TestFastTrackArenaDifferential runs the same trace through a heap-backed
-// and an arena-backed detector: identical race multisets and metadata
-// accounting, with the arena reporting live slabs only on the arena mount.
-func TestFastTrackArenaDifferential(t *testing.T) {
-	b := dtest.NewTB()
-	for x := event.Var(0); x < 30; x++ {
-		b.Write(0, x)
-	}
-	b.Acq(0, 9).Rel(0, 9).Acq(1, 9).Rel(1, 9)
-	for x := event.Var(0); x < 30; x++ {
-		b.Read(1, x).Write(1, x)
-	}
-	b.VolWrite(1, 3).VolRead(2, 3).Read(2, 5)
-
-	heap := dtest.Run(b.Trace, func(r detector.Reporter) detector.Detector {
-		return fasttrack.New(r)
-	})
-	arena := dtest.Run(b.Trace, func(r detector.Reporter) detector.Detector {
-		return fasttrack.NewWithOptions(r, shardbase.Config{Arena: true}, fasttrack.Options{})
-	})
-	got, want := dtest.KeySet(arena.Dynamic), dtest.KeySet(heap.Dynamic)
-	if len(got) != len(want) {
-		t.Fatalf("arena found %d distinct races, heap %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("race %+v: heap reported %d, arena %d", k, n, got[k])
-		}
-	}
-
-	dh := fasttrack.New(nil)
-	da := fasttrack.NewWithOptions(nil, shardbase.Config{Arena: true}, fasttrack.Options{})
-	detector.Replay(dh, b.Trace)
-	detector.Replay(da, b.Trace)
-	if dh.MetadataWords() != da.MetadataWords() {
-		t.Errorf("MetadataWords differ: heap %d, arena %d", dh.MetadataWords(), da.MetadataWords())
-	}
-	if _, ok := dh.ArenaStats(); ok {
-		t.Error("heap detector reports an arena")
-	}
-	st, ok := da.ArenaStats()
-	if !ok {
-		t.Fatal("arena detector reports no arena")
-	}
-	if st.SlabsLive == 0 {
-		t.Error("arena detector holds no live slabs after tracking metadata")
-	}
-}

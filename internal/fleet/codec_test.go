@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -71,6 +73,16 @@ const (
 	v2    = `{"version":2,"instance":"inst-1","epoch":9,"seq":4,"base_seq":3,"races":[` + rowB + `]}`
 )
 
+// retiredGaugesPush is v1 as older reporters sent it: with a gauges object
+// under a key the push schema no longer names (testdata holds its JSON).
+func retiredGaugesPush() []byte {
+	body, err := os.ReadFile(filepath.Join("testdata", "push-retired-gauges.json"))
+	if err != nil {
+		panic(err)
+	}
+	return gzipParts(string(body))
+}
+
 // validPush is the push the pool-hygiene checks decode after every case.
 var validPush = gzipParts(v1)
 
@@ -87,6 +99,7 @@ func codecCases() map[string][]byte {
 	return map[string][]byte{
 		"v1":                   validPush,
 		"v2 delta":             gzipParts(v2),
+		"retired gauges key":   retiredGaugesPush(),
 		"races null":           gzipParts(`{"version":1,"instance":"a","seq":1,"races":null}`),
 		"races empty":          gzipParts(`{"version":1,"instance":"a","seq":1,"races":[]}`),
 		"races missing":        gzipParts(`{"version":1,"instance":"a","seq":1}`),
@@ -151,8 +164,8 @@ func TestCodecDecodeMatchesLegacy(t *testing.T) {
 
 // TestCodecDecodeFolds pins what the equivalence rests on for the cases
 // that matter most: null is an empty list, a missing list is rejected,
-// and mirrored and repeated rows fold onto one key as ImportJSON folds
-// them.
+// a key the envelope no longer names is dropped, and mirrored and
+// repeated rows fold onto one key as ImportJSON folds them.
 func TestCodecDecodeFolds(t *testing.T) {
 	cases := codecCases()
 	if _, e, err := fleet.DecodePush(bytes.NewReader(cases["races null"]), 0); err != nil || len(e) != 0 {
@@ -169,6 +182,11 @@ func TestCodecDecodeFolds(t *testing.T) {
 	k := fleet.TriageKey{Var: 1, Kind: "write-read", A: 2, B: 3}
 	if got := e[k]; got.Count != 12 || got.Instances != 3 || got.FirstInstance != "i" {
 		t.Errorf("folded entry %+v; want count 12 over 3 instances, first reporter i", got)
+	}
+	want, wantEntries, _ := fleet.DecodePush(bytes.NewReader(validPush), 0)
+	old, oldEntries, err := fleet.DecodePush(bytes.NewReader(cases["retired gauges key"]), 0)
+	if err != nil || !reflect.DeepEqual(old, want) || !reflect.DeepEqual(oldEntries, wantEntries) {
+		t.Errorf("retired gauges key: %+v %v, %v; want the push without it, %+v %v", old, oldEntries, err, want, wantEntries)
 	}
 }
 

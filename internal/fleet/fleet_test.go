@@ -499,7 +499,7 @@ func TestFleetPushEncoding(t *testing.T) {
 		Seq:      41,
 		Dropped:  3,
 		Races:    json.RawMessage(`[{"var":1,"kind":"write-read","first_site":2,"second_site":3,"first_thread":0,"second_thread":1,"count":5,"instances":1,"first_instance":"inst-9"}]`),
-		Arena:    &fleet.ArenaGauges{SlabsLive: 12, SlabsFree: 4, Recycles: 99, Misses: 7, Trimmed: 2},
+		Shadow:   &fleet.ShadowGauges{Hits: 99, Misses: 12, Evicts: 4, Vars: 7},
 	}
 	var buf bytes.Buffer
 	if err := fleet.EncodePush(&buf, in); err != nil {
@@ -517,8 +517,8 @@ func TestFleetPushEncoding(t *testing.T) {
 		!reflect.DeepEqual(entries, want) {
 		t.Errorf("round trip mangled push: %+v, entries %v", out, entries)
 	}
-	if out.Arena == nil || *out.Arena != *in.Arena {
-		t.Errorf("round trip mangled arena gauges: %+v", out.Arena)
+	if out.Shadow == nil || *out.Shadow != *in.Shadow {
+		t.Errorf("round trip mangled shadow gauges: %+v", out.Shadow)
 	}
 }
 
@@ -730,81 +730,6 @@ func TestFleetAuthToken(t *testing.T) {
 	canceled, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	anon.Close(canceled) // flush cannot succeed; abandon immediately
-}
-
-// TestFleetArenaGauges pins the arena observability path end to end: a
-// reporter whose Stats callback reads an arena-backed detector ships the
-// arena occupancy on its pushes, and the collector re-exports it as
-// per-instance Prometheus gauges — while a heap-backed instance emits no
-// arena series at all.
-func TestFleetArenaGauges(t *testing.T) {
-	col := newCollector(t, ingest.Options{})
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
-
-	agg := pacer.NewAggregator()
-	d := pacer.New(pacer.Options{
-		SamplingRate: 1, Seed: 5, Arena: true,
-		OnRace: agg.Reporter("inst-arena"),
-	})
-	main := d.NewThread()
-	a, b := d.Fork(main), d.Fork(main)
-	v := d.NewVarID()
-	d.Write(a, v, 100)
-	d.Read(b, v, 101)
-	d.Join(main, a)
-	d.Join(main, b)
-	if st := d.Stats(); !st.ArenaEnabled || st.ArenaSlabsLive == 0 {
-		t.Fatalf("detector not arena-backed as expected: %+v", st)
-	}
-
-	for _, inst := range []struct {
-		name  string
-		agg   *pacer.Aggregator
-		stats func() pacer.Stats
-	}{
-		{"inst-arena", agg, d.Stats},
-		{"inst-heap", func() *pacer.Aggregator { // heap twin: no Stats wired
-			a2 := pacer.NewAggregator()
-			runInstance(a2.Reporter("inst-heap"), 7000, 1)
-			return a2
-		}(), nil},
-	} {
-		rep, err := fleet.NewReporter(inst.agg, fleet.ReporterOptions{
-			Collector: srv.URL,
-			Instance:  inst.name,
-			Stats:     inst.stats,
-			Interval:  time.Hour,
-			Timeout:   2 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("reporter %s: %v", inst.name, err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := rep.Close(ctx); err != nil {
-			t.Fatalf("reporter %s: %v", inst.name, err)
-		}
-		cancel()
-	}
-
-	metrics := string(httpGet(t, srv.URL+"/metrics"))
-	for _, series := range []string{
-		`pacer_arena_slabs_live{instance="inst-arena"}`,
-		`pacer_arena_slabs_free{instance="inst-arena"}`,
-		`pacer_arena_recycles_total{instance="inst-arena"}`,
-		`pacer_arena_misses_total{instance="inst-arena"}`,
-		`pacer_arena_trimmed_total{instance="inst-arena"}`,
-	} {
-		if !strings.Contains(metrics, series) {
-			t.Errorf("metrics missing %s:\n%s", series, metrics)
-		}
-	}
-	if strings.Contains(metrics, `pacer_arena_slabs_live{instance="inst-heap"}`) {
-		t.Errorf("heap-backed instance grew arena series:\n%s", metrics)
-	}
-	if strings.Contains(metrics, `pacer_arena_slabs_live{instance="inst-arena"} 0`) {
-		t.Errorf("arena instance reports zero live slabs with live threads:\n%s", metrics)
-	}
 }
 
 // TestFleetCollectorInstanceTTL pins the retention contract: with

@@ -95,27 +95,11 @@ type Push struct {
 	// Races is the triage list in the Aggregator persistence schema (the
 	// output of pacer.Aggregator.MarshalJSON).
 	Races json.RawMessage `json:"races"`
-	// Arena carries the instance's metadata-arena occupancy when the
-	// instance runs with Options.Arena (observability only; absent on
-	// heap-backed instances and on pre-arena reporters, so the field does
-	// not bump SchemaVersion).
-	Arena *ArenaGauges `json:"arena,omitempty"`
 	// Shadow carries the instance's shadow-map accounting when the
 	// instance runs behind an instrumentation front door (pacergo's
 	// runtime shim). Absent on plain library instances and on older
 	// reporters, so the field does not bump SchemaVersion.
 	Shadow *ShadowGauges `json:"shadow,omitempty"`
-}
-
-// ArenaGauges is an instance's metadata-arena accounting as of its last
-// snapshot: the occupancy gauges and recycle/miss counters the collector
-// re-exports per instance on /metrics. Fields mirror pacer.Stats.
-type ArenaGauges struct {
-	SlabsLive uint64 `json:"slabs_live"`
-	SlabsFree uint64 `json:"slabs_free"`
-	Recycles  uint64 `json:"recycles"`
-	Misses    uint64 `json:"misses"`
-	Trimmed   uint64 `json:"trimmed"`
 }
 
 // ShadowGauges is an instance's address-keyed shadow-map accounting as of

@@ -63,9 +63,9 @@ type ReporterOptions struct {
 	// runs with (pacerd -auth-token). A mismatch surfaces through OnError
 	// as a 401 on every push attempt.
 	AuthToken string
-	// Stats, when non-nil, is sampled at every snapshot and its arena
-	// occupancy (Stats.ArenaEnabled and friends) rides along on the push,
-	// so the collector's /metrics can export per-instance arena gauges.
+	// Stats, when non-nil, is sampled at every snapshot and its shadow-map
+	// accounting (Stats.FrontDoor and friends) rides along on the push,
+	// so the collector's /metrics can export per-instance shadow gauges.
 	// Wire it to the detector's Stats method. Optional.
 	Stats func() pacer.Stats
 	// Client issues the pushes; replace it (or its Transport) to add TLS
@@ -318,20 +318,9 @@ func (r *Reporter) snapshot() {
 		r.noteFailure(fmt.Errorf("fleet: exporting triage list: %w", err))
 		return
 	}
-	var arena *ArenaGauges
 	var shadow *ShadowGauges
 	if r.opts.Stats != nil { // outside r.mu: the callback reads detector state
-		st := r.opts.Stats()
-		if st.ArenaEnabled {
-			arena = &ArenaGauges{
-				SlabsLive: st.ArenaSlabsLive,
-				SlabsFree: st.ArenaSlabsFree,
-				Recycles:  st.ArenaRecycles,
-				Misses:    st.ArenaMisses,
-				Trimmed:   st.ArenaTrimmed,
-			}
-		}
-		if st.FrontDoor {
+		if st := r.opts.Stats(); st.FrontDoor {
 			shadow = &ShadowGauges{
 				Hits:   st.ShadowHits,
 				Misses: st.ShadowMisses,
@@ -366,7 +355,6 @@ func (r *Reporter) snapshot() {
 				BaseSeq:  r.baseSeq,
 				Dropped:  r.stats.Dropped,
 				Races:    blob,
-				Arena:    arena,
 				Shadow:   shadow,
 			}
 			r.base, r.baseSeq = entries, r.seq
@@ -393,7 +381,6 @@ func (r *Reporter) snapshot() {
 		Seq:      r.seq,
 		Dropped:  r.stats.Dropped,
 		Races:    races,
-		Arena:    arena,
 		Shadow:   shadow,
 	}
 	if entries != nil {

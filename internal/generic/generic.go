@@ -33,7 +33,7 @@ var (
 // nil to discard reports).
 func New(report detector.Reporter) *Detector {
 	d := &Detector{vars: make(map[event.Var]*varMeta), report: report}
-	d.sync = detector.NewBaseSync(&d.stats, nil)
+	d.sync = detector.NewBaseSync(&d.stats)
 	return d
 }
 

@@ -79,8 +79,8 @@ func FastTrackScaling(cfg FastTrackConfig) *FastTrackResult {
 	for _, g := range fcfg.Goroutines {
 		// Baseline and sharded interleaved per level so thermal/load drift
 		// hits both sides roughly equally.
-		base := frontendRun(fcfg, g, "fasttrack", true, false)
-		conc := frontendRun(fcfg, g, "fasttrack", false, false)
+		base := frontendRun(fcfg, g, "fasttrack", true)
+		conc := frontendRun(fcfg, g, "fasttrack", false)
 		res.Rows = append(res.Rows, FastTrackRow{
 			Goroutines: g, Base: base, Conc: conc,
 			Speedup: conc.OpsPerSec / base.OpsPerSec,

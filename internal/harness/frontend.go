@@ -72,7 +72,7 @@ func (c *FrontendConfig) fill() {
 
 // Measure is one configuration's full measurement: throughput plus the
 // allocation and metadata accounting that make configurations comparable
-// apples-to-apples (the arena experiment reads the same columns).
+// apples-to-apples.
 type Measure struct {
 	// OpsPerSec is aggregate operations per second.
 	OpsPerSec float64
@@ -117,14 +117,13 @@ type FrontendResult struct {
 // Mallocs delta charges (almost) only the per-operation work; the handful
 // of scheduler/stack allocations from starting goroutines is identical
 // across configurations and ~zero per op at these operation counts.
-func frontendRun(cfg FrontendConfig, goroutines int, algorithm string, serialized, arena bool) Measure {
+func frontendRun(cfg FrontendConfig, goroutines int, algorithm string, serialized bool) Measure {
 	d := pacer.New(pacer.Options{
 		Algorithm:    algorithm,
 		SamplingRate: cfg.Rate,
 		PeriodOps:    4096,
 		Seed:         11,
 		Serialized:   serialized,
-		Arena:        arena,
 	})
 	main := d.NewThread()
 	shared := make([]pacer.VarID, 4)
@@ -188,8 +187,8 @@ func Frontend(cfg FrontendConfig) *FrontendResult {
 	for _, g := range cfg.Goroutines {
 		// Baseline and concurrent interleaved per level so thermal/load
 		// drift hits both sides roughly equally.
-		base := frontendRun(cfg, g, "pacer", true, false)
-		conc := frontendRun(cfg, g, "pacer", false, false)
+		base := frontendRun(cfg, g, "pacer", true)
+		conc := frontendRun(cfg, g, "pacer", false)
 		res.Rows = append(res.Rows, FrontendRow{
 			Goroutines: g, Base: base, Conc: conc,
 			Speedup: conc.OpsPerSec / base.OpsPerSec,
@@ -198,7 +197,7 @@ func Frontend(cfg FrontendConfig) *FrontendResult {
 	for _, g := range cfg.Goroutines {
 		row := BackendRow{Goroutines: g}
 		for _, algo := range cfg.Algorithms {
-			row.Measures = append(row.Measures, frontendRun(cfg, g, algo, false, false))
+			row.Measures = append(row.Measures, frontendRun(cfg, g, algo, false))
 		}
 		res.Backends = append(res.Backends, row)
 	}

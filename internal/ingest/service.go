@@ -336,32 +336,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "pacer_collector_reporter_dropped_total{instance=%q} %d\n", row.Name, row.Dropped)
 	}
 
-	// Arena occupancy, per arena-backed instance (as of each instance's
-	// last snapshot; heap-backed instances emit no series).
-	arenaMetrics := []struct {
-		name, typ, help string
-		get             func(*fleet.ArenaGauges) uint64
-	}{
-		{"pacer_arena_slabs_live", "gauge", "Metadata slabs currently held by the instance's detector.",
-			func(a *fleet.ArenaGauges) uint64 { return a.SlabsLive }},
-		{"pacer_arena_slabs_free", "gauge", "Metadata slabs parked on the instance's free lists.",
-			func(a *fleet.ArenaGauges) uint64 { return a.SlabsFree }},
-		{"pacer_arena_recycles_total", "counter", "Slab acquisitions served from a free list.",
-			func(a *fleet.ArenaGauges) uint64 { return a.Recycles }},
-		{"pacer_arena_misses_total", "counter", "Slab acquisitions that fell through to the heap.",
-			func(a *fleet.ArenaGauges) uint64 { return a.Misses }},
-		{"pacer_arena_trimmed_total", "counter", "Slabs returned to the GC by bulk reclamation.",
-			func(a *fleet.ArenaGauges) uint64 { return a.Trimmed }},
-	}
-	for _, m := range arenaMetrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		for _, row := range rows {
-			if row.Arena != nil {
-				fmt.Fprintf(w, "%s{instance=%q} %d\n", m.name, row.Name, m.get(row.Arena))
-			}
-		}
-	}
-
 	// Shadow-map resolution, per instrumented instance.
 	shadowMetrics := []struct {
 		name, typ, help string

@@ -37,7 +37,6 @@ type InstanceSnapshot struct {
 	Dropped          uint64              `json:"dropped,omitempty"`
 	LastSeenUnixNano int64               `json:"last_seen_unix_nano"`
 	Races            []fleet.TriageEntry `json:"races"`
-	Arena            *fleet.ArenaGauges  `json:"arena,omitempty"`
 	Shadow           *fleet.ShadowGauges `json:"shadow,omitempty"`
 }
 
@@ -59,7 +58,6 @@ func (s *State) Snapshot() *SnapshotFile {
 				Dropped:          ent.dropped,
 				LastSeenUnixNano: ent.lastSeen.UnixNano(),
 				Races:            fleet.SortedTriage(ent.entries),
-				Arena:            ent.arena,
 				Shadow:           ent.shadow,
 			})
 		}
@@ -96,7 +94,6 @@ func (s *State) Restore(snap *SnapshotFile) error {
 			dropped:  in.Dropped,
 			lastSeen: time.Unix(0, in.LastSeenUnixNano),
 			entries:  make(map[fleet.TriageKey]fleet.TriageEntry, len(in.Races)),
-			arena:    in.Arena,
 			shadow:   in.Shadow,
 		}
 		for _, e := range in.Races {

@@ -61,7 +61,6 @@ type instEntry struct {
 	lastSeen time.Time
 	entries  map[fleet.TriageKey]fleet.TriageEntry
 	cost     int64
-	arena    *fleet.ArenaGauges
 	shadow   *fleet.ShadowGauges
 }
 
@@ -245,7 +244,6 @@ func (s *State) Apply(p *fleet.Push, entries map[fleet.TriageKey]fleet.TriageEnt
 	ent.seq = p.Seq
 	ent.dropped = p.Dropped
 	ent.lastSeen = now
-	ent.arena = p.Arena
 	ent.shadow = p.Shadow
 	s.evictOverLocked(sh, p.Instance)
 	return ApplyMerged
@@ -344,7 +342,6 @@ type InstanceRow struct {
 	Seq      uint64
 	Dropped  uint64
 	LastSeen time.Time
-	Arena    *fleet.ArenaGauges
 	Shadow   *fleet.ShadowGauges
 }
 
@@ -359,7 +356,7 @@ func (s *State) Rows() []InstanceRow {
 		for name, ent := range sh.instances {
 			rows = append(rows, InstanceRow{
 				Name: name, Seq: ent.seq, Dropped: ent.dropped,
-				LastSeen: ent.lastSeen, Arena: ent.arena, Shadow: ent.shadow,
+				LastSeen: ent.lastSeen, Shadow: ent.shadow,
 			})
 		}
 		sh.mu.Unlock()

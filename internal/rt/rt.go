@@ -107,7 +107,6 @@ func envBool(key string) bool {
 //	PACER_SEED        period-roll seed                 (default 1)
 //	PACER_PERIOD      operations per sampling period   (default 4096)
 //	PACER_SHARDS      variable-metadata shards         (default 64)
-//	PACER_ARENA       1 = slab arena for metadata      (default off)
 //	PACER_OUT         path for JSON-lines race reports (default none)
 //	PACER_QUIET       1 = no stderr race reports       (default off)
 //	PACER_FLEET       pacerd base URL to push reports to
@@ -134,7 +133,6 @@ func initState() {
 		Seed:         int64(envInt("PACER_SEED", 1)),
 		PeriodOps:    envInt("PACER_PERIOD", 0),
 		Shards:       envInt("PACER_SHARDS", 0),
-		Arena:        envBool("PACER_ARENA"),
 		OnRace: func(r pacer.Race) {
 			aggReport(r)
 			s.rep.report(s, r)
@@ -270,7 +268,7 @@ func syncOp(g *G, kind event.Kind, target uint32) {
 // the same (reused) address registers as a fresh variable instead of
 // inheriting the dead one's metadata. Instrumentation does not emit this
 // automatically (Go frees memory invisibly); long-running integrations
-// can call it from arena/pool recycling points.
+// can call it where their own free lists or pools recycle memory.
 func FreeVar(p unsafe.Pointer) {
 	Init()
 	state.vars.free(uintptr(p))

@@ -27,9 +27,8 @@ func (e ReadEntry) Epoch() Epoch { return MakeEpoch(e.T, e.C) }
 //
 // The spilled map is treated as live representation only while n > 1;
 // Clear, SetEpoch, and a shrinking Remove empty it but keep it allocated as
-// a spare, so a variable whose reads repeatedly inflate and collapse (and a
-// variable record recycled through a metadata arena) pays the map
-// allocation once, not per cycle.
+// a spare, so a variable whose reads repeatedly inflate and collapse pays
+// the map allocation once, not per cycle.
 //
 // The zero value is the empty read map (equivalent to the epoch 0@0).
 type ReadMap struct {
@@ -200,7 +199,7 @@ func (r *ReadMap) ForEach(fn func(ReadEntry)) {
 
 // MemoryWords approximates the read map's footprint in 8-byte words for the
 // space accountant. A retained spare map is not charged: the accountant
-// models the algorithm's live metadata (Figure 10), not allocator slack.
+// models the algorithm's live metadata (Figure 10), not spare capacity.
 func (r *ReadMap) MemoryWords() int {
 	if r.n > 1 {
 		return 2 + 3*r.n

@@ -13,21 +13,14 @@ import (
 // synchronization clocks during non-sampling periods (Algorithm 9). Once a
 // clock is marked shared it may be referenced by several synchronization
 // objects; any owner that needs to mutate it must Clone first (Algorithms
-// 10, 11, 16). On heap clocks the flag is never cleared — only a fresh
-// Clone starts out unshared — mirroring the paper's "once an object is
-// marked shared it remains that way for the rest of its lifetime". Managed
-// clocks count their holders exactly, which supports the one sound
-// exception: Unshare clears the mark when the count proves the last alias
-// is gone, so the sole remaining holder mutates in place instead of paying
-// a full-width copy nothing else would ever read.
-// A VC may additionally be owned by an Allocator (see alloc.go): managed
-// clocks carry a holder count and are recycled through Retain/Release;
-// heap clocks (alloc nil) behave exactly as before.
+// 10, 11, 16). The flag is never cleared — only a fresh Clone starts out
+// unshared — mirroring the paper's "once an object is marked shared it
+// remains that way for the rest of its lifetime". Clocks live on the Go
+// heap: a snapshot no object references any longer is reclaimed by the
+// garbage collector.
 type VC struct {
 	c      []uint64
 	shared bool
-	alloc  Allocator // nil = heap-backed (the garbage collector reclaims)
-	ref    int32     // holder count; meaningful only when alloc != nil
 }
 
 // New returns a vector clock with capacity for n threads, all zero.
@@ -119,22 +112,14 @@ func (v *VC) CopyFrom(o *VC) {
 	copy(v.c, o.c)
 }
 
-// Clone returns a deep, unshared copy of v, drawn from v's allocator when
-// it is managed (so arena-backed detectors never fall back to the heap on
-// the copy-on-write path).
+// Clone returns a deep, unshared copy of v.
 func (v *VC) Clone() *VC { return v.CloneWidth(0) }
 
 // CloneWidth is Clone with the copy at least n entries wide, the entries
 // past v's length zero: a caller about to join a wider clock into the copy
 // allocates it once, at the width the join would grow it to.
 func (v *VC) CloneWidth(n int) *VC {
-	n = max(n, len(v.c))
-	var c *VC
-	if v.alloc != nil {
-		c = v.alloc.NewVC(n)
-	} else {
-		c = &VC{c: make([]uint64, n)}
-	}
+	c := New(max(n, len(v.c)))
 	copy(c.c, v.c)
 	return c
 }
@@ -142,28 +127,9 @@ func (v *VC) CloneWidth(n int) *VC {
 // Shared reports whether the clock is marked as shared.
 func (v *VC) Shared() bool { return v.shared }
 
-// SetShared marks the clock shared. A heap clock stays marked for life
-// (Clone returns a fresh unshared copy instead); a managed clock can be
-// reclaimed via Unshare once its holder count proves exclusivity.
+// SetShared marks the clock shared for life; Clone returns a fresh
+// unshared copy.
 func (v *VC) SetShared() { v.shared = true }
-
-// Unshare clears the shared mark when v is provably exclusive again, and
-// reports whether v is unshared on return. Managed clocks count one holder
-// per stored reference, maintained under the same serialization as every
-// other mutation, so a count of one means no synchronization object still
-// aliases this clock: the copy-on-write clone its callers were about to
-// make would duplicate a clock nothing else can observe. Heap clocks do
-// not track holders, so their mark is sticky and mutators keep cloning.
-func (v *VC) Unshare() bool {
-	if !v.shared {
-		return true
-	}
-	if v.alloc != nil && v.ref == 1 {
-		v.shared = false
-		return true
-	}
-	return false
-}
 
 // Equal reports pointwise equality (treating missing entries as 0).
 func (v *VC) Equal(o *VC) bool { return v.Leq(o) && o.Leq(v) }

@@ -168,6 +168,9 @@ func TestVCCloneIsDeepAndUnshared(t *testing.T) {
 	if c.Shared() {
 		t.Error("clone should start unshared")
 	}
+	if !a.Shared() {
+		t.Error("the original must keep its shared mark for life")
+	}
 	c.Set(0, 100)
 	if a.Get(0) != 4 {
 		t.Error("clone leaked into original")
@@ -273,39 +276,6 @@ func TestCopyGrowthGeometric(t *testing.T) {
 		if dst.Get(Thread(i)) != 0 {
 			t.Fatalf("entry %d reads %d past a shrinking copy, want 0", i, dst.Get(Thread(i)))
 		}
-	}
-}
-
-// TestUnshare pins the copy-on-write reclamation rule: heap clocks keep
-// the paper's sticky shared mark for life, while a managed clock whose
-// holder count has returned to one is provably exclusive again and may
-// clear the mark and mutate in place.
-func TestUnshare(t *testing.T) {
-	h := New(4)
-	h.SetShared()
-	if h.Unshare() {
-		t.Fatal("heap clock must keep its sticky shared mark")
-	}
-
-	m := NewManaged(make([]uint64, 4), Heap)
-	if !m.Unshare() {
-		t.Fatal("a never-shared clock is trivially exclusive")
-	}
-	m.SetShared()
-	m.Retain() // a sync object stores a second reference
-	if m.Unshare() {
-		t.Fatal("an aliased clock must stay shared")
-	}
-	m.Release() // the alias is dropped; the sole holder remains
-	if !m.Unshare() {
-		t.Fatal("the sole holder must reclaim the clock")
-	}
-	if m.Shared() {
-		t.Fatal("reclaimed clock still marked shared")
-	}
-	m.Inc(0) // mutable again — Inc panics on shared clocks
-	if m.Get(0) != 1 {
-		t.Fatalf("reclaimed clock lost content: %v", m)
 	}
 }
 

@@ -24,65 +24,56 @@ import (
 // the issued totals with nothing lost or double-counted. Hot methods drain
 // their bursts fast, so the lock-free skip must actually fire.
 func TestLiteRaceShardedStressStatsConservation(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		arena bool
-	}{{"heap", false}, {"arena", true}} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			const goroutines = 8
-			const opsPer = 4000
-			d := pacer.New(pacer.Options{
-				Algorithm: "literace",
-				Seed:      9,
-				Shards:    8,
-				Arena:     tc.arena,
-			})
-			if d.ShardCount() != 8 {
-				t.Fatalf("ShardCount = %d, want 8: LITERACE should mount sharded", d.ShardCount())
-			}
-			main := d.NewThread()
-			shared := d.NewVarID()
-			var issuedReads, issuedWrites atomic.Uint64
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				tid := d.Fork(main)
-				wg.Add(1)
-				go func(tid pacer.ThreadID, g int) {
-					defer wg.Done()
-					private := d.NewVarID()
-					method := uint32(g % 3) // few hot methods: bursts drain, skips dominate
-					for i := 0; i < opsPer; i++ {
-						e := pacer.Event{
-							Thread: tid,
-							Site:   pacer.SiteID(g + 1),
-							Method: method,
-						}
-						if i%16 == 0 { // race-prone shared write
-							e.Kind, e.Target = event.Write, uint32(shared)
-							issuedWrites.Add(1)
-						} else {
-							e.Kind, e.Target = event.Read, uint32(private)
-							issuedReads.Add(1)
-						}
-						d.Apply(e)
-					}
-				}(tid, g)
-			}
-			wg.Wait()
-			s := d.Stats()
-			if s.Reads != issuedReads.Load() {
-				t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
-			}
-			if s.Writes != issuedWrites.Load() {
-				t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
-			}
-			if s.FastPathReads == 0 {
-				t.Error("lock-free burst skip never fired on a burst-drained workload")
-			}
-			if s.ArenaEnabled != tc.arena {
-				t.Errorf("ArenaEnabled = %v, want %v", s.ArenaEnabled, tc.arena)
-			}
+	// The subtest is named for the heap, where every clock lives.
+	t.Run("heap", func(t *testing.T) {
+		const goroutines = 8
+		const opsPer = 4000
+		d := pacer.New(pacer.Options{
+			Algorithm: "literace",
+			Seed:      9,
+			Shards:    8,
 		})
-	}
+		if d.ShardCount() != 8 {
+			t.Fatalf("ShardCount = %d, want 8: LITERACE should mount sharded", d.ShardCount())
+		}
+		main := d.NewThread()
+		shared := d.NewVarID()
+		var issuedReads, issuedWrites atomic.Uint64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			tid := d.Fork(main)
+			wg.Add(1)
+			go func(tid pacer.ThreadID, g int) {
+				defer wg.Done()
+				private := d.NewVarID()
+				method := uint32(g % 3) // few hot methods: bursts drain, skips dominate
+				for i := 0; i < opsPer; i++ {
+					e := pacer.Event{
+						Thread: tid,
+						Site:   pacer.SiteID(g + 1),
+						Method: method,
+					}
+					if i%16 == 0 { // race-prone shared write
+						e.Kind, e.Target = event.Write, uint32(shared)
+						issuedWrites.Add(1)
+					} else {
+						e.Kind, e.Target = event.Read, uint32(private)
+						issuedReads.Add(1)
+					}
+					d.Apply(e)
+				}
+			}(tid, g)
+		}
+		wg.Wait()
+		s := d.Stats()
+		if s.Reads != issuedReads.Load() {
+			t.Errorf("Stats.Reads = %d, issued %d", s.Reads, issuedReads.Load())
+		}
+		if s.Writes != issuedWrites.Load() {
+			t.Errorf("Stats.Writes = %d, issued %d", s.Writes, issuedWrites.Load())
+		}
+		if s.FastPathReads == 0 {
+			t.Error("lock-free burst skip never fired on a burst-drained workload")
+		}
+	})
 }

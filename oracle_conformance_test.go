@@ -14,7 +14,7 @@ import (
 )
 
 // The oracle conformance layer replays generated and checked-in traces
-// through the full backend × {serialized, sharded} × {heap, arena} matrix
+// through the full backend × {serialized, sharded} matrix
 // at sampling rate 1.0 and judges every run against the exact
 // happens-before ground truth (internal/oracle):
 //
@@ -32,32 +32,23 @@ import (
 // matrixCell is one front-end configuration of the conformance matrix.
 type matrixCell struct {
 	serialized bool
-	arena      bool
 }
 
 func (c matrixCell) String() string {
-	s, a := "sharded", "heap"
 	if c.serialized {
-		s = "serialized"
+		return "serialized"
 	}
-	if c.arena {
-		a = "arena"
-	}
-	return s + "/" + a
+	return "sharded"
 }
 
 // matrixCellsFor returns the cells that are behaviorally distinct for a
 // backend. Every sharded backend (pacer, fasttrack, literace, djit+,
-// o1samples) reads the one store configuration, so it exercises all four
-// front-end configurations. The remaining backends are driven serialized with heap metadata whatever the
-// options say, so one cell covers them.
+// o1samples) runs both front-end mounts. The remaining backends are
+// driven serialized whatever the options say, so one cell covers them.
 func matrixCellsFor(algo string) []matrixCell {
 	switch algo {
 	case "pacer", "fasttrack", "o1samples", "literace", "djit", "djit+":
-		return []matrixCell{
-			{serialized: true}, {serialized: true, arena: true},
-			{serialized: false}, {serialized: false, arena: true},
-		}
+		return []matrixCell{{serialized: true}, {serialized: false}}
 	default:
 		return []matrixCell{{serialized: true}}
 	}
@@ -72,7 +63,6 @@ func replayOracle(algo string, tr event.Trace, cell matrixCell, shards int) []pa
 		SamplingRate: 1.0,
 		Seed:         5,
 		Serialized:   cell.serialized,
-		Arena:        cell.arena,
 		Shards:       shards,
 		OnRace:       func(r pacer.Race) { races = append(races, r) },
 	})

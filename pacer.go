@@ -180,7 +180,7 @@ type Options struct {
 	// analysis overhead near the target (see BudgetOptions). Only
 	// meaningful for backends with sampling periods.
 	Budget BudgetOptions
-	// Shards, Arena, Clock, and EpochFastVarCap configure the metadata
+	// Shards and EpochFastVarCap configure the metadata
 	// store of the sharded backends (pacer, fasttrack, o1samples, djit,
 	// literace); the serialized backends ignore them.
 	//
@@ -189,14 +189,6 @@ type Options struct {
 	// sampling periods and a finer-grained fast-path presence filter, at a
 	// small fixed memory cost per detector.
 	Shards int
-	// Arena backs the backend's metadata (vector clocks and per-variable
-	// records) with a slab arena striped across the variable shards:
-	// metadata discarded at non-sampled writes and sampling-period ends is
-	// recycled through per-shard free lists instead of churning the
-	// garbage collector. Race reports are identical with or without it.
-	// Recommended for long-running processes with nonzero sampling rates;
-	// see docs/arena.md.
-	Arena bool
 	// EpochFastVarCap bounds the record table of every sharded backend:
 	// a variable whose identifier lies below the cap keeps its metadata
 	// record in a paged table, found with two loads and no hashing and
@@ -266,18 +258,6 @@ type Stats struct {
 	VarsTracked int
 	// MetadataWords approximates live metadata in 8-byte words.
 	MetadataWords int
-	// ArenaEnabled reports whether a metadata arena backs this detector;
-	// the remaining arena counters are zero when it is false.
-	ArenaEnabled bool
-	// ArenaSlabsLive and ArenaSlabsFree are the arena's occupancy: slabs
-	// currently acquired by the detector versus parked on free lists.
-	ArenaSlabsLive, ArenaSlabsFree uint64
-	// ArenaRecycles and ArenaMisses split slab acquisitions into free-list
-	// hits and fresh heap allocations.
-	ArenaRecycles, ArenaMisses uint64
-	// ArenaTrimmed counts free slabs handed back to the garbage collector
-	// at sampling-period boundaries.
-	ArenaTrimmed uint64
 	// ShadowHits, ShadowMisses, and ShadowEvicts count address-keyed
 	// variable resolution by a mounted instrumentation front door (see
 	// MountFrontDoor): lock-free lookups that needed no new identifier,
@@ -463,7 +443,6 @@ func New(opts Options) *Detector {
 		Seed: opts.Seed,
 		Config: shardbase.Config{
 			Shards:   opts.Shards,
-			Arena:    opts.Arena,
 			IndexCap: opts.EpochFastVarCap,
 		},
 	})
@@ -1166,16 +1145,6 @@ func (p *Detector) Stats() Stats {
 			ShallowCopies: c.ShallowCopies[0] + c.ShallowCopies[1] + sc + svc,
 			VarsTracked:   p.acct.VarsTracked(),
 			MetadataWords: p.acct.MetadataWords(),
-		}
-	}
-	if p.sharded != nil {
-		if a, ok := p.sharded.ArenaStats(); ok {
-			s.ArenaEnabled = true
-			s.ArenaSlabsLive = a.SlabsLive
-			s.ArenaSlabsFree = a.SlabsFree
-			s.ArenaRecycles = a.Recycles
-			s.ArenaMisses = a.Misses
-			s.ArenaTrimmed = a.Trimmed
 		}
 	}
 	if door != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // The zero-alloc guard of the dismissal chain: one table with a row for
-// every stage every backend declares, each run heap and arena. A stage
+// every stage every backend declares. A stage
 // serves the dominant case of its backend (an untracked access outside
 // sampling, a same-epoch repeat, a shared read, a cold method), so if it
 // starts allocating, the garbage collector pays on the hottest path there
@@ -121,28 +121,23 @@ func sameEpochAccesses(d *pacer.Detector) []stageOp {
 	}
 }
 
-// runStageGuards runs every row of the table that guards stage.
+// runStageGuards runs every row of the table that guards stage, under a
+// subtest named for the heap, the clock allocator every row runs on.
 func runStageGuards(t *testing.T, stage string) {
-	for _, arena := range []bool{false, true} {
-		name := "heap"
-		if arena {
-			name = "arena"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, g := range stageGuards {
-				if g.stage != stage {
-					continue
-				}
-				t.Run(g.algo, func(t *testing.T) { g.check(t, arena) })
+	t.Run("heap", func(t *testing.T) {
+		for _, g := range stageGuards {
+			if g.stage != stage {
+				continue
 			}
-		})
-	}
+			t.Run(g.algo, func(t *testing.T) { g.check(t) })
+		}
+	})
 }
 
 // detector mounts the row's backend with its chain cut to the stages
 // before the row's stage, plus the row's stage itself when with is set.
-func (g stageGuard) detector(t *testing.T, arena, with bool) *pacer.Detector {
-	d := pacer.New(pacer.Options{Algorithm: g.algo, SamplingRate: g.rate, Arena: arena})
+func (g stageGuard) detector(t *testing.T, with bool) *pacer.Detector {
+	d := pacer.New(pacer.Options{Algorithm: g.algo, SamplingRate: g.rate})
 	for i, name := range d.StageNames() {
 		if name == g.stage {
 			if with {
@@ -156,8 +151,8 @@ func (g stageGuard) detector(t *testing.T, arena, with bool) *pacer.Detector {
 	return nil
 }
 
-func (g stageGuard) check(t *testing.T, arena bool) {
-	d := g.detector(t, arena, true)
+func (g stageGuard) check(t *testing.T) {
+	d := g.detector(t, true)
 	for _, op := range g.setup(d) {
 		before := d.StageDismissals()
 		if got := testing.AllocsPerRun(g.runs, op.run); got != 0 {
@@ -174,7 +169,7 @@ func (g stageGuard) check(t *testing.T, arena bool) {
 	}
 	// Without this stage the same accesses reach the locked path: the
 	// dismissals above were this stage's, not an earlier one's.
-	ctl := g.detector(t, arena, false)
+	ctl := g.detector(t, false)
 	for _, op := range g.setup(ctl) {
 		before := ctl.StageDismissals()
 		for i := 0; i <= g.runs; i++ {

@@ -1,6 +1,6 @@
 // Command syncshapes reaches channels, locks and atomics through operands
 // that hold calls, in every statement form the rewriter hooks as a
-// synchronization operation, and prints the order the calls ran in and
+// synchronization operation (an if's or a switch's init clause among them), and prints the order the calls ran in and
 // what the operations left. An instrumented build must print exactly what
 // the plain build prints, and build: a sent value whose type comes from
 // the channel must keep it.
@@ -51,6 +51,13 @@ func main() {
 	for x := range chs[at("range", 1)] {
 		sum += x
 	}
+	if x := <-chs[at("if-init", 0)]; x > 0 {
+		sum += x
+	}
+	switch x := <-chs[at("type-switch-init", 0)]; v := any(x).(type) {
+	case int:
+		sum += v
+	}
 
 	c8 <- 1 << at("shift", 3)
 	cf <- at("compare", 1) > 0
@@ -63,6 +70,10 @@ func main() {
 	loaded := atomic.LoadInt64(&cs[at("load", 1)])
 	ns[at("method-add", 0)].Add(int64(at("method-add-value", 9)))
 	swapped := ns[at("method-cas", 0)].CompareAndSwap(int64(at("old", 9)), int64(at("new", 10)))
+	switch y := atomic.LoadInt64(&cs[at("switch-init", 0)]); {
+	case y > 0:
+		sum += int(y)
+	}
 
 	fmt.Println(trace)
 	fmt.Println(v, ok, w, sum, <-c8, <-cf, cs, loaded, ns[0].Load(), swapped)
