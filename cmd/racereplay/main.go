@@ -319,16 +319,15 @@ func verify(args []string) {
 	}
 }
 
-// verifyModes mirrors the conformance suite's matrix slice per backend,
-// as the Serialized option of each cell: the sharded backends run both
-// front-end mounts, the rest only the serialized one.
+// verifyModes is the conformance suite's matrix slice per backend, as the
+// Serialized option of each cell: a backend with a sharded mount
+// (backends.Probe) runs both front-end mounts, the rest only the
+// serialized one.
 func verifyModes(algo string) []bool {
-	switch algo {
-	case "pacer", "fasttrack", "literace", "djit", "djit+":
+	if caps, err := backends.Probe(algo); err == nil && caps.Sharded {
 		return []bool{true, false}
-	default:
-		return []bool{true}
 	}
+	return []bool{true}
 }
 
 // literaceBurstsOpen reports whether every (method, thread) sampler key

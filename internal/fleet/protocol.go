@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -154,44 +155,78 @@ func (e *pushEncoder) encode(w io.Writer, p *Push) error {
 // push when the caller passes no limit of its own.
 const DefaultMaxDecompressedBytes = 64 << 20
 
-// pushDecoder is one reusable gzip inflater, the buffered reader under it
-// and the inflation bound over it. The inflater and the reader are reset
-// per push, so decoding one allocates no inflater state; release detaches
-// the caller's body before the decoder goes back to the pool.
+// pushDecoder is one reusable gzip inflater, the buffered reader under
+// it, and the buffers the push is inflated into and its escaped strings
+// unescaped into. The inflater and the reader are reset per push, so
+// decoding one allocates no inflater state; release detaches the
+// caller's body and drops a buffer grown past maxPooledBuf before the
+// decoder goes back to the pool.
 type pushDecoder struct {
-	br bufio.Reader
-	zr gzip.Reader
-	lr io.LimitedReader
+	br      bufio.Reader
+	zr      gzip.Reader
+	buf     []byte
+	scratch []byte
 }
+
+// maxPooledBuf caps the buffers a pooled decoder keeps: a cumulative push
+// of a few hundred rows fits, and one outsized push does not pin its
+// buffer for the life of the pool.
+const maxPooledBuf = 256 << 10
 
 var decoders = sync.Pool{New: func() any { return new(pushDecoder) }}
 
 func (d *pushDecoder) release() {
 	d.br.Reset(nil)
+	if cap(d.buf) > maxPooledBuf {
+		d.buf = nil
+	}
+	if cap(d.scratch) > maxPooledBuf {
+		d.scratch = nil
+	}
 	decoders.Put(d)
 }
 
-// pushWire is a push as DecodePush reads it: Push's envelope fields, with
-// the triage rows decoded straight into typed entries. Races points at a
-// caller-owned slice before decoding, so that a missing field (the
-// pointer unchanged, the slice nil) is told apart from "races": null (the
-// pointer cleared), which is an empty list.
-type pushWire struct {
-	Push
-	Races *[]TriageEntry `json:"races"`
+// inflate reads the inflated push into d.buf, stopping at limit bytes. It
+// returns the read error that ended the stream, nil at its end or at the
+// limit.
+func (d *pushDecoder) inflate(limit int64) error {
+	buf := d.buf[:0]
+	for int64(len(buf)) < limit {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(int64(max(len(buf), 4<<10)), limit-int64(len(buf)))))
+		}
+		room := buf[len(buf):cap(buf)]
+		if rest := limit - int64(len(buf)); int64(len(room)) > rest {
+			room = room[:rest]
+		}
+		n, err := d.zr.Read(room)
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			d.buf = buf
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+	d.buf = buf
+	return nil
 }
 
 // DecodePush reads one gzip-compressed push and validates it: a schema
 // version from SchemaVersion through SchemaVersionDelta, a non-empty
 // instance, a triage list, and — on a delta (nonzero BaseSeq) — a
-// version-2 push whose base precedes its own sequence number. The triage
-// rows are decoded in the same JSON pass as the envelope and validated
-// and folded into a map keyed by distinct race as ParseTriage does, so a
-// malformed push is rejected before any state is touched. The returned
-// Push carries the envelope; its Races is nil, the rows being in the map.
-// (An object that names races twice has its later list decoded over the
-// earlier one, row by row, as encoding/json does for a repeated key; no
-// encoder produces one, and its rows are validated like any others.)
+// version-2 push whose base precedes its own sequence number. The push is
+// inflated into a pooled buffer and its first JSON value scanned in one
+// pass by a decoder for exactly the push schema (decode.go), which folds
+// each triage row into a map keyed by distinct race as it reads it,
+// validating rows as ParseTriage does, so a malformed push is rejected
+// before any state is touched. Bytes after that value, and a read error
+// after it has ended, are ignored. The returned Push carries the
+// envelope; its Races is nil, the rows being in the map. No returned
+// string aliases the pooled buffer: the instance and every row string
+// are copies, except that a row's kind is its StaticKind constant and a
+// first_instance equal to the instance is that same string.
 // maxDecompressed bounds the inflated size — the compressed body alone
 // is not a safe bound, since a kilobyte of gzip can expand to gigabytes
 // and OOM the collector; <= 0 means DefaultMaxDecompressedBytes.
@@ -205,17 +240,21 @@ func DecodePush(r io.Reader, maxDecompressed int64) (*Push, map[TriageKey]Triage
 	if err := dec.zr.Reset(&dec.br); err != nil {
 		return nil, nil, fmt.Errorf("fleet: push is not gzip: %w", err)
 	}
-	lr := &dec.lr
-	*lr = io.LimitedReader{R: &dec.zr, N: maxDecompressed + 1}
-	var rows []TriageEntry
-	w := &pushWire{Races: &rows}
-	if err := json.NewDecoder(lr).Decode(w); err != nil && lr.N > 0 {
-		return nil, nil, fmt.Errorf("fleet: decoding push: %w", err)
-	}
-	if lr.N <= 0 {
+	readErr := dec.inflate(maxDecompressed + 1)
+	if int64(len(dec.buf)) > maxDecompressed {
 		return nil, nil, fmt.Errorf("fleet: push exceeds %d bytes decompressed", maxDecompressed)
 	}
-	p := &w.Push
+	s := scanner{data: dec.buf, scratch: dec.scratch}
+	p := new(Push)
+	entries := make(map[TriageKey]TriageEntry)
+	races, bad, err := s.push(p, entries)
+	dec.scratch = s.scratch
+	if err != nil {
+		if err == errUnexpectedEnd && readErr != nil {
+			err = readErr
+		}
+		return nil, nil, fmt.Errorf("fleet: decoding push: %w", err)
+	}
 	if p.Version < SchemaVersion || p.Version > SchemaVersionDelta {
 		return nil, nil, fmt.Errorf("fleet: unsupported schema version %d (this collector speaks 1..%d)",
 			p.Version, SchemaVersionDelta)
@@ -223,7 +262,7 @@ func DecodePush(r io.Reader, maxDecompressed int64) (*Push, map[TriageKey]Triage
 	if p.Instance == "" {
 		return nil, nil, errors.New("fleet: push names no instance")
 	}
-	if w.Races == &rows && rows == nil {
+	if !races {
 		return nil, nil, errors.New("fleet: push carries no triage list")
 	}
 	if p.BaseSeq != 0 {
@@ -234,13 +273,8 @@ func DecodePush(r io.Reader, maxDecompressed int64) (*Push, map[TriageKey]Triage
 			return nil, nil, fmt.Errorf("fleet: delta base seq %d not before push seq %d", p.BaseSeq, p.Seq)
 		}
 	}
-	var in []TriageEntry
-	if w.Races != nil {
-		in = *w.Races
-	}
-	entries, err := foldTriage(in)
-	if err != nil {
-		return nil, nil, err
+	if bad != nil {
+		return nil, nil, bad
 	}
 	return p, entries, nil
 }

@@ -87,43 +87,53 @@ func StaticKind(k string) (static string, ok bool) {
 // hand-edited list — fold exactly as ImportJSON folds them, so a
 // materialize-then-remarshal round trip merges to the same aggregator
 // state as importing the raw blob.
+//
+// The list is read by the same row decoder as DecodePush's (decode.go),
+// accepting and rejecting what json.Unmarshal into a []TriageEntry does.
 func ParseTriage(data []byte) (map[TriageKey]TriageEntry, error) {
-	var in []TriageEntry
-	if err := json.Unmarshal(data, &in); err != nil {
+	s := scanner{data: data}
+	out := make(map[TriageKey]TriageEntry)
+	bad, err := s.triage(out, "", 1)
+	if err == nil {
+		if s.ws(); s.pos < len(data) {
+			err = s.invalid(data[s.pos], "after top-level value")
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("fleet: parsing triage list: %w", err)
 	}
-	return foldTriage(in)
-}
-
-// foldTriage validates parsed triage rows and folds them by distinct race
-// (ParseTriage; DecodePush's rows). Each row's kind becomes its
-// StaticKind, so the decoded copy is garbage once the push is folded.
-func foldTriage(in []TriageEntry) (map[TriageKey]TriageEntry, error) {
-	out := make(map[TriageKey]TriageEntry, len(in))
-	for i, e := range in {
-		kind, ok := StaticKind(e.Kind)
-		if !ok {
-			return nil, fmt.Errorf("fleet: triage entry %d: unknown race kind %q", i, e.Kind)
-		}
-		e.Kind = kind
-		if e.Count < 1 || e.Instances < 1 || e.Instances > e.Count {
-			return nil, fmt.Errorf("fleet: triage entry %d has implausible count %d / instances %d",
-				i, e.Count, e.Instances)
-		}
-		k := e.Key()
-		dst, ok := out[k]
-		if !ok {
-			out[k] = e
-			continue
-		}
-		dst.Count += e.Count
-		dst.Instances += e.Instances
-		if dst.FirstInstance == e.FirstInstance {
-			dst.Instances-- // the shared first reporter was already counted
-		}
-		out[k] = dst
+	if bad != nil {
+		return nil, bad
 	}
 	return out, nil
+}
+
+// foldRow validates the decoded triage row e, the i-th of its list, and
+// folds it into out by distinct race: duplicates add their counts, and a
+// first reporter the two rows share is counted once.
+func foldRow(out map[TriageKey]TriageEntry, i int, e TriageEntry) error {
+	kind, ok := StaticKind(e.Kind)
+	if !ok {
+		return fmt.Errorf("fleet: triage entry %d: unknown race kind %q", i, e.Kind)
+	}
+	e.Kind = kind
+	if e.Count < 1 || e.Instances < 1 || e.Instances > e.Count {
+		return fmt.Errorf("fleet: triage entry %d has implausible count %d / instances %d",
+			i, e.Count, e.Instances)
+	}
+	k := e.Key()
+	dst, ok := out[k]
+	if !ok {
+		out[k] = e
+		return nil
+	}
+	dst.Count += e.Count
+	dst.Instances += e.Instances
+	if dst.FirstInstance == e.FirstInstance {
+		dst.Instances-- // the shared first reporter was already counted
+	}
+	out[k] = dst
+	return nil
 }
 
 // MarshalTriage renders a materialized triage map back to the wire list

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pacer"
+	"pacer/internal/backends"
 	"pacer/internal/event"
 	"pacer/internal/oracle"
 	"pacer/internal/tracegen"
@@ -42,16 +43,14 @@ func (c matrixCell) String() string {
 }
 
 // matrixCellsFor returns the cells that are behaviorally distinct for a
-// backend. Every sharded backend (pacer, fasttrack, literace, djit+,
-// o1samples) runs both front-end mounts. The remaining backends are
-// driven serialized whatever the options say, so one cell covers them.
+// backend. Every backend with a sharded mount (backends.Probe) runs both
+// front-end mounts. The remaining backends are driven serialized whatever
+// the options say, so one cell covers them.
 func matrixCellsFor(algo string) []matrixCell {
-	switch algo {
-	case "pacer", "fasttrack", "o1samples", "literace", "djit", "djit+":
+	if caps, err := backends.Probe(algo); err == nil && caps.Sharded {
 		return []matrixCell{{serialized: true}, {serialized: false}}
-	default:
-		return []matrixCell{{serialized: true}}
 	}
+	return []matrixCell{{serialized: true}}
 }
 
 // replayOracle replays tr through the public front-end at rate 1.0 with
