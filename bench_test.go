@@ -13,14 +13,11 @@ import (
 	"pacer/internal/core"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
-	"pacer/internal/djit"
 	"pacer/internal/event"
 	"pacer/internal/fasttrack"
 	"pacer/internal/generic"
-	"pacer/internal/goldilocks"
 	"pacer/internal/harness"
 	"pacer/internal/literace"
-	"pacer/internal/lockset"
 	"pacer/internal/sim"
 	"pacer/internal/workload"
 )
@@ -250,18 +247,6 @@ func BenchmarkThroughputFastTrack(b *testing.B) {
 
 func BenchmarkThroughputGeneric(b *testing.B) {
 	replayBench(b, func() detector.Detector { return generic.New(nil) }, benchTrace)
-}
-
-func BenchmarkThroughputDjit(b *testing.B) {
-	replayBench(b, func() detector.Detector { return djit.New(nil) }, benchTrace)
-}
-
-func BenchmarkThroughputLockset(b *testing.B) {
-	replayBench(b, func() detector.Detector { return lockset.New(nil) }, benchTrace)
-}
-
-func BenchmarkThroughputGoldilocks(b *testing.B) {
-	replayBench(b, func() detector.Detector { return goldilocks.New(nil) }, benchTrace)
 }
 
 func BenchmarkThroughputLiteRace(b *testing.B) {

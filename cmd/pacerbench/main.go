@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|fasttrack|contention|ingest]
+//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|frontend|fasttrack|contention|ingest]
 //	           [-bench eclipse|hsqldb|xalan|pseudojbb] [-scale 0.2] [-seed 0]
 //
 // The frontend, fasttrack, and contention experiments are different in kind:
@@ -36,9 +36,14 @@ import (
 	"pacer/internal/workload"
 )
 
+// experiments lists the -experiment names, "all" first.
+var experiments = []string{"all", "table1", "table2", "table3",
+	"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"ablation", "frontend", "fasttrack", "contention", "ingest"}
+
 func main() {
 	experiment := flag.String("experiment", "all",
-		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, fasttrack, contention, ingest")
+		"experiment to run: "+strings.Join(experiments, ", "))
 	benchName := flag.String("bench", "", "restrict to one benchmark (eclipse, hsqldb, xalan, pseudojbb)")
 	scale := flag.Float64("scale", 0.2, "trial-count scale factor (1.0 = the paper's protocol)")
 	seed := flag.Int64("seed", 0, "base seed for all trials")
@@ -167,18 +172,6 @@ func main() {
 		r.Chart(os.Stdout)
 		return nil
 	})
-	section("lineage", func() error {
-		b := workload.Eclipse()
-		if len(opts.Benches) == 1 {
-			b = opts.Benches[0]
-		}
-		r, err := harness.Lineage(b, opts)
-		if err != nil {
-			return err
-		}
-		r.Render(os.Stdout)
-		return nil
-	})
 	section("ablation", func() error {
 		r, err := harness.Ablations(opts)
 		if err != nil {
@@ -244,8 +237,7 @@ func main() {
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "pacerbench: unknown experiment %q (try: %s)\n",
-			*experiment, strings.Join([]string{"all", "table1", "table2", "table3",
-				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "fasttrack", "contention", "ingest"}, ", "))
+			*experiment, strings.Join(experiments, ", "))
 		os.Exit(2)
 	}
 	fmt.Printf("pacerbench: done in %v (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)

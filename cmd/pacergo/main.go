@@ -34,6 +34,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"pacer"
 )
 
 func main() {
@@ -51,6 +53,10 @@ func main() {
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
+	if algos := pacer.Algorithms(); !slices.Contains(algos, *algo) {
+		fmt.Fprintf(os.Stderr, "pacergo: unknown -algo %q (known: %s)\n", *algo, strings.Join(algos, ", "))
+		os.Exit(2)
+	}
 	args := fs.Args()
 	if len(args) < 2 {
 		fs.Usage()

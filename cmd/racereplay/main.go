@@ -231,14 +231,14 @@ func replay(args []string) {
 
 // verify replays a trace through race-detection backends at sampling rate
 // 1.0 and checks every run against the exact happens-before ground truth
-// (internal/oracle): precision for every precise backend, and exactness
+// (internal/oracle): precision for every backend, and exactness
 // (report on exactly the oracle's racy variables) for the complete ones.
 // The trace is either a file or — with -seed — the deterministic
 // conformance-generator trace for that seed, so any failure printed by
 // the conformance suite reproduces here from its seed alone.
 func verify(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	det := fs.String("detector", "all", "backend to verify, or \"all\" for every precise backend")
+	det := fs.String("detector", "all", "backend to verify, or \"all\" for every backend")
 	seed := fs.Int64("seed", -1, "verify the conformance generator's trace for this seed instead of a file")
 	fs.Parse(args)
 
@@ -255,14 +255,8 @@ func verify(args []string) {
 		fatal("verify: pass exactly one trace file, or -seed N")
 	}
 
-	var algos []string
-	if *det == "all" {
-		for _, a := range backends.Names() {
-			if a != "lockset" { // imprecise by design; the oracle check does not apply
-				algos = append(algos, a)
-			}
-		}
-	} else {
+	algos := backends.Names()
+	if *det != "all" {
 		if !backends.Known(*det) {
 			fatal(fmt.Sprintf("verify: unknown detector %q (known: %s)", *det, strings.Join(backends.Names(), ", ")))
 		}

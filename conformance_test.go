@@ -1,7 +1,7 @@
 package pacer_test
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -11,18 +11,14 @@ import (
 // The backend conformance suite drives the same happens-before scenarios
 // through the public front-end for every mounted algorithm and demands
 // identical verdicts. At sampling rate 1.0 PACER analyzes every access, so
-// all precise detectors — the vector-clock baseline, DJIT+, FASTTRACK,
-// LITERACE (whose per-site samplers open at 100%), GOLDILOCKS, and PACER
-// itself — must agree on which distinct races exist.
+// all exact detectors — the vector-clock baseline, FASTTRACK, LITERACE
+// (whose per-site samplers open at 100%), and PACER itself — must agree
+// on which distinct races exist.
 //
-// "lockset" is deliberately excluded: Eraser-style lockset analysis is
-// imprecise by design and reports false positives on fork/join and
-// volatile-publication synchronization, so it cannot (and should not)
-// match the happens-before detectors. "o1samples" is excluded for the
-// opposite reason: it is precise but deliberately incomplete (a single
-// read slot per variable cannot attribute a write racing with several
-// concurrent reads to all of them), so the oracle suite holds it to the
-// precision band rather than exact agreement.
+// "o1samples" is excluded: it is precise but deliberately incomplete (a
+// single read slot per variable cannot attribute a write racing with
+// several concurrent reads to all of them), so the oracle suite holds it
+// to the precision band rather than exact agreement.
 
 // racePair is the paper's identity of a distinct race: the variable plus
 // the unordered pair of access sites. Backends are compared on this
@@ -198,18 +194,15 @@ var confScenarios = []confScenario{
 }
 
 // conformanceAlgorithms is every registered backend that must agree
-// exactly, i.e. all of them except the imprecise lockset analysis and the
-// incomplete-by-design o1samples backend (which the oracle suite sweeps
-// separately, precision-only).
+// exactly, i.e. all of them except the incomplete-by-design o1samples
+// backend (which the oracle suite sweeps, precision-only), sorted.
 func conformanceAlgorithms() []string {
 	var algos []string
 	for _, a := range pacer.Algorithms() {
-		if a == "lockset" || a == "o1samples" {
-			continue
+		if a != "o1samples" {
+			algos = append(algos, a)
 		}
-		algos = append(algos, a)
 	}
-	sort.Strings(algos)
 	return algos
 }
 
@@ -238,8 +231,8 @@ func runConformance(algo string, sc confScenario) map[racePair]bool {
 // baseline ("generic") race for race.
 func TestConformanceBackendMatrix(t *testing.T) {
 	algos := conformanceAlgorithms()
-	if len(algos) < 5 {
-		t.Fatalf("registry lists only %v; expected at least pacer, fasttrack, literace, generic, djit", algos)
+	if got, want := fmt.Sprint(algos), "[fasttrack generic literace pacer]"; got != want {
+		t.Fatalf("exact backends are %v, want %v", got, want)
 	}
 	for _, sc := range confScenarios {
 		sc := sc

@@ -13,8 +13,7 @@ import (
 // from the code — the docs/backends.md matrix is tested against it, and
 // `racereplay backends` prints it.
 type Caps struct {
-	// Name is the registry name ("djit" and "djit+" are distinct entries
-	// for the same factory).
+	// Name is the registry name.
 	Name string
 	// Sharded reports the concurrent mount (detector.Sharded): false means
 	// the front-end drives the backend fully serialized.
@@ -62,8 +61,7 @@ func All() []Caps {
 	for _, name := range names {
 		c, err := Probe(name)
 		if err != nil {
-			// Names() and New share the registry, so this cannot happen
-			// short of a concurrent deregistration, which does not exist.
+			// Names() and New share one fixed table, so this cannot happen.
 			panic(fmt.Sprintf("backends: probing %q: %v", name, err))
 		}
 		out = append(out, c)

@@ -81,8 +81,7 @@ func chainCell(stages []string) string {
 type matrixRow struct{ mount, chain, sync string }
 
 // parseMatrix extracts the backend table: rows of the form
-// `| `name` | mount | chain | sync |`, with multiple backtick-quoted
-// names per first cell allowed (the djit/djit+ row).
+// `| `name` | mount | chain | sync |`.
 func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 	t.Helper()
 	rows := map[string]matrixRow{}
@@ -95,15 +94,10 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 		if len(cells) != 4 {
 			continue
 		}
-		row := matrixRow{
+		rows[strings.Trim(strings.TrimSpace(cells[0]), "`")] = matrixRow{
 			mount: strings.TrimSpace(cells[1]),
 			chain: strings.TrimSpace(cells[2]),
 			sync:  strings.TrimSpace(cells[3]),
-		}
-		// Every backtick-quoted token in the first cell names a backend.
-		parts := strings.Split(cells[0], "`")
-		for i := 1; i < len(parts); i += 2 {
-			rows[strings.TrimSpace(parts[i])] = row
 		}
 	}
 	if len(rows) == 0 {
@@ -112,13 +106,11 @@ func parseMatrix(t *testing.T, doc string) map[string]matrixRow {
 	return rows
 }
 
-// TestShardedMatrixComplete pins the tentpole: every precise backend
-// (everything but the imprecise lockset and the O(n^2) teaching baselines)
-// mounts sharded.
+// TestShardedMatrixComplete pins that every backend but the O(n^2)
+// teaching baseline (generic) mounts sharded.
 func TestShardedMatrixComplete(t *testing.T) {
 	wantSharded := map[string]bool{
-		"pacer": true, "fasttrack": true, "literace": true,
-		"djit": true, "djit+": true, "o1samples": true,
+		"pacer": true, "fasttrack": true, "literace": true, "o1samples": true,
 	}
 	for _, c := range backends.All() {
 		if wantSharded[c.Name] && !c.Sharded {

@@ -6,7 +6,7 @@
 // and the version-epoch tables behind SyncNoOp. Store assembles the
 // pieces, with the published sampling state (a detector.State), into one
 // embeddable metadata store built from one Config, so every sharded
-// backend (PACER, FASTTRACK, O(1)-samples, DJIT+, and LITERACE through its
+// backend (PACER, FASTTRACK, O(1)-samples, and LITERACE through its
 // FASTTRACK core) implements the detector.Sharded contract by composition
 // instead of by transcription.
 //

@@ -318,7 +318,7 @@ func TestShardbaseThreadPubGrowsGeometrically(t *testing.T) {
 }
 
 // shardedBackends is every registry entry that mounts the shardbase store.
-var shardedBackends = []string{"pacer", "fasttrack", "o1samples", "djit", "djit+", "literace"}
+var shardedBackends = []string{"pacer", "fasttrack", "o1samples", "literace"}
 
 // TestShardbaseConfigReachesEveryBackend pins that every sharded backend
 // honors the one store configuration's shard count.

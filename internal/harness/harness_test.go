@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -289,46 +290,54 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestLineage(t *testing.T) {
-	res, err := harness.Lineage(workload.Mini(), harness.Options{Scale: 0.1, Nursery: 256})
-	if err != nil {
-		t.Fatal(err)
+// TestPreciseDetectorsAgreeOnWorkload runs one mini execution under each
+// happens-before detector: the exhaustive baseline agrees with FASTTRACK
+// race for race, PACER at r=100% finds FASTTRACK's distinct races, PACER
+// at r=0% reports nothing, and r=3% reports no more than r=100%.
+func TestPreciseDetectorsAgreeOnWorkload(t *testing.T) {
+	run := func(k harness.DetectorKind, rate float64) *harness.Trial {
+		t.Helper()
+		tr, err := harness.RunTrial(harness.TrialConfig{
+			Bench: workload.Mini(), Kind: k, Rate: rate,
+			Seed: 1, InstrumentAccesses: true, Nursery: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	if len(res.Rows) != 9 || res.Events == 0 {
-		t.Fatalf("rows=%d events=%d", len(res.Rows), res.Events)
-	}
-	byName := map[string]harness.LineageRow{}
-	for _, r := range res.Rows {
-		byName[r.Detector] = r
-	}
-	ft := byName["FastTrack"]
-	gen := byName["generic VC"]
-	gl := byName["Goldilocks"]
-	p0 := byName["PACER r=0%"]
-	p3 := byName["PACER r=3%"]
-	p100 := byName["PACER r=100%"]
-	if ft.DistinctVars == 0 {
+	ft := run(harness.FastTrack, 0)
+	if ft.Distinct() == 0 {
 		t.Fatal("fasttrack found nothing")
 	}
-	// Precise detectors agree on the racy-variable count for this trace.
-	if gen.DistinctVars != ft.DistinctVars || gl.DistinctVars != ft.DistinctVars {
-		t.Errorf("precise detectors disagree: generic=%d goldilocks=%d fasttrack=%d",
-			gen.DistinctVars, gl.DistinctVars, ft.DistinctVars)
+	if gen := run(harness.Generic, 0); fmt.Sprint(gen.PerRace) != fmt.Sprint(ft.PerRace) {
+		t.Errorf("generic reports %v, fasttrack %v", gen.PerRace, ft.PerRace)
 	}
-	if p0.Dynamic != 0 {
-		t.Errorf("PACER r=0%% reported %d races", p0.Dynamic)
+	// Each collection ends one sampling period and begins the next, so
+	// r=100% is not one unbroken period: its dynamic counts may differ
+	// from FASTTRACK's, its distinct races may not.
+	p100 := run(harness.Pacer, 1)
+	if !sameKeys(p100.PerRace, ft.PerRace) {
+		t.Errorf("PACER r=100%% reports %v, fasttrack %v", p100.PerRace, ft.PerRace)
 	}
-	if p100.DistinctVars != ft.DistinctVars {
-		t.Errorf("PACER r=100%% (%d vars) should match fasttrack (%d)", p100.DistinctVars, ft.DistinctVars)
+	if p0 := run(harness.Pacer, 0); p0.Dynamic() != 0 {
+		t.Errorf("PACER r=0%% reported %d races", p0.Dynamic())
 	}
-	if p3.Dynamic > p100.Dynamic {
-		t.Errorf("PACER r=3%% (%d) reported more than r=100%% (%d)", p3.Dynamic, p100.Dynamic)
+	if p3 := run(harness.Pacer, 0.03); p3.Dynamic() > p100.Dynamic() {
+		t.Errorf("PACER r=3%% (%d) reported more than r=100%% (%d)", p3.Dynamic(), p100.Dynamic())
 	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "lineage") {
-		t.Error("render broken")
+}
+
+func sameKeys(a, b map[int]int) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func TestFrontendScalingRuns(t *testing.T) {

@@ -539,6 +539,9 @@ func DeferOnceDo(g *G, o *sync.Once, f func()) { OnceDo(&Slot{g: g}, o, f) }
 // of instrumented main functions.
 func Flush() {
 	Init()
+	if state == nil {
+		return // Init panicked, and that panic is the one to report
+	}
 	if state.reporter != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		state.reporter.Close(ctx)

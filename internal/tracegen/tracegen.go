@@ -2,9 +2,12 @@
 // oracle-checked conformance corpus, and defines the corpus of scenario
 // traces ported from the Go race detector's test-suite shapes.
 //
-// The generator is a superset of event.Generate aimed at adversarial
-// coverage rather than workload realism: besides plain guarded/unguarded
-// accesses it produces goroutine fork/join churn, RWMutex- and
+// The generator aims at adversarial coverage rather than workload
+// realism. It is not a superset of event.Generate: it emits no sampling
+// periods (SampleBegin/SampleEnd), which event.Generate's PSample and
+// StartSampling options do, and the package imports pacer, so the
+// in-package tests of internal/core and internal/event cannot use it.
+// Besides plain guarded/unguarded accesses it produces goroutine fork/join churn, RWMutex- and
 // WaitGroup-shaped synchronization (the exact event patterns the public
 // wrappers in the pacer package emit), channel-shaped volatile handoffs,
 // same-epoch access bursts, single-site mirror races (both racing accesses

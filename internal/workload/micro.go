@@ -180,8 +180,8 @@ func PhaseBarrier(workers, phases int) sim.Program {
 // between two buffers, each phase's (freshly forked) workers reading the
 // previous buffer and overwriting the other. Fork/join barriers make it
 // race-free, but each slot is written by a different thread every other
-// phase with no lock in sight — a pattern the lockset discipline must
-// false-positive on.
+// phase with no lock in sight — a pattern a locking-discipline checker
+// would false-positive on, and happens-before detectors must not.
 func DoubleBuffer(workers, phases int) sim.Program {
 	return sim.Program{
 		Name: "double-buffer",

@@ -5,7 +5,6 @@ import (
 
 	"pacer/internal/detector"
 	"pacer/internal/fasttrack"
-	"pacer/internal/lockset"
 	"pacer/internal/sim"
 	"pacer/internal/workload"
 )
@@ -80,23 +79,6 @@ func TestDoubleBufferRaceFree(t *testing.T) {
 		if c := runMicro(t, workload.DoubleBuffer(4, 4), seed); c.DynamicCount() != 0 {
 			t.Fatalf("seed %d: %v", seed, c.Dynamic[0])
 		}
-	}
-}
-
-// The lockset detector false-positives on the double-buffer idiom (slots
-// rewritten by different threads under pure fork/join ordering), while
-// happens-before detectors stay silent — the paper's precision argument on
-// a classic pattern.
-func TestLocksetFalsePositiveOnDoubleBuffer(t *testing.T) {
-	col := detector.NewCollector()
-	_, err := sim.Run(workload.DoubleBuffer(4, 4), sim.Config{
-		Seed: 1, Detector: lockset.New(col.Report), InstrumentAccesses: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.DynamicCount() == 0 {
-		t.Fatal("expected lockset false positives on double-buffered fork/join phases")
 	}
 }
 

@@ -171,7 +171,7 @@ func checkAgainstOracle(t *testing.T, algo string, tr event.Trace, rep *oracle.R
 func TestConformanceOracleGenerated(t *testing.T) {
 	const seeds = 300
 	const chunks = 10
-	algos := append(conformanceAlgorithms(), "o1samples")
+	algos := pacer.Algorithms()
 	for c := 0; c < chunks; c++ {
 		c := c
 		t.Run(fmt.Sprintf("chunk%02d", c), func(t *testing.T) {
@@ -198,7 +198,7 @@ func TestConformanceOracleCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corpus missing (regenerate with `go run ./cmd/racereplay corpus`): %v", err)
 	}
-	algos := append(conformanceAlgorithms(), "o1samples")
+	algos := pacer.Algorithms()
 	n := 0
 	for _, ent := range entries {
 		if filepath.Ext(ent.Name()) != ".trace" {
@@ -350,7 +350,7 @@ func TestConformanceShardInvariance(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		tr := tracegen.Generate(tracegen.CorpusConfig(seed))
 		rep := oracle.Analyze(tr)
-		for _, algo := range []string{"pacer", "fasttrack", "literace", "djit"} {
+		for _, algo := range []string{"pacer", "fasttrack", "literace", "o1samples"} {
 			var base map[racePair]bool
 			for _, shards := range []int{1, 8, 256} {
 				got := pairSet(replayOracle(algo, tr, matrixCell{}, shards))

@@ -26,7 +26,7 @@
 //
 // The ingestion front-end is backend-agnostic: Options.Algorithm mounts
 // any registered race-detection backend ("pacer" by default, or
-// "fasttrack", "literace", "generic", "djit", "goldilocks", "lockset")
+// "fasttrack", "o1samples", "literace", "generic")
 // behind the identical public API, so competing analyses can be compared
 // on real wall-clock workloads through the exact code path production
 // uses. Backends advertise capabilities via interfaces (sampling periods,
@@ -141,8 +141,9 @@ type Race = detector.Race
 // Options configure a Detector.
 type Options struct {
 	// Algorithm selects the detection backend mounted behind the
-	// front-end: "pacer" (the default), "fasttrack", "literace",
-	// "generic", "djit", "goldilocks", or "lockset" — see Algorithms.
+	// front-end: "pacer" (the default), "fasttrack", "o1samples",
+	// "literace", or "generic" — see Algorithms. Every one is precise:
+	// each report is a true race.
 	// Backends without sampling periods analyze every operation
 	// (SamplingRate is ignored and Sampling reports true); backends
 	// without sharded-concurrency support are driven serialized under the
@@ -181,8 +182,8 @@ type Options struct {
 	// meaningful for backends with sampling periods.
 	Budget BudgetOptions
 	// Shards and EpochFastVarCap configure the metadata
-	// store of the sharded backends (pacer, fasttrack, o1samples, djit,
-	// literace); the serialized backends ignore them.
+	// store of the sharded backends (pacer, fasttrack, o1samples,
+	// literace); the serialized generic backend ignores them.
 	//
 	// Shards is the number of variable-metadata shards (rounded up to a
 	// power of two; default 64). More shards admit more parallelism during

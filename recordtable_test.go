@@ -76,7 +76,7 @@ func TestRecordTableSparseIDs(t *testing.T) {
 		algo string
 		rate float64
 	}
-	runs := []run{{"pacer", 1}, {"pacer", 0.5}, {"fasttrack", 1}, {"o1samples", 1}, {"djit", 1}, {"literace", 1}}
+	runs := []run{{"pacer", 1}, {"pacer", 0.5}, {"fasttrack", 1}, {"o1samples", 1}, {"literace", 1}}
 	compared := 0
 	for _, bound := range []int{0, 3 * 4096} {
 		b := uint32(bound)

@@ -271,7 +271,7 @@ func replacedOnly(got, want []pacer.Race) bool {
 //     for races replaced by a later access of the same slot (see
 //     replacedOnly).
 func TestSlotReuseRandomPrograms(t *testing.T) {
-	algos := append(conformanceAlgorithms(), "o1samples")
+	algos := pacer.Algorithms()
 	reused, compared, replaced := 0, 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		p := runSlotProgram(seed)
