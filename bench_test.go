@@ -289,12 +289,6 @@ func BenchmarkAblationEpochFastPathOff(b *testing.B) {
 	}, benchTrace)
 }
 
-func BenchmarkAblationKeepReadEpochOnWrite(b *testing.B) {
-	replayBench(b, func() detector.Detector {
-		return fasttrack.NewWithOptions(nil, shardbase.Config{}, fasttrack.Options{KeepReadEpochOnWrite: true})
-	}, benchTrace)
-}
-
 // BenchmarkPublicAPI measures the embeddable detector's per-operation cost
 // through the thread-safe facade.
 func BenchmarkPublicAPI(b *testing.B) {
@@ -307,36 +301,42 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 }
 
-// benchFrontendParallel measures aggregate facade throughput under
-// GOMAXPROCS-parallel load: each goroutine gets its own registered thread
-// and mostly touches its own variables, the fast-path-dominant pattern the
-// concurrent front-end is built for. Run with -cpu to sweep parallelism.
-func benchFrontendParallel(b *testing.B, serialized bool) {
-	b.Helper()
-	d := pacer.New(pacer.Options{SamplingRate: 0.01, PeriodOps: 4096, Serialized: serialized})
-	main := d.NewThread()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		tid := d.Fork(main)
-		v := d.NewVarID()
-		i := 0
-		for pb.Next() {
-			if i&7 == 0 {
-				d.Write(tid, v, 1)
-			} else {
-				d.Read(tid, v, 2)
+// BenchmarkFrontendParallel measures aggregate facade throughput under
+// GOMAXPROCS-parallel load, for the sampling PACER backend and the
+// always-on FASTTRACK backend, each through the concurrent sharded
+// front-end and through the single-mutex serialized one. Each goroutine
+// gets its own registered thread and mostly touches its own variables,
+// the fast-path-dominant pattern the concurrent front-end is built for.
+// Run with -cpu 1,2,4,8 to sweep parallelism; the sharded/serialized
+// ratio at each level is the front-end's speedup.
+func BenchmarkFrontendParallel(b *testing.B) {
+	for _, algo := range []string{"pacer", "fasttrack"} {
+		for _, serialized := range []bool{false, true} {
+			name := algo + "/sharded"
+			if serialized {
+				name = algo + "/serialized"
 			}
-			i++
+			b.Run(name, func(b *testing.B) {
+				d := pacer.New(pacer.Options{Algorithm: algo, SamplingRate: 0.01, PeriodOps: 4096, Serialized: serialized})
+				main := d.NewThread()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					tid := d.Fork(main)
+					v := d.NewVarID()
+					i := 0
+					for pb.Next() {
+						if i&7 == 0 {
+							d.Write(tid, v, 1)
+						} else {
+							d.Read(tid, v, 2)
+						}
+						i++
+					}
+				})
+			})
 		}
-	})
+	}
 }
-
-// BenchmarkFrontendParallel is the concurrent sharded front-end;
-// BenchmarkFrontendParallelSerialized is the single-mutex baseline the
-// speedup claims are measured against (see pacerbench -experiment
-// frontend for the aggregate table).
-func BenchmarkFrontendParallel(b *testing.B)           { benchFrontendParallel(b, false) }
-func BenchmarkFrontendParallelSerialized(b *testing.B) { benchFrontendParallel(b, true) }
 
 // BenchmarkSimulatorOverhead measures the bare simulator (no detector).
 func BenchmarkSimulatorOverhead(b *testing.B) {

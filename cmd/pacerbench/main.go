@@ -3,25 +3,20 @@
 //
 // Usage:
 //
-//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|frontend|fasttrack|contention|ingest]
+//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|ingest]
 //	           [-bench eclipse|hsqldb|xalan|pseudojbb] [-scale 0.2] [-seed 0]
 //
-// The frontend, fasttrack, and contention experiments are different in kind:
-// they measure the real wall-clock behavior of the concurrent public API
-// on this machine. frontend compares the sharded lock-free front-end
-// against the single-mutex baseline across goroutine counts (with
-// allocations/op and metadata-words columns); fasttrack compares the always-on FASTTRACK backend mounted
-// sharded against the same backend driven serialized; contention runs
-// FASTTRACK on shared-read and sync-heavy mixes three ways — serialized,
-// sharded without the owned-access path, and the full sharded mount with
-// CAS read-map updates. The ingest experiment load-tests the production
+// The ingest experiment is different in kind: it load-tests the production
 // ingest tier (internal/ingest): thousands of simulated reporters with
 // fault injection and a graceful mid-run collector restart, asserting
 // bounded state memory, zero triage loss, and the delta-push size win.
+// Wall-clock comparisons of the concurrent front-end are the root
+// package's benchmarks: go test -bench FrontendParallel -cpu 1,2,4,8.
 //
 // -scale multiplies the paper's trial counts (1.0 reproduces the full
 // protocol: 50 fully sampled trials per benchmark, up to 500 trials per
 // sampling rate, and so on; the default 0.2 finishes in a few minutes).
+// It must be positive.
 package main
 
 import (
@@ -39,7 +34,7 @@ import (
 // experiments lists the -experiment names, "all" first.
 var experiments = []string{"all", "table1", "table2", "table3",
 	"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"ablation", "frontend", "fasttrack", "contention", "ingest"}
+	"ablation", "ingest"}
 
 func main() {
 	experiment := flag.String("experiment", "all",
@@ -49,6 +44,10 @@ func main() {
 	seed := flag.Int64("seed", 0, "base seed for all trials")
 	flag.Parse()
 
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "pacerbench: -scale must be positive, got %v\n", *scale)
+		os.Exit(2)
+	}
 	opts := harness.Options{Scale: *scale, SeedBase: *seed}
 	if *benchName != "" {
 		b := workload.ByName(*benchName)
@@ -186,30 +185,6 @@ func main() {
 			return err
 		}
 		r.Render(os.Stdout)
-		return nil
-	})
-	section("frontend", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Frontend(harness.FrontendConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("fasttrack", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.FastTrackScaling(harness.FastTrackConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("contention", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Contention(harness.ContentionConfig{Ops: ops}).Render(os.Stdout)
 		return nil
 	})
 	section("ingest", func() error {

@@ -232,7 +232,8 @@ func replay(args []string) {
 // verify replays a trace through race-detection backends at sampling rate
 // 1.0 and checks every run against the exact happens-before ground truth
 // (internal/oracle): precision for every backend, and exactness
-// (report on exactly the oracle's racy variables) for the complete ones.
+// (report on exactly the oracle's racy variables) where
+// backends.ExactAtRateOne demands it.
 // The trace is either a file or — with -seed — the deterministic
 // conformance-generator trace for that seed, so any failure printed by
 // the conformance suite reproduces here from its seed alone.
@@ -267,20 +268,9 @@ func verify(args []string) {
 	fmt.Printf("%s: %d events, %d accesses, ground truth %d distinct race(s) on %d variable(s)\n",
 		source, len(tr), rep.Accesses, len(rep.Pairs), len(rep.RacyVars))
 
-	// A recorded trace that ends a sampling period mid-stream legitimately
-	// hides races from the detector, so exactness is only demanded of
-	// traces analyzed end to end.
-	fullyAnalyzed := true
-	for _, e := range tr {
-		if e.Kind == event.SampleEnd {
-			fullyAnalyzed = false
-			break
-		}
-	}
-
 	violations := 0
 	for _, algo := range algos {
-		exact := fullyAnalyzed && (algo != "literace" || literaceBurstsOpen(tr))
+		exact := backends.ExactAtRateOne(algo, tr)
 		for _, serialized := range verifyModes(algo) {
 			var races []detector.Race
 			d := pacer.New(pacer.Options{
@@ -322,24 +312,6 @@ func verifyModes(algo string) []bool {
 		return []bool{true, false}
 	}
 	return []bool{true}
-}
-
-// literaceBurstsOpen reports whether every (method, thread) sampler key
-// sees fewer accesses than LITERACE's initial 100% burst, i.e. whether
-// LITERACE analyzes the whole trace and exactness can be demanded of it.
-func literaceBurstsOpen(tr event.Trace) bool {
-	const burstLength = 1000
-	counts := map[[2]uint32]int{}
-	for _, e := range tr {
-		if e.Kind == event.Read || e.Kind == event.Write {
-			k := [2]uint32{e.Method, uint32(e.Thread)}
-			counts[k]++
-			if counts[k] >= burstLength {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // corpus (re)generates the checked-in conformance corpus. The files are

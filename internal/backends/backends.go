@@ -14,6 +14,7 @@ import (
 	"pacer/internal/core"
 	"pacer/internal/detector"
 	"pacer/internal/detector/shardbase"
+	"pacer/internal/event"
 	"pacer/internal/fasttrack"
 	"pacer/internal/generic"
 	"pacer/internal/literace"
@@ -79,4 +80,34 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ExactAtRateOne reports whether the backend algo, replaying tr at
+// sampling rate 1.0, must be exact (report on every variable the
+// happens-before oracle finds racy) rather than only precise. It is the
+// one rule the conformance suite and `racereplay verify` both apply.
+// Exactness is demanded only where the backend analyzes every access:
+//   - never when tr ends a sampling period (a SampleEnd event), which
+//     hides races from the detector;
+//   - of literace only while every (method, thread) sampler key sees
+//     fewer accesses than its initial 100% burst
+//     (literace.DefaultOptions' BurstLength);
+//   - never of o1samples, whose single read slot per variable cannot
+//     attribute a write racing with several concurrent reads to all of
+//     them.
+func ExactAtRateOne(algo string, tr event.Trace) bool {
+	burst := literace.DefaultOptions().BurstLength
+	counts := map[[2]uint32]int{}
+	for _, e := range tr {
+		switch {
+		case e.Kind == event.SampleEnd:
+			return false
+		case algo == "literace" && (e.Kind == event.Read || e.Kind == event.Write):
+			k := [2]uint32{e.Method, uint32(e.Thread)}
+			if counts[k]++; counts[k] >= burst {
+				return false
+			}
+		}
+	}
+	return algo != "o1samples"
 }

@@ -1,7 +1,7 @@
 // Package shardbase holds the shard plumbing every concurrently-mounted
 // backend shares: the stripe geometry behind ShardOf, the lock-free
 // metadata presence filter behind MetaPossible, the paged record table
-// that holds every variable record below the configured bound, the
+// that holds every variable record below TableBound, the
 // per-thread epoch/clock publication table the lock-free fast paths read,
 // and the version-epoch tables behind SyncNoOp. Store assembles the
 // pieces, with the published sampling state (a detector.State), into one

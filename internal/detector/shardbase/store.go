@@ -1,7 +1,6 @@
 package shardbase
 
 import (
-	"math"
 	"sync/atomic"
 
 	"pacer/internal/detector"
@@ -10,25 +9,13 @@ import (
 )
 
 // Config is the metadata-store configuration every sharded backend reads.
-// The zero value is the default store: 64 shards and the default
-// record-table bound.
+// The zero value is the default store: 64 shards.
 type Config struct {
 	// Shards is the number of independent variable-metadata shards
 	// (rounded up to a power of two, default 64). Accesses to variables in
 	// distinct shards may run concurrently under the detector.Sharded
 	// locking contract.
 	Shards int
-	// IndexCap bounds the record table: a variable whose identifier lies
-	// below it keeps its record in the table, found by one directory load
-	// and one slot load and visible to the lock-free fast paths; one at or
-	// above it keeps its record in its shard's map, found by hashing,
-	// under the shard lock only (correct, just slower). 0 selects
-	// DefaultIndexCap; negative disables the table, so every record lives
-	// in the maps. The table's directory, allocated with the store, holds
-	// one pointer per 4096 identifiers below the bound (8 KiB at the
-	// default); a page of 4096 records, 32 KiB, is allocated when a
-	// variable in it first gains a record.
-	IndexCap int
 }
 
 // Shard is one slice of a backend's variables together with the
@@ -61,11 +48,16 @@ type probes struct {
 }
 
 const (
-	// DefaultIndexCap is the record-table bound a Config selects when it
-	// leaves IndexCap zero. Identifiers at or above it (rarely produced by
-	// the front-end's sequential allocator) keep their records in the
-	// shard maps.
-	DefaultIndexCap = 1 << 22
+	// TableBound bounds the record table: a variable whose identifier
+	// lies below it keeps its record in the table, found by one directory
+	// load and one slot load and visible to the lock-free fast paths; one
+	// at or above it (rarely produced by the front-end's sequential
+	// allocator) keeps its record in its shard's map, found by hashing,
+	// under the shard lock only (correct, just slower). The table's
+	// directory, allocated with the store, holds one pointer per page
+	// (8 KiB); a page of 4096 records, 32 KiB, is allocated when a
+	// variable in it first gains a record.
+	TableBound = 1 << 22
 	// pageBits sizes a record-table page: 4096 slots, 32 KiB.
 	pageBits = 12
 	pageSize = 1 << pageBits
@@ -84,10 +76,10 @@ type page[M any] [pageSize]atomic.Pointer[M]
 // shares; the backend keeps only its record type M, its access analysis,
 // and its synchronization wrappers. Call Init before use.
 //
-// Every record lives in exactly one place. A variable below the bound
-// (Config.IndexCap) keeps it in the record table: a directory of page
-// pointers, allocated at Init, over pages of pageSize slots that are
-// installed by CompareAndSwap on first touch and never copied or freed.
+// Every record lives in exactly one place. A variable below TableBound
+// keeps it in the record table: a directory of page pointers, allocated
+// at Init, over pages of pageSize slots that are installed by
+// CompareAndSwap on first touch and never copied or freed.
 // (A directory installed lazily as well would save a detector that never
 // records its 8 KiB, but the extra atomic load pushes Lookup over the
 // compiler's inlining budget, which cost the sampled path ~5%.)
@@ -100,10 +92,8 @@ type Store[M any] struct {
 	probes
 	// Table holds the variable shards, indexed by ShardOf.
 	Table []Shard[M]
-	// dir is the record table's page directory; bound is the first
-	// identifier it does not cover (0 when the table is disabled).
-	dir   []atomic.Pointer[page[M]]
-	bound uint32
+	// dir is the record table's page directory.
+	dir []atomic.Pointer[page[M]]
 	// SyncStats holds the synchronization-path counters; access counters
 	// live per shard.
 	SyncStats detector.Counters
@@ -118,13 +108,7 @@ func (s *Store[M]) Init(report detector.Reporter, cfg Config) {
 	s.presence = NewPresence()
 	s.report = report
 	s.Table = make([]Shard[M], s.geo.Shards())
-	switch {
-	case cfg.IndexCap > 0:
-		s.bound = uint32(min(uint64(cfg.IndexCap), math.MaxUint32))
-	case cfg.IndexCap == 0:
-		s.bound = DefaultIndexCap
-	}
-	s.dir = make([]atomic.Pointer[page[M]], (uint64(s.bound)+pageSize-1)>>pageBits)
+	s.dir = make([]atomic.Pointer[page[M]], TableBound>>pageBits)
 }
 
 // Shards returns the number of variable-metadata shards; the caller's
@@ -160,14 +144,9 @@ func (p *probes) NoMetadata(_ vclock.Thread, x event.Var, _ event.Site, _ uint32
 	return st&1 == 0 && !p.MetaPossible(x) && p.state.Word() == st
 }
 
-// Bound returns the resolved record-table bound: identifiers below it
-// keep their records in the table, the rest in the shard maps (0 when the
-// table is disabled).
-func (s *Store[M]) Bound() int { return int(s.bound) }
-
-// slot returns the table slot of identifier x, which must lie below the
-// bound, installing its page on first touch. Two shards racing to install
-// the same page agree on the winner of the CompareAndSwap.
+// slot returns the table slot of identifier x, which must lie below
+// TableBound, installing its page on first touch. Two shards racing to
+// install the same page agree on the winner of the CompareAndSwap.
 func (s *Store[M]) slot(x uint32) *atomic.Pointer[M] {
 	d := &s.dir[x>>pageBits]
 	pg := d.Load()
@@ -181,11 +160,11 @@ func (s *Store[M]) slot(x uint32) *atomic.Pointer[M] {
 	return &pg[x&(pageSize-1)]
 }
 
-// Peek returns x's record when x lies below the bound and holds one, nil
+// Peek returns x's record when x lies below TableBound and holds one, nil
 // otherwise. It touches no map, so it is safe to call lock-free at any
 // time: this is what the lock-free fast paths read.
 func (s *Store[M]) Peek(x event.Var) *M {
-	if uint32(x) >= s.bound {
+	if uint32(x) >= TableBound {
 		return nil
 	}
 	pg := s.dir[uint32(x)>>pageBits].Load()
@@ -198,19 +177,19 @@ func (s *Store[M]) Peek(x event.Var) *M {
 // Lookup returns x's record in shard si, or nil when x holds none. The
 // caller holds the shard.
 func (s *Store[M]) Lookup(si int, x event.Var) *M {
-	if uint32(x) < s.bound {
+	if uint32(x) < TableBound {
 		return s.Peek(x)
 	}
 	return s.Table[si].Vars[x]
 }
 
 // Insert creates x's record in shard si and stores it in the table below
-// the bound or in the shard's map at or above it. x must hold no record;
+// TableBound or in the shard's map at or above it. x must hold no record;
 // the caller holds the shard.
 func (s *Store[M]) Insert(si int, x event.Var) *M {
 	m := new(M)
 	s.presence.Add(x) // before insert: a zero presence read proves absence
-	if uint32(x) < s.bound {
+	if uint32(x) < TableBound {
 		s.slot(uint32(x)).Store(m)
 		return m
 	}
@@ -226,7 +205,7 @@ func (s *Store[M]) Insert(si int, x event.Var) *M {
 // Only backends that never Peek lock-free may delete (a lock-free reader
 // could still hold the record).
 func (s *Store[M]) Delete(si int, x event.Var) {
-	if uint32(x) < s.bound {
+	if uint32(x) < TableBound {
 		s.slot(uint32(x)).Store(nil)
 	} else {
 		delete(s.Table[si].Vars, x)

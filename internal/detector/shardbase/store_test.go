@@ -85,53 +85,33 @@ func TestShardbasePresence(t *testing.T) {
 	}
 }
 
-// newStore returns a Store of uint32 records with the given table bound.
-func newStore(indexCap int) *shardbase.Store[uint32] {
+// newStore returns a Store of uint32 records.
+func newStore() *shardbase.Store[uint32] {
 	s := new(shardbase.Store[uint32])
-	s.Init(nil, shardbase.Config{Shards: 8, IndexCap: indexCap})
+	s.Init(nil, shardbase.Config{Shards: 8})
 	return s
 }
 
-// TestShardbaseIndexCaps pins Config.IndexCap as the record-table bound:
-// 0 selects the default, a negative cap disables the table, and a cap
-// past the identifier space is clamped to it. Below the bound a record is
-// visible lock-free (Peek); at or above it, only through its shard's
-// Lookup.
+// TestShardbaseIndexCaps pins TableBound as the record-table bound: below
+// it a record is visible lock-free (Peek); at or above it, up to the top
+// of the identifier space, only through its shard's Lookup.
 func TestShardbaseIndexCaps(t *testing.T) {
-	if got := newStore(0).Bound(); got != 1<<22 {
-		t.Errorf("cap 0 resolves to %d, want %d", got, 1<<22)
+	if shardbase.TableBound != 1<<22 {
+		t.Errorf("TableBound = %d, want %d", shardbase.TableBound, 1<<22)
 	}
-	if shardbase.DefaultIndexCap != 1<<22 {
-		t.Errorf("DefaultIndexCap = %d, want %d", shardbase.DefaultIndexCap, 1<<22)
+	const bound = shardbase.TableBound
+	s := newStore()
+	m := s.Insert(s.ShardOf(bound-1), bound-1)
+	if s.Peek(bound-1) != m {
+		t.Error("id below the bound is not in the table")
 	}
-	if got, want := uint64(newStore(math.MaxInt).Bound()), min(uint64(math.MaxInt), math.MaxUint32); got != want {
-		t.Errorf("cap MaxInt resolves to %d, want %d", got, want)
-	}
-
-	off := newStore(-1)
-	if off.Bound() != 0 {
-		t.Errorf("negative cap resolves to %d, want 0 (disabled)", off.Bound())
-	}
-	m := off.Insert(off.ShardOf(0), 0)
-	if off.Peek(0) != nil {
-		t.Error("disabled table returned a record lock-free")
-	}
-	if off.Lookup(off.ShardOf(0), 0) != m {
-		t.Error("disabled table lost the record its shard map holds")
-	}
-
-	s := newStore(2000)
-	m = s.Insert(s.ShardOf(1999), 1999)
-	if s.Peek(1999) != m {
-		t.Error("id below the cap is not in the table")
-	}
-	for _, x := range []event.Var{2000, 2001, 1 << 20} {
+	for _, x := range []event.Var{bound, bound + 1, math.MaxUint32} {
 		m := s.Insert(s.ShardOf(x), x)
 		if s.Peek(x) != nil {
-			t.Errorf("id %d at or above the cap 2000 is in the table", x)
+			t.Errorf("id %d at or above the bound is in the table", x)
 		}
 		if s.Lookup(s.ShardOf(x), x) != m {
-			t.Errorf("id %d at or above the cap 2000 is not in its shard map", x)
+			t.Errorf("id %d at or above the bound is not in its shard map", x)
 		}
 	}
 }
@@ -141,8 +121,8 @@ func TestShardbaseIndexCaps(t *testing.T) {
 // in their shard's map. It covers the page edges and the top of the
 // identifier space.
 func TestRecordTableOneHome(t *testing.T) {
-	const bound = 3 * 4096
-	s := newStore(bound)
+	const bound = shardbase.TableBound
+	s := newStore()
 	ids := []event.Var{0, 4095, 4096, bound - 1, bound, 0xFFFFFFFE}
 	for _, x := range ids {
 		m := s.Insert(s.ShardOf(x), x)
@@ -168,15 +148,15 @@ func TestRecordTableOneHome(t *testing.T) {
 // sides of the bound leave VarsTracked and Range exact, a deleted record
 // is gone from Lookup and Peek, and an identifier can be inserted again.
 func TestRecordTableVarsTrackedAfterDeletes(t *testing.T) {
-	const bound = 5000
-	s := newStore(bound)
+	const base = shardbase.TableBound - 5000
+	s := newStore()
 	live := map[event.Var]*uint32{}
 	for i := 0; i < 300; i++ {
-		x := event.Var(i * 37) // 0 .. 11063: both sides of the bound, three pages
+		x := event.Var(base + i*37) // both sides of the bound, three pages
 		live[x] = s.Insert(s.ShardOf(x), x)
 	}
 	for x := range live {
-		if x%3 == 0 {
+		if (x-base)%3 == 0 {
 			s.Delete(s.ShardOf(x), x)
 			delete(live, x)
 			if s.Lookup(s.ShardOf(x), x) != nil || s.Peek(x) != nil {
@@ -198,32 +178,33 @@ func TestRecordTableVarsTrackedAfterDeletes(t *testing.T) {
 	if len(seen) != len(live) {
 		t.Errorf("Range visited %d records, want %d", len(seen), len(live))
 	}
-	s.Insert(s.ShardOf(0), 0)
-	s.Insert(s.ShardOf(bound+1), bound+1) // 5001 = 37·135 + 6: never inserted before
+	s.Insert(s.ShardOf(base), base)
+	s.Insert(s.ShardOf(base+5001), base+5001) // 5001 = 37·135 + 6: never inserted before
 	if got := s.VarsTracked(); got != len(live)+2 {
 		t.Errorf("VarsTracked = %d after re-inserting, want %d", got, len(live)+2)
 	}
 }
 
 // TestRecordTableConcurrentPages is the record table's race stress: one
-// writer goroutine per shard inserts its shard's identifiers under its
-// shard's lock, page by page, all writers starting each page together, so
-// they race to install the same page (adjacent identifiers hash to
-// different shards); the last round goes past the bound, into the shard
-// maps. Lock-free readers Peek across every page meanwhile. A record a
-// reader finds must be the one inserted for that identifier; afterwards
-// every record must be found, and counted, exactly once. Run it under
-// -race.
+// writer goroutine per shard inserts its shard's identifiers in the
+// table's last pages under its shard's lock, page by page, all writers
+// starting each page together, so they race to install the same page
+// (adjacent identifiers hash to different shards); the last round goes
+// past the bound, into the shard maps. Lock-free readers Peek across
+// every page meanwhile. A record a reader finds must be the one inserted
+// for that identifier; afterwards every record must be found, and
+// counted, exactly once. Run it under -race.
 func TestRecordTableConcurrentPages(t *testing.T) {
-	const pages, bound = 32, 32 * 4096
+	const pages, bound = 32, shardbase.TableBound
+	const base = bound - pages*4096
 	s := new(shardbase.Store[atomic.Uint32])
-	s.Init(nil, shardbase.Config{Shards: 4, IndexCap: bound})
-	// ids[si][p] are shard si's identifiers in page p; page `pages` lies
-	// past the bound.
+	s.Init(nil, shardbase.Config{Shards: 4})
+	// ids[si][p] are shard si's identifiers in the p-th of the last pages;
+	// page `pages` lies past the bound.
 	ids := make([][pages + 1][]event.Var, s.Shards())
-	for x := event.Var(0); x < bound+2000; x += 3 {
-		si := s.ShardOf(x)
-		ids[si][x/4096] = append(ids[si][x/4096], x)
+	for x := event.Var(base); x < bound+2000; x += 3 {
+		si, p := s.ShardOf(x), (x-base)/4096
+		ids[si][p] = append(ids[si][p], x)
 	}
 	var writers, readers sync.WaitGroup
 	var start [pages + 1]sync.WaitGroup
@@ -241,7 +222,7 @@ func TestRecordTableConcurrentPages(t *testing.T) {
 					return
 				default:
 				}
-				for x := event.Var(r); x < bound; x += 97 {
+				for x := event.Var(base + r); x < bound; x += 97 {
 					if m := s.Peek(x); m != nil {
 						if got := m.Load(); got != 0 && got != uint32(x)+1 {
 							t.Errorf("Peek(%d) found the record of id %d", x, got-1)
@@ -373,12 +354,12 @@ func TestShardbaseVETable(t *testing.T) {
 	if got, ok := vt.Get(1 << 20); !ok || got != vclock.VEBottom {
 		t.Errorf("Get(1<<20) past the table = %v, %v; want ⊥ve, true", got, ok)
 	}
-	vt.Set(shardbase.DefaultIndexCap, ve)
-	if _, ok := vt.Get(shardbase.DefaultIndexCap); ok {
-		t.Error("identifier at the cap was published")
+	vt.Set(shardbase.TableBound, ve)
+	if _, ok := vt.Get(shardbase.TableBound); ok {
+		t.Error("identifier at the bound was published")
 	}
-	if _, ok := vt.Get(shardbase.DefaultIndexCap - 1); !ok {
-		t.Error("identifier just below the cap reads unknown")
+	if _, ok := vt.Get(shardbase.TableBound - 1); !ok {
+		t.Error("identifier just below the bound reads unknown")
 	}
 }
 

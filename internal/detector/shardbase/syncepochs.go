@@ -8,10 +8,10 @@ import (
 	"pacer/internal/vclock"
 )
 
-// syncEpochCap bounds the identifiers a VETable covers, as DefaultIndexCap
+// syncEpochCap bounds the identifiers a VETable covers, as TableBound
 // bounds the record table. Identifiers at or above it are never published,
 // so SyncNoOp reports them unknown and the caller takes its locked path.
-const syncEpochCap = DefaultIndexCap
+const syncEpochCap = TableBound
 
 // veMin is a VETable's initial size. Programs hold far fewer locks and
 // volatiles than variables, so the tables start smaller than the index.

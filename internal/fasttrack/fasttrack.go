@@ -5,8 +5,7 @@
 //
 // Following the paper, this implementation clears the read map at writes
 // ("New: clear read map" in Algorithm 8) so that it corresponds directly
-// with PACER; the original FastTrack behaviour is available via Options for
-// the ablation benchmarks.
+// with PACER.
 //
 // The detector implements the detector.Sharded contract (stripe geometry,
 // presence filter, state word, and thread publication all mounted from
@@ -64,12 +63,6 @@ import (
 // paper's algorithm with every fast path enabled. The metadata store is
 // configured by shardbase.Config.
 type Options struct {
-	// KeepReadEpochOnWrite restores the original FastTrack behaviour of
-	// leaving a single-entry read map in place at a write (the paper's
-	// modified algorithm clears it). Stages then leaves out the
-	// owned-access stage, whose repeat-read dismissal relies on writes
-	// clearing the read map.
-	KeepReadEpochOnWrite bool
 	// DisableEpochFastPath forces the full analysis even when the access
 	// matches the variable's current epoch, for the ablation benchmark
 	// measuring the value of FastTrack's same-epoch check. Stages then
@@ -148,8 +141,8 @@ func (m *varMeta) publishMirrors() {
 // transitions — trivially satisfying the two-equal-loads protocol of the
 // Sharded contract (the O(1)-samples preset publishes its periods instead),
 // and its presence filter never decrements: no record is ever discarded.
-// Its record table (variable identifier → record, below the configured
-// bound) is what the lock-free fast paths read, through Peek.
+// Its record table (variable identifier → record, below
+// shardbase.TableBound) is what the lock-free fast paths read, through Peek.
 type Detector struct {
 	shardbase.Store[varMeta]
 	sync *detector.BaseSync
@@ -234,16 +227,15 @@ func (d *Detector) seedEpoch(t vclock.Thread) {
 }
 
 // Stages implements detector.Sharded: the same-epoch stage, then the
-// owned-access stage, each left out under the ablation that disables it.
+// owned-access stage; neither under DisableEpochFastPath.
 func (d *Detector) Stages() []detector.Stage {
 	if d.opts.DisableEpochFastPath {
 		return nil
 	}
-	stages := []detector.Stage{{Name: detector.StageSameEpoch, Try: d.TrySameEpoch}}
-	if !d.opts.KeepReadEpochOnWrite {
-		stages = append(stages, detector.Stage{Name: detector.StageOwnedAccess, Try: d.TryOwnedAccess})
+	return []detector.Stage{
+		{Name: detector.StageSameEpoch, Try: d.TrySameEpoch},
+		{Name: detector.StageOwnedAccess, Try: d.TryOwnedAccess},
 	}
-	return stages
 }
 
 // TrySameEpoch is the same-epoch stage: a lock-free proof that the
@@ -348,7 +340,7 @@ func (d *Detector) ownedWrite(m *varMeta, t vclock.Thread, ct *vclock.VC, site e
 	}
 	m.aw.Store(0)
 	m.ar.Store(0)
-	m.r.Clear() // Stages lists this stage only without KeepReadEpochOnWrite
+	m.r.Clear()
 	m.w = vclock.MakeEpoch(t, c)
 	m.wSite = site
 	m.publishMirrors()
@@ -458,10 +450,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 		})
 	})
 	if d.sampling {
-		// Original FastTrack (KeepReadEpochOnWrite) keeps a read epoch.
-		if !d.opts.KeepReadEpochOnWrite || m.r.Size() > 1 {
-			m.r.Clear()
-		}
+		m.r.Clear()
 		m.w = vclock.MakeEpoch(t, ct.Get(t))
 		m.wSite = site
 	}

@@ -8,29 +8,29 @@ import (
 	"pacer/internal/event"
 )
 
-// TestFastTrackIndexCapSmall pins shardbase.Config.IndexCap: variables
-// below the cap keep their records in the record table and their
-// same-epoch repeats dismiss lock-free, variables at or above the cap
-// keep theirs in the shard maps (TrySameEpoch must refuse them) yet still
-// detect races through the locked path.
+// TestFastTrackIndexCapSmall pins shardbase.TableBound: variables below
+// the bound keep their records in the record table and their same-epoch
+// repeats dismiss lock-free, variables at or above it keep theirs in the
+// shard maps (TrySameEpoch must refuse them) yet still detect races
+// through the locked path.
 func TestFastTrackIndexCapSmall(t *testing.T) {
 	c := detector.NewCollector()
-	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: 4}, Options{})
+	d := NewWithOptions(c.Report, shardbase.Config{}, Options{})
 	d.EnsureThreadSlots(2)
 	d.Fork(0, 1)
 
-	low, high := event.Var(1), event.Var(1000)
+	low, high := event.Var(shardbase.TableBound-1), event.Var(shardbase.TableBound)
 	d.Write(0, low, 1, 0)
 	d.Write(0, high, 2, 0)
 
 	if !d.TrySameEpoch(0, low, 0, 0, true) {
-		t.Error("below-cap variable not dismissible lock-free after its write")
+		t.Error("below-bound variable not dismissible lock-free after its write")
 	}
 	if d.TrySameEpoch(0, high, 0, 0, true) {
-		t.Error("above-cap variable is in the record table despite IndexCap")
+		t.Error("variable at the bound is in the record table")
 	}
 
-	// Both sides of the cap must detect the concurrent second write.
+	// Both sides of the bound must detect the concurrent second write.
 	d.Write(1, low, 3, 0)
 	d.Write(1, high, 4, 0)
 	seen := map[event.Var]bool{}
@@ -42,36 +42,13 @@ func TestFastTrackIndexCapSmall(t *testing.T) {
 	}
 }
 
-// TestFastTrackIndexCapDisabled pins the negative-cap escape hatch: no
-// record is ever in the table, every same-epoch probe refuses, and
-// detection is unchanged.
-func TestFastTrackIndexCapDisabled(t *testing.T) {
-	c := detector.NewCollector()
-	d := NewWithOptions(c.Report, shardbase.Config{IndexCap: -1}, Options{})
-	d.EnsureThreadSlots(2)
-	d.Fork(0, 1)
-	d.Write(0, 1, 1, 0)
-	if d.TrySameEpoch(0, 1, 0, 0, true) {
-		t.Error("negative IndexCap must disable the record table")
-	}
-	d.Write(1, 1, 2, 0)
-	if len(c.Dynamic) != 1 {
-		t.Fatalf("got %d races, want 1", len(c.Dynamic))
-	}
-}
-
-// TestFastTrackIndexCapDefault pins that the zero value keeps the
-// original behavior: sequentially allocated identifiers live in the
-// record table.
+// TestFastTrackIndexCapDefault pins that sequentially allocated
+// identifiers live in the record table.
 func TestFastTrackIndexCapDefault(t *testing.T) {
 	d := NewWithOptions(func(detector.Race) {}, shardbase.Config{}, Options{})
-	if d.Bound() != shardbase.DefaultIndexCap {
-		t.Fatalf("zero Config.IndexCap resolved to %d, want the %d default",
-			d.Bound(), shardbase.DefaultIndexCap)
-	}
 	d.EnsureThreadSlots(1)
 	d.Write(0, 7, 1, 0)
 	if !d.TrySameEpoch(0, 7, 0, 0, true) {
-		t.Error("default cap kept a small identifier out of the record table")
+		t.Error("the record table does not hold a small identifier")
 	}
 }

@@ -107,14 +107,12 @@ func TestFastTrackSameEpochProbe(t *testing.T) {
 		t.Fatal("read dismissed against a multi-entry read map")
 	}
 
-	// The chain lists both stages, and each ablation drops what it
-	// disables.
+	// The chain lists both stages, and the ablation drops both.
 	for _, tc := range []struct {
 		opts fasttrack.Options
 		want string
 	}{
 		{fasttrack.Options{}, "same-epoch owned-access"},
-		{fasttrack.Options{KeepReadEpochOnWrite: true}, "same-epoch"},
 		{fasttrack.Options{DisableEpochFastPath: true}, ""},
 	} {
 		var names []string

@@ -339,54 +339,3 @@ func sameKeys(a, b map[int]int) bool {
 	}
 	return true
 }
-
-func TestFrontendScalingRuns(t *testing.T) {
-	res := harness.Frontend(harness.FrontendConfig{
-		Goroutines: []int{1, 2}, Ops: 5_000,
-	})
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Base.OpsPerSec <= 0 || r.Conc.OpsPerSec <= 0 {
-			t.Errorf("non-positive throughput: %+v", r)
-		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Error("render broken")
-	}
-}
-
-func TestContentionRuns(t *testing.T) {
-	res := harness.Contention(harness.ContentionConfig{
-		Goroutines: []int{1, 2}, Ops: 5_000,
-	})
-	if len(res.Mixes) != 2 {
-		t.Fatalf("mixes = %d, want 2", len(res.Mixes))
-	}
-	for _, mr := range res.Mixes {
-		if len(mr.Rows) != 2 {
-			t.Fatalf("%s: rows = %d, want 2", mr.Mix.Name, len(mr.Rows))
-		}
-		for _, r := range mr.Rows {
-			if r.Serial.OpsPerSec <= 0 || r.Locked.OpsPerSec <= 0 || r.CAS.OpsPerSec <= 0 {
-				t.Errorf("%s: non-positive throughput: %+v", mr.Mix.Name, r)
-			}
-			// All three mounts analyze the identical access stream.
-			want := r.Serial.Stats.Reads + r.Serial.Stats.Writes
-			for label, m := range map[string]harness.Measure{"locked": r.Locked, "cas": r.CAS} {
-				if got := m.Stats.Reads + m.Stats.Writes; got != want {
-					t.Errorf("%s/%s at %d goroutines: %d ops observed, serialized saw %d",
-						mr.Mix.Name, label, r.Goroutines, got, want)
-				}
-			}
-		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if !strings.Contains(buf.String(), "sharded+CAS") {
-		t.Error("render broken")
-	}
-}

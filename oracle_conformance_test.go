@@ -8,6 +8,7 @@ import (
 
 	"pacer"
 	"pacer/internal/backends"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/oracle"
 	"pacer/internal/tracegen"
@@ -71,40 +72,6 @@ func replayOracle(algo string, tr event.Trace, cell matrixCell, shards int) []pa
 	return races
 }
 
-// literaceBurstsStayOpen reports whether every (method, thread) sampler
-// key of tr sees fewer accesses than LITERACE's initial 100% burst, i.e.
-// whether LITERACE analyzes every access of the trace and exactness may
-// be demanded of it. (BurstLength is 1000 in literace.DefaultOptions.)
-func literaceBurstsStayOpen(tr event.Trace) bool {
-	const burstLength = 1000
-	counts := map[[2]uint32]int{}
-	for _, e := range tr {
-		if e.Kind == event.Read || e.Kind == event.Write {
-			k := [2]uint32{e.Method, uint32(e.Thread)}
-			counts[k]++
-			if counts[k] >= burstLength {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// exactAtRateOne reports whether algo must be exact (report on every
-// oracle-racy variable) for tr at sampling rate 1.0. o1samples is never
-// held to exactness: its single read slot per variable cannot attribute a
-// write racing with several concurrent reads to all of them, so only its
-// precision is judged.
-func exactAtRateOne(algo string, tr event.Trace) bool {
-	switch algo {
-	case "literace":
-		return literaceBurstsStayOpen(tr)
-	case "o1samples":
-		return false
-	}
-	return true
-}
-
 // saveFailureTrace writes tr to $PACER_FAILURE_DIR (when set) in the
 // streaming format so the CI failure artifact reproduces the run, and
 // logs the reproduction command.
@@ -148,7 +115,7 @@ func saveFailureTrace(t *testing.T, name string, tr event.Trace) {
 // and judges each run against the ground truth.
 func checkAgainstOracle(t *testing.T, algo string, tr event.Trace, rep *oracle.Report, label, repro string) {
 	t.Helper()
-	exact := exactAtRateOne(algo, tr)
+	exact := backends.ExactAtRateOne(algo, tr)
 	for _, cell := range matrixCellsFor(algo) {
 		races := replayOracle(algo, tr, cell, 0)
 		issues := rep.Check(races, exact)
@@ -377,37 +344,39 @@ func TestConformanceShardInvariance(t *testing.T) {
 	}
 }
 
-// TestFastTrackVarCapFrontEnd pins the Options.EpochFastVarCap plumbing:
-// with a tiny cap, variables past the cap still detect races (through the
-// locked path) and the lock-free same-epoch fast path engages only for
-// variables below the cap.
+// TestFastTrackVarCapFrontEnd pins the record table's bound through the
+// front-end: a variable at or above shardbase.TableBound still detects
+// races (through the locked path), and the lock-free same-epoch fast path
+// engages only for variables below it.
 func TestFastTrackVarCapFrontEnd(t *testing.T) {
 	var races []pacer.Race
 	d := pacer.New(pacer.Options{
-		Algorithm:       "fasttrack",
-		EpochFastVarCap: 4,
-		OnRace:          func(r pacer.Race) { races = append(races, r) },
+		Algorithm: "fasttrack",
+		OnRace:    func(r pacer.Race) { races = append(races, r) },
 	})
 	t0 := d.NewThread()
 	t1 := d.Fork(t0)
-	low, high := pacer.VarID(1), pacer.VarID(1000)
+	low, high := pacer.VarID(shardbase.TableBound-1), pacer.VarID(shardbase.TableBound)
 
 	// Same-epoch repeats on the low variable engage the lock-free fast
-	// path; the high variable must never (it is past the cap).
+	// path; the high variable must never (it is past the bound).
 	d.Write(t0, low, 1)
 	d.Write(t0, low, 1)
-	d.Write(t0, high, 2)
-	d.Write(t0, high, 2)
 	fast := d.Stats().FastPathWrites
 	if fast == 0 {
-		t.Fatal("below-cap variable never took the same-epoch fast path")
+		t.Fatal("below-bound variable never took the same-epoch fast path")
+	}
+	d.Write(t0, high, 2)
+	d.Write(t0, high, 2)
+	if got := d.Stats().FastPathWrites; got != fast {
+		t.Fatalf("above-bound variable took the same-epoch fast path (%d fast writes, want %d)", got, fast)
 	}
 
-	// Races on both sides of the cap must be detected identically.
+	// Races on both sides of the bound must be detected identically.
 	d.Write(t1, low, 3)
 	d.Write(t1, high, 4)
 	vars := varSet(races)
 	if !vars[low] || !vars[high] {
-		t.Fatalf("cap changed detection: races reported on %v, want both x%d and x%d", vars, low, high)
+		t.Fatalf("bound changed detection: races reported on %v, want both x%d and x%d", vars, low, high)
 	}
 }

@@ -181,38 +181,13 @@ type Options struct {
 	// analysis overhead near the target (see BudgetOptions). Only
 	// meaningful for backends with sampling periods.
 	Budget BudgetOptions
-	// Shards and EpochFastVarCap configure the metadata
-	// store of the sharded backends (pacer, fasttrack, o1samples,
-	// literace); the serialized generic backend ignores them.
-	//
-	// Shards is the number of variable-metadata shards (rounded up to a
-	// power of two; default 64). More shards admit more parallelism during
-	// sampling periods and a finer-grained fast-path presence filter, at a
-	// small fixed memory cost per detector.
+	// Shards is the number of variable-metadata shards of the sharded
+	// backends (pacer, fasttrack, o1samples, literace; the serialized
+	// generic backend ignores it), rounded up to a power of two; default
+	// 64. More shards admit more parallelism during sampling periods and a
+	// finer-grained fast-path presence filter, at a small fixed memory
+	// cost per detector.
 	Shards int
-	// EpochFastVarCap bounds the record table of every sharded backend:
-	// a variable whose identifier lies below the cap keeps its metadata
-	// record in a paged table, found with two loads and no hashing and
-	// visible to the lock-free same-epoch and owned-access fast paths of
-	// fasttrack, o1samples, and literace's FASTTRACK core; one at or above
-	// the cap keeps its record in a hashed per-shard map, reached through
-	// the locked path only — same reports, slower lookups. 0 keeps the
-	// default (1<<22); negative disables the table, so every record lives
-	// in the maps. The table's page directory takes one pointer per 4096
-	// identifiers below the cap, allocated with the detector (8 KB at the
-	// default), and each page 32 KB once a variable in it gains a record.
-	// Lower it when variable identifiers are drawn from a huge sparse
-	// space (e.g. hashed addresses) and the table's memory must stay
-	// bounded.
-	EpochFastVarCap int
-	// DisableOwnedFastPath leaves the owned-access (CAS read-map) stage
-	// out of the dismissal chain of backends that list one (FASTTRACK): the
-	// SmartTrack-style stage that claims a per-variable ownership word and
-	// performs the full analysis and metadata update without the epoch or
-	// shard locks — the shared-read case the same-epoch mirrors cannot
-	// serve. Reports are identical either way; this is the middle column of
-	// the contention benchmark.
-	DisableOwnedFastPath bool
 	// Serialized disables the concurrent front-end: every operation takes
 	// the epoch lock exclusively and no lock-free dismissal runs,
 	// reproducing the classic single-mutex behavior. Useful as a
@@ -340,8 +315,7 @@ type Detector struct {
 	reuser  detector.ThreadReuser
 	acct    detector.Accounted
 	// stages is the dismissal chain access tries before the locked path:
-	// the sharded backend's Stages, less those the Options turn off; empty
-	// when serialized.
+	// the sharded backend's Stages; empty when serialized.
 	stages []detector.Stage
 
 	// serialized is Options.Serialized, or forced when the backend lacks
@@ -441,11 +415,8 @@ func New(opts Options) *Detector {
 			opts.OnRace(r)
 		}
 	}, backends.Config{
-		Seed: opts.Seed,
-		Config: shardbase.Config{
-			Shards:   opts.Shards,
-			IndexCap: opts.EpochFastVarCap,
-		},
+		Seed:   opts.Seed,
+		Config: shardbase.Config{Shards: opts.Shards},
 	})
 	if err != nil {
 		panic("pacer: " + err.Error())
@@ -463,11 +434,7 @@ func New(opts Options) *Detector {
 		det.nshards = det.sharded.Shards()
 	}
 	if !det.serialized {
-		for _, st := range det.sharded.Stages() {
-			if !(opts.DisableOwnedFastPath && st.Name == detector.StageOwnedAccess) {
-				det.stages = append(det.stages, st)
-			}
-		}
+		det.stages = det.sharded.Stages()
 	}
 	det.varMu = make([]shardLock, det.nshards)
 	cells := make([]*opCell, 0)

@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"pacer"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
 	"pacer/internal/tracegen"
 )
 
-// sparseIDs returns n distinct variable identifiers for a store whose
-// record-table bound is bound: the first page's edges, the second page's
-// start, both sides of the bound, and the top of the identifier space,
-// then more on alternate sides of the bound.
-func sparseIDs(n int, bound uint32) []event.Var {
+// sparseIDs returns n distinct variable identifiers: the record table's
+// first page's edges, the second page's start, both sides of its bound
+// (shardbase.TableBound), and the top of the identifier space, then more
+// on alternate sides of the bound.
+func sparseIDs(n int) []event.Var {
+	const bound = shardbase.TableBound
 	ids := []event.Var{0, 4095, 4096, event.Var(bound - 1), event.Var(bound), 0xFFFFFFFE}
 	seen := map[event.Var]bool{}
 	for _, x := range ids {
@@ -69,8 +71,8 @@ func raceList(tr event.Trace, opts pacer.Options, back map[pacer.VarID]pacer.Var
 // once renamed onto identifiers at the record table's page edges, on both
 // sides of its bound, and at the top of the identifier space. Where a
 // record lives must not change what is detected: both twins report the
-// same race multiset. The default bound and a small one are both covered;
-// PACER also runs at rate 0.5, where non-sampled accesses delete records.
+// same race multiset. PACER also runs at rate 0.5, where non-sampled
+// accesses delete records.
 func TestRecordTableSparseIDs(t *testing.T) {
 	type run struct {
 		algo string
@@ -78,29 +80,23 @@ func TestRecordTableSparseIDs(t *testing.T) {
 	}
 	runs := []run{{"pacer", 1}, {"pacer", 0.5}, {"fasttrack", 1}, {"o1samples", 1}, {"literace", 1}}
 	compared := 0
-	for _, bound := range []int{0, 3 * 4096} {
-		b := uint32(bound)
-		if bound == 0 {
-			b = 1 << 22 // the default bound
+	for seed := int64(0); seed < 12; seed++ {
+		dense := tracegen.Generate(tracegen.CorpusConfig(seed))
+		vars := map[uint32]bool{}
+		for _, e := range dense {
+			if e.Kind == event.Read || e.Kind == event.Write {
+				vars[e.Target] = true
+			}
 		}
-		for seed := int64(0); seed < 12; seed++ {
-			dense := tracegen.Generate(tracegen.CorpusConfig(seed))
-			vars := map[uint32]bool{}
-			for _, e := range dense {
-				if e.Kind == event.Read || e.Kind == event.Write {
-					vars[e.Target] = true
-				}
+		sparse, back := remapVars(dense, sparseIDs(len(vars)))
+		for _, r := range runs {
+			opts := pacer.Options{Algorithm: r.algo, SamplingRate: r.rate, Seed: 3, PeriodOps: 64}
+			want := raceList(dense, opts, nil)
+			got := raceList(sparse, opts, back)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("seed %d %s r=%g: sparse identifiers report\n%v\ndense ones\n%v", seed, r.algo, r.rate, got, want)
 			}
-			sparse, back := remapVars(dense, sparseIDs(len(vars), b))
-			for _, r := range runs {
-				opts := pacer.Options{Algorithm: r.algo, SamplingRate: r.rate, Seed: 3, PeriodOps: 64, EpochFastVarCap: bound}
-				want := raceList(dense, opts, nil)
-				got := raceList(sparse, opts, back)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("bound %d seed %d %s r=%g: sparse identifiers report\n%v\ndense ones\n%v", b, seed, r.algo, r.rate, got, want)
-				}
-				compared += len(want)
-			}
+			compared += len(want)
 		}
 	}
 	if compared == 0 {
@@ -113,9 +109,8 @@ func TestRecordTableSparseIDs(t *testing.T) {
 // record table's bound; Stats.VarsTracked follows every insert and delete
 // exactly.
 func TestRecordTableStatsVarsTracked(t *testing.T) {
-	const bound = 2 * 4096
-	ids := sparseIDs(12, bound)
-	d := pacer.New(pacer.Options{SamplingRate: 0, EpochFastVarCap: bound})
+	ids := sparseIDs(12)
+	d := pacer.New(pacer.Options{SamplingRate: 0})
 	t0 := d.NewThread()
 	b := dtest.NewTB().SBegin()
 	for _, x := range ids {

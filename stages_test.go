@@ -216,17 +216,15 @@ func TestStageGuardsCoverChains(t *testing.T) {
 	}
 }
 
-// TestDismissalChainOptions pins how Options shape the mounted chain:
-// DisableOwnedFastPath drops the owned-access stage and nothing else, and
-// a serialized front-end runs no stage at all.
+// TestDismissalChainOptions pins how Options shape the mounted chain: a
+// sharded front-end runs the backend's declared chain, and a serialized
+// one runs no stage at all.
 func TestDismissalChainOptions(t *testing.T) {
 	for _, tc := range []struct {
 		opts pacer.Options
 		want string
 	}{
 		{pacer.Options{Algorithm: "fasttrack"}, "same-epoch owned-access"},
-		{pacer.Options{Algorithm: "fasttrack", DisableOwnedFastPath: true}, "same-epoch"},
-		{pacer.Options{Algorithm: "o1samples", DisableOwnedFastPath: true}, "no-metadata same-epoch"},
 		{pacer.Options{Algorithm: "fasttrack", Serialized: true}, ""},
 		{pacer.Options{Algorithm: "pacer", Serialized: true}, ""},
 		{pacer.Options{Algorithm: "generic"}, ""},
